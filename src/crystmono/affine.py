@@ -32,6 +32,7 @@ from .linalg import (
     transpose,
     vec_add,
     vec_scale,
+    vec_sub,
     vector,
 )
 from .monodromy import (
@@ -43,6 +44,7 @@ from .monodromy import (
     operator_order,
     pl_operator,
     quotient_basis,
+    worst_verdict,
 )
 
 
@@ -166,10 +168,16 @@ def linear_closure(generators, max_size: int = 2000) -> list[Matrix]:
                     seen.add(p)
                     order.append(p)
                     nxt.append(p)
-                    if len(seen) > max_size:
-                        raise ClosureBoundError(f"closure exceeds {max_size} elements")
+                    _bounded(seen, max_size)
         frontier = nxt
     return order
+
+
+def _bounded(group, max_size: int):
+    """Apply a closure bound the same way to a fresh and to a cached closure."""
+    if len(group) > max_size:
+        raise ClosureBoundError(f"closure exceeds {max_size} elements")
+    return group
 
 
 def is_reflection(m: Matrix) -> bool:
@@ -261,7 +269,7 @@ def reference_closure(name: str, max_size: int = 2000) -> list[Matrix]:
     if name not in _REF_CLOSURE:
         ref = reference_group(name)
         _REF_CLOSURE[name] = linear_closure([g.matrix for g in ref.generators], max_size)
-    return _REF_CLOSURE[name]
+    return _bounded(_REF_CLOSURE[name], max_size)
 
 
 @dataclass(frozen=True)
@@ -273,21 +281,25 @@ class TranslationReport:
     witness: str
 
 
-def translation_subgroup(
-    gens,
-    lattice: ZLattice,
-    word_bound: int = 12,
-    state_cap: int = 10**6,
-) -> TranslationReport:
+def translation_subgroup(gens, lattice: ZLattice, max_size: int = 2000) -> TranslationReport:
     """Certify the candidate lattice against the affine group's translations.
 
+    The translations T form the kernel of the linear-part map of G = <gens>,
+    so the cosets of T are indexed by linear parts.  One BFS over the
+    generators keeps the first affine lift of each linear part; that
+    spanning tree is a transversal.  Schreier's lemma (Seress, Permutation
+    Group Algorithms, 2003, 4.2; Holt-Eick-O'Brien, Handbook of
+    Computational Group Theory, 2005, 2.4) says T is generated by the elements
+    r * s * lift(r * s)^-1 for tree elements r and generators s; each is the
+    translation by (r * s).translation - lift(r * s).translation.
+
     invariance: each generator's linear part maps the lattice onto itself.
-    containment: BFS over states (linear part, translation mod lattice)
-      must terminate with every reduced translation zero, so the whole
-      affine group sits over the lattice with a zero section.
-    fullness: integer span of translations of identity-linear words grows
-      to the whole candidate lattice within the word bound ("pass"), or the
-      search ran out of budget first ("inconclusive").
+    containment: every lift translation and every Schreier translation lies
+      in the lattice; every element of G is a translation in T times a
+      lift, so then all its translations do.
+    fullness: the Schreier translations span exactly the lattice.
+    states: the number of linear parts, the size of the tree; more than
+      max_size raises ClosureBoundError.
     """
     gens = list(gens)
     if not gens:
@@ -297,73 +309,31 @@ def translation_subgroup(
 
     invariance = all(lattice.transformed(g.linear) == lattice for g in gens)
 
-    both = gens + [g.inverse() for g in gens]
-    ident = identity(field, n)
-    zero = vector(field, [0] * n)
-    start = AffineIsometry(ident, zero)
+    start = AffineIsometry(identity(field, n), vector(field, [0] * n))
+    lift = {start.linear: start.translation}
+    tree = [start]
+    schreier = set()
+    for r in tree:
+        for s in gens:
+            p = r * s
+            t = lift.get(p.linear)
+            if t is None:
+                lift[p.linear] = p.translation
+                tree.append(p)
+                _bounded(tree, max_size)
+            elif t != p.translation:
+                schreier.add(vec_sub(p.translation, t))
 
-    containment = "pass"
-    witness = ""
-    seen = {start}
-    frontier = [start]
-    while frontier and containment == "pass":
-        nxt = []
-        for el in frontier:
-            for g in both:
-                p = g * el
-                red = AffineIsometry(p.linear, lattice.reduce(p.translation))
-                if not all(x.is_zero() for x in red.translation):
-                    containment = "fail"
-                    witness = "element with translation outside the lattice"
-                    break
-                if red not in seen:
-                    seen.add(red)
-                    nxt.append(red)
-                    if len(seen) > state_cap:
-                        containment = "inconclusive"
-                        witness = "state cap exceeded"
-                        break
-            if containment != "pass":
-                break
-        frontier = nxt
-    states = len(seen)
-
-    # fullness: span translations of identity-linear words
-    span = ZLattice(field, n, [])
-    fullness = "pass" if span == lattice else "inconclusive"
-    walked = {start}
-    frontier = [start]
-    depth = 0
-    capped = False
-    while frontier and fullness == "inconclusive" and depth < word_bound and not capped:
-        depth += 1
-        nxt = []
-        for el in frontier:
-            for g in both:
-                p = g * el
-                if p in walked:
-                    continue
-                walked.add(p)
-                if len(walked) > state_cap:
-                    capped = True
-                    witness = witness or "state cap exceeded"
-                    break
-                nxt.append(p)
-                if p.linear == ident and not all(x.is_zero() for x in p.translation):
-                    if not lattice.member(p.translation):
-                        fullness = "fail"
-                        witness = witness or "identity-linear word translation outside lattice"
-                        break
-                    if not span.member(p.translation):
-                        span = span.join(ZLattice(field, n, [p.translation]))
-                        if span == lattice:
-                            fullness = "pass"
-                            break
-            if fullness != "inconclusive" or capped:
-                break
-        frontier = nxt
-
-    return TranslationReport(invariance, containment, fullness, states, witness)
+    outside = sum(not lattice.member(t) for t in [*lift.values(), *schreier])
+    containment = "fail" if outside else "pass"
+    fullness = "pass" if ZLattice(field, n, schreier) == lattice else "fail"
+    if outside:
+        witness = f"{outside} lift or Schreier translations outside the lattice"
+    elif fullness == "fail":
+        witness = f"{len(schreier)} Schreier translations span a proper sublattice"
+    else:
+        witness = f"{len(schreier)} distinct Schreier translations span it"
+    return TranslationReport(invariance, containment, fullness, len(tree), witness)
 
 
 # word identities expressing the kernel correction a through the V-side
@@ -432,13 +402,7 @@ class CaseReport:
 
     @property
     def verdict(self) -> str:
-        out = "pass"
-        for c in self.checks:
-            if c.verdict == "fail":
-                return "fail"
-            if c.verdict == "inconclusive":
-                out = "inconclusive"
-        return out
+        return worst_verdict(c.verdict for c in self.checks)
 
 
 def lifted_quotient(q: Quotient, target: CycloField) -> Quotient:
@@ -465,8 +429,9 @@ _REF_MULTISET: dict[str, dict[int, int]] = {}
 
 
 def _reference_multiset(name: str, max_group: int) -> dict[int, int]:
+    closure = reference_closure(name, max_group)
     if name not in _REF_MULTISET:
-        _REF_MULTISET[name] = reflection_order_multiset(reference_closure(name, max_group))
+        _REF_MULTISET[name] = reflection_order_multiset(closure)
     return _REF_MULTISET[name]
 
 
@@ -484,8 +449,6 @@ def verify_crystallographic(
     alpha0: CycloNum | None = None,
     lift: CycloField | None = None,
     max_group: int = 2000,
-    word_bound: int = 12,
-    state_cap: int = 10**6,
 ) -> CaseReport:
     """Run every check tying the diagram's dual action to its crystallographic model."""
     if d.expected_group is None:
@@ -522,6 +485,7 @@ def verify_crystallographic(
         group = linear_closure([duals[j].linear for j in kept], max_group)
         _LINEAR_CACHE[cache_key] = (group, reflection_order_multiset(group))
     group, multiset = _LINEAR_CACHE[cache_key]
+    _bounded(group, max_group)
 
     expected_order = len(reference_closure(d.expected_group, max_group))
     if expected_order != ref.declared_order:
@@ -570,7 +534,7 @@ def verify_crystallographic(
         )
     )
 
-    trep = translation_subgroup(duals, lattice, word_bound, state_cap)
+    trep = translation_subgroup(duals, lattice, max_group)
     checks.append(
         CheckResult(
             "lattice_invariant",
@@ -595,9 +559,9 @@ def verify_crystallographic(
     checks.append(
         CheckResult(
             "translations_generate",
-            "translations of identity-linear words span the whole lattice",
+            "the translation subgroup, generated by its Schreier translations, is the whole lattice",
             trep.fullness,
-            trep.witness if trep.fullness == "fail" else f"word bound {word_bound}",
+            trep.witness,
         )
     )
 
@@ -657,7 +621,7 @@ class DilationReport:
     dilated: CaseReport
 
 
-def dilation_check(d: Diagram, max_group: int = 2000, word_bound: int = 12, state_cap: int = 10**6) -> DilationReport:
+def dilation_check(d: Diagram, max_group: int = 2000) -> DilationReport:
     """Re-run the verification with the kernel value dilated by 1 - w.
 
     The dilation factor lives outside the Gaussian integers, so diagrams
@@ -667,9 +631,9 @@ def dilation_check(d: Diagram, max_group: int = 2000, word_bound: int = 12, stat
     needs_lift = d.field.n % 3 != 0
     lift = CycloField(12) if needs_lift else None
     work = lift if lift is not None else d.field
-    base = verify_crystallographic(d, None, lift, max_group, word_bound, state_cap)
+    base = verify_crystallographic(d, None, lift, max_group)
     factor = work.one - work.omega
-    dilated = verify_crystallographic(d, factor, lift, max_group, word_bound, state_cap)
+    dilated = verify_crystallographic(d, factor, lift, max_group)
     match = tuple((c.claim_id, c.verdict) for c in base.checks) == tuple(
         (c.claim_id, c.verdict) for c in dilated.checks
     )

@@ -19,6 +19,7 @@ import time
 
 from .affine import (
     AffineError,
+    ClosureBoundError,
     DualFrame,
     reference_closure,
     reference_group,
@@ -46,19 +47,19 @@ from .monodromy import (
     diagram_names,
     quotient_basis,
     verify_diagram,
+    worst_verdict,
 )
 
 _EXIT = {"pass": 0, "fail": 1, "inconclusive": 3}
 
 
-def _worst(verdicts) -> str:
-    out = "pass"
-    for v in verdicts:
-        if v == "fail":
-            return "fail"
-        if v == "inconclusive":
-            out = "inconclusive"
-    return out
+def _bound_check(exc: ClosureBoundError) -> CheckResult:
+    return CheckResult(
+        "group_bound",
+        "every group search finishes within --max-group",
+        "inconclusive",
+        str(exc),
+    )
 
 
 def _check_dicts(checks) -> list:
@@ -76,7 +77,7 @@ def _report(case, checks, *, chi=None, character=None, group=None, resolved=None
         "group": group,
         "checks": _check_dicts(checks),
         "resolved_choices": dict(resolved) if resolved else {},
-        "verdict": _worst(c.verdict for c in checks),
+        "verdict": worst_verdict(c.verdict for c in checks),
         "timing": timing,
     }
 
@@ -93,8 +94,10 @@ def _clock(args):
 def diagram_report(d: Diagram, args) -> dict:
     stop = _clock(args)
     checks = list(verify_diagram(d))
-    case = verify_crystallographic(d, max_group=args.max_group, word_bound=args.max_words)
-    checks.extend(case.checks)
+    try:
+        checks.extend(verify_crystallographic(d, max_group=args.max_group).checks)
+    except ClosureBoundError as exc:
+        checks.append(_bound_check(exc))
     return _report(
         d.name,
         checks,
@@ -133,7 +136,10 @@ def group_report(name: str, args) -> dict:
     """Re-derive one crystallographic linear-part model from its generators."""
     stop = _clock(args)
     ref = reference_group(name)
-    closure = reference_closure(name, args.max_group)
+    try:
+        closure = reference_closure(name, args.max_group)
+    except ClosureBoundError as exc:
+        return _report(name, (_bound_check(exc),), group=name, timing=stop())
     multiset = reflection_order_multiset(closure)
     declared = {int(k): v for k, v in ref.declared_reflections.items()}
     checks = (
@@ -210,7 +216,7 @@ def run_verify(args) -> int:
         "target": target,
         "chi": args.chi,
         "reports": reports,
-        "verdict": _worst(r["verdict"] for r in reports),
+        "verdict": worst_verdict(r["verdict"] for r in reports),
     }
     return _emit(doc, args)
 
@@ -366,12 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--chi", choices=("primary", "conj"), default="primary",
                          help="which of the two kernel characters to work with")
         cmd.add_argument("--json", metavar="PATH", help="also write the JSON document to PATH")
-    v.add_argument("--max-words", type=int, default=12, metavar="N",
-                   help="word-length bound for the translation search")
     v.add_argument("--max-group", type=int, default=2000, metavar="N",
-                   help="size bound for group closures")
-    v.add_argument("--seed-free", action="store_true",
-                   help="reserved; every computation is already deterministic")
+                   help="size bound for group closures and the translation tree")
     v.add_argument("--timings", action="store_true",
                    help="record wall-clock time per case (reports stop being byte-stable)")
     return p

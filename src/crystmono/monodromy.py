@@ -90,6 +90,17 @@ class CheckResult:
     witness: str
 
 
+def worst_verdict(verdicts) -> str:
+    """Fold verdicts: any fail beats any inconclusive, which beats pass."""
+    out = "pass"
+    for v in verdicts:
+        if v == "fail":
+            return "fail"
+        if v == "inconclusive":
+            out = "inconclusive"
+    return out
+
+
 class Diagram:
     """A reconciled cycle diagram bound to one of its two kernel characters."""
 

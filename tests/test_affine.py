@@ -1,7 +1,9 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
+from crystmono import affine
 from crystmono.cyclo import CycloField
 from crystmono.linalg import (
     ZLattice,
@@ -205,15 +207,89 @@ def test_translation_subgroup_rejects_wrong_lattice():
     assert bad.containment == "fail"
 
 
-def test_translation_subgroup_inconclusive_on_tiny_budget():
+def test_translation_subgroup_exact_controls():
     d, q, fr, duals = duals_for("C3_33")
     group = linear_closure([duals[j].linear for j in (1, 2)])
     t0 = duals[q.omitted_index].translation
     lattice = ZLattice(fr.field, fr.n, [mat_vec(m, t0) for m in group])
-    rep = translation_subgroup(duals, lattice, word_bound=1)
-    assert rep.fullness == "inconclusive"
-    rep2 = translation_subgroup(duals, lattice, state_cap=3)
-    assert "inconclusive" in (rep2.containment, rep2.fullness)
+    good = translation_subgroup(duals, lattice)
+    assert (good.containment, good.fullness, good.states) == ("pass", "pass", len(group))
+    half = translation_subgroup(duals, lattice.scaled(fr.field.from_rational(Fraction(1, 2))))
+    assert (half.containment, half.fullness) == ("pass", "fail")
+    doubled = translation_subgroup(duals, lattice.scaled(fr.field.from_rational(2)))
+    assert doubled.containment == "fail"
+    with pytest.raises(ClosureBoundError):
+        translation_subgroup(duals, lattice, max_size=len(group) - 1)
+
+    # v -> 1 - v with the translations by 2 and 2w: the translation subgroup
+    # is 2Z[w], but the lift of -1 translates by 1, outside it
+    flip = AffineIsometry(matrix(F3, [[-1]]), vector(F3, [1]))
+    shifts = [AffineIsometry(matrix(F3, [[1]]), vector(F3, [c])) for c in (2, "2*w")]
+    even = ZLattice(F3, 1, [vector(F3, [2]), vector(F3, ["2*w"])])
+    rep = translation_subgroup([flip, *shifts], even)
+    assert (rep.containment, rep.fullness, rep.states) == ("fail", "pass", 2)
+
+
+def _word_translation_span(duals, depth):
+    """Oracle: span of the translations of identity-linear words up to `depth` letters.
+
+    A plain BFS over the generators and their inverses, independent of the
+    Schreier transversal.
+    """
+    field, n = duals[0].linear[0][0].field, len(duals[0].linear)
+    letters = duals + [g.inverse() for g in duals]
+    start = AffineIsometry(identity(field, n), vector(field, [0] * n))
+    seen, frontier, found = {start}, [start], []
+    for _ in range(depth):
+        nxt = []
+        for el in frontier:
+            for g in letters:
+                p = g * el
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+                    if p.linear == start.linear:
+                        found.append(p.translation)
+        frontier = nxt
+    return ZLattice(field, n, found)
+
+
+@pytest.mark.parametrize("name, depth", [("P8divZ6", 2), ("P8_Z3", 6)])
+def test_schreier_span_matches_word_oracle(name, depth):
+    d, q, fr, duals = duals_for(name)
+    lattice = verify_crystallographic(d).lattice
+    assert translation_subgroup(duals, lattice).fullness == "pass"  # Schreier span == lattice
+    assert _word_translation_span(duals, depth) == lattice
+    assert _word_translation_span(duals, depth - 1) != lattice
+
+
+def test_bounds_hold_on_warm_caches(monkeypatch):
+    def outcome(call):
+        try:
+            result = call()
+        except ClosureBoundError as exc:
+            return str(exc)
+        return result.verdict if isinstance(result, CaseReport) else len(result)
+
+    small = (
+        lambda: reference_closure("K5", max_size=10),
+        lambda: verify_crystallographic(diagram("C3_33"), max_group=10),
+    )
+    full = (lambda: reference_closure("K5"), lambda: verify_crystallographic(diagram("C3_33")))
+
+    def cold():
+        for cache in ("_REF_CLOSURE", "_REF_MULTISET", "_LINEAR_CACHE"):
+            monkeypatch.setattr(affine, cache, {})
+
+    cold()
+    small_cold = [outcome(c) for c in small]
+    full_warm = [outcome(c) for c in full]
+    small_warm = [outcome(c) for c in small]
+    cold()
+    full_cold = [outcome(c) for c in full]
+    small_after = [outcome(c) for c in small]
+    assert small_cold == small_warm == small_after == ["closure exceeds 10 elements"] * 2
+    assert full_cold == full_warm == [72, "pass"]
 
 
 def test_maximal_root_words_both_characters():

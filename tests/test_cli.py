@@ -1,17 +1,14 @@
 import json
 
-import pytest
-
 from crystmono.cli import (
     _EXIT,
-    _worst,
     diagram_from_payload,
     diagram_report,
     build_parser,
     main,
     show_diagram_payload,
 )
-from crystmono.monodromy import CheckResult, diagram
+from crystmono.monodromy import CheckResult, diagram, worst_verdict
 
 
 def run(argv, capsys):
@@ -34,7 +31,7 @@ def test_verify_conjugate_character(capsys):
 
 
 def test_verify_group_reports_the_linear_order(capsys):
-    code, out, _ = run(["verify", "group", "K25", "--max-words", "12"], capsys)
+    code, out, _ = run(["verify", "group", "K25"], capsys)
     assert code == 0
     assert "linear order 648" in out
     assert "[pass] D4_3" in out  # the diagram mapped to this model rides along
@@ -123,18 +120,11 @@ def test_show_group_without_ring_rule_has_no_basis(capsys):
     assert payload["lattice_rule"]["kind"] == "order2_root_orbit"
 
 
-def test_seed_free_is_reserved_but_bare_only(capsys):
-    assert run(["verify", "diagram", "P8divZ6", "--seed-free"], capsys)[0] == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "diagram", "P8divZ6", "--seed-free=1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-
-
-def test_word_bound_one_is_inconclusive(capsys):
-    code, out, _ = run(["verify", "diagram", "P8divZ6", "--max-words", "1"], capsys)
+def test_exhausted_group_bound_is_inconclusive(capsys):
+    code, out, _ = run(["verify", "diagram", "P8divZ6", "--max-group", "1"], capsys)
     assert code == 3
     assert "verdict: inconclusive" in out
+    assert "closure exceeds 1 elements" in out
 
 
 def test_timings_fill_the_timing_field(tmp_path, capsys):
@@ -145,9 +135,9 @@ def test_timings_fill_the_timing_field(tmp_path, capsys):
 
 
 def test_exit_code_mapping():
-    assert _worst(["pass", "pass"]) == "pass"
-    assert _worst(["pass", "inconclusive", "pass"]) == "inconclusive"
-    assert _worst(["inconclusive", "fail"]) == "fail"
+    assert worst_verdict(["pass", "pass"]) == "pass"
+    assert worst_verdict(["pass", "inconclusive", "pass"]) == "inconclusive"
+    assert worst_verdict(["inconclusive", "fail"]) == "fail"
     assert (_EXIT["pass"], _EXIT["fail"], _EXIT["inconclusive"]) == (0, 1, 3)
 
 
