@@ -32,7 +32,6 @@ from .linalg import (
     transpose,
     vec_add,
     vec_scale,
-    vec_sub,
     vector,
 )
 from .monodromy import (
@@ -281,25 +280,28 @@ class TranslationReport:
     witness: str
 
 
-def translation_subgroup(gens, lattice: ZLattice, max_size: int = 2000) -> TranslationReport:
+def translation_subgroup(group, gens, lattice: ZLattice) -> TranslationReport:
     """Certify the candidate lattice against the affine group's translations.
 
-    The translations T form the kernel of the linear-part map of G = <gens>,
-    so the cosets of T are indexed by linear parts.  One BFS over the
-    generators keeps the first affine lift of each linear part; that
-    spanning tree is a transversal.  Schreier's lemma (Seress, Permutation
-    Group Algorithms, 2003, 4.2; Holt-Eick-O'Brien, Handbook of
-    Computational Group Theory, 2005, 2.4) says T is generated by the elements
-    r * s * lift(r * s)^-1 for tree elements r and generators s; each is the
-    translation by (r * s).translation - lift(r * s).translation.
+    Precondition: `group` is the linear closure of the linear parts of
+    generators whose translation is zero (the kept reflections), so every
+    (m, 0) with m in `group` lies in G = <gens>.  The translations T form the kernel of the
+    linear-part map of G, so the cosets of T are indexed by linear parts,
+    and those (m, 0) are a transversal exactly when every generator's linear
+    part lies in `group`; generators for which that fails are counted as
+    escaped.  Schreier's lemma (Seress, Permutation Group Algorithms, 2003,
+    4.2; Holt-Eick-O'Brien, Handbook of Computational Group Theory, 2005,
+    2.4) holds for any transversal containing the identity: T is generated
+    by (m, 0) * s * (m A, 0)^-1 for m in `group` and generators s = (A, t),
+    which is the translation by m t.
 
     invariance: each generator's linear part maps the lattice onto itself.
-    containment: every lift translation and every Schreier translation lies
-      in the lattice; every element of G is a translation in T times a
-      lift, so then all its translations do.
-    fullness: the Schreier translations span exactly the lattice.
-    states: the number of linear parts, the size of the tree; more than
-      max_size raises ClosureBoundError.
+    containment: nothing escaped and every Schreier translation lies in the
+      lattice; every element of G is a translation in T times some (m, 0),
+      so then all its translations do.
+    fullness: nothing escaped and the Schreier translations span exactly
+      the lattice.
+    states: the number of linear parts, the size of the transversal.
     """
     gens = list(gens)
     if not gens:
@@ -309,31 +311,24 @@ def translation_subgroup(gens, lattice: ZLattice, max_size: int = 2000) -> Trans
 
     invariance = all(lattice.transformed(g.linear) == lattice for g in gens)
 
-    start = AffineIsometry(identity(field, n), vector(field, [0] * n))
-    lift = {start.linear: start.translation}
-    tree = [start]
-    schreier = set()
-    for r in tree:
-        for s in gens:
-            p = r * s
-            t = lift.get(p.linear)
-            if t is None:
-                lift[p.linear] = p.translation
-                tree.append(p)
-                _bounded(tree, max_size)
-            elif t != p.translation:
-                schreier.add(vec_sub(p.translation, t))
+    members = set(group)
+    escaped = sum(g.linear not in members for g in gens)
+    shifts = [g.translation for g in gens if any(not x.is_zero() for x in g.translation)]
+    schreier = {mat_vec(m, t) for m in group for t in shifts}
 
-    outside = sum(not lattice.member(t) for t in [*lift.values(), *schreier])
-    containment = "fail" if outside else "pass"
-    fullness = "pass" if ZLattice(field, n, schreier) == lattice else "fail"
-    if outside:
-        witness = f"{outside} lift or Schreier translations outside the lattice"
-    elif fullness == "fail":
+    outside = sum(not lattice.member(t) for t in schreier)
+    spans = ZLattice(field, n, schreier) == lattice
+    if escaped:
+        witness = f"linear part outside the group for {escaped} of {len(gens)} generators"
+    elif outside:
+        witness = f"{outside} Schreier translations outside the lattice"
+    elif not spans:
         witness = f"{len(schreier)} Schreier translations span a proper sublattice"
     else:
         witness = f"{len(schreier)} distinct Schreier translations span it"
-    return TranslationReport(invariance, containment, fullness, len(tree), witness)
+    containment = "fail" if escaped or outside else "pass"
+    fullness = "pass" if not escaped and spans else "fail"
+    return TranslationReport(invariance, containment, fullness, len(group), witness)
 
 
 # word identities expressing the kernel correction a through the V-side
@@ -534,7 +529,7 @@ def verify_crystallographic(
         )
     )
 
-    trep = translation_subgroup(duals, lattice, max_group)
+    trep = translation_subgroup(group, duals, lattice)
     checks.append(
         CheckResult(
             "lattice_invariant",
@@ -543,17 +538,12 @@ def verify_crystallographic(
             "all generators checked",
         )
     )
-    contained = trep.containment
-    contained_witness = trep.witness
-    if contained == "pass" and trep.states != len(group):
-        contained = "fail"
-        contained_witness = f"{trep.states} affine cosets for {len(group)} linear parts"
     checks.append(
         CheckResult(
             "translations_contained",
             "every translation arising in the affine group lies in the lattice",
-            contained,
-            contained_witness if contained != "pass" else f"{trep.states} affine cosets enumerated",
+            trep.containment,
+            trep.witness if trep.containment != "pass" else f"{trep.states} affine cosets enumerated",
         )
     )
     checks.append(

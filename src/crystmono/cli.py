@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="which of the two kernel characters to work with")
         cmd.add_argument("--json", metavar="PATH", help="also write the JSON document to PATH")
     v.add_argument("--max-group", type=int, default=2000, metavar="N",
-                   help="size bound for group closures and the translation tree")
+                   help="size bound for group closures")
     v.add_argument("--timings", action="store_true",
                    help="record wall-clock time per case (reports stop being byte-stable)")
     return p

@@ -21,7 +21,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+def _poly_mul(a: Sequence, b: Sequence) -> list:
+    """Polynomial product; coefficients may be ints or Fractions."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -263,7 +264,7 @@ class CycloNum:
                 return CycloNum(self.field, self.field._reduce(inv))
             q, rem = _qpoly_divmod(r0, r1)
             r0, r1 = r1, rem
-            s0, s1 = s1, _qpoly_sub(s0, _poly_mulq(q, s1))
+            s0, s1 = s1, _qpoly_sub(s0, _poly_mul(q, s1))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -396,15 +397,6 @@ def _qpoly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return [x - y for x, y in zip(a, b)]
 
 
-def _poly_mulq(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 # -- subring membership -------------------------------------------------
 
 
@@ -427,42 +419,11 @@ def in_subring(x: CycloNum, ring: str) -> bool:
         return x.is_integer()
     g = f.root_of_unity(gen_div)
     # solve x = a + b*g over Q, then demand integrality
-    sol = _solve_two_span(f.one, g, x)
+    sol = _solve_span([f.one, g], x)
     if sol is None:
         return False
     a, b = sol
     return a.denominator == 1 and b.denominator == 1
-
-
-def _solve_two_span(u: CycloNum, v: CycloNum, x: CycloNum):
-    """Rational (a, b) with x = a*u + b*v, or None."""
-    rows = list(zip(u.coeffs, v.coeffs, x.coeffs))
-    piv = [r for r in rows if r[0] or r[1]]
-    a = b = None
-    # two unknowns: eliminate directly
-    r1 = next((r for r in piv if r[0]), None)
-    if r1 is None:
-        r2 = next((r for r in piv if r[1]), None)
-        if r2 is None:
-            return (_ZERO, _ZERO) if x.is_zero() else None
-        b = r2[2] / r2[1]
-        a = _ZERO
-    else:
-        # eliminate the first column, find a row determining b
-        red = []
-        for r in rows:
-            if r is r1:
-                continue
-            f = r[0] / r1[0]
-            red.append((r[1] - f * r1[1], r[2] - f * r1[2]))
-        r2 = next((r for r in red if r[0]), None)
-        if r2 is None:
-            b = _ZERO
-        else:
-            b = r2[1] / r2[0]
-        a = (r1[2] - b * r1[1]) / r1[0]
-    cand = a * u + b * v
-    return (a, b) if cand == x else None
 
 
 # -- the value grammar --------------------------------------------------

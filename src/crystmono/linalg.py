@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
 from .cyclo import CycloField, CycloNum, parse_value
@@ -335,10 +336,7 @@ class ZLattice:
         self.dim = dim
         self.flat_dim = dim * field.degree
         gens = [self._flatten(v) for v in generators]
-        den = 1
-        for g in gens:
-            for q in g:
-                den = den * q.denominator // _gcd(den, q.denominator)
+        den = lcm(*(q.denominator for g in gens for q in g))
         self.scale = den
         int_rows = [[int(q * den) for q in g] for g in gens]
         self.rows = _hnf(int_rows)
@@ -419,12 +417,6 @@ class ZLattice:
 
     def __repr__(self):
         return f"ZLattice(n={self.field.n}, dim={self.dim}, rank={self.rank})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
 
 
 def _floor_div(a: Fraction, b: int) -> int:

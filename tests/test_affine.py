@@ -195,39 +195,52 @@ def test_g312_orbit_lattice_has_index_three():
     assert len(residues) == 3
 
 
+def linear_part_closure(duals):
+    """Closure of the linear parts of the duals whose translation is zero."""
+    return linear_closure([g.linear for g in duals if all(x.is_zero() for x in g.translation)])
+
+
 def test_translation_subgroup_rejects_wrong_lattice():
     d, q, fr, duals = duals_for("P8divZ6")
-    group = linear_closure([duals[j].linear for j in (1,)])
+    group = linear_part_closure(duals)
     t0 = duals[q.omitted_index].translation
     lattice = ZLattice(fr.field, fr.n, [mat_vec(m, t0) for m in group])
-    good = translation_subgroup(duals, lattice)
+    good = translation_subgroup(group, duals, lattice)
     assert good.invariance and good.containment == "pass" and good.fullness == "pass"
     doubled = lattice.scaled(fr.field.from_rational(2))
-    bad = translation_subgroup(duals, doubled)
+    bad = translation_subgroup(group, duals, doubled)
     assert bad.containment == "fail"
 
 
 def test_translation_subgroup_exact_controls():
     d, q, fr, duals = duals_for("C3_33")
-    group = linear_closure([duals[j].linear for j in (1, 2)])
+    group = linear_part_closure(duals)
     t0 = duals[q.omitted_index].translation
     lattice = ZLattice(fr.field, fr.n, [mat_vec(m, t0) for m in group])
-    good = translation_subgroup(duals, lattice)
+    good = translation_subgroup(group, duals, lattice)
     assert (good.containment, good.fullness, good.states) == ("pass", "pass", len(group))
-    half = translation_subgroup(duals, lattice.scaled(fr.field.from_rational(Fraction(1, 2))))
+    half = translation_subgroup(group, duals, lattice.scaled(fr.field.from_rational(Fraction(1, 2))))
     assert (half.containment, half.fullness) == ("pass", "fail")
-    doubled = translation_subgroup(duals, lattice.scaled(fr.field.from_rational(2)))
+    doubled = translation_subgroup(group, duals, lattice.scaled(fr.field.from_rational(2)))
     assert doubled.containment == "fail"
-    with pytest.raises(ClosureBoundError):
-        translation_subgroup(duals, lattice, max_size=len(group) - 1)
 
-    # v -> 1 - v with the translations by 2 and 2w: the translation subgroup
-    # is 2Z[w], but the lift of -1 translates by 1, outside it
-    flip = AffineIsometry(matrix(F3, [[-1]]), vector(F3, [1]))
+    # v -> -v with the translations by 2 and 2w: the translation subgroup is 2Z[w]
+    flip = AffineIsometry(matrix(F3, [[-1]]), vector(F3, [0]))
     shifts = [AffineIsometry(matrix(F3, [[1]]), vector(F3, [c])) for c in (2, "2*w")]
+    signs = linear_closure([flip.linear])
     even = ZLattice(F3, 1, [vector(F3, [2]), vector(F3, ["2*w"])])
-    rep = translation_subgroup([flip, *shifts], even)
-    assert (rep.containment, rep.fullness, rep.states) == ("fail", "pass", 2)
+    rep = translation_subgroup(signs, [flip, *shifts], even)
+    assert (rep.containment, rep.fullness, rep.states) == ("pass", "pass", 2)
+    four = translation_subgroup(signs, [flip, *shifts], even.scaled(F3.from_rational(2)))
+    assert (four.containment, four.fullness) == ("fail", "fail")
+
+    # the linear part of v -> w v lies outside {1, -1}, so (1, 0), (-1, 0) are
+    # no transversal and both verdicts fail, although the Schreier
+    # translations alone would still span 2Z[w]
+    turn = AffineIsometry(matrix(F3, [["w"]]), vector(F3, [0]))
+    escaped = translation_subgroup(signs, [flip, turn, *shifts], even)
+    assert (escaped.containment, escaped.fullness) == ("fail", "fail")
+    assert escaped.witness == "linear part outside the group for 1 of 4 generators"
 
 
 def _word_translation_span(duals, depth):
@@ -258,7 +271,8 @@ def _word_translation_span(duals, depth):
 def test_schreier_span_matches_word_oracle(name, depth):
     d, q, fr, duals = duals_for(name)
     lattice = verify_crystallographic(d).lattice
-    assert translation_subgroup(duals, lattice).fullness == "pass"  # Schreier span == lattice
+    rep = translation_subgroup(linear_part_closure(duals), duals, lattice)
+    assert rep.fullness == "pass"  # Schreier span == lattice
     assert _word_translation_span(duals, depth) == lattice
     assert _word_translation_span(duals, depth - 1) != lattice
 

@@ -1,5 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import crystmono
+from crystmono.affine import dilation_check
 from crystmono.cli import (
     _EXIT,
     diagram_from_payload,
@@ -82,6 +90,31 @@ def test_reports_are_byte_stable(tmp_path, capsys):
     run(["verify", "diagram", "P8divZ6", "--json", str(a)], capsys)
     run(["verify", "diagram", "P8divZ6", "--json", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+COLD_WARM = [("P8divZ6", "primary"), ("C3_33", "conj")]
+
+
+def cold_report(name, chi, path):
+    """Run one diagram target in a fresh interpreter, so every cache starts empty."""
+    paths = [str(Path(crystmono.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    argv = ["verify", "diagram", name, "--chi", chi, "--json", str(path)]
+    done = subprocess.run([sys.executable, "-m", "crystmono.cli", *argv], env=env, capture_output=True, check=True)
+    return done.stdout
+
+
+@pytest.mark.parametrize("name, chi", COLD_WARM)
+def test_cold_and_warm_reports_are_identical(name, chi, tmp_path, capsys):
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    cold_out = cold_report(name, chi, cold)
+    other, other_chi = next(c for c in COLD_WARM if c != (name, chi))
+    run(["verify", "diagram", other, "--chi", other_chi], capsys)
+    dilation_check(diagram(name, chi))
+    code, warm_out, _ = run(["verify", "diagram", name, "--chi", chi, "--json", str(warm)], capsys)
+    assert code == 0
+    assert warm.read_bytes() == cold.read_bytes()
+    assert warm_out.encode() == cold_out
 
 
 def test_show_then_verify_round_trips(capsys):
