@@ -22,7 +22,10 @@ from .linalg import (
     Vector,
     ZLattice,
     conj_vector,
+    dot,
     identity,
+    identity_minus_outer,
+    is_zero_vector,
     mat_inverse,
     mat_mul,
     mat_rank,
@@ -76,9 +79,7 @@ class AffineIsometry:
 
     def is_identity(self) -> bool:
         field = self.linear[0][0].field
-        return self.linear == identity(field, len(self.linear)) and all(
-            x.is_zero() for x in self.translation
-        )
+        return self.linear == identity(field, len(self.linear)) and is_zero_vector(self.translation)
 
 
 class DualFrame:
@@ -122,30 +123,17 @@ class DualFrame:
         V-component of the root; roots proportional to the kernel vector
         have no V-component and are rejected.
         """
-        field = self.field
         u0, u = self.decompose(root)
-        if all(x.is_zero() for x in u):
+        if is_zero_vector(u):
             raise AffineError("root lies in the kernel line")
         ub = conj_vector(u)
         w = mat_vec(self.Qt, u)
-        qub = mat_vec(self.Q, ub)
-        nu = field.zero
-        for k in range(self.n):
-            nu = nu + u[k] * qub[k]
+        nu = dot(u, mat_vec(self.Q, ub))
         if nu.is_zero():
             raise AffineError("root is isotropic on the hyperplane")
-        lam_bar = eigenvalue.conjugate()
-        coef = (field.one - lam_bar) * nu.inverse()
-        rows = []
-        for k in range(self.n):
-            row = []
-            for j in range(self.n):
-                delta = field.one if k == j else field.zero
-                row.append(delta - coef * ub[k] * w[j])
-            rows.append(row)
-        lin = matrix(field, rows)
+        coef = (self.field.one - eigenvalue.conjugate()) * nu.inverse()
         tr = vec_scale(-coef * self.alpha0 * u0, ub)
-        return AffineIsometry(lin, tr)
+        return AffineIsometry(identity_minus_outer(coef, ub, w), tr)
 
 
 def linear_closure(generators, max_size: int = 2000) -> list[Matrix]:
@@ -313,7 +301,7 @@ def translation_subgroup(group, gens, lattice: ZLattice) -> TranslationReport:
 
     members = set(group)
     escaped = sum(g.linear not in members for g in gens)
-    shifts = [g.translation for g in gens if any(not x.is_zero() for x in g.translation)]
+    shifts = [g.translation for g in gens if not is_zero_vector(g.translation)]
     schreier = {mat_vec(m, t) for m in group for t in shifts}
 
     outside = sum(not lattice.member(t) for t in schreier)
@@ -458,7 +446,7 @@ def verify_crystallographic(
     duals = [frame.dual_reflection(r, lam) for r, lam in zip(q.roots, q.eigenvalues)]
     kept = _kept_indices(d, q)
     for j in kept:
-        if not all(x.is_zero() for x in duals[j].translation):
+        if not is_zero_vector(duals[j].translation):
             raise AffineError(f"{d.name}: kept reflection {q.labels[j]} is not linear")
 
     ref = reference_group(d.expected_group)

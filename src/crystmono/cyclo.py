@@ -273,6 +273,8 @@ class CycloNum:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
+        if other == 1:  # 1 / x, as _echelon asks for it: no product with one
+            return self.inverse()
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -299,6 +301,9 @@ class CycloNum:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
@@ -641,31 +646,60 @@ def _word_to_str(word: tuple[str, ...]) -> list[str]:
     return out
 
 
-def _solve_span(vals: Sequence[CycloNum], x: CycloNum):
-    """Rational coordinates of x in span(vals), or None."""
-    m = len(vals)
-    rows = [
-        [v.coeffs[r] for v in vals] + [x.coeffs[r]] for r in range(x.field.degree)
-    ]
-    piv_cols: list[int] = []
+# -- exact elimination ---------------------------------------------------
+
+
+def _echelon(rows: list[list]) -> tuple[list[list], list[int], list, int]:
+    """Gauss-Jordan reduction in place; the only field elimination in the package.
+
+    Entries are all Fractions or all CycloNums: the routine needs only
+    truth value, +, -, * and 1 / x.  Returns (rows, cols, pivots, sign):
+    the reduced row echelon form, the pivot column of each leading row,
+    the value each of those rows was divided by, and (-1)^(row swaps).
+    Row operations of the third kind keep the determinant, so a square
+    matrix with a pivot in every column has determinant sign * prod(pivots).
+    """
+    cols: list[int] = []
+    pivots: list = []
+    sign = 1
     r = 0
-    for c in range(m):
+    for c in range(len(rows[0]) if rows else 0):
         pr = next((k for k in range(r, len(rows)) if rows[k][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [e / pv for e in rows[r]]
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        piv = rows[r][c]
+        inv = 1 / piv
+        rows[r] = [inv * x for x in rows[r]]
         for k in range(len(rows)):
             if k != r and rows[k][c]:
                 f = rows[k][c]
-                rows[k] = [e - f * p for e, p in zip(rows[k], rows[r])]
-        piv_cols.append(c)
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        cols.append(c)
+        pivots.append(piv)
         r += 1
-    for k in range(r, len(rows)):
-        if rows[k][m]:
-            return None
-    coords = [_ZERO] * m
-    for rr, c in enumerate(piv_cols):
-        coords[c] = rows[rr][m]
-    return coords
+        if r == len(rows):
+            break
+    return rows, cols, pivots, sign
+
+
+def _solve(rows: list[list], zero) -> list | None:
+    """One solution of the augmented system rows = [A | b], or None."""
+    n = len(rows[0]) - 1
+    rows, cols, _, _ = _echelon(rows)
+    if n in cols:  # pivot in the augmented column: inconsistent
+        return None
+    x = [zero] * n
+    for row, c in zip(rows, cols):
+        x[c] = row[n]
+    return x
+
+
+def _solve_span(vals: Sequence[CycloNum], x: CycloNum) -> list[Fraction] | None:
+    """Rational coordinates of x in span(vals), or None."""
+    rows = [
+        [v.coeffs[r] for v in vals] + [x.coeffs[r]] for r in range(x.field.degree)
+    ]
+    return _solve(rows, _ZERO)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .cyclo import CycloField, CycloNum, parse_value
+from .cyclo import CycloField, CycloNum, _echelon, _solve, parse_value
 
 Vector = tuple[CycloNum, ...]
 Matrix = tuple[Vector, ...]
@@ -50,15 +50,16 @@ def identity(field: CycloField, n: int) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum((r[j] * v[j] for j in range(1, len(v))), r[0] * v[0]) for r in a)
+    return tuple(dot(r, v) for r in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
-    return tuple(tuple(_dot(ra, cb) for cb in bt) for ra in a)
+    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
 
 
-def _dot(u: Vector, v: Vector) -> CycloNum:
+def dot(u: Vector, v: Vector) -> CycloNum:
+    """sum u[k] v[k], with no conjugation."""
     acc = u[0] * v[0]
     for x, y in zip(u[1:], v[1:]):
         acc = acc + x * y
@@ -101,37 +102,19 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(vec_scale(c, r) for r in a)
 
 
+def identity_minus_outer(c: CycloNum, u: Vector, w: Vector) -> Matrix:
+    """I - c u w^T, the shape of every complex reflection built here."""
+    ident = identity(c.field, len(u))
+    return tuple(vec_sub(e, vec_scale(c * x, w)) for e, x in zip(ident, u))
+
+
 # -- elimination ----------------------------------------------------------
-
-
-def _echelon(rows: list[list[CycloNum]]) -> tuple[list[list[CycloNum]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((k for k in range(r, len(rows)) if not rows[k][c].is_zero()), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * x for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and not rows[k][c].is_zero():
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+#
+# Each runs on cyclo._echelon, the package's one Gauss-Jordan routine.
 
 
 def mat_rank(a: Matrix) -> int:
-    _, pivots = _echelon([list(r) for r in a])
-    return len(pivots)
+    return len(_echelon([list(r) for r in a])[1])
 
 
 def nullspace(a: Matrix) -> list[Vector]:
@@ -140,7 +123,7 @@ def nullspace(a: Matrix) -> list[Vector]:
         return []
     field = a[0][0].field
     n = len(a[0])
-    rows, pivots = _echelon([list(r) for r in a])
+    rows, pivots, _, _ = _echelon([list(r) for r in a])
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
@@ -154,49 +137,26 @@ def nullspace(a: Matrix) -> list[Vector]:
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """One solution of a x = b, or None."""
-    field = b[0].field
-    n = len(a[0])
-    rows = [list(r) + [bv] for r, bv in zip(a, b)]
-    rows, pivots = _echelon(rows)
-    if n in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    x = [field.zero] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][n]
-    return tuple(x)
+    x = _solve([list(r) + [bv] for r, bv in zip(a, b)], b[0].field.zero)
+    return None if x is None else tuple(x)
 
 
 def mat_inverse(a: Matrix) -> Matrix:
     field = a[0][0].field
     n = len(a)
     rows = [list(r) + list(e) for r, e in zip(a, identity(field, n))]
-    rows, pivots = _echelon(rows)
+    rows, pivots, _, _ = _echelon(rows)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(r[n:]) for r in rows)
 
 
 def det(a: Matrix) -> CycloNum:
-    field = a[0][0].field
-    rows = [list(r) for r in a]
-    n = len(rows)
-    acc = field.one
-    sign = 1
-    for c in range(n):
-        pr = next((k for k in range(c, n) if not rows[k][c].is_zero()), None)
-        if pr is None:
-            return field.zero
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign = -sign
-        piv = rows[c][c]
-        acc = acc * piv
-        inv = piv.inverse()
-        for k in range(c + 1, n):
-            if not rows[k][c].is_zero():
-                f = rows[k][c] * inv
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[c])]
-    return acc if sign == 1 else -acc
+    """sign * product of the pivots that _echelon divided out; zero if one is missing."""
+    _, cols, pivots, sign = _echelon([list(r) for r in a])
+    if len(cols) < len(a):
+        return a[0][0].field.zero
+    return prod(pivots, start=sign)
 
 
 # -- Hermitian forms ------------------------------------------------------
@@ -219,7 +179,7 @@ class HermitianGram:
                     raise ValueError(f"matrix is not Hermitian at ({i}, {j})")
 
     def eval(self, u: Vector, v: Vector) -> CycloNum:
-        return _dot(u, mat_vec(self.gram, conj_vector(v)))
+        return dot(u, mat_vec(self.gram, conj_vector(v)))
 
     def kernel(self) -> list[Vector]:
         """Vectors pairing to zero with everything: {v : G conj(v) = 0}."""
@@ -276,12 +236,17 @@ class HermitianGram:
 
 
 def _hnf(rows: list[list[int]]) -> list[list[int]]:
-    """Row Hermite normal form: positive pivots, entries above reduced."""
+    """The reduced row Hermite normal form of the integer row span.
+
+    Zero rows dropped, pivots positive and strictly increasing, and every
+    entry above a pivot p in [0, p).  That form is unique (Cohen, A Course
+    in Computational Algebraic Number Theory, 1993, 2.4.2), so two integer
+    matrices span the same lattice exactly when their forms are equal.
+    """
     rows = [r[:] for r in rows if any(r)]
     if not rows:
         return []
     ncols = len(rows[0])
-    out: list[list[int]] = []
     r = 0
     for c in range(ncols):
         # gather nonzero entries in column c at or below r by gcd reduction
@@ -307,13 +272,11 @@ def _hnf(rows: list[list[int]]) -> list[list[int]]:
         if r == len(rows):
             break
     rows = [row for row in rows[:r] if any(row)]
-    # reduce entries above each pivot into [0, pivot)
-    piv = []
-    for row in rows:
-        c = next(j for j, x in enumerate(row) if x)
-        piv.append(c)
-    for k in range(len(rows) - 1, -1, -1):
-        c = piv[k]
+    # reduce the entries above each pivot into [0, pivot), first pivot first:
+    # row k is zero left of its pivot, so reducing by it keeps the entries
+    # above the earlier pivots, which are already reduced
+    piv = [next(j for j, x in enumerate(row) if x) for row in rows]
+    for k, c in enumerate(piv):
         p = rows[k][c]
         for up in range(k):
             q = rows[up][c] // p
@@ -326,9 +289,10 @@ class ZLattice:
     """Finitely generated Z-submodule of Q(zeta_N)^n.
 
     Vectors are flattened to rational coordinates (power basis times
-    ambient dimension), cleared to a common denominator and kept as an
-    integer HNF basis. Membership, canonical reduction and equality are
-    all exact.
+    ambient dimension) and multiplied by `scale`, the least d with
+    d L in Z^k; `rows` is the reduced HNF of that integer lattice.  Both
+    depend on the lattice alone, not on its generators, so equality
+    compares them.  Membership and canonical reduction are exact.
     """
 
     def __init__(self, field: CycloField, dim: int, generators: Iterable[Vector]):
@@ -365,24 +329,26 @@ class ZLattice:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def member(self, v: Vector) -> bool:
-        t = [q * self.scale for q in self._flatten(v)]
-        for row, c in zip(self.rows, self._pivots):
-            q = t[c] / row[c]
-            if q.denominator != 1:
-                return False
-            if q:
-                t = [x - q * y for x, y in zip(t, row)]
-        return not any(t)
+    def _residue(self, v: Vector) -> list[Fraction]:
+        """scale * v, flattened, less the floor multiple of each HNF row in turn.
 
-    def reduce(self, v: Vector) -> Vector:
-        """Canonical representative of v modulo the lattice."""
+        Row k is zero left of its pivot, so each step leaves the entries at
+        earlier pivots in [0, pivot); the result is zero exactly when v is
+        in the lattice.
+        """
         t = [q * self.scale for q in self._flatten(v)]
         for row, c in zip(self.rows, self._pivots):
             q = _floor_div(t[c], row[c])
             if q:
                 t = [x - q * y for x, y in zip(t, row)]
-        return self._unflatten([x / self.scale for x in t])
+        return t
+
+    def member(self, v: Vector) -> bool:
+        return not any(self._residue(v))
+
+    def reduce(self, v: Vector) -> Vector:
+        """Canonical representative of v modulo the lattice."""
+        return self._unflatten([x / self.scale for x in self._residue(v)])
 
     def join(self, other: "ZLattice") -> "ZLattice":
         return ZLattice(self.field, self.dim, self.basis_vectors() + other.basis_vectors())
@@ -410,10 +376,10 @@ class ZLattice:
             return NotImplemented
         if self.field is not other.field or self.dim != other.dim:
             return False
-        return self.contains(other) and other.contains(self)
+        return (self.scale, self.rows) == (other.scale, other.rows)
 
     def __hash__(self):
-        raise TypeError("lattices are compared by inclusion, not hashed")
+        raise TypeError("lattices are not hashed")
 
     def __repr__(self):
         return f"ZLattice(n={self.field.n}, dim={self.dim}, rank={self.rank})"

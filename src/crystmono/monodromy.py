@@ -26,11 +26,12 @@ from .linalg import (
     Vector,
     conj_vector,
     identity,
+    identity_minus_outer,
     is_zero_vector,
     mat_mul,
     mat_vec,
     matrix,
-    vec_add,
+    transpose,
     vec_scale,
     vector,
 )
@@ -346,23 +347,13 @@ def _check_gram(gram: HermitianGram, relation, kernel_vector, tau) -> str | None
     """Return the name of the first violated constraint, or None if all hold."""
     if not gram.is_negative_semidefinite():
         return "negative_semidefinite"
-    if relation is not None:
-        field = gram.field
-        for j in range(gram.n):
-            s = field.zero
-            for k in range(gram.n):
-                s = s + relation[k] * gram.gram[k][j]
-            if not s.is_zero():
-                return "relation_in_radical"
+    if relation is not None and not is_zero_vector(mat_vec(transpose(gram.gram), relation)):
+        return "relation_in_radical"
     q = _quotient_gram(gram, tau)
     if q.corank != 1:
         return "quotient_corank"
-    for j in range(tau):
-        s = gram.field.zero
-        for k in range(tau):
-            s = s + kernel_vector[k] * q.gram[k][j]
-        if not s.is_zero():
-            return "kernel_vector"
+    if not is_zero_vector(mat_vec(transpose(q.gram), kernel_vector)):
+        return "kernel_vector"
     return None
 
 
@@ -394,11 +385,7 @@ def quotient_basis(d: Diagram) -> Quotient:
     field = d.field
     tau = d.tau
     qgram = _quotient_gram(d.gram, tau)
-    basis = [
-        vector(field, [field.one if k == j else field.zero for k in range(tau)])
-        for j in range(tau)
-    ]
-    roots = list(basis)
+    roots = list(identity(field, tau))
     if d.relation is not None:
         last = d.relation[len(d.cycles) - 1]
         if last.is_zero():
@@ -406,11 +393,7 @@ def quotient_basis(d: Diagram) -> Quotient:
         failed = _check_gram(d.gram, d.relation, d.kernel_vector, tau)
         if failed == "relation_in_radical":
             raise DiagramError(f"{d.name}: relation not in the radical of the form")
-        scale = -last.inverse()
-        extra = vector(field, [field.zero] * tau)
-        for k in range(tau):
-            extra = vec_add(extra, vec_scale(d.relation[k] * scale, basis[k]))
-        roots.append(extra)
+        roots.append(vec_scale(-last.inverse(), d.relation[:tau]))
     return Quotient(
         field=field,
         gram=qgram,
@@ -432,15 +415,7 @@ def pl_operator(gram: HermitianGram, root: Vector, eigenvalue: CycloNum) -> PLOp
         raise DiagramError("eigenvalue 1 does not define a reflection")
     gbar = mat_vec(gram.gram, conj_vector(root))
     coef = (field.one - eigenvalue) * q.inverse()
-    n = len(root)
-    rows = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            delta = field.one if k == j else field.zero
-            row.append(delta - coef * root[k] * gbar[j])
-        rows.append(row)
-    return PLOperator(matrix(field, rows), root, eigenvalue)
+    return PLOperator(identity_minus_outer(coef, root, gbar), root, eigenvalue)
 
 
 def diagram_operators(d: Diagram) -> tuple[PLOperator, ...]:

@@ -195,6 +195,16 @@ def test_g312_orbit_lattice_has_index_three():
     assert len(residues) == 3
 
 
+@pytest.mark.parametrize("chi", ["primary", "conj"])
+def test_orbit_lattice_basis_is_canonical(chi):
+    # every dual reflection maps the D4_3 orbit lattice onto itself, so the
+    # reduced HNF of the image must be the very same rows
+    d, _, _, duals = duals_for("D4_3", chi)
+    lattice = verify_crystallographic(d).lattice
+    for g in duals:
+        assert lattice.transformed(g.linear).rows == lattice.rows
+
+
 def linear_part_closure(duals):
     """Closure of the linear parts of the duals whose translation is zero."""
     return linear_closure([g.linear for g in duals if all(x.is_zero() for x in g.translation)])

@@ -95,12 +95,16 @@ def test_reports_are_byte_stable(tmp_path, capsys):
 COLD_WARM = [("P8divZ6", "primary"), ("C3_33", "conj")]
 
 
+def fresh_env():
+    """Environment for a fresh interpreter that imports this crystmono."""
+    paths = [str(Path(crystmono.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
 def cold_report(name, chi, path):
     """Run one diagram target in a fresh interpreter, so every cache starts empty."""
-    paths = [str(Path(crystmono.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     argv = ["verify", "diagram", name, "--chi", chi, "--json", str(path)]
-    done = subprocess.run([sys.executable, "-m", "crystmono.cli", *argv], env=env, capture_output=True, check=True)
+    done = subprocess.run([sys.executable, "-m", "crystmono.cli", *argv], env=fresh_env(), capture_output=True, check=True)
     return done.stdout
 
 
@@ -115,6 +119,16 @@ def test_cold_and_warm_reports_are_identical(name, chi, tmp_path, capsys):
     assert code == 0
     assert warm.read_bytes() == cold.read_bytes()
     assert warm_out.encode() == cold_out
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    """perfbench/tracing.py patches crystmono functions and methods by name;
+    a deleted or renamed one makes install raise, which only a traced
+    benchmark run would otherwise show."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = "import tracing; tracing.install(tracing.Tracer())"
+    done = subprocess.run([sys.executable, "-c", code], cwd=bench, env=fresh_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_show_then_verify_round_trips(capsys):

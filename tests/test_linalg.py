@@ -18,6 +18,7 @@ from crystmono.linalg import (
     nullspace,
     solve,
     transpose,
+    vec_add,
     vec_scale,
     vector,
 )
@@ -212,3 +213,102 @@ def test_hermitian_eval_matches_matrix_form(uc, vc):
     gv = mat_vec(g.gram, conj_vector(v))
     manual = u[0] * gv[0] + u[1] * gv[1]
     assert g.eval(u, v) == manual
+
+
+# -- oracles for the elimination routine and the canonical HNF ---------------
+
+F12 = CycloField(12)
+_small = st.integers(-3, 3)
+
+
+def _cofactor_det(a):
+    """Laplace expansion along the first row; independent of elimination."""
+    if len(a) == 1:
+        return a[0][0]
+    minors = ([r[:j] + r[j + 1 :] for r in a[1:]] for j in range(len(a)))
+    return sum(
+        ((-1) ** j * a[0][j] * _cofactor_det(m) for j, m in enumerate(minors)),
+        a[0][0].field.zero,
+    )
+
+
+@st.composite
+def _square_matrices(draw):
+    field = draw(st.sampled_from([F3, F12]))
+    n = draw(st.integers(1, 4))
+    # zeros are frequent, so pivots need row swaps
+    entry = st.one_of(
+        st.just(field.zero),
+        st.lists(_small, min_size=field.degree, max_size=field.degree).map(field.element),
+    )
+    rows = [tuple(draw(entry) for _ in range(n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        rows[dst] = rows[src]
+    return tuple(rows)
+
+
+@given(_square_matrices())
+@settings(max_examples=80, deadline=None)
+def test_det_matches_cofactor_expansion(a):
+    d = det(a)
+    assert d == _cofactor_det(a)
+    assert d.is_zero() == (mat_rank(a) < len(a))
+
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+
+
+def _vectors(dim):
+    entry = st.lists(_fractions, min_size=2, max_size=2).map(F3.element)
+    return st.tuples(*[entry] * dim)
+
+
+def _generators(dim=2):
+    return st.lists(_vectors(dim), max_size=4)
+
+
+def _recombined(draw, gens):
+    """The same lattice from other generators: shuffled, sign flips, g_i += k g_j."""
+    out = list(draw(st.permutations(gens)))
+    for _ in range(draw(st.integers(0, 5)) if len(out) > 1 else 0):
+        i, j = draw(st.permutations(range(len(out))))[:2]
+        k = draw(st.integers(-3, 3))
+        out[i] = vec_add(out[i], vec_scale(k, out[j]))
+        if draw(st.booleans()):
+            out[j] = vec_scale(-1, out[j])
+    return out
+
+
+@st.composite
+def _lattice_pairs(draw):
+    gens = draw(_generators())
+    other = _recombined(draw, gens)
+    change = draw(st.sampled_from(["same", "extra", "double"]))
+    if change == "extra":
+        other.append(draw(_vectors(2)))
+    elif change == "double" and other:
+        other[0] = vec_scale(2, other[0])
+    return gens, other, change
+
+
+@given(_lattice_pairs())
+@settings(max_examples=150, deadline=None)
+def test_lattice_equality_matches_two_way_containment(pair):
+    gens, other, change = pair
+    a, b = ZLattice(F3, 2, gens), ZLattice(F3, 2, other)
+    assert (a == b) == (a.contains(b) and b.contains(a))
+    if change == "same":
+        assert a == b
+
+
+@given(_generators(dim=3))
+@settings(max_examples=80, deadline=None)
+def test_hnf_is_reduced(gens):
+    lat = ZLattice(F3, 3, gens)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in lat.rows]
+    assert pivots == sorted(set(pivots))
+    for k, (row, c) in enumerate(zip(lat.rows, pivots)):
+        assert row[c] > 0
+        assert all(0 <= above[c] < row[c] for above in lat.rows[:k])
+    assert all(lat.member(g) for g in gens)
