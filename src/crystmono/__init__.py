@@ -31,7 +31,7 @@ from .classify import (
     verify_proj_row,
     verify_table_row,
 )
-from .cyclo import CycloField, CycloNum, GrammarError, parse_value, render_value
+from .cyclo import CycloField, CycloNum, GrammarError, clear_caches, parse_value, render_value
 from .linalg import HermitianGram, ZLattice
 from .monodromy import (
     CheckResult,
@@ -66,6 +66,7 @@ __all__ = [
     "ZLattice",
     "builtin_diagrams",
     "character_multiplicity",
+    "clear_caches",
     "diagram",
     "diagram_names",
     "dilation_check",

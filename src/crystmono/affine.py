@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .cyclo import CycloField, CycloNum, parse_value, render_value
+from .cyclo import CycloField, CycloNum, cached, parse_value, render_value
 from .linalg import (
     HermitianGram,
     Matrix,
@@ -155,16 +155,10 @@ def linear_closure(generators, max_size: int = 2000) -> list[Matrix]:
                     seen.add(p)
                     order.append(p)
                     nxt.append(p)
-                    _bounded(seen, max_size)
+                    if len(order) > max_size:
+                        raise ClosureBoundError(f"closure exceeds {max_size} elements")
         frontier = nxt
     return order
-
-
-def _bounded(group, max_size: int):
-    """Apply a closure bound the same way to a fresh and to a cached closure."""
-    if len(group) > max_size:
-        raise ClosureBoundError(f"closure exceeds {max_size} elements")
-    return group
 
 
 def is_reflection(m: Matrix) -> bool:
@@ -182,6 +176,18 @@ def reflection_order_multiset(group) -> dict[int, int]:
     return out
 
 
+@cached
+def closure_summary(gens: tuple[Matrix, ...], max_size: int) -> tuple[list[Matrix], dict[int, int]]:
+    """The linear closure of `gens` and its reflection-order multiset.
+
+    Keyed by the generator matrices and the bound, so a tampered diagram
+    never meets the closure of an honest one, and a smaller bound is
+    checked again rather than answered from a larger one's closure.
+    """
+    group = linear_closure(gens, max_size)
+    return group, reflection_order_multiset(group)
+
+
 @dataclass(frozen=True)
 class ReferenceGroup:
     name: str
@@ -197,66 +203,59 @@ class ReferenceGroup:
     provenance: str
 
 
-_REF_RAW: dict | None = None
-_REF_CACHE: dict[str, ReferenceGroup] = {}
-_REF_CLOSURE: dict[str, list[Matrix]] = {}
-
-
+@cached
 def _raw_groups() -> dict:
-    global _REF_RAW
-    if _REF_RAW is None:
-        text = resources.files(__package__).joinpath("data/reference_groups.json").read_text()
-        _REF_RAW = {g["name"]: g for g in json.loads(text)["groups"]}
-    return _REF_RAW
+    text = resources.files(__package__).joinpath("data/reference_groups.json").read_text()
+    return {g["name"]: g for g in json.loads(text)["groups"]}
 
 
 def reference_names() -> tuple[str, ...]:
     return tuple(_raw_groups())
 
 
+@cached
 def reference_group(name: str) -> ReferenceGroup:
     """Load a crystallographic linear-part model and build its reflections."""
-    if name not in _REF_CACHE:
-        raw = _raw_groups().get(name)
-        if raw is None:
-            raise AffineError(f"unknown reference group: {name}")
-        field = CycloField(3 if raw["ring"] == "Z[w]" else 4)
-        form = HermitianGram(matrix(field, [[parse_value(x, field) for x in row] for row in raw["form"]]))
-        gens = tuple(
-            pl_operator(
-                form,
-                vector(field, [parse_value(x, field) for x in g["root"]]),
-                parse_value(g["eigenvalue"], field),
-            )
-            for g in raw["generators"]
+    raw = _raw_groups().get(name)
+    if raw is None:
+        raise AffineError(f"unknown reference group: {name}")
+    field = CycloField(3 if raw["ring"] == "Z[w]" else 4)
+    form = HermitianGram(matrix(field, [[parse_value(x, field) for x in row] for row in raw["form"]]))
+    gens = tuple(
+        pl_operator(
+            form,
+            vector(field, [parse_value(x, field) for x in g["root"]]),
+            parse_value(g["eigenvalue"], field),
         )
-        for g in gens:
-            if not form.is_preserved_by(g.matrix):
-                raise AffineError(f"{name}: generator does not preserve the form")
-        for a, b, length in raw["braids"]:
-            if not check_braid(gens[a].matrix, gens[b].matrix, length):
-                raise AffineError(f"{name}: declared braid {length} fails between generators {a},{b}")
-        _REF_CACHE[name] = ReferenceGroup(
-            name=name,
-            ring=raw["ring"],
-            field=field,
-            rank=raw["rank"],
-            form=form,
-            generators=gens,
-            braids=tuple(tuple(b) for b in raw["braids"]),
-            declared_order=raw["order"],
-            declared_reflections=dict(raw["reflection_orders"]),
-            lattice_rule=raw["lattice_rule"],
-            provenance=raw["provenance"],
-        )
-    return _REF_CACHE[name]
+        for g in raw["generators"]
+    )
+    for g in gens:
+        if not form.is_preserved_by(g.matrix):
+            raise AffineError(f"{name}: generator does not preserve the form")
+    for a, b, length in raw["braids"]:
+        if not check_braid(gens[a].matrix, gens[b].matrix, length):
+            raise AffineError(f"{name}: declared braid {length} fails between generators {a},{b}")
+    return ReferenceGroup(
+        name=name,
+        ring=raw["ring"],
+        field=field,
+        rank=raw["rank"],
+        form=form,
+        generators=gens,
+        braids=tuple(tuple(b) for b in raw["braids"]),
+        declared_order=raw["order"],
+        declared_reflections=dict(raw["reflection_orders"]),
+        lattice_rule=raw["lattice_rule"],
+        provenance=raw["provenance"],
+    )
 
 
 def reference_closure(name: str, max_size: int = 2000) -> list[Matrix]:
-    if name not in _REF_CLOSURE:
-        ref = reference_group(name)
-        _REF_CLOSURE[name] = linear_closure([g.matrix for g in ref.generators], max_size)
-    return _bounded(_REF_CLOSURE[name], max_size)
+    return closure_summary(_reference_generators(name), max_size)[0]
+
+
+def _reference_generators(name: str) -> tuple[Matrix, ...]:
+    return tuple(g.matrix for g in reference_group(name).generators)
 
 
 @dataclass(frozen=True)
@@ -407,17 +406,6 @@ def lifted_quotient(q: Quotient, target: CycloField) -> Quotient:
     )
 
 
-_LINEAR_CACHE: dict[tuple, tuple] = {}
-_REF_MULTISET: dict[str, dict[int, int]] = {}
-
-
-def _reference_multiset(name: str, max_group: int) -> dict[int, int]:
-    closure = reference_closure(name, max_group)
-    if name not in _REF_MULTISET:
-        _REF_MULTISET[name] = reflection_order_multiset(closure)
-    return _REF_MULTISET[name]
-
-
 def _kept_indices(d: Diagram, q: Quotient) -> list[int]:
     last = len(q.roots) - 1
     return [
@@ -462,15 +450,9 @@ def verify_crystallographic(
         )
     )
 
-    # key by content, not by name: tampered copies must not reuse honest closures
-    cache_key = (d.name, d.chi_label, field.n, q.gram.gram, q.kernel, q.roots, q.eigenvalues)
-    if cache_key not in _LINEAR_CACHE:
-        group = linear_closure([duals[j].linear for j in kept], max_group)
-        _LINEAR_CACHE[cache_key] = (group, reflection_order_multiset(group))
-    group, multiset = _LINEAR_CACHE[cache_key]
-    _bounded(group, max_group)
-
-    expected_order = len(reference_closure(d.expected_group, max_group))
+    group, multiset = closure_summary(tuple(duals[j].linear for j in kept), max_group)
+    ref_group, ref_multiset = closure_summary(_reference_generators(d.expected_group), max_group)
+    expected_order = len(ref_group)
     if expected_order != ref.declared_order:
         raise AffineError(
             f"{d.expected_group}: closure order {expected_order} contradicts declared {ref.declared_order}"
@@ -484,7 +466,6 @@ def verify_crystallographic(
         )
     )
 
-    ref_multiset = _reference_multiset(d.expected_group, max_group)
     checks.append(
         CheckResult(
             "reflection_multiset",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from math import lcm
 
-from .cyclo import CycloField, CycloNum, parse_value
+from .cyclo import CycloField, CycloNum, cached, parse_value
 from .monodromy import CheckResult
 
 CHARACTER_FIELD = CycloField(72)
@@ -152,88 +152,82 @@ class ProjRow:
     declared_splits: bool
 
 
-_TABLE: tuple[TableRow, ...] | None = None
-_PROJ: tuple[ProjRow, ...] | None = None
-
-
 def _parse_kappa(values) -> tuple[CycloNum, CycloNum, CycloNum]:
     return tuple(parse_value(s, CHARACTER_FIELD) for s in values)
 
 
-def _load_table() -> dict:
-    return json.loads(resources.files(__package__).joinpath("data/table1.json").read_text())
+def _load_json(name: str) -> dict:
+    return json.loads(resources.files(__package__).joinpath(f"data/{name}").read_text())
 
 
+@cached
+def _table_data() -> tuple[dict, dict]:
+    """The raw table1.json and its local bases, parsed into tuples of classes."""
+    raw = _load_json("table1.json")
+    bases = {
+        fid: tuple(tuple(tuple(t) for t in cls) for cls in classes)
+        for fid, classes in raw["local_bases"].items()
+    }
+    return raw, bases
+
+
+@cached
 def table_rows() -> tuple[TableRow, ...]:
     """All classified symmetry cases, in table order."""
-    global _TABLE
-    if _TABLE is None:
-        raw = _load_table()
-        bases = {
-            fid: tuple(tuple(tuple(t) for t in cls) for cls in classes)
-            for fid, classes in raw["local_bases"].items()
-        }
-        functions = {
-            fid: tuple(tuple(t) for t in entry["terms"]) for fid, entry in raw["functions"].items()
-        }
-        rows = []
-        for r in raw["rows"]:
-            case = SymmetryCase(
-                label=r["notation"],
-                terms=functions[r["f"]],
-                kappa=_parse_kappa(r["kappa"]),
-                basis=bases[r["f"]],
+    raw, bases = _table_data()
+    functions = {
+        fid: tuple(tuple(t) for t in entry["terms"]) for fid, entry in raw["functions"].items()
+    }
+    rows = []
+    for r in raw["rows"]:
+        case = SymmetryCase(
+            label=r["notation"],
+            terms=functions[r["f"]],
+            kappa=_parse_kappa(r["kappa"]),
+            basis=bases[r["f"]],
+        )
+        rows.append(
+            TableRow(
+                notation=r["notation"],
+                function_id=r["f"],
+                case=case,
+                declared_order=r["order"],
+                declared_versal=tuple(tuple(t) for t in r["versal"]),
+                declared_kernel=tuple(parse_value(s, CHARACTER_FIELD) for s in r["kernel"]),
+                declared_smoothable=r["smoothable"],
+                group=r["group"],
+                diagram=r["diagram"],
             )
-            rows.append(
-                TableRow(
-                    notation=r["notation"],
-                    function_id=r["f"],
-                    case=case,
-                    declared_order=r["order"],
-                    declared_versal=tuple(tuple(t) for t in r["versal"]),
-                    declared_kernel=tuple(parse_value(s, CHARACTER_FIELD) for s in r["kernel"]),
-                    declared_smoothable=r["smoothable"],
-                    group=r["group"],
-                    diagram=r["diagram"],
-                )
-            )
-        _TABLE = tuple(rows)
-    return _TABLE
+        )
+    return tuple(rows)
 
 
+@cached
 def proj_rows() -> tuple[ProjRow, ...]:
     """The seven projective symmetry families."""
-    global _PROJ
-    if _PROJ is None:
-        raw = json.loads(resources.files(__package__).joinpath("data/pproj.json").read_text())
-        table = _load_table()
-        bases = {
-            fid: tuple(tuple(tuple(t) for t in cls) for cls in classes)
-            for fid, classes in table["local_bases"].items()
-        }
-        rows = []
-        for r in raw["rows"]:
-            terms = [tuple(t) for t in r["f_terms"]]
-            modulus = tuple(r["modulus_term"]) if r["modulus_term"] else None
-            if modulus is not None:
-                terms.append(modulus)
-            case = SymmetryCase(
-                label=f"projective row {r['id']}",
-                terms=tuple(terms),
-                kappa=_parse_kappa(r["kappa"]),
-                basis=bases[r["basis"]] if r["basis"] else (),
+    _, bases = _table_data()
+    rows = []
+    for r in _load_json("pproj.json")["rows"]:
+        terms = [tuple(t) for t in r["f_terms"]]
+        modulus = tuple(r["modulus_term"]) if r["modulus_term"] else None
+        if modulus is not None:
+            terms.append(modulus)
+        case = SymmetryCase(
+            label=f"projective row {r['id']}",
+            terms=tuple(terms),
+            kappa=_parse_kappa(r["kappa"]),
+            basis=bases[r["basis"]] if r["basis"] else (),
+        )
+        rows.append(
+            ProjRow(
+                id=r["id"],
+                case=case,
+                modulus_term=modulus,
+                condition=r["condition"],
+                declared_splits=r["splits_kernel"],
             )
-            rows.append(
-                ProjRow(
-                    id=r["id"],
-                    case=case,
-                    modulus_term=modulus,
-                    condition=r["condition"],
-                    declared_splits=r["splits_kernel"],
-                )
-            )
-        _PROJ = tuple(rows)
-    return _PROJ
+        )
+    return tuple(rows)
 
 
 def _class_of(case: SymmetryCase, triple: Triple):
@@ -243,29 +237,26 @@ def _class_of(case: SymmetryCase, triple: Triple):
     raise ClassifyError(f"{case.label}: {triple} is not in the local basis")
 
 
+def _equivariance(case: SymmetryCase, claim: str, witness: str) -> CheckResult:
+    """The equivariance claim, failing with the offending term when there is no common unit."""
+    try:
+        equivariance_factor(case)
+    except NotEquivariant as e:
+        return CheckResult("equivariance", claim, "fail", str(e))
+    return CheckResult("equivariance", claim, "pass", witness)
+
+
 def verify_table_row(row: TableRow) -> tuple[CheckResult, ...]:
     """Check one table row's order, versal set, kernel pair and smoothability."""
     case = row.case
-    checks = []
-    try:
-        factor = equivariance_factor(case)
-        checks.append(
-            CheckResult(
-                "equivariance",
-                "the symmetry multiplies every term of the function by one unit",
-                "pass",
-                f"factor of {row.notation} computed",
-            )
-        )
-    except NotEquivariant as e:
-        return (
-            CheckResult(
-                "equivariance",
-                "the symmetry multiplies every term of the function by one unit",
-                "fail",
-                str(e),
-            ),
-        )
+    first = _equivariance(
+        case,
+        "the symmetry multiplies every term of the function by one unit",
+        f"factor of {row.notation} computed",
+    )
+    if first.verdict == "fail":
+        return (first,)
+    checks = [first]
 
     order = symmetry_order(case)
     checks.append(
@@ -321,23 +312,13 @@ def verify_table_row(row: TableRow) -> tuple[CheckResult, ...]:
 def verify_proj_row(row: ProjRow) -> tuple[CheckResult, ...]:
     """Check one projective family: equivariance and whether the kernel splits."""
     case = row.case
-    try:
-        equivariance_factor(case)
-        first = CheckResult(
-            "equivariance",
-            "every term, modulus included, transforms by one common unit",
-            "pass",
-            f"{len(case.terms)} terms checked",
-        )
-    except NotEquivariant as e:
-        return (
-            CheckResult(
-                "equivariance",
-                "every term, modulus included, transforms by one common unit",
-                "fail",
-                str(e),
-            ),
-        )
+    first = _equivariance(
+        case,
+        "every term, modulus included, transforms by one common unit",
+        f"{len(case.terms)} terms checked",
+    )
+    if first.verdict == "fail":
+        return (first,)
     split = kernel_characters(case) is not None
     second = CheckResult(
         "kernel_split",

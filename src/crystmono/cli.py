@@ -21,10 +21,10 @@ from .affine import (
     AffineError,
     ClosureBoundError,
     DualFrame,
-    reference_closure,
+    _raw_groups,
+    _reference_generators,
+    closure_summary,
     reference_group,
-    reference_names,
-    reflection_order_multiset,
     verify_crystallographic,
 )
 from .classify import (
@@ -137,10 +137,9 @@ def group_report(name: str, args) -> dict:
     stop = _clock(args)
     ref = reference_group(name)
     try:
-        closure = reference_closure(name, args.max_group)
+        closure, multiset = closure_summary(_reference_generators(name), args.max_group)
     except ClosureBoundError as exc:
         return _report(name, (_bound_check(exc),), group=name, timing=stop())
-    multiset = reflection_order_multiset(closure)
     declared = {int(k): v for k, v in ref.declared_reflections.items()}
     checks = (
         CheckResult(
@@ -187,28 +186,27 @@ def _emit(doc: dict, args) -> int:
 
 
 def run_verify(args) -> int:
-    reports = []
-    if args.target == "all":
-        reports += sorted((table_report(r, args) for r in table_rows()), key=lambda r: r["case"])
-        reports += sorted((proj_report(r, args) for r in proj_rows()), key=lambda r: r["case"])
-        reports += [diagram_report(diagram(n, args.chi), args) for n in sorted(diagram_names())]
-        target = "all"
-    elif args.target == "table1":
-        reports = sorted((table_report(r, args) for r in table_rows()), key=lambda r: r["case"])
-        target = "table1"
-    elif args.target == "pproj":
-        reports = sorted((proj_report(r, args) for r in proj_rows()), key=lambda r: r["case"])
-        target = "pproj"
-    elif args.target == "diagram":
+    # the catalogue targets, in the order `all` concatenates them
+    catalogue = {
+        "table1": lambda: sorted((table_report(r, args) for r in table_rows()), key=lambda r: r["case"]),
+        "pproj": lambda: sorted((proj_report(r, args) for r in proj_rows()), key=lambda r: r["case"]),
+        "diagrams": lambda: [diagram_report(diagram(n, args.chi), args) for n in sorted(diagram_names())],
+    }
+    target = args.target
+    if target == "all":
+        reports = [r for build in catalogue.values() for r in build()]
+    elif target in ("table1", "pproj"):
+        reports = catalogue[target]()
+    elif target == "diagram":
         reports = [diagram_report(diagram(args.name, args.chi), args)]
         target = f"diagram {args.name}"
-    elif args.target == "group":
+    elif target == "group":
         reports = [group_report(args.name, args)]
         linked = [n for n in sorted(diagram_names()) if diagram(n, args.chi).expected_group == args.name]
         reports += [diagram_report(diagram(n, args.chi), args) for n in linked]
         target = f"group {args.name}"
     else:
-        print(f"error: unknown verify target {args.target!r}", file=sys.stderr)
+        print(f"error: unknown verify target {target!r}", file=sys.stderr)
         return 2
 
     doc = {
@@ -310,8 +308,6 @@ def diagram_from_payload(payload: dict) -> Diagram:
 
 def show_group_payload(name: str) -> dict:
     """The stored linear-part model, echoing the dataset's own value spellings."""
-    from .affine import _raw_groups
-
     ref = reference_group(name)  # validates the model before showing it
     raw = _raw_groups()[name]
     rule = ref.lattice_rule

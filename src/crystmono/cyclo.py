@@ -13,12 +13,31 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd
 from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+_CACHED: list = []
+
+
+def cached(fn):
+    """functools.cache, registered so that clear_caches() empties it."""
+    memo = cache(fn)
+    _CACHED.append(memo)
+    return memo
+
+
+def clear_caches() -> None:
+    """Empty every memoised function of the package.
+
+    CycloField instances are kept: elements compare their field by
+    identity, so elements made before the call stay comparable.
+    """
+    for memo in _CACHED:
+        memo.cache_clear()
 
 
 def _poly_mul(a: Sequence, b: Sequence) -> list:
@@ -47,7 +66,7 @@ def _poly_divmod_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
     return q
 
 
-@lru_cache(maxsize=None)
+@cached
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, low degree first."""
     if n < 1:
@@ -87,7 +106,6 @@ class CycloField:
             table.append(tuple(cur))
             cur = self._shift(cur)
         self._pow = tuple(table)
-        self._render_cache: tuple | None = None
 
     def _shift(self, v: Sequence[Fraction]) -> list[Fraction]:
         # multiply by x, reduce the single overflow term
@@ -578,21 +596,18 @@ _RENDER_BASES: dict[int, tuple[tuple[str, ...], ...]] = {
 }
 
 
+@cached
 def _render_basis(field: CycloField):
-    if field._render_cache is not None:
-        return field._render_cache
     words = _RENDER_BASES.get(field.n)
     if words is None:
-        field._render_cache = ((), ())
-        return field._render_cache
+        return (), ()
     vals = []
     for word in words:
         v = field.one
         for sym in word:
             v = v * parse_value(sym, field)
         vals.append(v)
-    field._render_cache = (words, tuple(vals))
-    return field._render_cache
+    return words, tuple(vals)
 
 
 def render_value(x: CycloNum) -> str:

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .cyclo import CycloField, CycloNum, in_subring, parse_value
+from .cyclo import CycloField, CycloNum, cached, in_subring, parse_value
 from .linalg import (
     HermitianGram,
     Matrix,
@@ -102,46 +102,31 @@ def worst_verdict(verdicts) -> str:
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class Diagram:
-    """A reconciled cycle diagram bound to one of its two kernel characters."""
+    """A reconciled cycle diagram bound to one of its two kernel characters.
 
-    def __init__(
-        self,
-        name: str,
-        ring: str,
-        field: CycloField,
-        chi_label: str,
-        chi: CycloNum,
-        kernel_chi_pair: tuple[CycloNum, CycloNum],
-        cycles: tuple[Cycle, ...],
-        edges: tuple[Edge, ...],
-        gram: HermitianGram,
-        relation: Vector | None,
-        kernel_vector: Vector,
-        omitted_root: str,
-        expected_group: str | None,
-        tau: int,
-        classical_order: int,
-        resolved_choices: dict[str, str],
-        rejected_choices: tuple[tuple[dict[str, str], str], ...],
-    ):
-        self.name = name
-        self.ring = ring
-        self.field = field
-        self.chi_label = chi_label
-        self.chi = chi
-        self.kernel_chi_pair = kernel_chi_pair
-        self.cycles = cycles
-        self.edges = edges
-        self.gram = gram
-        self.relation = relation
-        self.kernel_vector = kernel_vector
-        self.omitted_root = omitted_root
-        self.expected_group = expected_group
-        self.tau = tau
-        self.classical_order = classical_order
-        self.resolved_choices = resolved_choices
-        self.rejected_choices = rejected_choices
+    Equality and hashing are by identity: `diagram` returns one object per
+    name and character.
+    """
+
+    name: str
+    ring: str
+    field: CycloField
+    chi_label: str
+    chi: CycloNum
+    kernel_chi_pair: tuple[CycloNum, CycloNum]
+    cycles: tuple[Cycle, ...]
+    edges: tuple[Edge, ...]
+    gram: HermitianGram
+    relation: Vector | None
+    kernel_vector: Vector
+    omitted_root: str
+    expected_group: str | None
+    tau: int
+    classical_order: int
+    resolved_choices: dict[str, str]
+    rejected_choices: tuple[tuple[dict[str, str], str], ...]
 
     def cycle_index(self, cycle_id: str) -> int:
         for k, c in enumerate(self.cycles):
@@ -158,21 +143,10 @@ class Diagram:
         return f"Diagram({self.name!r}, chi={self.chi_label})"
 
 
-def _load_raw() -> dict:
-    text = resources.files(__package__).joinpath("data/diagrams.json").read_text()
-    return json.loads(text)
-
-
-_RAW_CACHE: dict | None = None
-_DIAGRAM_CACHE: dict[tuple[str, str], Diagram] = {}
-
-
+@cached
 def _raw_diagrams() -> dict:
-    global _RAW_CACHE
-    if _RAW_CACHE is None:
-        data = _load_raw()
-        _RAW_CACHE = {d["name"]: d for d in data["diagrams"]}
-    return _RAW_CACHE
+    text = resources.files(__package__).joinpath("data/diagrams.json").read_text()
+    return {d["name"]: d for d in json.loads(text)["diagrams"]}
 
 
 def diagram_names() -> tuple[str, ...]:
@@ -187,13 +161,15 @@ def diagram(name: str, chi: str = "primary") -> Diagram:
     """Load, reconcile and cache one diagram for the chosen kernel character."""
     if chi not in ("primary", "conj"):
         raise DiagramError(f"kernel character must be 'primary' or 'conj', got {chi!r}")
-    key = (name, chi)
-    if key not in _DIAGRAM_CACHE:
-        raw = _raw_diagrams().get(name)
-        if raw is None:
-            raise DiagramError(f"unknown diagram: {name}")
-        _DIAGRAM_CACHE[key] = _build(raw, chi)
-    return _DIAGRAM_CACHE[key]
+    return _diagram(name, chi)
+
+
+@cached
+def _diagram(name: str, chi: str) -> Diagram:
+    raw = _raw_diagrams().get(name)
+    if raw is None:
+        raise DiagramError(f"unknown diagram: {name}")
+    return _build(raw, chi)
 
 
 def _build(raw: dict, chi_label: str) -> Diagram:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from crystmono import affine
+from crystmono import clear_caches
 from crystmono.cyclo import CycloField
 from crystmono.linalg import (
     ZLattice,
@@ -19,7 +19,6 @@ from crystmono.linalg import (
     vector,
 )
 from crystmono.monodromy import (
-    Diagram,
     diagram,
     diagram_names,
     fold,
@@ -287,7 +286,7 @@ def test_schreier_span_matches_word_oracle(name, depth):
     assert _word_translation_span(duals, depth - 1) != lattice
 
 
-def test_bounds_hold_on_warm_caches(monkeypatch):
+def test_bounds_hold_on_warm_caches():
     def outcome(call):
         try:
             result = call()
@@ -301,15 +300,11 @@ def test_bounds_hold_on_warm_caches(monkeypatch):
     )
     full = (lambda: reference_closure("K5"), lambda: verify_crystallographic(diagram("C3_33")))
 
-    def cold():
-        for cache in ("_REF_CLOSURE", "_REF_MULTISET", "_LINEAR_CACHE"):
-            monkeypatch.setattr(affine, cache, {})
-
-    cold()
+    clear_caches()
     small_cold = [outcome(c) for c in small]
     full_warm = [outcome(c) for c in full]
     small_warm = [outcome(c) for c in small]
-    cold()
+    clear_caches()
     full_cold = [outcome(c) for c in full]
     small_after = [outcome(c) for c in small]
     assert small_cold == small_warm == small_after == ["closure exceeds 10 elements"] * 2
@@ -350,35 +345,11 @@ def test_verify_requires_a_declared_group():
         verify_crystallographic(folded)
 
 
-def tampered_copy(d, **overrides):
-    fields = dict(
-        name=d.name,
-        ring=d.ring,
-        field=d.field,
-        chi_label=d.chi_label,
-        chi=d.chi,
-        kernel_chi_pair=d.kernel_chi_pair,
-        cycles=d.cycles,
-        edges=d.edges,
-        gram=d.gram,
-        relation=d.relation,
-        kernel_vector=d.kernel_vector,
-        omitted_root=d.omitted_root,
-        expected_group=d.expected_group,
-        tau=d.tau,
-        classical_order=d.classical_order,
-        resolved_choices=d.resolved_choices,
-        rejected_choices=d.rejected_choices,
-    )
-    fields.update(overrides)
-    return Diagram(**fields)
-
-
 def test_verify_flags_wrong_eigenvalue():
     d = diagram("C3_24")
     cycles = list(d.cycles)
     cycles[1] = dataclasses.replace(cycles[1], eigenvalue=-d.field.one)
-    tampered = tampered_copy(d, cycles=tuple(cycles))
+    tampered = dataclasses.replace(d, cycles=tuple(cycles))
     rep = verify_crystallographic(tampered)
     assert rep.verdict == "fail"
     failing = {c.claim_id for c in rep.checks if c.verdict == "fail"}

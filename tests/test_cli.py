@@ -7,12 +7,13 @@ from pathlib import Path
 import pytest
 
 import crystmono
-from crystmono.affine import dilation_check
+from crystmono.affine import ClosureBoundError, dilation_check, reference_closure
 from crystmono.cli import (
     _EXIT,
     diagram_from_payload,
     diagram_report,
     build_parser,
+    group_report,
     main,
     show_diagram_payload,
 )
@@ -119,6 +120,42 @@ def test_cold_and_warm_reports_are_identical(name, chi, tmp_path, capsys):
     assert code == 0
     assert warm.read_bytes() == cold.read_bytes()
     assert warm_out.encode() == cold_out
+
+
+def cache_probes(capsys):
+    """Calls whose outcomes must not depend on what earlier calls left cached.
+
+    The C3_33 run warms K5's closure under the default bound; the last two
+    ask for it again under a bound of 10.
+    """
+    small = build_parser().parse_args(["verify", "group", "K5", "--max-group", "10"])
+
+    def closure_outcome():
+        try:
+            return len(reference_closure("K5", 10))
+        except ClosureBoundError as exc:
+            return str(exc)
+
+    return [
+        lambda: run(["verify", "diagram", "C3_33", "--chi", "conj"], capsys),
+        lambda: dilation_check(diagram("P8divZ6")),
+        lambda: group_report("K5", small),
+        closure_outcome,
+    ]
+
+
+def test_outcomes_do_not_depend_on_cache_state(capsys):
+    probes = cache_probes(capsys)
+    cold = []
+    for probe in probes:
+        crystmono.clear_caches()
+        cold.append(probe())
+    assert cold[2]["verdict"] == "inconclusive" and cold[3] == "closure exceeds 10 elements"
+
+    crystmono.clear_caches()
+    forward = [probe() for probe in probes]
+    backward = [probe() for probe in reversed(probes)][::-1]
+    assert forward == backward == cold
 
 
 def test_benchmark_tracer_finds_every_traced_name():

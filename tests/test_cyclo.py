@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from crystmono.cyclo import (
     CycloField,
     GrammarError,
+    clear_caches,
     cyclotomic_polynomial,
     in_subring,
     parse_value,
@@ -33,6 +34,18 @@ def test_cyclotomic_polynomials():
     p72 = [0] * 25
     p72[0], p72[12], p72[24] = 1, -1, 1
     assert cyclotomic_polynomial(72) == tuple(p72)
+
+
+def test_fields_outlive_clear_caches():
+    field = CycloField(3)
+    before = parse_value("1+2*w", field)
+    text = render_value(before)
+    clear_caches()
+    assert cyclotomic_polynomial.cache_info().currsize == 0
+    assert CycloField(3) is field
+    after = parse_value("1+2*w", CycloField(3))
+    assert before == after and hash(before) == hash(after)
+    assert render_value(before) == text
 
 
 def test_basic_root_identities():

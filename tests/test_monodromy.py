@@ -40,7 +40,7 @@ def test_catalogue_names():
 def test_loader_caches_and_validates():
     d1 = diagram("D4_3")
     d2 = diagram("D4_3")
-    assert d1 is d2
+    assert d1 is d2 is diagram("D4_3", "primary") is diagram("D4_3", chi="primary")
     assert diagram("D4_3", "conj") is not d1
     with pytest.raises(DiagramError):
         diagram("no_such_diagram")
