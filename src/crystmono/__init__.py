@@ -37,7 +37,6 @@ from .monodromy import (
     CheckResult,
     Diagram,
     DiagramError,
-    builtin_diagrams,
     diagram,
     diagram_names,
     fold,
@@ -64,7 +63,6 @@ __all__ = [
     "NotEquivariant",
     "SymmetryCase",
     "ZLattice",
-    "builtin_diagrams",
     "character_multiplicity",
     "clear_caches",
     "diagram",

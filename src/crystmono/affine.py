@@ -26,7 +26,6 @@ from .linalg import (
     identity,
     identity_minus_outer,
     is_zero_vector,
-    mat_inverse,
     mat_mul,
     mat_rank,
     mat_sub,
@@ -69,17 +68,6 @@ class AffineIsometry:
         lin = mat_mul(self.linear, other.linear)
         tr = vec_add(mat_vec(self.linear, other.translation), self.translation)
         return AffineIsometry(lin, tr)
-
-    def inverse(self) -> "AffineIsometry":
-        inv = mat_inverse(self.linear)
-        return AffineIsometry(inv, vec_scale(-self.linear[0][0].field.one, mat_vec(inv, self.translation)))
-
-    def apply(self, v: Vector) -> Vector:
-        return vec_add(mat_vec(self.linear, v), self.translation)
-
-    def is_identity(self) -> bool:
-        field = self.linear[0][0].field
-        return self.linear == identity(field, len(self.linear)) and is_zero_vector(self.translation)
 
 
 class DualFrame:
@@ -194,9 +182,7 @@ class ReferenceGroup:
     ring: str
     field: CycloField
     rank: int
-    form: HermitianGram
     generators: tuple[PLOperator, ...]
-    braids: tuple[tuple[int, int, int], ...]
     declared_order: int
     declared_reflections: dict[str, int]
     lattice_rule: dict
@@ -220,13 +206,9 @@ def reference_group(name: str) -> ReferenceGroup:
     if raw is None:
         raise AffineError(f"unknown reference group: {name}")
     field = CycloField(3 if raw["ring"] == "Z[w]" else 4)
-    form = HermitianGram(matrix(field, [[parse_value(x, field) for x in row] for row in raw["form"]]))
+    form = HermitianGram(matrix(field, raw["form"]))
     gens = tuple(
-        pl_operator(
-            form,
-            vector(field, [parse_value(x, field) for x in g["root"]]),
-            parse_value(g["eigenvalue"], field),
-        )
+        pl_operator(form, vector(field, g["root"]), parse_value(g["eigenvalue"], field))
         for g in raw["generators"]
     )
     for g in gens:
@@ -240,9 +222,7 @@ def reference_group(name: str) -> ReferenceGroup:
         ring=raw["ring"],
         field=field,
         rank=raw["rank"],
-        form=form,
         generators=gens,
-        braids=tuple(tuple(b) for b in raw["braids"]),
         declared_order=raw["order"],
         declared_reflections=dict(raw["reflection_orders"]),
         lattice_rule=raw["lattice_rule"],
@@ -330,11 +310,8 @@ _MAXIMAL_ROOT_WORDS = {
 
 @dataclass(frozen=True)
 class MaximalRootReport:
-    case: str
     holds: bool
     word: str
-    produced: Vector
-    expected: Vector
 
 
 def maximal_root_check(d: Diagram, frame: DualFrame | None = None) -> MaximalRootReport:
@@ -362,13 +339,12 @@ def maximal_root_check(d: Diagram, frame: DualFrame | None = None) -> MaximalRoo
         _, u = frame.decompose(q.roots[j])
         letters[j] = pl_operator(vgram, u, d.cycles[j].eigenvalue).matrix
 
-    _, target = frame.decompose(q.roots[leaf])
-    v = target
+    _, v = frame.decompose(q.roots[leaf])
     for j in reversed(word):
         v = mat_vec(letters[j], v)
     v = vec_scale(unit, v)
     word_text = "".join(f"A{j}" for j in word) + f"*e{leaf}" + (f" times {unit_expr}" if unit_expr != "1" else "")
-    return MaximalRootReport(d.name, v == frame.a, word_text, v, frame.a)
+    return MaximalRootReport(v == frame.a, word_text)
 
 
 @dataclass(frozen=True)
@@ -378,9 +354,7 @@ class CaseReport:
     group: str
     alpha0: str
     checks: tuple[CheckResult, ...]
-    resolved_choices: dict
     lattice: ZLattice | None
-    timing: float | None = None
 
     @property
     def verdict(self) -> str:
@@ -565,7 +539,6 @@ def verify_crystallographic(
         group=d.expected_group,
         alpha0=render_value(frame.alpha0),
         checks=tuple(checks),
-        resolved_choices=dict(d.resolved_choices),
         lattice=lattice,
     )
 
@@ -580,7 +553,7 @@ class DilationReport:
     dilated: CaseReport
 
 
-def dilation_check(d: Diagram, max_group: int = 2000) -> DilationReport:
+def dilation_check(d: Diagram) -> DilationReport:
     """Re-run the verification with the kernel value dilated by 1 - w.
 
     The dilation factor lives outside the Gaussian integers, so diagrams
@@ -590,9 +563,9 @@ def dilation_check(d: Diagram, max_group: int = 2000) -> DilationReport:
     needs_lift = d.field.n % 3 != 0
     lift = CycloField(12) if needs_lift else None
     work = lift if lift is not None else d.field
-    base = verify_crystallographic(d, None, lift, max_group)
+    base = verify_crystallographic(d, None, lift)
     factor = work.one - work.omega
-    dilated = verify_crystallographic(d, factor, lift, max_group)
+    dilated = verify_crystallographic(d, factor, lift)
     match = tuple((c.claim_id, c.verdict) for c in base.checks) == tuple(
         (c.claim_id, c.verdict) for c in dilated.checks
     )

@@ -70,7 +70,7 @@ def equivariance_factor(case: SymmetryCase) -> CycloNum:
 def symmetry_order(case: SymmetryCase) -> int:
     orders = []
     for k in case.kappa:
-        o = k.multiplicative_order(72)
+        o = k.multiplicative_order()
         if o is None:
             raise ClassifyError(f"{case.label}: coordinate factor is not a root of unity")
         orders.append(o)
@@ -99,7 +99,7 @@ def kernel_characters(case: SymmetryCase):
     eigenspaces; a real character (order 1 or 2) returns None.
     """
     chi = kernel_character(case)
-    if chi.multiplicative_order(72) not in (3, 4, 6):
+    if chi.multiplicative_order() not in (3, 4, 6):
         return None
     return chi, chi.conjugate()
 
@@ -133,7 +133,6 @@ def is_smoothable(case: SymmetryCase) -> bool:
 @dataclass(frozen=True)
 class TableRow:
     notation: str
-    function_id: str
     case: SymmetryCase
     declared_order: int
     declared_versal: tuple[Triple, ...]
@@ -189,7 +188,6 @@ def table_rows() -> tuple[TableRow, ...]:
         rows.append(
             TableRow(
                 notation=r["notation"],
-                function_id=r["f"],
                 case=case,
                 declared_order=r["order"],
                 declared_versal=tuple(tuple(t) for t in r["versal"]),
@@ -324,6 +322,6 @@ def verify_proj_row(row: ProjRow) -> tuple[CheckResult, ...]:
         "kernel_split",
         f"the kernel {'splits into a conjugate eigenspace pair' if row.declared_splits else 'does not split'}",
         "pass" if split == row.declared_splits else "fail",
-        f"kernel character order {kernel_character(case).multiplicative_order(72)}",
+        f"kernel character order {kernel_character(case).multiplicative_order()}",
     )
     return (first, second)

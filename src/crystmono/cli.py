@@ -287,14 +287,12 @@ def diagram_from_payload(payload: dict) -> Diagram:
             for c in payload["cycles"]
         ),
         edges=tuple(
-            Edge(e["src"], e["dst"], val(e["value"]), (e["value"],), e["braid"])
+            Edge(e["src"], e["dst"], val(e["value"]), e["braid"])
             for e in payload["edges"]
         ),
-        gram=HermitianGram(matrix(field, [[val(x) for x in row] for row in payload["gram"]])),
-        relation=vector(field, [val(x) for x in payload["relation"]])
-        if payload["relation"] is not None
-        else None,
-        kernel_vector=vector(field, [val(x) for x in payload["kernel_vector"]]),
+        gram=HermitianGram(matrix(field, payload["gram"])),
+        relation=vector(field, payload["relation"]) if payload["relation"] is not None else None,
+        kernel_vector=vector(field, payload["kernel_vector"]),
         omitted_root=payload["omitted_root"],
         expected_group=payload["expected_group"],
         tau=payload["tau"],

@@ -11,7 +11,6 @@ a quadratic field (N in {3, 4, 6}), character bookkeeping needs N = 72.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -170,13 +169,7 @@ class CycloField:
         """The automorphism zeta -> zeta^k, for gcd(k, n) = 1."""
         if gcd(k, self.n) != 1:
             raise ValueError(f"zeta -> zeta^{k} is not an automorphism mod {self.n}")
-        acc = [_ZERO] * self.degree
-        for j, c in enumerate(x.coeffs):
-            if c:
-                base = self._pow[(j * k) % self.n]
-                for t in range(self.degree):
-                    acc[t] += c * base[t]
-        return CycloNum(self, tuple(acc))
+        return self._substitute(x, k)
 
     def embed(self, x: "CycloNum", into: "CycloField") -> "CycloNum":
         """Carry x into a larger field; conductors must divide."""
@@ -184,14 +177,21 @@ class CycloField:
             raise ValueError("element does not belong to this field")
         if into.n % self.n != 0:
             raise ValueError(f"{self.n} does not divide {into.n}")
-        step = into.n // self.n
-        acc = [_ZERO] * into.degree
+        return into._substitute(x, into.n // self.n)
+
+    def _substitute(self, x: "CycloNum", step: int) -> "CycloNum":
+        """sum c_j zeta^(j * step) over the coefficients c_j of x, in this field.
+
+        The one substitution loop under galois (same field, step k) and
+        embed (x from a subfield, step the ratio of conductors).
+        """
+        acc = [_ZERO] * self.degree
         for j, c in enumerate(x.coeffs):
             if c:
-                base = into._pow[(j * step) % into.n]
-                for t in range(into.degree):
+                base = self._pow[(j * step) % self.n]
+                for t in range(self.degree):
                     acc[t] += c * base[t]
-        return CycloNum(into, tuple(acc))
+        return CycloNum(self, tuple(acc))
 
     def __repr__(self) -> str:
         return f"CycloField({self.n})"
@@ -253,16 +253,7 @@ class CycloNum:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        d = self.field.degree
-        # fold the high part back down through the power table
-        for k in range(len(prod) - 1, d - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = _ZERO
-                base = self.field._pow[k % self.field.n]
-                for t in range(d):
-                    prod[t] += c * base[t]
-        return CycloNum(self.field, tuple(prod[:d]))
+        return CycloNum(self.field, self.field._reduce(prod))
 
     __rmul__ = __mul__
 
@@ -334,29 +325,16 @@ class CycloNum:
     def is_integer(self) -> bool:
         return self.is_rational() and self.coeffs[0].denominator == 1
 
-    def norm_to_q(self) -> Fraction:
-        """Product of x with its complex conjugate, as a rational.
-
-        Only defined here for elements whose |x|^2 is rational, which
-        covers every quadratic imaginary field in use.
-        """
-        return (self * self.conjugate()).rational_value()
-
-    def multiplicative_order(self, bound: int = 0) -> int | None:
+    def multiplicative_order(self) -> int | None:
         """Order as a root of unity, or None. Roots of unity in
         Q(zeta_n) have order dividing lcm(2, n)."""
-        limit = bound or (self.field.n if self.field.n % 2 == 0 else 2 * self.field.n)
+        limit = self.field.n if self.field.n % 2 == 0 else 2 * self.field.n
         acc = self
         for k in range(1, limit + 1):
             if acc == self.field.one:
                 return k
             acc = acc * self
         return None
-
-    def to_complex(self) -> complex:
-        """Float approximation; diagnostics only, never used in proofs."""
-        z = cmath.exp(2j * cmath.pi / self.field.n)
-        return sum(float(c) * z**j for j, c in enumerate(self.coeffs))
 
     # -- housekeeping ---------------------------------------------------
 
@@ -375,26 +353,9 @@ class CycloNum:
 
     def as_poly_str(self) -> str:
         """Plain power-basis rendering, z standing for zeta_n."""
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if j == 0:
-                parts.append(str(c))
-            else:
-                mag = "z" if j == 1 else f"z^{j}"
-                if c == 1:
-                    parts.append(mag)
-                elif c == -1:
-                    parts.append(f"-{mag}")
-                else:
-                    parts.append(f"{c}*{mag}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _join_terms(
+            (c, "" if j == 0 else "z" if j == 1 else f"z^{j}") for j, c in enumerate(self.coeffs)
+        )
 
 
 def _qpoly_divmod(a: list[Fraction], b: list[Fraction]):
@@ -622,30 +583,33 @@ def render_value(x: CycloNum) -> str:
     if not words:
         return x.as_poly_str()
     coords = _solve_span(vals, x)
-    if coords is None:
+    if coords is None or any(c.denominator != 1 for c in coords):
         return x.as_poly_str()
-    terms = []
-    for c, word in zip(coords, words):
+    return _join_terms((c, "*".join(_word_to_str(word))) for c, word in zip(coords, words))
+
+
+def _join_terms(terms) -> str:
+    """Signed sum of (coefficient, monomial) pairs, monomial "" for the constant.
+
+    Zero coefficients are dropped and unit coefficients left implicit.
+    """
+    out = ""
+    for c, mono in terms:
         if not c:
             continue
-        if c.denominator != 1:
-            return x.as_poly_str()
-        mono = "*".join(_word_to_str(word)) if word else ""
-        n = c.numerator
         if not mono:
-            terms.append(str(n))
-        elif n == 1:
-            terms.append(mono)
-        elif n == -1:
-            terms.append(f"-{mono}")
+            t = str(c)
+        elif c == 1:
+            t = mono
+        elif c == -1:
+            t = f"-{mono}"
         else:
-            terms.append(f"{n}*{mono}")
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
+            t = f"{c}*{mono}"
+        if not out:
+            out = t
+        else:
+            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out or "0"
 
 
 def _word_to_str(word: tuple[str, ...]) -> list[str]:

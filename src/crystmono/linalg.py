@@ -24,7 +24,7 @@ Matrix = tuple[Vector, ...]
 # -- basic operations -----------------------------------------------------
 
 
-def vector(field: CycloField, entries: Iterable, chi: CycloNum | None = None) -> Vector:
+def vector(field: CycloField, entries: Iterable) -> Vector:
     """Build a vector from CycloNum, rational, or grammar-string entries."""
     out = []
     for e in entries:
@@ -33,14 +33,14 @@ def vector(field: CycloField, entries: Iterable, chi: CycloNum | None = None) ->
                 raise ValueError("mixed conductors in one vector")
             out.append(e)
         elif isinstance(e, str):
-            out.append(parse_value(e, field, chi=chi))
+            out.append(parse_value(e, field))
         else:
             out.append(field.from_rational(e))
     return tuple(out)
 
 
-def matrix(field: CycloField, rows: Iterable[Iterable], chi: CycloNum | None = None) -> Matrix:
-    return tuple(vector(field, r, chi=chi) for r in rows)
+def matrix(field: CycloField, rows: Iterable[Iterable]) -> Matrix:
+    return tuple(vector(field, r) for r in rows)
 
 
 def identity(field: CycloField, n: int) -> Matrix:
@@ -96,10 +96,6 @@ def is_zero_vector(v: Vector) -> bool:
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    return tuple(vec_scale(c, r) for r in a)
 
 
 def identity_minus_outer(c: CycloNum, u: Vector, w: Vector) -> Matrix:
@@ -217,20 +213,6 @@ class HermitianGram:
                     return False
         return True
 
-    def is_negative_definite(self) -> bool:
-        for k in range(1, self.n + 1):
-            s = 1 if k % 2 == 0 else -1
-            m = self.principal_minor(tuple(range(k)))
-            if s * m <= 0:
-                return False
-        return True
-
-    def restricted_to(self, basis: Sequence[Vector]) -> "HermitianGram":
-        rows = tuple(
-            tuple(self.eval(a, b) for b in basis) for a in basis
-        )
-        return HermitianGram(rows)
-
 
 # -- integer lattices ------------------------------------------------------
 
@@ -326,9 +308,6 @@ class ZLattice:
     def rank(self) -> int:
         return len(self.rows)
 
-    def is_zero(self) -> bool:
-        return not self.rows
-
     def _residue(self, v: Vector) -> list[Fraction]:
         """scale * v, flattened, less the floor multiple of each HNF row in turn.
 
@@ -367,9 +346,6 @@ class ZLattice:
         return [
             self._unflatten([Fraction(x, self.scale) for x in row]) for row in self.rows
         ]
-
-    def contains(self, other: "ZLattice") -> bool:
-        return all(self.member(v) for v in other.basis_vectors())
 
     def __eq__(self, other):
         if not isinstance(other, ZLattice):

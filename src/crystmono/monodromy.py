@@ -68,16 +68,14 @@ class Edge:
     src: str
     dst: str
     value: CycloNum
-    candidates: tuple[str, ...]
     braid: int | None
 
 
 @dataclass(frozen=True)
 class PLOperator:
-    """A complex reflection together with the root and eigenvalue that built it."""
+    """A complex reflection together with the eigenvalue that built it."""
 
     matrix: Matrix
-    root: Vector
     eigenvalue: CycloNum
 
 
@@ -134,11 +132,6 @@ class Diagram:
                 return k
         raise DiagramError(f"{self.name}: no cycle named {cycle_id!r}")
 
-    def conjugated(self) -> "Diagram":
-        """The same diagram bound to the conjugate kernel character."""
-        other = "conj" if self.chi_label == "primary" else "primary"
-        return diagram(self.name, other)
-
     def __repr__(self) -> str:
         return f"Diagram({self.name!r}, chi={self.chi_label})"
 
@@ -151,10 +144,6 @@ def _raw_diagrams() -> dict:
 
 def diagram_names() -> tuple[str, ...]:
     return tuple(_raw_diagrams())
-
-
-def builtin_diagrams(chi: str = "primary") -> tuple[Diagram, ...]:
-    return tuple(diagram(name, chi) for name in diagram_names())
 
 
 def diagram(name: str, chi: str = "primary") -> Diagram:
@@ -177,7 +166,7 @@ def _build(raw: dict, chi_label: str) -> Diagram:
     chi_pair = tuple(parse_value(s, field) for s in raw["kernel_chi"])
     if chi_pair[1] != chi_pair[0].conjugate():
         raise DiagramError(f"{raw['name']}: kernel characters are not conjugate")
-    if chi_pair[0].multiplicative_order(12) not in (3, 4, 6):
+    if chi_pair[0].multiplicative_order() not in (3, 4, 6):
         raise DiagramError(f"{raw['name']}: kernel character is not an admissible root of unity")
     conj = chi_label == "conj"
     chi = chi_pair[1] if conj else chi_pair[0]
@@ -234,8 +223,8 @@ def _build(raw: dict, chi_label: str) -> Diagram:
         kernel_chi_pair=chi_pair,
         cycles=cycles,
         edges=tuple(
-            Edge(src, dst, gram.gram[index[src]][index[dst]], cands, braid)
-            for src, dst, cands, braid in edges
+            Edge(src, dst, gram.gram[index[src]][index[dst]], braid)
+            for src, dst, _, braid in edges
         ),
         gram=gram,
         relation=relation,
@@ -259,7 +248,7 @@ def _reconcile(name, field, ring, cycles, edges, relation, kernel_vector, tau, v
     """
     index = {c.id: k for k, c in enumerate(cycles)}
     for c in cycles:
-        if c.eigenvalue.multiplicative_order(24) != c.order:
+        if c.eigenvalue.multiplicative_order() != c.order:
             raise ReconcileError(f"{name}: eigenvalue_order violated for cycle {c.id}")
         if c.eigenvalue == field.one:
             raise ReconcileError(f"{name}: cycle {c.id} has eigenvalue 1")
@@ -366,8 +355,7 @@ def quotient_basis(d: Diagram) -> Quotient:
         last = d.relation[len(d.cycles) - 1]
         if last.is_zero():
             raise DiagramError(f"{d.name}: relation does not eliminate the last cycle")
-        failed = _check_gram(d.gram, d.relation, d.kernel_vector, tau)
-        if failed == "relation_in_radical":
+        if not is_zero_vector(mat_vec(transpose(d.gram.gram), d.relation)):
             raise DiagramError(f"{d.name}: relation not in the radical of the form")
         roots.append(vec_scale(-last.inverse(), d.relation[:tau]))
     return Quotient(
@@ -391,7 +379,7 @@ def pl_operator(gram: HermitianGram, root: Vector, eigenvalue: CycloNum) -> PLOp
         raise DiagramError("eigenvalue 1 does not define a reflection")
     gbar = mat_vec(gram.gram, conj_vector(root))
     coef = (field.one - eigenvalue) * q.inverse()
-    return PLOperator(identity_minus_outer(coef, root, gbar), root, eigenvalue)
+    return PLOperator(identity_minus_outer(coef, root, gbar), eigenvalue)
 
 
 def diagram_operators(d: Diagram) -> tuple[PLOperator, ...]:
@@ -606,7 +594,7 @@ def fold(d: Diagram, swap: tuple[str, str], sign_variant: int | None = None) -> 
             for k, j in enumerate(kept)
         )
         new_edges = tuple(
-            Edge(labels[r], labels[c2], gram.gram[r][c2], (), None)
+            Edge(labels[r], labels[c2], gram.gram[r][c2], None)
             for r in range(len(vecs))
             for c2 in range(len(vecs))
             if r < c2 and not gram.gram[r][c2].is_zero()
@@ -627,8 +615,8 @@ def fold(d: Diagram, swap: tuple[str, str], sign_variant: int | None = None) -> 
             expected_group=None,
             tau=len(vecs),
             classical_order=d.classical_order,
-            resolved_choices={"fold_sign": "+1" if s == 1 else "-1"},
-            rejected_choices=tuple((({"fold_sign": str(fs)}), why) for fs, why in failures),
+            resolved_choices={"fold_sign": f"{s:+d}"},
+            rejected_choices=tuple(({"fold_sign": f"{fs:+d}"}, why) for fs, why in failures),
         )
     detail = "; ".join(f"sign {fs:+d}: {why}" for fs, why in failures)
     raise ReconcileError(f"{d.name}: fold failed ({detail})")

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -166,6 +167,24 @@ def test_benchmark_tracer_finds_every_traced_name():
     code = "import tracing; tracing.install(tracing.Tracer())"
     done = subprocess.run([sys.executable, "-c", code], cwd=bench, env=fresh_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_no_unused_imports_in_the_package():
+    """Every module-level name a src module imports is used in that module."""
+    unused = []
+    for path in sorted(Path(crystmono.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert not unused
 
 
 def test_show_then_verify_round_trips(capsys):

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -96,6 +97,10 @@ def test_multiplicative_order():
     assert F3.one.multiplicative_order() == 1
     assert (F3.omega + 1).multiplicative_order() == 6  # = zeta_6
     assert (2 * F3.omega).multiplicative_order() is None
+    # the search stops at lcm(2, n), the largest order a root of unity in Q(zeta_n) can have
+    assert F72.zeta().multiplicative_order() == 72
+    assert (-CycloField(9).zeta()).multiplicative_order() == 18
+    assert (2 * F72.zeta()).multiplicative_order() is None
 
 
 def test_inverse_and_division():
@@ -139,12 +144,6 @@ def test_embed_between_conductors():
     assert F3.embed((1 - w3) ** 2, F72) == (1 - F72.omega) ** 2
     with pytest.raises(ValueError):
         F4.embed(F4.i, F6)
-
-
-def test_norm_to_q():
-    w = F3.omega
-    assert (1 - w).norm_to_q() == 3
-    assert (2 * (1 - F4.i)).norm_to_q() == 8
 
 
 # -- grammar --------------------------------------------------------------
@@ -242,11 +241,17 @@ def test_embedding_is_a_homomorphism(x, y):
     assert F3.embed(x + y, F72) == fx + fy
 
 
+def _to_complex(x):
+    """Float value of x at zeta_n = exp(2 pi i / n); an oracle independent of the power table."""
+    z = cmath.exp(2j * cmath.pi / x.field.n)
+    return sum(float(c) * z**j for j, c in enumerate(x.coeffs))
+
+
 @given(_elements(field=F4), _elements(field=F4))
 @settings(max_examples=30, deadline=None)
 def test_complex_approximation_tracks_arithmetic(x, y):
-    lhs = (x * y).to_complex()
-    rhs = x.to_complex() * y.to_complex()
+    lhs = _to_complex(x * y)
+    rhs = _to_complex(x) * _to_complex(y)
     assert abs(lhs - rhs) < 1e-9 * (1 + abs(rhs))
 
 

@@ -106,11 +106,9 @@ def test_kernel_is_the_radical():
 def test_negative_semidefinite():
     neg = HermitianGram(g3([[-3, "1-w"], ["1-conj(w)", -3]]))
     assert neg.is_negative_semidefinite()
-    assert neg.is_negative_definite()
 
     sing = HermitianGram(g3([[-3, "-3*w"], ["-3*conj(w)", -3]]))
     assert sing.is_negative_semidefinite()
-    assert not sing.is_negative_definite()
 
     indef = HermitianGram(g3([[-3, "5"], ["5", -3]]))
     assert not indef.is_negative_semidefinite()
@@ -125,12 +123,6 @@ def test_form_preservation_check():
     assert g.is_preserved_by(identity(F3, 2))
     swap = g3([[0, 1], [1, 0]])
     assert not g.is_preserved_by(swap)  # off-diagonal is not real
-
-
-def test_restricted_form():
-    g = HermitianGram(g3([[-3, 0, "1-w"], [0, -3, 0], ["1-conj(w)", 0, -3]]))
-    sub = g.restricted_to([vector(F3, [1, 0, 0]), vector(F3, [0, 0, 1])])
-    assert sub.gram == g3([[-3, "1-w"], ["1-conj(w)", -3]])
 
 
 # -- lattices ---------------------------------------------------------------
@@ -161,8 +153,8 @@ def test_lattice_equality_and_scaling():
     # (1-w) Z[w] has index 3: 1 is not in it, 1 - w is
     assert scaled.member(vector(F3, ["1-w"]))
     assert not scaled.member(vector(F3, ["1"]))
-    assert zw.contains(scaled)
-    assert not scaled.contains(zw)
+    assert zw.join(scaled) == zw
+    assert scaled.join(zw) != scaled
 
 
 def test_lattice_reduce_canonical():
@@ -292,12 +284,17 @@ def _lattice_pairs(draw):
     return gens, other, change
 
 
+def _contains(a, b):
+    """Oracle: every basis vector of b is a member of a."""
+    return all(a.member(v) for v in b.basis_vectors())
+
+
 @given(_lattice_pairs())
 @settings(max_examples=150, deadline=None)
 def test_lattice_equality_matches_two_way_containment(pair):
     gens, other, change = pair
     a, b = ZLattice(F3, 2, gens), ZLattice(F3, 2, other)
-    assert (a == b) == (a.contains(b) and b.contains(a))
+    assert (a == b) == (_contains(a, b) and _contains(b, a))
     if change == "same":
         assert a == b
 

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystmono.cyclo import CycloField
+from crystmono.cli import diagram_from_payload, show_diagram_payload
+from crystmono.cyclo import CycloField, parse_value, render_value
 from crystmono.linalg import (
     conj_matrix,
     conj_vector,
@@ -53,7 +54,7 @@ def test_kernel_character_pair_is_conjugate_of_stated_order():
         d = diagram(nm)
         chi, chib = d.kernel_chi_pair
         assert chi.conjugate() == chib
-        assert chi.multiplicative_order(24) in (3, 4, 6)
+        assert chi.multiplicative_order() in (3, 4, 6)
         assert d.chi == chi
         assert diagram(nm, "conj").chi == chib
 
@@ -91,7 +92,6 @@ def test_conjugate_dataset_is_entrywise_conjugate():
         for a, b in zip(d.cycles, dc.cycles):
             assert b.eigenvalue == a.eigenvalue.conjugate()
             assert b.order == a.order and b.self_pairing == a.self_pairing
-        assert d.conjugated() is dc and dc.conjugated() is d
 
 
 def test_full_gram_is_hermitian_negative_semidefinite():
@@ -206,7 +206,7 @@ def test_classical_monodromy_P8divZ4_determinant_blocks_order_three():
     d = diagram("P8divZ4")
     m = classical_monodromy(d)
     # det is a primitive fourth root of unity, so the order is a multiple of 4
-    assert det(m).multiplicative_order(8) == 4
+    assert det(m).multiplicative_order() == 4
 
 
 def test_extra_relation_P8_Z3():
@@ -235,6 +235,29 @@ def test_fold_sign_discrimination():
         fold(d, ("e2", "e3"), sign_variant=-1)
     both = fold(d, ("e2", "e3"), sign_variant=1)
     assert both.resolved_choices == {"fold_sign": "+1"}
+
+
+def test_fold_labels_both_signs_alike():
+    # with row and column e3 negated, e2 - e3 is the fold that keeps corank 1
+    payload = show_diagram_payload(diagram("D4_3"))
+    k = [c["id"] for c in payload["cycles"]].index("e3")
+    gram = payload["gram"]
+    for i in range(len(gram)):
+        for j in range(len(gram)):
+            if (i == k) != (j == k):
+                gram[i][j] = render_value(-parse_value(gram[i][j], CycloField(3)))
+    folded = fold(diagram_from_payload(payload), ("e2", "e3"))
+    assert folded.resolved_choices == {"fold_sign": "-1"}
+    assert folded.rejected_choices == (({"fold_sign": "+1"}, "quotient_corank"),)
+
+
+@pytest.mark.parametrize("name", ["P8divZ6", "P8divZ4"])
+def test_quotient_rejects_relation_outside_the_radical(name):
+    # gram[0][0] = 4 also breaks semidefiniteness, which must not hide the relation
+    payload = show_diagram_payload(diagram(name))
+    payload["gram"][0][0] = "4"
+    with pytest.raises(DiagramError, match="relation not in the radical"):
+        quotient_basis(diagram_from_payload(payload))
 
 
 def test_fold_error_modes():
