@@ -1,0 +1,8 @@
+"""`python -m crystmono`: the command line of crystmono.cli, for a checkout that is not installed."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

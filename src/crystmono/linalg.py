@@ -59,11 +59,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def dot(u: Vector, v: Vector) -> CycloNum:
-    """sum u[k] v[k], with no conjugation."""
-    acc = u[0] * v[0]
-    for x, y in zip(u[1:], v[1:]):
-        acc = acc + x * y
-    return acc
+    """sum u[k] v[k], with no conjugation, as one integer sum of products."""
+    return u[0].field._sum_of_products(zip(u, v))
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -282,52 +279,54 @@ class ZLattice:
         self.dim = dim
         self.flat_dim = dim * field.degree
         gens = [self._flatten(v) for v in generators]
-        den = lcm(*(q.denominator for g in gens for q in g))
-        self.scale = den
-        int_rows = [[int(q * den) for q in g] for g in gens]
-        self.rows = _hnf(int_rows)
+        self.scale = lcm(*(den for _, den in gens))
+        self.rows = _hnf([[c * (self.scale // den) for c in flat] for flat, den in gens])
         self._pivots = [next(j for j, x in enumerate(r) if x) for r in self.rows]
 
-    def _flatten(self, v: Vector) -> list[Fraction]:
+    def _flatten(self, v: Vector) -> tuple[list[int], int]:
+        """(flat, den): the integer coordinates of den * v and their least common denominator den."""
         if len(v) != self.dim:
             raise ValueError("wrong ambient dimension")
-        out: list[Fraction] = []
-        for x in v:
-            if x.field is not self.field:
-                raise ValueError("wrong field for lattice vector")
-            out.extend(x.coeffs)
-        return out
+        if any(x.field is not self.field for x in v):
+            raise ValueError("wrong field for lattice vector")
+        den = lcm(*(x.den for x in v))
+        return [c * (den // x.den) for x in v for c in x.num], den
 
-    def _unflatten(self, flat: Sequence[Fraction]) -> Vector:
+    def _unflatten(self, flat: Sequence[int], den: int) -> Vector:
+        """The vector flat / den."""
         d = self.field.degree
         return tuple(
-            self.field.element(flat[k * d : (k + 1) * d]) for k in range(self.dim)
+            self.field._make(flat[k * d : (k + 1) * d], den) for k in range(self.dim)
         )
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _residue(self, v: Vector) -> list[Fraction]:
-        """scale * v, flattened, less the floor multiple of each HNF row in turn.
+    def _residue(self, v: Vector) -> tuple[list[int], int]:
+        """(t, den): scale * v, flattened as t / den, less the floor multiple
+        of each HNF row in turn.
 
         Row k is zero left of its pivot, so each step leaves the entries at
-        earlier pivots in [0, pivot); the result is zero exactly when v is
-        in the lattice.
+        earlier pivots in [0, pivot); t is zero exactly when v is in the
+        lattice.
         """
-        t = [q * self.scale for q in self._flatten(v)]
+        flat, den = self._flatten(v)
+        t = [x * self.scale for x in flat]
         for row, c in zip(self.rows, self._pivots):
-            q = _floor_div(t[c], row[c])
+            # HNF pivots are positive, so floor division is exact here
+            q = t[c] // (den * row[c]) * den
             if q:
                 t = [x - q * y for x, y in zip(t, row)]
-        return t
+        return t, den
 
     def member(self, v: Vector) -> bool:
-        return not any(self._residue(v))
+        return not any(self._residue(v)[0])
 
     def reduce(self, v: Vector) -> Vector:
         """Canonical representative of v modulo the lattice."""
-        return self._unflatten([x / self.scale for x in self._residue(v)])
+        t, den = self._residue(v)
+        return self._unflatten(t, den * self.scale)
 
     def join(self, other: "ZLattice") -> "ZLattice":
         return ZLattice(self.field, self.dim, self.basis_vectors() + other.basis_vectors())
@@ -343,9 +342,7 @@ class ZLattice:
         )
 
     def basis_vectors(self) -> list[Vector]:
-        return [
-            self._unflatten([Fraction(x, self.scale) for x in row]) for row in self.rows
-        ]
+        return [self._unflatten(row, self.scale) for row in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, ZLattice):
@@ -359,8 +356,3 @@ class ZLattice:
 
     def __repr__(self):
         return f"ZLattice(n={self.field.n}, dim={self.dim}, rank={self.rank})"
-
-
-def _floor_div(a: Fraction, b: int) -> int:
-    # HNF pivots are positive, so Python floor division is exact here
-    return a.numerator // (a.denominator * b)

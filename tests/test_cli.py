@@ -103,6 +103,15 @@ def fresh_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 
+def test_package_runs_as_a_module():
+    """`python -m crystmono` runs the command line without an installed script."""
+    done = subprocess.run(
+        [sys.executable, "-m", "crystmono", "verify", "table1"], env=fresh_env(), capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert "verdict: pass" in done.stdout
+
+
 def cold_report(name, chi, path):
     """Run one diagram target in a fresh interpreter, so every cache starts empty."""
     argv = ["verify", "diagram", name, "--chi", chi, "--json", str(path)]

@@ -14,6 +14,7 @@ from crystmono.cyclo import (
     parse_value,
     render_value,
 )
+from crystmono.linalg import dot
 
 F3 = CycloField(3)
 F4 = CycloField(4)
@@ -244,7 +245,7 @@ def test_embedding_is_a_homomorphism(x, y):
 def _to_complex(x):
     """Float value of x at zeta_n = exp(2 pi i / n); an oracle independent of the power table."""
     z = cmath.exp(2j * cmath.pi / x.field.n)
-    return sum(float(c) * z**j for j, c in enumerate(x.coeffs))
+    return sum(c / x.den * z**j for j, c in enumerate(x.num))
 
 
 @given(_elements(field=F4), _elements(field=F4))
@@ -271,3 +272,62 @@ def test_render_parse_round_trip_property(x):
     text = render_value(x)
     assert "z" not in text
     assert parse_value(text, x.field) == x
+
+
+# -- canonical form and the hash/eq contract ----------------------------
+
+
+def test_rationals_hash_like_the_numbers_they_equal():
+    for f in (F3, F72):
+        assert 1 in {f.one} and f.one in {1}
+        assert f.from_rational(-3) in {-3} and hash(f.from_rational(-3)) == hash(-3)
+        half = f.one / 2
+        assert half == Fraction(1, 2) and half in {Fraction(1, 2)} and Fraction(1, 2) in {half}
+        assert hash(f.from_rational(Fraction(-5, 6))) == hash(Fraction(-5, 6))
+        assert f.zero in {0} and hash(f.zero) == hash(0)
+    # a non-rational value of Q(zeta_72), built two ways
+    x = F72.zeta(5) + Fraction(1, 3)
+    y = F72.zeta(77) + F72.one / 3
+    assert x == y and hash(x) == hash(y) and x in {y}
+    assert x != Fraction(1, 3) and x not in {Fraction(1, 3), 1, 0}
+
+
+def _canonical(z) -> bool:
+    return z.den > 0 and math.gcd(z.den, *z.num) == 1 and len(z.num) == z.field.degree
+
+
+_canonical_fields = st.sampled_from([F3, F4, F12, F72])
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def _rational_elements(draw, field):
+    coeffs = [draw(st.one_of(st.just(0), _rationals)) for _ in range(field.degree)]
+    return field.element(coeffs)
+
+
+@given(_canonical_fields.flatmap(lambda f: st.tuples(_rational_elements(f), _rational_elements(f))))
+@settings(max_examples=60, deadline=None)
+def test_every_result_is_in_lowest_terms(xy):
+    x, y = xy
+    f = x.field
+    results = [x + y, x - y, x * y, -x, x.conjugate(), f.embed(x, F72)]
+    if y:
+        results += [x / y, y.inverse()]
+    results += [f.galois(x, k) for k in (1, 5, 7) if math.gcd(k, f.n) == 1]
+    assert all(_canonical(z) for z in results)
+    zero = x - x
+    assert zero == f.zero == 0 and hash(zero) == hash(f.zero) == hash(0)
+    assert zero.num == (0,) * f.degree and zero.den == 1
+    third = (x / 3) * 3
+    assert third == x and hash(third) == hash(x)
+    if x:
+        unit = x * x.inverse()
+        assert unit == f.one == 1 and hash(unit) == hash(1)
+
+
+def test_dot_across_conductors_is_refused():
+    with pytest.raises(ValueError):
+        dot((F3.one, F3.omega), (F3.one, F12.i))
+    with pytest.raises(ValueError):
+        F3.omega * F4.i

@@ -1,0 +1,169 @@
+"""The integer cyclotomic core against the Fraction-based oracle in oracle_cyclo.py.
+
+Every value is built twice from the same rational coefficients, once in
+crystmono.cyclo and once in the oracle, and each operation must give the
+same rational coefficients in both.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+import oracle_cyclo as O
+from crystmono.cyclo import CycloField, parse_value, render_value
+from crystmono.linalg import ZLattice, _hnf, dot
+
+CONDUCTORS = [3, 4, 12, 72]
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 4, 6]))
+# most coefficients zero, so that degree-24 values stay cheap in the oracle
+_coefficients = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), _rationals)
+
+
+def _values(n, integral=False):
+    field = CycloField(n)
+    coeff = st.integers(-6, 6) if integral else _coefficients
+    return st.lists(coeff, min_size=field.degree, max_size=field.degree).map(field.element)
+
+
+def _pair_in(n):
+    return st.tuples(_values(n), _values(n))
+
+
+_pairs = st.sampled_from(CONDUCTORS).flatmap(_pair_in)
+
+
+def twin(x):
+    """The oracle element with x's rational coefficients."""
+    return O.CycloField(x.field.n).element([Fraction(c, x.den) for c in x.num])
+
+
+def same(x, ox) -> bool:
+    return x.field.n == ox.field.n and tuple(Fraction(c, x.den) for c in x.num) == ox.coeffs
+
+
+@given(_pairs)
+@settings(max_examples=50, deadline=None)
+def test_ring_operations_match_the_oracle(xy):
+    x, y = xy
+    ox, oy = twin(x), twin(y)
+    assert same(x + y, ox + oy)
+    assert same(x - y, ox - oy)
+    assert same(x * y, ox * oy)
+    assert same(-x, -ox)
+    assert same(x * Fraction(-2, 3), ox * Fraction(-2, 3))
+    if y:
+        assert same(y.inverse(), oy.inverse())
+        assert same(x / y, ox / oy)
+
+
+@given(st.sampled_from(CONDUCTORS).flatmap(lambda n: st.tuples(_values(n), st.integers(1, 71))))
+@settings(max_examples=60, deadline=None)
+def test_galois_and_embed_match_the_oracle(xk):
+    x, k = xk
+    f, of = x.field, O.CycloField(x.field.n)
+    ox = twin(x)
+    if gcd(k, f.n) == 1:
+        assert same(f.galois(x, k), of.galois(ox, k))
+    assert same(x.conjugate(), ox.conjugate())
+    assert same(f.embed(x, CycloField(72)), of.embed(ox, O.CycloField(72)))
+
+
+@given(st.sampled_from(CONDUCTORS).flatmap(lambda n: st.tuples(_values(n), st.integers(-3, 3))))
+@settings(max_examples=60, deadline=None)
+def test_powers_match_the_oracle(xk):
+    x, k = xk
+    if x or k >= 0:
+        assert same(x**k, twin(x) ** k)
+
+
+@given(st.sampled_from(CONDUCTORS).flatmap(lambda n: st.one_of(_values(n), _values(n, integral=True))))
+@settings(max_examples=50, deadline=None)
+def test_rendering_matches_the_oracle(x):
+    text = render_value(x)
+    assert text == O.render_value(twin(x))
+    assert x.as_poly_str() == twin(x).as_poly_str()
+    if x.den == 1:  # integral values render in the grammar, which has no division
+        back = parse_value(text, x.field)
+        assert back == x
+        assert same(back, O.parse_value(text, O.CycloField(x.field.n)))
+
+
+@given(
+    st.sampled_from(CONDUCTORS).flatmap(
+        lambda n: st.integers(1, 4).flatmap(
+            lambda k: st.tuples(st.lists(_values(n), min_size=k, max_size=k), st.lists(_values(n), min_size=k, max_size=k))
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_dot_with_mixed_denominators_matches_the_oracle(uv):
+    u, v = uv
+    expected = twin(u[0]) * twin(v[0])
+    for x, y in zip(u[1:], v[1:]):
+        expected = expected + twin(x) * twin(y)
+    assert same(dot(tuple(u), tuple(v)), expected)
+
+
+# -- lattices --------------------------------------------------------------
+#
+# The oracle lattice is the Fraction-coordinate ZLattice that the integer
+# core replaced: flatten to Fractions, clear the denominators, take the HNF,
+# and reduce a vector by the floor multiple of each row in turn.
+
+
+def _oracle_flat(v):
+    return [q for x in v for q in twin(x).coeffs]
+
+
+def _oracle_lattice(gens):
+    flats = [_oracle_flat(v) for v in gens]
+    scale = 1
+    for flat in flats:
+        for q in flat:
+            scale = scale * q.denominator // gcd(scale, q.denominator)
+    return scale, _hnf([[int(q * scale) for q in flat] for flat in flats])
+
+
+def _oracle_residue(scale, rows, v):
+    t = [q * scale for q in _oracle_flat(v)]
+    for row in rows:
+        c = next(j for j, x in enumerate(row) if x)
+        q = t[c].numerator // (t[c].denominator * row[c])
+        t = [x - q * y for x, y in zip(t, row)]
+    return [x / scale for x in t]
+
+
+def _vectors(n, dim):
+    return st.tuples(*[_values(n)] * dim)
+
+
+@st.composite
+def _lattice_cases(draw):
+    n = draw(st.sampled_from(CONDUCTORS))
+    dim = draw(st.integers(1, 2))
+    gens = draw(st.lists(_vectors(n, dim), min_size=0, max_size=3 if n == 72 else 4))
+    probe = draw(_vectors(n, dim))
+    return CycloField(n), dim, gens, probe
+
+
+@given(_lattice_cases())
+@settings(max_examples=60, deadline=None)
+def test_lattices_match_the_oracle(case):
+    field, dim, gens, probe = case
+    lat = ZLattice(field, dim, gens)
+    scale, rows = _oracle_lattice(gens)
+    assert (lat.scale, lat.rows) == (scale, rows)
+    assert all(lat.member(v) for v in gens)
+    residue = _oracle_residue(scale, rows, probe)
+    assert lat.member(probe) == (not any(residue))
+    assert [q for x in lat.reduce(probe) for q in twin(x).coeffs] == residue
+    # the same lattice from other generators: reversed, plus a sum of two
+    others = gens[::-1]
+    if len(gens) >= 2:
+        others.append(tuple(a + b for a, b in zip(gens[0], gens[1])))
+    assert ZLattice(field, dim, others) == lat
+    assert _oracle_lattice(others) == (scale, rows)
+    bigger = ZLattice(field, dim, gens + [probe])
+    assert (bigger == lat) == lat.member(probe) == (_oracle_lattice(gens + [probe]) == (scale, rows))
