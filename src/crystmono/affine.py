@@ -27,8 +27,6 @@ from .linalg import (
     identity_minus_outer,
     is_zero_vector,
     mat_mul,
-    mat_rank,
-    mat_sub,
     mat_vec,
     matrix,
     transpose,
@@ -125,33 +123,59 @@ class DualFrame:
 
 
 def linear_closure(generators, max_size: int = 2000) -> list[Matrix]:
-    """BFS closure of a matrix group, in deterministic encounter order."""
+    """Dimino's closure of a finite matrix group, identity first, in deterministic order.
+
+    Dimino (1971), as presented in Butler, Fundamental Algorithms for
+    Permutation Groups (LNCS 559, 1991): with H the group of the earlier
+    generators already listed, each generator g not in H extends the list
+    by whole right cosets H*x, x first.  The first is H*g; every new
+    representative x pushes x*s for each generator s used so far, and a
+    product already listed lies in a listed coset, so its coset is
+    skipped.  The union of cosets contains the identity and is closed
+    under right multiplication by the generators, so it is the group.
+    The cosets are disjoint, so the bound check before each coset raises
+    ClosureBoundError exactly when the group has more than `max_size`
+    elements, which also stops a generator of infinite order.
+    """
     gens = list(generators)
     if not gens:
         raise AffineError("no generators")
     field = gens[0][0][0].field
-    ident = identity(field, len(gens[0]))
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = mat_mul(m, g)
-                if p not in seen:
-                    seen.add(p)
-                    order.append(p)
-                    nxt.append(p)
-                    if len(order) > max_size:
-                        raise ClosureBoundError(f"closure exceeds {max_size} elements")
-        frontier = nxt
+    order = [identity(field, len(gens[0]))]
+    seen = set(order)
+    used: list[Matrix] = []
+
+    def add_coset(x: Matrix) -> None:
+        if len(order) + len(h) > max_size:
+            raise ClosureBoundError(f"closure exceeds {max_size} elements")
+        block = [x] + [mat_mul(e, x) for e in h[1:]]
+        order.extend(block)
+        seen.update(block)
+        reps.append(x)
+
+    for g in gens:
+        if g in seen:
+            continue
+        used.append(g)
+        h, reps = order[:], []  # h: the group of the earlier generators, identity first
+        add_coset(g)
+        for x in reps:  # grows as add_coset finds new cosets
+            for s in used:
+                y = mat_mul(x, s)
+                if y not in seen:
+                    add_coset(y)
     return order
 
 
 def is_reflection(m: Matrix) -> bool:
-    field = m[0][0].field
-    return mat_rank(mat_sub(m, identity(field, len(m)))) == 1
+    """True when m - I has rank one: a nonzero row r with r[c] != 0 and x[j]*r[c] = x[c]*r[j] for all rows x."""
+    one = m[0][0].field.one
+    a = [tuple(x - one if i == j else x for j, x in enumerate(row)) for i, row in enumerate(m)]
+    r = next((row for row in a if not is_zero_vector(row)), None)
+    if r is None:
+        return False
+    c = next(j for j, x in enumerate(r) if not x.is_zero())
+    return all(dot((x[j], -x[c]), (r[c], r[j])).is_zero() for x in a for j in range(len(r)))
 
 
 def reflection_order_multiset(group) -> dict[int, int]:

@@ -347,6 +347,17 @@ def run_show(args) -> int:
     return 0
 
 
+def _group_bound(text: str) -> int:
+    """--max-group value: an integer of at least 1 (a closure holds the identity)."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="crystmono",
@@ -366,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--chi", choices=("primary", "conj"), default="primary",
                          help="which of the two kernel characters to work with")
         cmd.add_argument("--json", metavar="PATH", help="also write the JSON document to PATH")
-    v.add_argument("--max-group", type=int, default=2000, metavar="N",
+    v.add_argument("--max-group", type=_group_bound, default=2000, metavar="N",
                    help="size bound for group closures")
     v.add_argument("--timings", action="store_true",
                    help="record wall-clock time per case (reports stop being byte-stable)")

@@ -239,6 +239,16 @@ def test_exhausted_group_bound_is_inconclusive(capsys):
     assert "closure exceeds 1 elements" in out
 
 
+@pytest.mark.parametrize("bound", ["0", "-5", "ten"])
+def test_group_bound_below_one_is_a_usage_error(bound, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "group", "K3_3", "--max-group", bound])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: crystmono verify")
+    assert f"--max-group: expected an integer of at least 1, got '{bound}'" in err
+
+
 def test_timings_fill_the_timing_field(tmp_path, capsys):
     path = tmp_path / "t.json"
     run(["verify", "diagram", "P8divZ6", "--timings", "--json", str(path)], capsys)

@@ -1,0 +1,211 @@
+"""Dimino's closure and the rank-one reflection test against their oracles.
+
+`linear_closure` is compared with the breadth-first closure kept in
+oracle_closure.py, and `is_reflection` with a full elimination rank of
+m - I, on every group the verifier closes: the seven reference models,
+the kept dual linear parts of every diagram in both characters, and the
+Q(zeta12) lifts that the dilation check builds.
+"""
+
+from functools import cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle_closure as O
+from crystmono import affine, clear_caches
+from crystmono.affine import (
+    AffineError,
+    ClosureBoundError,
+    DualFrame,
+    _kept_indices,
+    _reference_generators,
+    is_reflection,
+    lifted_quotient,
+    linear_closure,
+    reference_names,
+    verify_crystallographic,
+)
+from crystmono.cyclo import CycloField
+from crystmono.linalg import identity, mat_mul, mat_rank, mat_sub, matrix
+from crystmono.monodromy import diagram, diagram_names, quotient_basis
+
+F3, F4, F12, F72 = (CycloField(n) for n in (3, 4, 12, 72))
+
+
+def _dual_cases():
+    out = []
+    for name in diagram_names():
+        for chi in ("primary", "conj"):
+            out.append((name, chi, None))
+            if diagram(name, chi).field.n % 3:
+                out.append((name, chi, 12))
+    return out
+
+
+def _generators(case):
+    kind, name, *rest = case
+    if kind == "model":
+        return _reference_generators(name)
+    chi, lift = rest
+    d = diagram(name, chi)
+    q = quotient_basis(d)
+    if lift is not None:
+        q = lifted_quotient(q, CycloField(lift))
+    frame = DualFrame(q)
+    duals = [frame.dual_reflection(r, lam) for r, lam in zip(q.roots, q.eigenvalues)]
+    return tuple(duals[j].linear for j in _kept_indices(d, q))
+
+
+@cache
+def _closures(case):
+    gens = _generators(case)
+    return gens, linear_closure(gens), O.linear_closure(gens)
+
+
+def _ids(case):
+    kind, name, *rest = case
+    if kind == "model":
+        return f"model-{name}"
+    chi, lift = rest
+    return f"{name}-{chi}" + (f"-q{lift}" if lift else "")
+
+
+CASES = [("model", nm) for nm in reference_names()] + [
+    ("dual", name, chi, lift) for name, chi, lift in _dual_cases()
+]
+
+
+def _rank_one(m):
+    return mat_rank(mat_sub(m, identity(m[0][0].field, len(m)))) == 1
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_closure_matches_the_bfs_oracle(case):
+    gens, group, oracle = _closures(case)
+    assert group[0] == identity(gens[0][0][0].field, len(gens[0]))
+    assert len(set(group)) == len(group)
+    assert set(group) == set(oracle)
+    assert group == linear_closure(gens)  # deterministic order
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_bound_is_exact(case):
+    gens, group, _ = _closures(case)
+    assert linear_closure(gens, max_size=len(group)) == group
+    with pytest.raises(ClosureBoundError, match=f"closure exceeds {len(group) - 1} elements"):
+        linear_closure(gens, max_size=len(group) - 1)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_is_reflection_is_the_rank_one_test(case):
+    _, group, _ = _closures(case)
+    flags = [is_reflection(m) for m in group]
+    assert flags == [_rank_one(m) for m in group]
+    assert any(flags)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [[[2]]],
+        [[[1, 1], [0, 1]]],
+        [[[0, 1], [1, 0]], [[1, 1], [0, 1]]],  # finite subgroup first, then an infinite coset chain
+    ],
+    ids=["scalar-2", "unipotent", "swap-then-unipotent"],
+)
+def test_infinite_order_generator_hits_the_bound(gens):
+    mats = [matrix(F3, g) for g in gens]
+    with pytest.raises(ClosureBoundError, match="closure exceeds 40 elements"):
+        linear_closure(mats, max_size=40)
+    with pytest.raises(ClosureBoundError, match="closure exceeds 40 elements"):
+        O.linear_closure(mats, max_size=40)
+
+
+def test_redundant_generators_are_skipped():
+    a, b = _generators(("model", "K5"))[:2]
+    ident = identity(F3, len(a))
+    base = set(linear_closure([a, b]))
+    for redundant in ([a, a, b], [a, b, a], [a, b, mat_mul(a, b)], [ident, a, b], [a, ident, b, b]):
+        got = linear_closure(redundant)
+        assert got[0] == ident and len(set(got)) == len(got)
+        assert set(got) == base == set(O.linear_closure(redundant))
+    assert linear_closure([ident]) == [ident]
+    with pytest.raises(AffineError):
+        linear_closure([])
+
+
+def test_is_reflection_hand_made_branches():
+    w, i = F3.omega, F4.i
+    # m - I is zero: no nonzero row
+    assert not is_reflection(identity(F3, 3))
+    # 1x1
+    assert is_reflection(matrix(F3, [[w]]))
+    assert not is_reflection(matrix(F3, [[1]]))
+    # m - I has a zero first row
+    assert is_reflection(matrix(F3, [[1, 0, 0], [0, 1, 1], [0, 0, 1]]))
+    assert not is_reflection(matrix(F3, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]))
+    # m - I = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]: first two rows proportional, the third not
+    assert not is_reflection(matrix(F3, [[2, 2, 0], [2, 5, 0], [0, 0, 2]]))
+    # a pivot column other than the first: the rows of m - I are (0, i, 2), i * (0, i, 2) and 0
+    assert is_reflection(matrix(F4, [[1, i, 2], [0, 0, 2 * i], [0, 0, 1]]))
+    assert not is_reflection(matrix(F4, [[1, i, 2], [0, 1 + i, 2 * i], [0, 0, 1]]))
+    # Q(zeta72): I + u v^T is a reflection, diag(z, z, 1) is not
+    z = F72.zeta()
+    u, v = (z, 1 + z * z, 0), (z ** 5, 2, -z)
+    m = tuple(tuple((F72.one if r == c else F72.zero) + u[r] * v[c] for c in range(3)) for r in range(3))
+    assert is_reflection(m) and _rank_one(m)
+    d = matrix(F72, [[z, 0, 0], [0, z, 0], [0, 0, 1]])
+    assert not is_reflection(d) and not _rank_one(d)
+
+
+def _entries(field):
+    if field is F3:  # rational integers
+        return st.integers(-2, 2).map(field.from_rational)
+    coeff = st.sampled_from([0, 0, 0, 1, -1, 2])
+    return st.lists(coeff, min_size=field.degree, max_size=field.degree).map(field.element)
+
+
+def _matrices(field):
+    def build(n):
+        entry = _entries(field)
+        square = st.lists(st.lists(entry, min_size=n, max_size=n).map(tuple), min_size=n, max_size=n).map(tuple)
+        vec = st.lists(entry, min_size=n, max_size=n)
+
+        def near_reflection(args):
+            u, v, extra, k = args
+            ident = identity(field, n)
+            rows = [tuple(ident[r][c] + u[r] * v[c] for c in range(n)) for r in range(n)]
+            rows[k % n] = tuple(x + y for x, y in zip(rows[k % n], extra))  # sometimes raises the rank
+            return tuple(rows)
+
+        zero = st.just(tuple(field.zero for _ in range(n)))
+        outer = st.tuples(vec, vec, st.one_of(zero, zero, vec.map(tuple)), st.integers(0, 2)).map(near_reflection)
+        return st.one_of(square, outer)
+
+    return st.integers(1, 3).flatmap(build)
+
+
+@given(st.sampled_from([F3, F4, F12]).flatmap(_matrices))
+@settings(max_examples=150, deadline=None)
+def test_is_reflection_matches_rank_on_random_matrices(m):
+    assert is_reflection(m) == _rank_one(m)
+
+
+@pytest.fixture
+def fresh_caches():
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def test_verdicts_do_not_depend_on_closure_order(monkeypatch, fresh_caches):
+    names = ("D4_3", "C3_24")
+    plain = {nm: verify_crystallographic(diagram(nm)) for nm in names}
+    dimino = affine.linear_closure
+    monkeypatch.setattr(affine, "linear_closure", lambda gens, max_size=2000: dimino(gens, max_size)[::-1])
+    clear_caches()
+    for nm in names:
+        rep = verify_crystallographic(diagram(nm))
+        assert rep.checks == plain[nm].checks
+        assert rep.lattice == plain[nm].lattice
