@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .cyclo import CycloField, CycloNum, cached, parse_value, render_value
+from .cyclo import RING_GENERATORS, CycloField, CycloNum, cached, parse_value, render_value, ring_field
 from .linalg import (
     HermitianGram,
     Matrix,
@@ -27,6 +27,7 @@ from .linalg import (
     identity_minus_outer,
     is_zero_vector,
     mat_mul,
+    mat_prod,
     mat_vec,
     matrix,
     transpose,
@@ -40,7 +41,6 @@ from .monodromy import (
     PLOperator,
     Quotient,
     check_braid,
-    operator_order,
     pl_operator,
     quotient_basis,
     worst_verdict,
@@ -178,12 +178,18 @@ def is_reflection(m: Matrix) -> bool:
     return all(dot((x[j], -x[c]), (r[c], r[j])).is_zero() for x in a for j in range(len(r)))
 
 
+def reflection_order(m: Matrix) -> int:
+    """Order of a reflection of finite order: that of its eigenvalue other than 1,
+    tr m - (n - 1) (Lehrer-Taylor, Unitary Reflection Groups, 2009, ch. 1)."""
+    return (sum(row[k] for k, row in enumerate(m)) - (len(m) - 1)).multiplicative_order()
+
+
 def reflection_order_multiset(group) -> dict[int, int]:
     """Orders of all reflections in the group, with multiplicities."""
     out: dict[int, int] = {}
     for m in group:
         if is_reflection(m):
-            k = operator_order(m)
+            k = reflection_order(m)
             out[k] = out.get(k, 0) + 1
     return out
 
@@ -229,7 +235,9 @@ def reference_group(name: str) -> ReferenceGroup:
     raw = _raw_groups().get(name)
     if raw is None:
         raise AffineError(f"unknown reference group: {name}")
-    field = CycloField(3 if raw["ring"] == "Z[w]" else 4)
+    field = ring_field(raw["ring"])
+    if field is None:
+        raise AffineError(f"{name}: unknown ring {raw['ring']!r}")
     form = HermitianGram(matrix(field, raw["form"]))
     gens = tuple(
         pl_operator(form, vector(field, g["root"]), parse_value(g["eigenvalue"], field))
@@ -364,9 +372,7 @@ def maximal_root_check(d: Diagram, frame: DualFrame | None = None) -> MaximalRoo
         letters[j] = pl_operator(vgram, u, d.cycles[j].eigenvalue).matrix
 
     _, v = frame.decompose(q.roots[leaf])
-    for j in reversed(word):
-        v = mat_vec(letters[j], v)
-    v = vec_scale(unit, v)
+    v = vec_scale(unit, mat_vec(mat_prod([letters[j] for j in word]), v))
     word_text = "".join(f"A{j}" for j in word) + f"*e{leaf}" + (f" times {unit_expr}" if unit_expr != "1" else "")
     return MaximalRootReport(v == frame.a, word_text)
 
@@ -413,20 +419,19 @@ def _kept_indices(d: Diagram, q: Quotient) -> list[int]:
     ]
 
 
-def verify_crystallographic(
-    d: Diagram,
-    alpha0: CycloNum | None = None,
-    lift: CycloField | None = None,
-    max_group: int = 2000,
-) -> CaseReport:
-    """Run every check tying the diagram's dual action to its crystallographic model."""
+def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_group: int = 2000) -> CaseReport:
+    """Run every check tying the diagram's dual action to its crystallographic model.
+
+    An alpha0 from a larger field than the diagram's lifts the run into it.
+    """
     if d.expected_group is None:
         raise AffineError(f"{d.name} declares no crystallographic model")
     if d.tau < 2:
         raise AffineError("dual verification needs at least two kernel cycles")
     q = quotient_basis(d)
-    if lift is not None:
-        q = lifted_quotient(q, lift)
+    lifted = alpha0 is not None and alpha0.field is not q.field
+    if lifted:
+        q = lifted_quotient(q, alpha0.field)
     field = q.field
     frame = DualFrame(q, alpha0)
     duals = [frame.dual_reflection(r, lam) for r, lam in zip(q.roots, q.eigenvalues)]
@@ -524,7 +529,7 @@ def verify_crystallographic(
 
     rule = ref.lattice_rule
     if rule["kind"] == "ring":
-        unit = field.omega if rule["ring"] == "Z[w]" else field.i
+        unit = parse_value(RING_GENERATORS[rule["ring"]], field)
         ring_lat = ZLattice(field, frame.n, [t0, vec_scale(unit, t0)])
         checks.append(
             CheckResult(
@@ -535,7 +540,7 @@ def verify_crystallographic(
             )
         )
     elif rule["kind"] == "order2_root_orbit":
-        omitted_order = operator_order(duals[q.omitted_index].linear)
+        omitted_order = reflection_order(duals[q.omitted_index].linear)
         ok = omitted_order == 2 and d.cycles[q.omitted_index].order == 2
         checks.append(
             CheckResult(
@@ -546,7 +551,7 @@ def verify_crystallographic(
             )
         )
 
-    if d.name in _MAXIMAL_ROOT_WORDS and lift is None:
+    if d.name in _MAXIMAL_ROOT_WORDS and not lifted:
         mr = maximal_root_check(d, frame)
         checks.append(
             CheckResult(
@@ -584,12 +589,10 @@ def dilation_check(d: Diagram) -> DilationReport:
     over Z[i] are embedded into the conductor-12 field first; the base run
     is repeated there to compare like with like.
     """
-    needs_lift = d.field.n % 3 != 0
-    lift = CycloField(12) if needs_lift else None
-    work = lift if lift is not None else d.field
-    base = verify_crystallographic(d, None, lift)
+    work = d.field if d.field.n % 3 == 0 else CycloField(12)
+    base = verify_crystallographic(d, work.one)
     factor = work.one - work.omega
-    dilated = verify_crystallographic(d, factor, lift)
+    dilated = verify_crystallographic(d, factor)
     match = tuple((c.claim_id, c.verdict) for c in base.checks) == tuple(
         (c.claim_id, c.verdict) for c in dilated.checks
     )

@@ -19,7 +19,7 @@ from importlib import resources
 from math import lcm
 
 from .cyclo import CycloField, CycloNum, cached, parse_value
-from .monodromy import CheckResult
+from .monodromy import SPLITTING_ORDERS, CheckResult
 
 CHARACTER_FIELD = CycloField(72)
 
@@ -95,11 +95,11 @@ def kernel_character(case: SymmetryCase) -> CycloNum:
 def kernel_characters(case: SymmetryCase):
     """The conjugate character pair cutting the kernel eigenspaces, if any.
 
-    Only characters of order 3, 4 or 6 produce a pair of conjugate
-    eigenspaces; a real character (order 1 or 2) returns None.
+    Only characters of the SPLITTING_ORDERS produce a pair of conjugate
+    eigenspaces; any other returns None.
     """
     chi = kernel_character(case)
-    if chi.multiplicative_order() not in (3, 4, 6):
+    if chi.multiplicative_order() not in SPLITTING_ORDERS:
         return None
     return chi, chi.conjugate()
 

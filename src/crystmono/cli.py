@@ -35,15 +35,18 @@ from .classify import (
     verify_proj_row,
     verify_table_row,
 )
-from .cyclo import CycloField, parse_value, render_value
+from .cyclo import RING_GENERATORS, parse_value, render_value
 from .linalg import HermitianGram, matrix, vector
 from .monodromy import (
+    CHARACTERS,
     CheckResult,
     Cycle,
     Diagram,
     DiagramError,
     Edge,
+    character_index,
     diagram,
+    diagram_field,
     diagram_names,
     quotient_basis,
     verify_diagram,
@@ -113,14 +116,12 @@ def table_report(row, args) -> dict:
     stop = _clock(args)
     checks = verify_table_row(row)
     pair = kernel_characters(row.case)
-    character = None
-    if pair is not None:
-        character = render_value(pair[0] if args.chi == "primary" else pair[1])
+    chi = args.chi if pair is not None else None
     return _report(
         row.notation,
         checks,
-        chi=args.chi if pair is not None else None,
-        character=character,
+        chi=chi,
+        character=render_value(pair[CHARACTERS.index(chi)]) if chi else None,
         group=row.group,
         timing=stop(),
     )
@@ -268,7 +269,7 @@ def show_diagram_payload(d: Diagram) -> dict:
 
 def diagram_from_payload(payload: dict) -> Diagram:
     """Rebuild a diagram from its ``show`` dump; derived sections are ignored."""
-    field = CycloField(3 if payload["ring"] == "Z[w]" else 4)
+    field = diagram_field(payload["name"], payload["ring"])
 
     def val(text):
         return parse_value(text, field)
@@ -280,7 +281,7 @@ def diagram_from_payload(payload: dict) -> Diagram:
         ring=payload["ring"],
         field=field,
         chi_label=chi_label,
-        chi=pair[0] if chi_label == "primary" else pair[1],
+        chi=pair[character_index(chi_label)],
         kernel_chi_pair=pair,
         cycles=tuple(
             Cycle(c["id"], c["self_pairing"], c["order"], val(c["eigenvalue"]))
@@ -311,7 +312,7 @@ def show_group_payload(name: str) -> dict:
     rule = ref.lattice_rule
     basis = None
     if rule["kind"] == "ring":
-        basis = ["1", "w" if rule["ring"] == "Z[w]" else "i"]
+        basis = ["1", RING_GENERATORS[rule["ring"]]]
     return {
         "schema": "1",
         "kind": "group",
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("name", help="which dataset to print")
 
     for cmd in (v, s):
-        cmd.add_argument("--chi", choices=("primary", "conj"), default="primary",
+        cmd.add_argument("--chi", choices=CHARACTERS, default="primary",
                          help="which of the two kernel characters to work with")
         cmd.add_argument("--json", metavar="PATH", help="also write the JSON document to PATH")
     v.add_argument("--max-group", type=_group_bound, default=2000, metavar="N",

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .cyclo import CycloField, CycloNum, _echelon, _solve, parse_value
+from .cyclo import CycloField, CycloNum, _echelon, parse_value
 
 Vector = tuple[CycloNum, ...]
 Matrix = tuple[Vector, ...]
@@ -56,6 +56,14 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
+
+
+def mat_prod(ms: Sequence[Matrix]) -> Matrix:
+    """ms[0] ms[1] ... ms[-1]: on column vectors the last factor acts first."""
+    p = ms[0]
+    for m in ms[1:]:
+        p = mat_mul(p, m)
+    return p
 
 
 def dot(u: Vector, v: Vector) -> CycloNum:
@@ -129,9 +137,11 @@ def nullspace(a: Matrix) -> list[Vector]:
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One solution of a x = b, or None."""
-    x = _solve([list(r) + [bv] for r, bv in zip(a, b)], b[0].field.zero)
-    return None if x is None else tuple(x)
+    """One solution of a x = b, or None: the nullspace basis vector of [a | -b]
+    for its last column, which exists when that column has no pivot."""
+    n = len(a[0])
+    v = next((v for v in nullspace(tuple(tuple(r) + (-bv,) for r, bv in zip(a, b))) if v[n] == 1), None)
+    return None if v is None else v[:n]
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -177,6 +187,10 @@ class HermitianGram:
     def kernel(self) -> list[Vector]:
         """Vectors pairing to zero with everything: {v : G conj(v) = 0}."""
         return [conj_vector(v) for v in nullspace(self.gram)]
+
+    def in_radical(self, v: Vector) -> bool:
+        """Whether v pairs to zero with everything: G conj(v) = 0."""
+        return is_zero_vector(mat_vec(self.gram, conj_vector(v)))
 
     @property
     def rank(self) -> int:

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .cyclo import CycloField, CycloNum, cached, in_subring, parse_value
+from .cyclo import CycloField, CycloNum, cached, in_subring, parse_value, ring_field
 from .linalg import (
     HermitianGram,
     Matrix,
@@ -27,11 +27,10 @@ from .linalg import (
     conj_vector,
     identity,
     identity_minus_outer,
-    is_zero_vector,
     mat_mul,
+    mat_prod,
     mat_vec,
     matrix,
-    transpose,
     vec_scale,
     vector,
 )
@@ -49,7 +48,11 @@ class OrderBoundError(DiagramError):
     """Matrix power walk exceeded the allowed order bound."""
 
 
-_RING_FIELD = {"Z[w]": 3, "Z[i]": 4}
+# labels of the two members of a kernel character pair: the stated one and its conjugate
+CHARACTERS = ("primary", "conj")
+
+# orders of the kernel characters that split the kernel into a conjugate eigenspace pair
+SPLITTING_ORDERS = (3, 4, 6)
 
 # braid word lengths: 2 commute, 3 aba=bab, 4 abab=baba, 6 (ab)^3=(ba)^3
 _BRAID_LENGTHS = (2, 3, 4, 6)
@@ -146,10 +149,23 @@ def diagram_names() -> tuple[str, ...]:
     return tuple(_raw_diagrams())
 
 
+def character_index(label: str) -> int:
+    """The position of a kernel character label in CHARACTERS; DiagramError for any other label."""
+    if label not in CHARACTERS:
+        raise DiagramError(f"kernel character must be 'primary' or 'conj', got {label!r}")
+    return CHARACTERS.index(label)
+
+
+def diagram_field(name: str, ring: str) -> CycloField:
+    """The field of a diagram over `ring`; DiagramError for an unknown ring."""
+    field = ring_field(ring)
+    if field is None:
+        raise DiagramError(f"{name}: unknown ring {ring!r}")
+    return field
+
+
 def diagram(name: str, chi: str = "primary") -> Diagram:
     """Load, reconcile and cache one diagram for the chosen kernel character."""
-    if chi not in ("primary", "conj"):
-        raise DiagramError(f"kernel character must be 'primary' or 'conj', got {chi!r}")
     return _diagram(name, chi)
 
 
@@ -162,14 +178,14 @@ def _diagram(name: str, chi: str) -> Diagram:
 
 
 def _build(raw: dict, chi_label: str) -> Diagram:
-    field = CycloField(_RING_FIELD[raw["ring"]])
+    conj = character_index(chi_label)
+    field = diagram_field(raw["name"], raw["ring"])
     chi_pair = tuple(parse_value(s, field) for s in raw["kernel_chi"])
     if chi_pair[1] != chi_pair[0].conjugate():
         raise DiagramError(f"{raw['name']}: kernel characters are not conjugate")
-    if chi_pair[0].multiplicative_order() not in (3, 4, 6):
+    if chi_pair[0].multiplicative_order() not in SPLITTING_ORDERS:
         raise DiagramError(f"{raw['name']}: kernel character is not an admissible root of unity")
-    conj = chi_label == "conj"
-    chi = chi_pair[1] if conj else chi_pair[0]
+    chi = chi_pair[conj]
 
     cycles = []
     for c in raw["cycles"]:
@@ -312,12 +328,12 @@ def _check_gram(gram: HermitianGram, relation, kernel_vector, tau) -> str | None
     """Return the name of the first violated constraint, or None if all hold."""
     if not gram.is_negative_semidefinite():
         return "negative_semidefinite"
-    if relation is not None and not is_zero_vector(mat_vec(transpose(gram.gram), relation)):
+    if relation is not None and not gram.in_radical(relation):
         return "relation_in_radical"
     q = _quotient_gram(gram, tau)
     if q.corank != 1:
         return "quotient_corank"
-    if not is_zero_vector(mat_vec(transpose(q.gram), kernel_vector)):
+    if not q.in_radical(kernel_vector):
         return "kernel_vector"
     return None
 
@@ -355,7 +371,7 @@ def quotient_basis(d: Diagram) -> Quotient:
         last = d.relation[len(d.cycles) - 1]
         if last.is_zero():
             raise DiagramError(f"{d.name}: relation does not eliminate the last cycle")
-        if not is_zero_vector(mat_vec(transpose(d.gram.gram), d.relation)):
+        if not d.gram.in_radical(d.relation):
             raise DiagramError(f"{d.name}: relation not in the radical of the form")
         roots.append(vec_scale(-last.inverse(), d.relation[:tau]))
     return Quotient(
@@ -406,23 +422,13 @@ def check_braid(a: Matrix, b: Matrix, length: int) -> bool:
     """Alternating word identity of the given length: 2 means commuting."""
     if length not in _BRAID_LENGTHS:
         raise DiagramError(f"unsupported braid length {length}")
-    left, right = a, b
-    wl, wr = a, b
-    for _ in range(length - 1):
-        left, right = right, left
-        wl = mat_mul(wl, left)
-        wr = mat_mul(wr, right)
-    return wl == wr
+    letters = (a, b) * length
+    return mat_prod(letters[:length]) == mat_prod(letters[1 : length + 1])
 
 
 def classical_monodromy(d: Diagram) -> Matrix:
     """Product of the tau vertex reflections, first vertex applied first."""
-    ops = diagram_operators(d)[: d.tau]
-    q = quotient_basis(d)
-    p = identity(d.field, len(q.kernel))
-    for op in ops:
-        p = mat_mul(op.matrix, p)
-    return p
+    return mat_prod([op.matrix for op in reversed(diagram_operators(d)[: d.tau])])
 
 
 def _order_or_none(m: Matrix) -> int | None:
@@ -440,7 +446,7 @@ def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
 
     semidef = d.gram.is_negative_semidefinite()
     corank = q.gram.corank
-    kernel_ok = is_zero_vector(mat_vec(q.gram.gram, conj_vector(q.kernel)))
+    kernel_ok = q.gram.in_radical(q.kernel)
     ok = semidef and corank == 1 and kernel_ok
     checks.append(
         CheckResult(
@@ -520,16 +526,7 @@ def extra_relation_P8Z3(d: Diagram) -> bool:
     if len(d.cycles) != 3 or d.relation is not None:
         raise DiagramError(f"{d.name}: extra relation needs three independent cycles")
     h0, h1, h2 = (op.matrix for op in diagram_operators(d))
-
-    def word(ms):
-        p = ms[0]
-        for m in ms[1:]:
-            p = mat_mul(p, m)
-        return p
-
-    w1 = word([h1, h0, h2, h0])
-    w2 = word([h0, h2, h0, h1])
-    return mat_mul(w1, w1) == mat_mul(w2, w2)
+    return mat_prod([h1, h0, h2, h0] * 2) == mat_prod([h0, h2, h0, h1] * 2)
 
 
 def fold(d: Diagram, swap: tuple[str, str], sign_variant: int | None = None) -> Diagram:

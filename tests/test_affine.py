@@ -174,6 +174,15 @@ def test_reference_group_unknown_name():
         reference_group("K999")
 
 
+def test_reference_group_unknown_ring(monkeypatch):
+    from crystmono import affine
+
+    raw = dict(affine._raw_groups()["K3_3"], name="K3_3_bad", ring="Z[x]")
+    monkeypatch.setattr(affine, "_raw_groups", lambda: {"K3_3_bad": raw})
+    with pytest.raises(AffineError, match=r"unknown ring 'Z\[x\]'"):
+        reference_group("K3_3_bad")
+
+
 def test_g312_orbit_lattice_has_index_three():
     ref = reference_group("G312")
     field = ref.field

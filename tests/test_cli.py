@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from crystmono.cli import (
     main,
     show_diagram_payload,
 )
-from crystmono.monodromy import CheckResult, diagram, worst_verdict
+from crystmono.monodromy import CheckResult, DiagramError, diagram, worst_verdict
 
 
 def run(argv, capsys):
@@ -196,6 +197,18 @@ def test_no_unused_imports_in_the_package():
     assert not unused
 
 
+def test_ring_names_are_spelled_only_in_cyclo():
+    """Which field and generator a ring has is decided by cyclo.RING_GENERATORS alone."""
+    spelled = []
+    for path in sorted(Path(crystmono.__file__).parent.glob("*.py")):
+        if path.name == "cyclo.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in ("Z[w]", "Z[i]"):
+                spelled.append(f"{path.name}:{node.lineno}: {node.value}")
+    assert not spelled
+
+
 def test_show_then_verify_round_trips(capsys):
     code, out, _ = run(["show", "diagram", "P8divZ4"], capsys)
     assert code == 0
@@ -204,6 +217,15 @@ def test_show_then_verify_round_trips(capsys):
     rebuilt = diagram_from_payload(payload)
     args = build_parser().parse_args(["verify", "diagram", "P8divZ4"])
     assert diagram_report(rebuilt, args) == diagram_report(diagram("P8divZ4"), args)
+
+
+@pytest.mark.parametrize("key, value", [("ring", "Z[x]"), ("chi", "sideways")])
+def test_payload_with_unknown_ring_or_character_is_rejected(key, value, capsys):
+    code, out, _ = run(["show", "diagram", "P8divZ4"], capsys)
+    assert code == 0
+    payload = dict(json.loads(out), **{key: value})
+    with pytest.raises(DiagramError, match=re.escape(repr(value))):
+        diagram_from_payload(payload)
 
 
 def test_round_trip_preserves_the_conjugate_binding(capsys):

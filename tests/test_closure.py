@@ -24,11 +24,12 @@ from crystmono.affine import (
     lifted_quotient,
     linear_closure,
     reference_names,
+    reflection_order,
     verify_crystallographic,
 )
 from crystmono.cyclo import CycloField
 from crystmono.linalg import identity, mat_mul, mat_rank, mat_sub, matrix
-from crystmono.monodromy import diagram, diagram_names, quotient_basis
+from crystmono.monodromy import diagram, diagram_names, operator_order, quotient_basis
 
 F3, F4, F12, F72 = (CycloField(n) for n in (3, 4, 12, 72))
 
@@ -103,6 +104,7 @@ def test_is_reflection_is_the_rank_one_test(case):
     flags = [is_reflection(m) for m in group]
     assert flags == [_rank_one(m) for m in group]
     assert any(flags)
+    assert all(operator_order(m) == reflection_order(m) for m, flag in zip(group, flags) if flag)
 
 
 @pytest.mark.parametrize(

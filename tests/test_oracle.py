@@ -11,7 +11,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 import oracle_cyclo as O
-from crystmono.cyclo import CycloField, parse_value, render_value
+from crystmono.cyclo import CycloField, in_subring, parse_value, render_value
 from crystmono.linalg import ZLattice, _hnf, dot
 
 CONDUCTORS = [3, 4, 12, 72]
@@ -104,6 +104,25 @@ def test_dot_with_mixed_denominators_matches_the_oracle(uv):
     for x, y in zip(u[1:], v[1:]):
         expected = expected + twin(x) * twin(y)
     assert same(dot(tuple(u), tuple(v)), expected)
+
+
+@st.composite
+def _subring_cases(draw):
+    """(a + b*g) / d for a generator g of the field and d in {1, 2, 3}, or any value."""
+    n = draw(st.sampled_from(CONDUCTORS))
+    gens = [sym for sym, k in (("w", 3), ("i", 4)) if n % k == 0]
+    if not draw(st.booleans()):
+        return draw(_values(n))
+    g = parse_value(draw(st.sampled_from(gens)), CycloField(n))
+    a, b = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    return (a + b * g) / draw(st.sampled_from([1, 1, 2, 3]))
+
+
+@given(_subring_cases())
+@settings(max_examples=80, deadline=None)
+def test_subring_membership_matches_the_oracle(x):
+    for ring in ("Z", "Z[w]", "Z[i]"):
+        assert in_subring(x, ring) == O.in_subring(twin(x), ring)
 
 
 # -- lattices --------------------------------------------------------------
