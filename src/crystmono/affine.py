@@ -25,11 +25,13 @@ from .linalg import (
     dot,
     identity,
     identity_minus_outer,
+    is_reflection,
     is_zero_vector,
     mat_mul,
     mat_prod,
     mat_vec,
     matrix,
+    reflection_order,
     transpose,
     vec_add,
     vec_scale,
@@ -167,23 +169,6 @@ def linear_closure(generators, max_size: int = 2000) -> list[Matrix]:
     return order
 
 
-def is_reflection(m: Matrix) -> bool:
-    """True when m - I has rank one: a nonzero row r with r[c] != 0 and x[j]*r[c] = x[c]*r[j] for all rows x."""
-    one = m[0][0].field.one
-    a = [tuple(x - one if i == j else x for j, x in enumerate(row)) for i, row in enumerate(m)]
-    r = next((row for row in a if not is_zero_vector(row)), None)
-    if r is None:
-        return False
-    c = next(j for j, x in enumerate(r) if not x.is_zero())
-    return all(dot((x[j], -x[c]), (r[c], r[j])).is_zero() for x in a for j in range(len(r)))
-
-
-def reflection_order(m: Matrix) -> int:
-    """Order of a reflection of finite order: that of its eigenvalue other than 1,
-    tr m - (n - 1) (Lehrer-Taylor, Unitary Reflection Groups, 2009, ch. 1)."""
-    return (sum(row[k] for k, row in enumerate(m)) - (len(m) - 1)).multiplicative_order()
-
-
 def reflection_order_multiset(group) -> dict[int, int]:
     """Orders of all reflections in the group, with multiplicities."""
     out: dict[int, int] = {}
@@ -214,7 +199,7 @@ class ReferenceGroup:
     rank: int
     generators: tuple[PLOperator, ...]
     declared_order: int
-    declared_reflections: dict[str, int]
+    declared_reflections: dict[int, int]
     lattice_rule: dict
     provenance: str
 
@@ -229,6 +214,10 @@ def reference_names() -> tuple[str, ...]:
     return tuple(_raw_groups())
 
 
+# the lattice_rule kinds verify_crystallographic knows; root_orbit adds no claim of its own
+_LATTICE_RULES = ("ring", "order2_root_orbit", "root_orbit")
+
+
 @cached
 def reference_group(name: str) -> ReferenceGroup:
     """Load a crystallographic linear-part model and build its reflections."""
@@ -238,6 +227,11 @@ def reference_group(name: str) -> ReferenceGroup:
     field = ring_field(raw["ring"])
     if field is None:
         raise AffineError(f"{name}: unknown ring {raw['ring']!r}")
+    rule = raw["lattice_rule"]
+    if rule["kind"] not in _LATTICE_RULES:
+        raise AffineError(f"{name}: unknown lattice rule {rule['kind']!r}")
+    if rule["kind"] == "ring" and rule["ring"] not in RING_GENERATORS:
+        raise AffineError(f"{name}: unknown lattice ring {rule['ring']!r}")
     form = HermitianGram(matrix(field, raw["form"]))
     gens = tuple(
         pl_operator(form, vector(field, g["root"]), parse_value(g["eigenvalue"], field))
@@ -256,8 +250,8 @@ def reference_group(name: str) -> ReferenceGroup:
         rank=raw["rank"],
         generators=gens,
         declared_order=raw["order"],
-        declared_reflections=dict(raw["reflection_orders"]),
-        lattice_rule=raw["lattice_rule"],
+        declared_reflections={int(k): v for k, v in raw["reflection_orders"].items()},
+        lattice_rule=rule,
         provenance=raw["provenance"],
     )
 
@@ -459,6 +453,10 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_grou
     if expected_order != ref.declared_order:
         raise AffineError(
             f"{d.expected_group}: closure order {expected_order} contradicts declared {ref.declared_order}"
+        )
+    if ref_multiset != ref.declared_reflections:
+        raise AffineError(
+            f"{d.expected_group}: reflection orders {ref_multiset} contradict declared {ref.declared_reflections}"
         )
     checks.append(
         CheckResult(

@@ -141,7 +141,6 @@ def group_report(name: str, args) -> dict:
         closure, multiset = closure_summary(_reference_generators(name), args.max_group)
     except ClosureBoundError as exc:
         return _report(name, (_bound_check(exc),), group=name, timing=stop())
-    declared = {int(k): v for k, v in ref.declared_reflections.items()}
     checks = (
         CheckResult(
             "linear_order",
@@ -152,8 +151,8 @@ def group_report(name: str, args) -> dict:
         CheckResult(
             "reflection_multiset",
             "reflection orders with multiplicity match the declared counts",
-            "pass" if multiset == declared else "fail",
-            f"derived {multiset}, declared {declared}",
+            "pass" if multiset == ref.declared_reflections else "fail",
+            f"derived {multiset}, declared {ref.declared_reflections}",
         ),
     )
     return _report(name, checks, group=name, timing=stop())

@@ -13,6 +13,9 @@ a quadratic field (N in {3, 4, 6}), character bookkeeping needs N = 72.
 
 from __future__ import annotations
 
+import ast
+import operator
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -430,7 +433,7 @@ RING_GENERATORS = {"Z[w]": "w", "Z[i]": "i"}
 def ring_field(ring: str) -> CycloField | None:
     """Q(g) for the ring Z[g] of RING_GENERATORS, or None for an unknown ring."""
     sym = RING_GENERATORS.get(ring)
-    return None if sym is None else CycloField(_Parser._SYMBOL_DIV[sym])
+    return None if sym is None else CycloField(_SYMBOL_DIV[sym])
 
 
 def in_subring(x: CycloNum, ring: str) -> bool:
@@ -454,132 +457,78 @@ def in_subring(x: CycloNum, ring: str) -> bool:
 
 # -- the value grammar --------------------------------------------------
 #
-# Data files and the inspection commands speak a tiny expression language:
-# integers, + - * ^, parentheses, conj(...), and the symbols
-#   w  = zeta_3,  i = zeta_4,  e8 = zeta_8,  e9 = zeta_9,
-# plus "chi", bound by the caller. Everything a diagram needs is an
-# algebraic integer, so the grammar has no division.
+# Data files and the inspection commands speak a tiny expression language.
+# Once ^ is read as **, a value is a Python expression built only from
+#   decimal integers; the symbols w = zeta_3, i = zeta_4, e8 = zeta_8,
+#   e9 = zeta_9, and chi, bound by the caller; conj(x); parentheses;
+#   binary + - *; unary -; and x^k with k a literal integer, a minus
+#   written right before its digits if any (w^-2, not w^- 2 or w^(2)),
+# with Python's precedence: -w^2 is -(w^2). Everything a diagram needs is
+# an algebraic integer, so the grammar has no division. The text is ASCII;
+# spaces, tabs and form feeds separate tokens, and a line break may stand
+# only inside parentheses, nested at most 200 deep (Python's limit).
+# tests/test_oracle.py holds this reader to the recursive-descent parser in
+# tests/oracle_cyclo.py: on such text both read every string to the same
+# value, except three kinds that only the oracle reads: an integer with a
+# leading zero ("05"), a line break outside parentheses ("1 +\n2"), and a
+# second ^ after an inner unary minus ("2*-w^2^3", which the oracle reads
+# as 2*(-w^2)^3).
 
 
 class GrammarError(ValueError):
     pass
 
 
+_SYMBOL_DIV = {"w": 3, "i": 4, "e8": 8, "e9": 9}
+
+# what Python reads but the grammar does not: any other character, Python's
+# own **, digits running into a letter (0x1f, 1e3, 2w), a ^ not followed by
+# a literal integer, and a conj not followed by its parenthesis ("(conj)(w)")
+_NOT_GRAMMAR = re.compile(r"[^0-9A-Za-z+\-*^() \t\n\r\f]|\*\*|[0-9][A-Za-z]|\^(?!\s*-?[0-9])|conj(?!\s*\()")
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+
+@cached
 def parse_value(text: str, field: CycloField, chi: CycloNum | None = None) -> CycloNum:
-    return _Parser(text, field, chi).parse()
+    """The value of a grammar string in field, with chi standing for the given element."""
+    text = text.strip()
+    try:
+        if _NOT_GRAMMAR.search(text):
+            raise SyntaxError
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except SyntaxError:
+        raise GrammarError(f"not in the value grammar: {text!r}") from None
+    return _evaluate(tree.body, field, chi, text)
 
 
-class _Parser:
-    _SYMBOL_DIV = {"w": 3, "i": 4, "e8": 8, "e9": 9}
+def _evaluate(node: ast.expr, field: CycloField, chi: CycloNum | None, text: str) -> CycloNum:
+    """The value of one node of the parse tree; any node outside the grammar is a GrammarError."""
 
-    def __init__(self, text: str, field: CycloField, chi: CycloNum | None):
-        self.text = text
-        self.pos = 0
-        self.field = field
-        self.chi = chi
+    def value(sub: ast.expr) -> CycloNum:
+        return _evaluate(sub, field, chi, text)
 
-    def parse(self) -> CycloNum:
-        val = self._expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise GrammarError(f"trailing input at {self.pos}: {self.text!r}")
-        return val
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _expr(self) -> CycloNum:
-        ch = self._peek()
-        if ch == "-":
-            self.pos += 1
-            val = -self._term()
-        else:
-            val = self._term()
-        while True:
-            ch = self._peek()
-            if ch == "+":
-                self.pos += 1
-                val = val + self._term()
-            elif ch == "-":
-                self.pos += 1
-                val = val - self._term()
-            else:
-                return val
-
-    def _term(self) -> CycloNum:
-        val = self._factor()
-        while self._peek() == "*":
-            self.pos += 1
-            val = val * self._factor()
-        return val
-
-    def _factor(self) -> CycloNum:
-        base = self._atom()
-        if self._peek() == "^":
-            self.pos += 1
-            exp = self._integer()
-            return base**exp
-        return base
-
-    def _integer(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        if self._peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            raise GrammarError(f"expected integer at {start} in {self.text!r}")
-        return int(self.text[start:self.pos])
-
-    def _atom(self) -> CycloNum:
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
-            val = self._expr()
-            if self._peek() != ")":
-                raise GrammarError(f"missing ')' in {self.text!r}")
-            self.pos += 1
-            return val
-        if ch.isdigit():
-            return self.field.from_rational(self._integer())
-        if ch == "-":
-            # unary minus inside a factor: -w^2 parses as -(w^2)
-            self.pos += 1
-            return -self._factor()
-        name = self._name()
-        if name == "conj":
-            if self._peek() != "(":
-                raise GrammarError("conj needs parentheses")
-            self.pos += 1
-            val = self._expr()
-            if self._peek() != ")":
-                raise GrammarError(f"missing ')' in {self.text!r}")
-            self.pos += 1
-            return val.conjugate()
-        if name == "chi":
-            if self.chi is None:
-                raise GrammarError("no chi bound for this context")
-            return self.chi
-        if name in self._SYMBOL_DIV:
-            return self.field.root_of_unity(self._SYMBOL_DIV[name])
-        raise GrammarError(f"unknown symbol {name!r} in {self.text!r}")
-
-    def _name(self) -> str:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise GrammarError(f"unexpected character at {start} in {self.text!r}")
-        return self.text[start:self.pos]
+    if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
+        return _ARITHMETIC[type(node.op)](value(node.left), value(node.right))
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        exp, sign = node.right, 1
+        if isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub):
+            exp, sign = exp.operand, -1
+        if isinstance(exp, ast.Constant) and type(exp.value) is int:
+            return value(node.left) ** (sign * exp.value)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -value(node.operand)
+    elif isinstance(node, ast.Constant) and type(node.value) is int:
+        return field.from_rational(node.value)
+    elif isinstance(node, ast.Name) and node.id in _SYMBOL_DIV:
+        return field.root_of_unity(_SYMBOL_DIV[node.id])
+    elif isinstance(node, ast.Name) and node.id == "chi":
+        if chi is None:
+            raise GrammarError("no chi bound for this context")
+        return chi
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "conj":
+        if len(node.args) == 1 and not node.keywords:
+            return value(node.args[0]).conjugate()
+    raise GrammarError(f"{type(node).__name__} is not in the value grammar: {text!r}")
 
 
 # -- rendering back into the grammar -------------------------------------

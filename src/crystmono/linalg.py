@@ -109,6 +109,23 @@ def identity_minus_outer(c: CycloNum, u: Vector, w: Vector) -> Matrix:
     return tuple(vec_sub(e, vec_scale(c * x, w)) for e, x in zip(ident, u))
 
 
+def is_reflection(m: Matrix) -> bool:
+    """True when m - I has rank one: a nonzero row r with r[c] != 0 and x[j]*r[c] = x[c]*r[j] for all rows x."""
+    one = m[0][0].field.one
+    a = [tuple(x - one if i == j else x for j, x in enumerate(row)) for i, row in enumerate(m)]
+    r = next((row for row in a if not is_zero_vector(row)), None)
+    if r is None:
+        return False
+    c = next(j for j, x in enumerate(r) if not x.is_zero())
+    return all(dot((x[j], -x[c]), (r[c], r[j])).is_zero() for x in a for j in range(len(r)))
+
+
+def reflection_order(m: Matrix) -> int:
+    """Order of a reflection of finite order: that of its eigenvalue other than 1,
+    tr m - (n - 1) (Lehrer-Taylor, Unitary Reflection Groups, 2009, ch. 1)."""
+    return (sum(row[k] for k, row in enumerate(m)) - (len(m) - 1)).multiplicative_order()
+
+
 # -- elimination ----------------------------------------------------------
 #
 # Each runs on cyclo._echelon, the package's one Gauss-Jordan routine.

@@ -27,10 +27,12 @@ from .linalg import (
     conj_vector,
     identity,
     identity_minus_outer,
+    is_reflection,
     mat_mul,
     mat_prod,
     mat_vec,
     matrix,
+    reflection_order,
     vec_scale,
     vector,
 )
@@ -463,7 +465,7 @@ def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
     for op, cyc in zip(ops, d.cycles):
         if not q.gram.is_preserved_by(op.matrix):
             bad.append(f"{cyc.id}: form")
-        elif _order_or_none(op.matrix) != cyc.order:
+        elif not (is_reflection(op.matrix) and reflection_order(op.matrix) == cyc.order):
             bad.append(f"{cyc.id}: order")
         elif mat_vec(op.matrix, q.kernel) != q.kernel:
             bad.append(f"{cyc.id}: kernel moved")

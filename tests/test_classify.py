@@ -21,7 +21,7 @@ from crystmono.classify import (
     verify_table_row,
     versal_classes,
 )
-from crystmono.monodromy import diagram
+from crystmono.monodromy import diagram, diagram_names
 
 F = CHARACTER_FIELD
 W = F.zeta(24)  # primitive cube root
@@ -100,6 +100,14 @@ def test_versal_classes_match_tau_of_the_linked_diagram():
         pair = kernel_characters(row.case)
         for chi in pair:
             assert character_multiplicity(row.case, chi) == d.tau
+
+
+def test_table_and_diagrams_name_the_same_model():
+    """table1.json's group column and diagrams.json's expected_group state one mapping twice."""
+    linked = [row for row in table_rows() if row.diagram is not None]
+    assert sorted(row.diagram for row in linked) == sorted(diagram_names())
+    for row in linked:
+        assert row.group == diagram(row.diagram).expected_group, row.notation
 
 
 def test_multiplicities_sum_to_the_local_dimension():

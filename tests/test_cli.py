@@ -197,6 +197,17 @@ def test_no_unused_imports_in_the_package():
     assert not unused
 
 
+def test_no_dynamic_evaluation_in_the_package():
+    """No src module calls eval, exec, compile or __import__, so the value grammar stays a whitelist walk."""
+    calls = []
+    for path in sorted(Path(crystmono.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in ("eval", "exec", "compile", "__import__"):
+                    calls.append(f"{path.name}:{node.lineno}: {node.func.id}")
+    assert not calls
+
+
 def test_ring_names_are_spelled_only_in_cyclo():
     """Which field and generator a ring has is decided by cyclo.RING_GENERATORS alone."""
     spelled = []
@@ -207,6 +218,43 @@ def test_ring_names_are_spelled_only_in_cyclo():
             if isinstance(node, ast.Constant) and node.value in ("Z[w]", "Z[i]"):
                 spelled.append(f"{path.name}:{node.lineno}: {node.value}")
     assert not spelled
+
+
+@pytest.fixture
+def patched_group(monkeypatch):
+    """Serve reference_groups.json with one model's entry changed, from cold caches."""
+    from crystmono import affine, cli
+
+    def patch(name, **fields):
+        groups = dict(affine._raw_groups())
+        groups[name] = dict(groups[name], **fields)
+        for module in (affine, cli):
+            monkeypatch.setattr(module, "_raw_groups", lambda: groups)
+        crystmono.clear_caches()
+
+    yield patch
+    crystmono.clear_caches()
+
+
+def test_unknown_lattice_ring_is_a_data_error(patched_group, capsys):
+    patched_group("K3_6", lattice_rule={"kind": "ring", "ring": "Z[x]"})
+    code, _, err = run(["show", "group", "K3_6"], capsys)
+    assert code == 2
+    assert "K3_6: unknown lattice ring 'Z[x]'" in err
+
+
+def test_unknown_lattice_rule_is_a_data_error(patched_group, capsys):
+    patched_group("K3_6", lattice_rule={"kind": "rng", "ring": "Z[w]"})
+    code, _, err = run(["verify", "diagram", "P8Z6_prime"], capsys)
+    assert code == 2
+    assert "K3_6: unknown lattice rule 'rng'" in err
+
+
+def test_model_contradicting_its_reflection_counts_is_a_data_error(patched_group, capsys):
+    patched_group("K5", reflection_orders={"2": 99})
+    code, _, err = run(["verify", "diagram", "C3_33"], capsys)
+    assert code == 2
+    assert "K5: reflection orders {3: 16} contradict declared {2: 99}" in err
 
 
 def test_show_then_verify_round_trips(capsys):

@@ -5,13 +5,16 @@ crystmono.cyclo and once in the oracle, and each operation must give the
 same rational coefficients in both.
 """
 
+import json
 from fractions import Fraction
+from importlib import resources
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_cyclo as O
-from crystmono.cyclo import CycloField, in_subring, parse_value, render_value
+from crystmono.cyclo import CycloField, GrammarError, in_subring, parse_value, render_value
 from crystmono.linalg import ZLattice, _hnf, dot
 
 CONDUCTORS = [3, 4, 12, 72]
@@ -104,6 +107,115 @@ def test_dot_with_mixed_denominators_matches_the_oracle(uv):
     for x, y in zip(u[1:], v[1:]):
         expected = expected + twin(x) * twin(y)
     assert same(dot(tuple(u), tuple(v)), expected)
+
+
+# -- the value grammar ------------------------------------------------------
+#
+# The oracle's parse_value is the hand-written recursive-descent parser that
+# the ast walk replaced. The walk may reject what the oracle read, in the
+# three kinds pinned below, but never read a string differently.
+
+
+def _read(parse, text, field, chi):
+    """parse(text, field, chi), or None when the text is rejected."""
+    try:
+        return parse(text, field, chi)
+    except (ValueError, ZeroDivisionError):  # GrammarError is a ValueError in both
+        return None
+
+
+def _strings(node):
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for v in node.values():
+            yield from _strings(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _strings(v)
+
+
+def _data_strings():
+    texts = set()
+    for name in ("diagrams.json", "reference_groups.json", "table1.json", "pproj.json"):
+        texts |= set(_strings(json.loads(resources.files("crystmono").joinpath(f"data/{name}").read_text())))
+    return sorted(texts)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_every_data_string_parses_as_in_the_oracle(n):
+    """Every string of the four data files, value or not, in each conductor."""
+    field, chi = CycloField(n), CycloField(n).zeta(5)
+    for text in _data_strings():
+        x = _read(parse_value, text, field, chi)
+        ox = _read(O.parse_value, text, O.CycloField(n), twin(chi))
+        assert (x is None) == (ox is None), text
+        assert x is None or same(x, ox), text
+
+
+_LEAVES = st.one_of(st.integers(0, 30).map(str), st.sampled_from(["w", "i", "e8", "e9", "chi"]))
+_GRAMMAR_TEXT = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        inner.map("-{}".format),
+        inner.map("({})".format),
+        inner.map("conj({})".format),
+        st.tuples(inner, st.sampled_from(["+", "-", "*", " + ", " - ", " * "]), inner).map("".join),
+        st.tuples(inner, st.sampled_from(["^", "^-", "^ "]), st.integers(0, 4).map(str)).map("".join),
+    ),
+    max_leaves=8,
+)
+_PIECES = [*"0123456789", "w", "i", "e8", "e9", "conj", "chi", *"+-*^()/._x", " ", "\n"]
+
+
+@st.composite
+def _mutated_text(draw):
+    """A grammar string with up to three pieces inserted, deleted or replaced."""
+    text = draw(_GRAMMAR_TEXT)
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(text)))
+        cut = draw(st.sampled_from([0, 1]))
+        text = text[:k] + draw(st.sampled_from(_PIECES + [""])) + text[k + cut :]
+    return text
+
+
+@given(_mutated_text(), st.sampled_from(CONDUCTORS))
+@settings(max_examples=400, deadline=None)
+def test_parse_reads_nothing_the_oracle_does_not(text, n):
+    field = CycloField(n)
+    chi = field.zeta(5)
+    x = _read(parse_value, text, field, chi)
+    if x is not None:
+        assert same(x, O.parse_value(text, O.CycloField(n), twin(chi)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["w^(2)", "w**2", "w^- 2", "1^- 2", "0x1f", "1_0", "True", "__import__('os')", "conj(w, i)", "(1)(2)", "w.real",
+     "(conj)(w)", "conj(w,)", "conj(*w)", "2w", "1e3"],
+)
+def test_parse_rejects_python_beyond_the_grammar(text):
+    with pytest.raises(GrammarError):
+        parse_value(text, CycloField(12))
+
+
+@pytest.mark.parametrize(
+    "text, oracle_value",
+    [
+        ("05", "5"),  # an integer with a leading zero
+        ("1 +\n2", "3"),  # a line break outside parentheses
+        ("2*-w^2^3", "2*(-w^2)^3"),  # a second ^ after an inner unary minus
+    ],
+)
+def test_the_three_kinds_the_oracle_read_are_rejected(text, oracle_value):
+    field = CycloField(3)
+    assert same(parse_value(oracle_value, field), O.parse_value(text, O.CycloField(3)))
+    with pytest.raises(GrammarError):
+        parse_value(text, field)
+
+
+def test_line_breaks_inside_parentheses_still_parse():
+    assert parse_value("(1 +\n2)", CycloField(3)) == 3
 
 
 @st.composite
