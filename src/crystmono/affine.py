@@ -4,9 +4,11 @@ Every diagram operator fixes the quotient kernel vector, so it acts on
 the hyperplane of dual vectors taking a fixed value alpha0 on the kernel
 generator.  Writing the quotient basis as (kernel, e_1..e_n), each
 reflection induces an affine isometry of that hyperplane; the group they
-generate is compared against one of seven crystallographic models: a
-finite linear part re-derived by closure plus a full-rank invariant
-translation lattice certified by exact integer lattice arithmetic.
+generate is tied to one of seven crystallographic models.  One invertible
+X conjugates the kept linear parts, generator by generator, onto the
+model's stored generators, so the linear group is the model group, which
+alone is closed; the translation lattice is built by saturation under the
+generators and certified by exact integer lattice arithmetic.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from itertools import permutations
+from math import gcd, lcm
 
 from .cyclo import RING_GENERATORS, CycloField, CycloNum, cached, parse_value, render_value, ring_field
 from .linalg import (
@@ -21,17 +25,22 @@ from .linalg import (
     Matrix,
     Vector,
     ZLattice,
+    conj_matrix,
     conj_vector,
+    det,
     dot,
     identity,
     identity_minus_outer,
+    intertwiners,
     is_reflection,
     is_zero_vector,
+    mat_inverse,
     mat_mul,
     mat_prod,
     mat_vec,
     matrix,
     reflection_order,
+    trace,
     transpose,
     vec_add,
     vec_scale,
@@ -169,12 +178,34 @@ def linear_closure(generators, max_size: int = 2000) -> list[Matrix]:
     return order
 
 
+def _root_orders(field: CycloField) -> dict[CycloNum, int]:
+    """Every root of unity of the field other than 1, with its order.
+
+    They are the powers of zeta_n, or of -zeta_n, of order 2n, when n is odd.
+    """
+    n = field.n if field.n % 2 == 0 else 2 * field.n
+    z = field.zeta() if field.n % 2 == 0 else -field.zeta()
+    out, x = {}, field.one
+    for j in range(1, n):
+        x = x * z
+        out[x] = n // gcd(j, n)
+    return out
+
+
 def reflection_order_multiset(group) -> dict[int, int]:
-    """Orders of all reflections in the group, with multiplicities."""
+    """Orders of all reflections in the group, with multiplicities.
+
+    A reflection's trace is (n - 1) + lambda, its eigenvalue lambda being a
+    root of unity other than 1 whose order is the reflection's, so only the
+    elements whose tr m - (n - 1) is such a root get the rank-one test.
+    """
+    group = list(group)
+    n = len(group[0])
+    orders = _root_orders(group[0][0][0].field)
     out: dict[int, int] = {}
     for m in group:
-        if is_reflection(m):
-            k = reflection_order(m)
+        k = orders.get(trace(m) - (n - 1))
+        if k is not None and is_reflection(m):
             out[k] = out.get(k, 0) + 1
     return out
 
@@ -264,6 +295,26 @@ def _reference_generators(name: str) -> tuple[Matrix, ...]:
     return tuple(g.matrix for g in reference_group(name).generators)
 
 
+def saturate(lattice: ZLattice, mats, max_rounds: int) -> tuple[ZLattice, int]:
+    """The smallest lattice containing `lattice` and carried into itself by
+    every matrix in `mats`, and the rounds it took.
+
+    Each round adds the images of the current HNF basis, and the first
+    round that adds nothing ends it.  When `mats` generate a finite group G,
+    every element is a word of at most |G| - 1 letters, so the result is
+    the Z-span of the G-orbit of `lattice`, reached within |G| rounds.
+    Past `max_rounds` rounds ClosureBoundError is raised, which also stops
+    a generator of infinite order whose orbit spans no lattice.
+    """
+    for rounds in range(1, max_rounds + 1):
+        basis = lattice.basis_vectors()
+        grown = ZLattice(lattice.field, lattice.dim, basis + [mat_vec(m, v) for m in mats for v in basis])
+        if grown == lattice:
+            return lattice, rounds
+        lattice = grown
+    raise ClosureBoundError(f"lattice saturation exceeds {max_rounds} rounds")
+
+
 @dataclass(frozen=True)
 class TranslationReport:
     invariance: bool
@@ -273,28 +324,31 @@ class TranslationReport:
     witness: str
 
 
-def translation_subgroup(group, gens, lattice: ZLattice) -> TranslationReport:
+def translation_subgroup(gens, lattice: ZLattice, in_group, max_rounds: int = 2000) -> TranslationReport:
     """Certify the candidate lattice against the affine group's translations.
 
-    Precondition: `group` is the linear closure of the linear parts of
-    generators whose translation is zero (the kept reflections), so every
-    (m, 0) with m in `group` lies in G = <gens>.  The translations T form the kernel of the
-    linear-part map of G, so the cosets of T are indexed by linear parts,
-    and those (m, 0) are a transversal exactly when every generator's linear
-    part lies in `group`; generators for which that fails are counted as
-    escaped.  Schreier's lemma (Seress, Permutation Group Algorithms, 2003,
-    4.2; Holt-Eick-O'Brien, Handbook of Computational Group Theory, 2005,
-    2.4) holds for any transversal containing the identity: T is generated
-    by (m, 0) * s * (m A, 0)^-1 for m in `group` and generators s = (A, t),
-    which is the translation by m t.
+    Precondition: the linear parts of the generators whose translation is
+    zero (the kept reflections) generate a finite group L, so every (m, 0)
+    with m in L lies in G = <gens>; `in_group(m)` decides whether m lies in
+    L, and is None when nothing decides it.  The translations T form the
+    kernel of the linear-part map of G, so the cosets of T are indexed by
+    linear parts, and the (m, 0) are a transversal exactly when every
+    generator's linear part lies in L; generators for which that fails are
+    counted as escaped.  Schreier's lemma (Seress, Permutation Group
+    Algorithms, 2003, 4.2; Holt-Eick-O'Brien, Handbook of Computational
+    Group Theory, 2005, 2.4) holds for any transversal containing the
+    identity: T is generated by (m, 0) * s * (m A, 0)^-1 for m in L and
+    generators s = (A, t), which is the translation by m t.  The span of
+    those is the L-orbit span of the shifts t, which `saturate` builds
+    under L's generators without listing L.
 
     invariance: each generator's linear part maps the lattice onto itself.
-    containment: nothing escaped and every Schreier translation lies in the
-      lattice; every element of G is a translation in T times some (m, 0),
-      so then all its translations do.
-    fullness: nothing escaped and the Schreier translations span exactly
-      the lattice.
-    states: the number of linear parts, the size of the transversal.
+    containment: nothing escaped and the Schreier span lies in the lattice;
+      every element of G is a translation in T times some (m, 0), so then
+      all its translations do.
+    fullness: nothing escaped and the Schreier span is exactly the lattice.
+    Without `in_group` both are inconclusive.
+    states: the saturation rounds that built the Schreier span.
     """
     gens = list(gens)
     if not gens:
@@ -304,24 +358,80 @@ def translation_subgroup(group, gens, lattice: ZLattice) -> TranslationReport:
 
     invariance = all(lattice.transformed(g.linear) == lattice for g in gens)
 
-    members = set(group)
-    escaped = sum(g.linear not in members for g in gens)
+    linear = [g.linear for g in gens if is_zero_vector(g.translation)]
     shifts = [g.translation for g in gens if not is_zero_vector(g.translation)]
-    schreier = {mat_vec(m, t) for m in group for t in shifts}
+    span, rounds = saturate(ZLattice(field, n, shifts), linear, max_rounds)
+    if in_group is None:
+        witness = "no test of membership in the linear group"
+        return TranslationReport(invariance, "inconclusive", "inconclusive", rounds, witness)
 
-    outside = sum(not lattice.member(t) for t in schreier)
-    spans = ZLattice(field, n, schreier) == lattice
+    escaped = sum(not in_group(g.linear) for g in gens)
+    outside = sum(not lattice.member(v) for v in span.basis_vectors())
+    spans = span == lattice
     if escaped:
         witness = f"linear part outside the group for {escaped} of {len(gens)} generators"
     elif outside:
-        witness = f"{outside} Schreier translations outside the lattice"
+        witness = f"{outside} of {span.rank} basis vectors of the Schreier span outside the lattice"
     elif not spans:
-        witness = f"{len(schreier)} Schreier translations span a proper sublattice"
+        witness = f"the Schreier span, saturated in {rounds} rounds, is a proper sublattice"
     else:
-        witness = f"{len(schreier)} distinct Schreier translations span it"
+        witness = f"the Schreier span, saturated in {rounds} rounds, is the lattice"
     containment = "fail" if escaped or outside else "pass"
     fullness = "pass" if not escaped and spans else "fail"
-    return TranslationReport(invariance, containment, fullness, len(group), witness)
+    return TranslationReport(invariance, containment, fullness, rounds, witness)
+
+
+@dataclass(frozen=True)
+class Conjugacy:
+    """X g_i X^-1 = targets[pi[i]] for every kept generator g_i, or pi and
+    x None when no trace-matched bijection gives an invertible X; `tries`
+    counts the bijections whose linear system was solved."""
+
+    pi: tuple[int, ...] | None
+    x: Matrix | None
+    tries: int
+
+
+def find_conjugacy(gens, targets) -> Conjugacy:
+    """An invertible X with X g_i = targets[pi(i)] X for every i, over the
+    bijections pi, in lexicographic order, under which traces agree.
+
+    Each pi costs one nullspace solve in the n^2 entries of X.  The targets
+    generate a finite group, and for the seven models an absolutely
+    irreducible one, so only the scalars commute with it.  Then the image
+    of a solution Y is kept by every target, so Y is 0 or invertible, and
+    for invertible solutions Y, Y' the product Y' Y^-1 commutes with every
+    target and is a scalar: the solutions form at most one line.  A larger
+    solution space means targets outside that case, and AffineError is
+    raised rather than a verdict given.  X is scaled to clear its
+    denominators.
+    """
+    gens, targets = list(gens), list(targets)
+    tries = 0
+    if len(gens) == len(targets):
+        gen_traces = [trace(g) for g in gens]
+        target_traces = [trace(t) for t in targets]
+        for pi in permutations(range(len(targets))):
+            if any(tg != target_traces[p] for tg, p in zip(gen_traces, pi)):
+                continue
+            tries += 1
+            space = intertwiners(gens, [targets[p] for p in pi])
+            if len(space) > 1:
+                raise AffineError(f"the targets commute with more than the scalars: {len(space)} independent intertwiners")
+            if space and not det(space[0]).is_zero():
+                c = lcm(*(x.den for row in space[0] for x in row))
+                return Conjugacy(pi, tuple(vec_scale(c, row) for row in space[0]), tries)
+    return Conjugacy(None, None, tries)
+
+
+def _in_field(m: Matrix, field: CycloField) -> Matrix:
+    """m with its entries embedded into `field`."""
+    src = m[0][0].field
+    return m if src is field else tuple(tuple(src.embed(x, field) for x in row) for row in m)
+
+
+def _render_matrix(m: Matrix) -> str:
+    return "[" + ", ".join("[" + ", ".join(render_value(x) for x in row) + "]" for row in m) + "]"
 
 
 # word identities expressing the kernel correction a through the V-side
@@ -379,6 +489,7 @@ class CaseReport:
     alpha0: str
     checks: tuple[CheckResult, ...]
     lattice: ZLattice | None
+    conjugacy: Conjugacy
 
     @property
     def verdict(self) -> str:
@@ -416,6 +527,10 @@ def _kept_indices(d: Diagram, q: Quotient) -> list[int]:
 def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_group: int = 2000) -> CaseReport:
     """Run every check tying the diagram's dual action to its crystallographic model.
 
+    Only the model's group is closed, under `max_group`.  The diagram's
+    linear group is tied to it by find_conjugacy, and its lattices are
+    built by saturation, capped at `max_group` rounds.  Without a conjugacy
+    the group claims fail and the membership claims are inconclusive.
     An alpha0 from a larger field than the diagram's lifts the run into it.
     """
     if d.expected_group is None:
@@ -447,7 +562,6 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_grou
         )
     )
 
-    group, multiset = closure_summary(tuple(duals[j].linear for j in kept), max_group)
     ref_group, ref_multiset = closure_summary(_reference_generators(d.expected_group), max_group)
     expected_order = len(ref_group)
     if expected_order != ref.declared_order:
@@ -458,37 +572,64 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_grou
         raise AffineError(
             f"{d.expected_group}: reflection orders {ref_multiset} contradict declared {ref.declared_reflections}"
         )
+
+    # the dual reflections carry conj(lambda), so for the primary character
+    # the kept linear parts match the model's generators entrywise conjugated
+    conj = d.chi_label == "primary"
+    targets = [_in_field(conj_matrix(g) if conj else g, field) for g in _reference_generators(d.expected_group)]
+    kept_linear = [duals[j].linear for j in kept]
+    cert = find_conjugacy(kept_linear, targets)
+    model = f"{'the conjugates of ' if conj else ''}the stored generators of {d.expected_group}"
+    in_group = None
+    if cert.x is not None:
+        x, x_inv = cert.x, mat_inverse(cert.x)
+        members = ref_group if field is ref.field else [_in_field(m, field) for m in ref_group]
+
+        def in_group(m: Matrix) -> bool:
+            y = mat_prod([x, m, x_inv])
+            return (conj_matrix(y) if conj else y) in members
+
+        pairs = ", ".join(f"{q.labels[j]}->{p}" for j, p in zip(kept, cert.pi))
+        witness = f"pi: {pairs}; X = {_render_matrix(cert.x)}; bijections solved: {cert.tries}"
+    else:
+        witness = f"no invertible X for the {cert.tries} trace-matched bijections"
     checks.append(
         CheckResult(
             "linear_order",
-            f"linear parts generate a group of order {expected_order}, matching {d.expected_group}",
-            "pass" if len(group) == expected_order else "fail",
-            f"closure has {len(group)} elements",
+            f"one invertible X conjugates the kept linear parts, one by one, onto {model}, "
+            f"so they generate a group of order {expected_order}",
+            "pass" if cert.x is not None else "fail",
+            witness,
         )
     )
 
     checks.append(
         CheckResult(
             "reflection_multiset",
-            f"reflection orders with multiplicity match {d.expected_group}",
-            "pass" if multiset == ref_multiset else "fail",
-            f"dual side {multiset}, model side {ref_multiset}",
+            f"that X carries the linear group onto {d.expected_group}, "
+            f"so its reflection orders with multiplicity are {ref_multiset}",
+            "pass" if cert.x is not None else "fail",
+            f"model side {ref_multiset}" if cert.x is not None else "no conjugacy to carry them",
         )
     )
 
-    group_set = set(group)
-    outside = [q.labels[j] for j in range(len(duals)) if j not in kept and duals[j].linear not in group_set]
+    if in_group is None:
+        verdict, witness = "inconclusive", "no conjugacy to test membership"
+    else:
+        outside = [q.labels[j] for j in range(len(duals)) if j not in kept and not in_group(duals[j].linear)]
+        verdict = "fail" if outside else "pass"
+        witness = f"outside: {', '.join(outside)}" if outside else "all omitted linear parts found"
     checks.append(
         CheckResult(
             "omitted_in_closure",
             "linear parts of the omitted reflections already lie in the linear group",
-            "fail" if outside else "pass",
-            f"outside: {', '.join(outside)}" if outside else "all omitted linear parts found",
+            verdict,
+            witness,
         )
     )
 
     t0 = duals[q.omitted_index].translation
-    lattice = ZLattice(field, frame.n, [mat_vec(m, t0) for m in group])
+    lattice, _ = saturate(ZLattice(field, frame.n, [t0]), kept_linear, max_group)
     full = lattice.rank == 2 * frame.n
     checks.append(
         CheckResult(
@@ -499,7 +640,7 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_grou
         )
     )
 
-    trep = translation_subgroup(group, duals, lattice)
+    trep = translation_subgroup(duals, lattice, in_group, max_group)
     checks.append(
         CheckResult(
             "lattice_invariant",
@@ -513,7 +654,9 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_grou
             "translations_contained",
             "every translation arising in the affine group lies in the lattice",
             trep.containment,
-            trep.witness if trep.containment != "pass" else f"{trep.states} affine cosets enumerated",
+            trep.witness
+            if trep.containment != "pass"
+            else f"the Schreier span, saturated in {trep.states} rounds, lies in it",
         )
     )
     checks.append(
@@ -567,6 +710,7 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_grou
         alpha0=render_value(frame.alpha0),
         checks=tuple(checks),
         lattice=lattice,
+        conjugacy=cert,
     )
 
 

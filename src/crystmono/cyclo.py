@@ -211,15 +211,11 @@ class CycloField:
             raise ValueError(f"zeta_{k} does not live in Q(zeta_{self.n})")
         return self.zeta((self.n // k) * power)
 
-    # Familiar named roots, available when the conductor admits them.
+    # The named root w = zeta_3, available when the conductor admits it.
 
     @property
     def omega(self) -> "CycloNum":
         return self.root_of_unity(3)
-
-    @property
-    def i(self) -> "CycloNum":
-        return self.root_of_unity(4)
 
     def galois(self, x: "CycloNum", k: int) -> "CycloNum":
         """The automorphism zeta -> zeta^k, for gcd(k, n) = 1."""

@@ -99,14 +99,14 @@ def is_zero_vector(v: Vector) -> bool:
     return all(x.is_zero() for x in v)
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b))
-
-
 def identity_minus_outer(c: CycloNum, u: Vector, w: Vector) -> Matrix:
     """I - c u w^T, the shape of every complex reflection built here."""
     ident = identity(c.field, len(u))
     return tuple(vec_sub(e, vec_scale(c * x, w)) for e, x in zip(ident, u))
+
+
+def trace(m: Matrix) -> CycloNum:
+    return sum(row[k] for k, row in enumerate(m))
 
 
 def is_reflection(m: Matrix) -> bool:
@@ -123,7 +123,7 @@ def is_reflection(m: Matrix) -> bool:
 def reflection_order(m: Matrix) -> int:
     """Order of a reflection of finite order: that of its eigenvalue other than 1,
     tr m - (n - 1) (Lehrer-Taylor, Unitary Reflection Groups, 2009, ch. 1)."""
-    return (sum(row[k] for k, row in enumerate(m)) - (len(m) - 1)).multiplicative_order()
+    return (trace(m) - (len(m) - 1)).multiplicative_order()
 
 
 # -- elimination ----------------------------------------------------------
@@ -159,6 +159,24 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     n = len(a[0])
     v = next((v for v in nullspace(tuple(tuple(r) + (-bv,) for r, bv in zip(a, b))) if v[n] == 1), None)
     return None if v is None else v[:n]
+
+
+def intertwiners(gens: Sequence[Matrix], targets: Sequence[Matrix]) -> list[Matrix]:
+    """Basis of {X : X g_i = t_i X for every i}: the nullspace of one linear
+    system in the n^2 entries of X, X[a][b] standing at a * n + b."""
+    field = gens[0][0][0].field
+    n = len(gens[0])
+    rows = []
+    for g, t in zip(gens, targets):
+        for r in range(n):
+            for c in range(n):
+                # (X g - t X)[r][c] = sum_k X[r][k] g[k][c] - t[r][k] X[k][c]
+                row = [field.zero] * (n * n)
+                for k in range(n):
+                    row[r * n + k] += g[k][c]
+                    row[k * n + c] -= t[r][k]
+                rows.append(tuple(row))
+    return [tuple(v[a * n : (a + 1) * n] for a in range(n)) for v in nullspace(tuple(rows))]
 
 
 def mat_inverse(a: Matrix) -> Matrix:

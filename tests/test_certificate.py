@@ -1,0 +1,279 @@
+"""The closure-free diagram side against closure-built oracles.
+
+`verify_crystallographic` does not list a diagram's linear group: it finds
+an invertible X conjugating the kept linear parts onto the model's stored
+generators, and builds the orbit lattice and the Schreier span by
+saturation.  Here the breadth-first closure of oracle_closure.py lists the
+group anyway, for every diagram in both characters and for every run of
+the dilation check (the Z[i] diagrams lifted to Q(zeta12)), and the
+lattices and the certificate are checked against it.
+"""
+
+from fractions import Fraction
+from functools import cache
+
+import pytest
+
+import oracle_closure as O
+from crystmono import affine, clear_caches
+from crystmono.affine import (
+    AffineError,
+    AffineIsometry,
+    ClosureBoundError,
+    Conjugacy,
+    DualFrame,
+    _kept_indices,
+    _reference_generators,
+    find_conjugacy,
+    lifted_quotient,
+    reference_group,
+    saturate,
+    translation_subgroup,
+    verify_crystallographic,
+)
+from crystmono.cli import main
+from crystmono.cyclo import CycloField
+from crystmono.linalg import ZLattice, conj_matrix, det, is_zero_vector, mat_inverse, mat_mul, mat_prod, mat_vec, matrix
+from crystmono.monodromy import diagram, diagram_names, quotient_basis
+
+F3, F12 = CycloField(3), CycloField(12)
+
+
+def _runs():
+    """(name, chi, alpha0 tag): the default run and the dilated run, and for
+    the Z[i] diagrams the base run of the dilation check, lifted to Q(zeta12);
+    for the others that base run is the default run."""
+    runs = []
+    for name in diagram_names():
+        tags = (None, "dilated") if diagram(name).field.n % 3 == 0 else (None, "base", "dilated")
+        runs += [(name, chi, tag) for chi in ("primary", "conj") for tag in tags]
+    return runs
+
+
+def _alpha0(d, tag):
+    work = d.field if d.field.n % 3 == 0 else F12
+    return {None: None, "base": work.one, "dilated": work.one - work.omega}[tag]
+
+
+def _ids(run):
+    name, chi, tag = run
+    return f"{name}-{chi}" + (f"-{tag}" if tag else "")
+
+
+@cache
+def _setting(name, chi, tag):
+    """The run's duals and kept indices, rebuilt as verify_crystallographic builds them."""
+    d = diagram(name, chi)
+    alpha0 = _alpha0(d, tag)
+    q = quotient_basis(d)
+    if alpha0 is not None and alpha0.field is not q.field:
+        q = lifted_quotient(q, alpha0.field)
+    frame = DualFrame(q, alpha0)
+    duals = [frame.dual_reflection(r, lam) for r, lam in zip(q.roots, q.eigenvalues)]
+    return d, alpha0, q, frame, duals, _kept_indices(d, q)
+
+
+@cache
+def _oracle_group(name, chi, field_n):
+    """BFS closure of the kept linear parts; they do not depend on alpha0."""
+    tag = None if field_n == diagram(name, chi).field.n else "base"
+    _, _, _, _, duals, kept = _setting(name, chi, tag)
+    return tuple(O.linear_closure([duals[j].linear for j in kept]))
+
+
+@pytest.mark.parametrize("run", _runs(), ids=_ids)
+def test_certificate_and_saturated_lattices_match_the_closure_oracle(run):
+    d, alpha0, q, frame, duals, kept = _setting(*run)
+    field = q.field
+    rep = verify_crystallographic(d, alpha0)
+    assert rep.verdict == "pass"
+    group = _oracle_group(run[0], run[1], field.n)
+    ref = reference_group(d.expected_group)
+    assert len(group) == ref.declared_order
+
+    # the certificate, re-checked from the stored generators
+    cert = rep.conjugacy
+    x = cert.x
+    assert not det(x).is_zero()
+    x_inv = mat_inverse(x)
+    for j, p in zip(kept, cert.pi):
+        rho = tuple(tuple(ref.field.embed(c, field) for c in row) for row in ref.generators[p].matrix)
+        if d.chi_label == "primary":
+            rho = conj_matrix(rho)
+        assert mat_prod([x, duals[j].linear, x_inv]) == rho
+
+    # the orbit lattice and the Schreier span, from every listed element
+    t0 = duals[q.omitted_index].translation
+    assert rep.lattice == ZLattice(field, frame.n, [mat_vec(m, t0) for m in group])
+    shifts = [g.translation for g in duals if not is_zero_vector(g.translation)]
+    schreier = ZLattice(field, frame.n, {mat_vec(m, t) for m in group for t in shifts})
+    kept_linear = [duals[j].linear for j in kept]
+    span, rounds = saturate(ZLattice(field, frame.n, shifts), kept_linear, len(group))
+    assert span == schreier == rep.lattice
+    members = set(group)
+    trep = translation_subgroup(duals, rep.lattice, members.__contains__)
+    assert (trep.containment, trep.fullness, trep.states) == ("pass", "pass", rounds)
+    assert all(duals[j].linear in members for j in range(len(duals)) if j not in kept)
+
+
+def test_saturation_rounds_are_bounded():
+    ident = matrix(F3, [[1, 0], [0, 1]])
+    start = ZLattice(F3, 2, [(F3.one, F3.zero)])
+    swap = matrix(F3, [[0, 1], [1, 0]])
+    assert saturate(start, [swap], 2) == (ZLattice(F3, 2, [(F3.one, F3.zero), (F3.zero, F3.one)]), 2)
+    assert saturate(start, [ident], 1) == (start, 1)
+    with pytest.raises(ClosureBoundError, match="lattice saturation exceeds 1 rounds"):
+        saturate(start, [swap], 1)
+    # halving spans no lattice: stopped at the bound
+    with pytest.raises(ClosureBoundError, match="lattice saturation exceeds 30 rounds"):
+        saturate(start, [matrix(F3, [[Fraction(1, 2), 0], [0, 1]])], 30)
+
+
+def test_find_conjugacy_on_hand_made_generators():
+    a, b = _reference_generators("K5")
+    y = matrix(F3, [[1, "w"], [0, 2]])
+    y_inv = mat_inverse(y)
+    gens = [mat_prod([y_inv, b, y]), mat_prod([y_inv, a, y])]
+    cert = find_conjugacy(gens, [a, b])
+    # a and b are swapped by a conjugation as well, so the first bijection serves
+    assert (cert.pi, cert.tries) == ((0, 1), 1)
+    assert [mat_prod([cert.x, g, mat_inverse(cert.x)]) for g in gens] == [a, b]
+    assert find_conjugacy(gens, [a]) == Conjugacy(None, None, 0)
+    # diagonal targets commute with more than the scalars: no verdict
+    d1, d2 = matrix(F3, [["w", 0], [0, 1]]), matrix(F3, [[1, 0], [0, "w"]])
+    with pytest.raises(AffineError, match="commute with more than the scalars: 2 independent"):
+        find_conjugacy([d1, d2], [d1, d2])
+
+
+_dual_reflection = DualFrame.dual_reflection  # unpatched
+
+
+def _tamper_first_kept(monkeypatch, name, change):
+    """Serve change(frame, root, eigenvalue, other) in place of the dual
+    reflection along the first kept root of `name` (primary character);
+    `other` is the last kept root."""
+    d = diagram(name)
+    q = quotient_basis(d)
+    kept = _kept_indices(d, q)
+    first, other = q.roots[kept[0]], q.roots[kept[-1]]
+
+    def patched(self, root, eigenvalue):
+        if root != first:
+            return _dual_reflection(self, root, eigenvalue)
+        return change(self, root, eigenvalue, other)
+
+    monkeypatch.setattr(DualFrame, "dual_reflection", patched)
+
+
+def _spy_closures(monkeypatch):
+    """Record the generators of every linear closure, from empty caches."""
+    calls = []
+    dimino = affine.linear_closure
+
+    def spy(gens, max_size=2000):
+        calls.append(tuple(gens))
+        return dimino(gens, max_size)
+
+    monkeypatch.setattr(affine, "linear_closure", spy)
+    clear_caches()
+    return calls
+
+
+def _squared(frame, root, eigenvalue, _other):
+    g = _dual_reflection(frame, root, eigenvalue)
+    return AffineIsometry(mat_mul(g.linear, g.linear), g.translation)
+
+
+def _wrong_eigenvalue(frame, root, eigenvalue, _other):
+    # -1 in place of w would do too, but makes D4_3 and C3_33 infinite
+    # groups, which end at the bound, as they did with the diagram closure
+    return _dual_reflection(frame, root, eigenvalue.conjugate())
+
+
+def _duplicated(frame, _root, eigenvalue, other):
+    # traces still match, so bijections are solved, but X g = rho_0 X and
+    # X g = rho_1 X force rho_0 = rho_1 for an invertible X
+    return _dual_reflection(frame, other, eigenvalue)
+
+
+TAMPERED = [
+    (name, change)
+    for change, names in (
+        (_squared, ("D4_3", "C3_33", "C3_24", "P8divZ4")),
+        (_wrong_eigenvalue, ("D4_3", "C3_33", "C3_24", "P8divZ4")),
+        (_duplicated, ("D4_3", "C3_33", "C3_24")),
+    )
+    for name in names
+]
+
+
+@pytest.mark.parametrize("name, change", TAMPERED, ids=[f"{n}-{c.__name__[1:]}" for n, c in TAMPERED])
+def test_no_conjugacy_fails_without_a_diagram_closure(name, change, monkeypatch, capsys):
+    _tamper_first_kept(monkeypatch, name, change)
+    calls = _spy_closures(monkeypatch)
+    d = diagram(name)
+    rep = verify_crystallographic(d)
+    verdicts = {c.claim_id: c.verdict for c in rep.checks}
+    assert verdicts["linear_order"] == verdicts["reflection_multiset"] == "fail"
+    assert rep.conjugacy.x is None
+    assert (rep.conjugacy.tries > 0) == (change is _duplicated)
+    # the model is the only group closed, and membership stays undecided
+    assert calls == [_reference_generators(d.expected_group)]
+    for claim in ("omitted_in_closure", "translations_contained", "translations_generate"):
+        assert verdicts[claim] == "inconclusive"
+    assert main(["verify", "diagram", name]) == 1
+    assert "no invertible X for the" in capsys.readouterr().out
+    clear_caches()
+
+
+@pytest.mark.parametrize("name", ["D4_3", "C3_33"])
+def test_omitted_reflection_outside_the_model_group_fails(name, monkeypatch):
+    # the omitted reflection of order 2, which K25 and K5 lack: X m X^-1 is
+    # not in the model's closure, so it escapes the transversal as well
+    d = diagram(name)
+    q = quotient_basis(d)
+    omitted = q.roots[q.omitted_index]
+    group = set(_oracle_group(name, "primary", d.field.n))  # cached from the unpatched duals
+
+    def patched(self, root, eigenvalue):
+        return _dual_reflection(self, root, -self.field.one if root == omitted else eigenvalue)
+
+    monkeypatch.setattr(DualFrame, "dual_reflection", patched)
+    rep = verify_crystallographic(d)
+    checks = {c.claim_id: c for c in rep.checks}
+    assert checks["linear_order"].verdict == "pass"
+    assert (checks["omitted_in_closure"].verdict, checks["omitted_in_closure"].witness) == (
+        "fail",
+        f"outside: {q.labels[q.omitted_index]}",
+    )
+    assert checks["translations_contained"].verdict == checks["translations_generate"].verdict == "fail"
+    assert checks["translations_generate"].witness.startswith("linear part outside the group for 1 of")
+    assert patched(DualFrame(q), omitted, q.eigenvalues[q.omitted_index]).linear not in group
+
+
+def _halving(frame, root, _eigenvalue, _other):
+    return _dual_reflection(frame, root, frame.field.from_rational(Fraction(1, 2)))
+
+
+def test_generator_of_infinite_order_ends_at_the_bound(monkeypatch, capsys):
+    # a kept reflection with eigenvalue 1/2: the orbit of the omitted
+    # translation gains ever larger denominators and spans no lattice
+    _tamper_first_kept(monkeypatch, "P8divZ6", _halving)
+    calls = _spy_closures(monkeypatch)
+    with pytest.raises(ClosureBoundError, match="lattice saturation exceeds 40 rounds"):
+        verify_crystallographic(diagram("P8divZ6"), max_group=40)
+    assert calls == [_reference_generators("K3_3")]
+    assert main(["verify", "diagram", "P8divZ6", "--max-group", "40"]) == 3
+    out = capsys.readouterr().out
+    assert "group_bound" in out and "lattice saturation exceeds 40 rounds" in out
+    clear_caches()
+
+
+def test_catalogue_closes_only_the_models(monkeypatch, capsys):
+    calls = _spy_closures(monkeypatch)
+    assert main(["verify", "all"]) == 0
+    capsys.readouterr()
+    models = {_reference_generators(d.expected_group) for d in map(diagram, diagram_names())}
+    assert len(calls) == len(models) == 7
+    assert set(calls) == models
+    clear_caches()

@@ -113,6 +113,23 @@ def test_package_runs_as_a_module():
     assert "verdict: pass" in done.stdout
 
 
+@pytest.mark.parametrize("chi", ["primary", "conj"])
+def test_verify_all_json_is_byte_stable_across_processes_and_caches(chi, tmp_path, capsys):
+    """The witnesses carry pi and X; two fresh interpreters and two in-process
+    runs after clear_caches() write the same bytes."""
+    argv = ["verify", "all", "--chi", chi, "--json"]
+    paths = [tmp_path / f"{k}.json" for k in range(4)]
+    for path in paths[:2]:
+        subprocess.run([sys.executable, "-m", "crystmono", *argv, str(path)], env=fresh_env(), capture_output=True, check=True)
+    crystmono.clear_caches()
+    for path in paths[2:]:
+        assert run([*argv, str(path)], capsys)[0] == 0
+    assert len({p.read_bytes() for p in paths}) == 1
+    doc = json.loads(paths[0].read_text())
+    witnesses = [c["witness"] for r in doc["reports"] for c in r["checks"] if c["claim_id"] == "linear_order"]
+    assert len(witnesses) == 8 and all(w.startswith("pi: ") and "; X = [[" in w for w in witnesses)
+
+
 def cold_report(name, chi, path):
     """Run one diagram target in a fresh interpreter, so every cache starts empty."""
     argv = ["verify", "diagram", name, "--chi", chi, "--json", str(path)]

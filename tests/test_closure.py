@@ -1,12 +1,14 @@
 """Dimino's closure and the rank-one reflection test against their oracles.
 
 `linear_closure` is compared with the breadth-first closure kept in
-oracle_closure.py, and `is_reflection` with a full elimination rank of
-m - I, on every group the verifier closes: the seven reference models,
-the kept dual linear parts of every diagram in both characters, and the
-Q(zeta12) lifts that the dilation check builds.
+oracle_closure.py, `is_reflection` with a full elimination rank of
+m - I, and the trace-filtered reflection multiset with an unfiltered
+count, on the seven reference models, which are all the verifier closes,
+and on the groups of the kept dual linear parts of every diagram in both
+characters and of the Q(zeta12) lifts that the dilation check builds.
 """
 
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -25,13 +27,18 @@ from crystmono.affine import (
     linear_closure,
     reference_names,
     reflection_order,
+    reflection_order_multiset,
     verify_crystallographic,
 )
 from crystmono.cyclo import CycloField
-from crystmono.linalg import identity, mat_mul, mat_rank, mat_sub, matrix
+from crystmono.linalg import identity, mat_mul, mat_rank, matrix, vec_sub
 from crystmono.monodromy import diagram, diagram_names, operator_order, quotient_basis
 
 F3, F4, F12, F72 = (CycloField(n) for n in (3, 4, 12, 72))
+
+
+def mat_sub(a, b):
+    return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b))
 
 
 def _dual_cases():
@@ -107,6 +114,15 @@ def test_is_reflection_is_the_rank_one_test(case):
     assert all(operator_order(m) == reflection_order(m) for m, flag in zip(group, flags) if flag)
 
 
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_trace_prefilter_keeps_every_reflection(case):
+    """reflection_order_multiset tests only elements whose tr m - (n - 1) is a
+    root of unity other than 1; the multiset over every element is the same."""
+    _, group, _ = _closures(case)
+    everything = Counter(reflection_order(m) for m in group if is_reflection(m))
+    assert reflection_order_multiset(group) == dict(everything)
+
+
 @pytest.mark.parametrize(
     "gens",
     [
@@ -138,7 +154,7 @@ def test_redundant_generators_are_skipped():
 
 
 def test_is_reflection_hand_made_branches():
-    w, i = F3.omega, F4.i
+    w, i = F3.omega, F4.root_of_unity(4)
     # m - I is zero: no nonzero row
     assert not is_reflection(identity(F3, 3))
     # 1x1

@@ -57,7 +57,7 @@ def test_basic_root_identities():
     assert (1 - w) ** 2 == -3 * w
     assert w**3 == 1 and w != 1
 
-    i = F4.i
+    i = F4.root_of_unity(4)
     assert i * i == -1
     assert i.conjugate() == -i
 
@@ -70,15 +70,15 @@ def test_basic_root_identities():
     assert z6 == -F6.omega.conjugate()
 
     z12 = F12.zeta()
-    assert z12**3 == F12.i
+    assert z12**3 == F12.root_of_unity(4)
     assert z12**4 == F12.omega
-    assert z12 == -(F12.i * F12.omega)
+    assert z12 == -(F12.root_of_unity(4) * F12.omega)
 
 
 def test_symbols_inside_conductor_72():
     z = F72.zeta()
     assert F72.omega == z**24
-    assert F72.i == z**18
+    assert F72.root_of_unity(4) == z**18
     assert F72.root_of_unity(8) == z**9
     assert F72.root_of_unity(9) == z**8
 
@@ -87,14 +87,14 @@ def test_root_of_unity_requires_divisor():
     with pytest.raises(ValueError):
         F3.root_of_unity(4)
     with pytest.raises(ValueError):
-        F4.i  # fine
+        F4.root_of_unity(4)  # fine
         F4.omega
 
 
 def test_multiplicative_order():
     assert F3.omega.multiplicative_order() == 3
     assert (-F3.omega).multiplicative_order() == 6
-    assert F4.i.multiplicative_order() == 4
+    assert F4.root_of_unity(4).multiplicative_order() == 4
     assert F3.one.multiplicative_order() == 1
     assert (F3.omega + 1).multiplicative_order() == 6  # = zeta_6
     assert (2 * F3.omega).multiplicative_order() is None
@@ -119,14 +119,14 @@ def test_subring_membership():
     assert in_subring(3 * w, "Z[w]")
     assert in_subring(1 - w, "Z[w]")
     assert not in_subring(w / 3, "Z[w]")
-    i = F4.i
+    i = F4.root_of_unity(4)
     assert in_subring(2 * (1 - i), "Z[i]")
     assert not in_subring(i / 2, "Z[i]")
     assert in_subring(F3.from_rational(7), "Z")
     assert not in_subring(F3.from_rational(Fraction(1, 2)), "Z")
     # an omega test in a field without omega degrades to plain integers
     assert in_subring(F4.from_rational(5), "Z[w]")
-    assert not in_subring(F4.i, "Z[w]")
+    assert not in_subring(F4.root_of_unity(4), "Z[w]")
 
 
 def test_conjugation_is_an_involution_automorphism():
@@ -144,7 +144,7 @@ def test_embed_between_conductors():
     assert lifted == F6.omega
     assert F3.embed((1 - w3) ** 2, F72) == (1 - F72.omega) ** 2
     with pytest.raises(ValueError):
-        F4.embed(F4.i, F6)
+        F4.embed(F4.root_of_unity(4), F6)
 
 
 # -- grammar --------------------------------------------------------------
@@ -154,9 +154,9 @@ def test_parse_simple_values():
     assert parse_value("1-w", F3) == 1 - F3.omega
     assert parse_value("conj(w)", F3) == F3.omega.conjugate()
     assert parse_value("-3*w^2", F3) == -3 * F3.omega**2
-    assert parse_value("2*(1-i)", F4) == 2 - 2 * F4.i
+    assert parse_value("2*(1-i)", F4) == 2 - 2 * F4.root_of_unity(4)
     assert parse_value("w - conj(w)", F3) == F3.omega - F3.omega.conjugate()
-    assert parse_value("e8^2", F8) == F8.i
+    assert parse_value("e8^2", F8) == F8.root_of_unity(4)
     assert parse_value("(1-w)*(1-conj(w))", F3) == F3.from_rational(3)
 
 
@@ -192,7 +192,7 @@ def test_render_uses_symbol_basis():
     assert render_value(1 - F3.omega) == "1 - w"
     assert render_value(F6.zeta()) == "1 + w"
     assert render_value(F4.zero) == "0"
-    assert render_value(-F12.i * F12.omega) == "-i*w"
+    assert render_value(-F12.root_of_unity(4) * F12.omega) == "-i*w"
 
 
 # -- property tests -------------------------------------------------------
@@ -328,6 +328,6 @@ def test_every_result_is_in_lowest_terms(xy):
 
 def test_dot_across_conductors_is_refused():
     with pytest.raises(ValueError):
-        dot((F3.one, F3.omega), (F3.one, F12.i))
+        dot((F3.one, F3.omega), (F3.one, F12.root_of_unity(4)))
     with pytest.raises(ValueError):
-        F3.omega * F4.i
+        F3.omega * F4.root_of_unity(4)
