@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from itertools import permutations
-from math import gcd, lcm
+from math import lcm
 
 from .cyclo import RING_GENERATORS, CycloField, CycloNum, cached, parse_value, render_value, ring_field
 from .linalg import (
@@ -178,20 +178,6 @@ def linear_closure(generators, max_size: int = 2000) -> list[Matrix]:
     return order
 
 
-def _root_orders(field: CycloField) -> dict[CycloNum, int]:
-    """Every root of unity of the field other than 1, with its order.
-
-    They are the powers of zeta_n, or of -zeta_n, of order 2n, when n is odd.
-    """
-    n = field.n if field.n % 2 == 0 else 2 * field.n
-    z = field.zeta() if field.n % 2 == 0 else -field.zeta()
-    out, x = {}, field.one
-    for j in range(1, n):
-        x = x * z
-        out[x] = n // gcd(j, n)
-    return out
-
-
 def reflection_order_multiset(group) -> dict[int, int]:
     """Orders of all reflections in the group, with multiplicities.
 
@@ -201,11 +187,10 @@ def reflection_order_multiset(group) -> dict[int, int]:
     """
     group = list(group)
     n = len(group[0])
-    orders = _root_orders(group[0][0][0].field)
     out: dict[int, int] = {}
     for m in group:
-        k = orders.get(trace(m) - (n - 1))
-        if k is not None and is_reflection(m):
+        k = (trace(m) - (n - 1)).multiplicative_order()
+        if k is not None and k > 1 and is_reflection(m):
             out[k] = out.get(k, 0) + 1
     return out
 
@@ -392,12 +377,25 @@ class Conjugacy:
     tries: int
 
 
+def _trace_table(ms) -> dict[tuple[int, ...], CycloNum]:
+    """tr m_i under (i,), and tr(m_i m_j) = tr(m_j m_i) under (i, j) for i < j."""
+    flat = [tuple(x for row in m for x in row) for m in ms]
+    flat_t = [tuple(x for col in transpose(m) for x in col) for m in ms]
+    table = {(i,): trace(m) for i, m in enumerate(ms)}
+    for j in range(len(ms)):
+        for i in range(j):
+            table[i, j] = dot(flat[i], flat_t[j])
+    return table
+
+
 def find_conjugacy(gens, targets) -> Conjugacy:
     """An invertible X with X g_i = targets[pi(i)] X for every i, over the
-    bijections pi, in lexicographic order, under which traces agree.
+    bijections pi, in lexicographic order, under which the traces tr g_i
+    and the pairwise traces tr(g_i g_j) agree with the targets'; conjugation
+    keeps both.
 
-    Each pi costs one nullspace solve in the n^2 entries of X.  The targets
-    generate a finite group, and for the seven models an absolutely
+    Each such pi costs one nullspace solve in the n^2 entries of X.  The
+    targets generate a finite group, and for the seven models an absolutely
     irreducible one, so only the scalars commute with it.  Then the image
     of a solution Y is kept by every target, so Y is 0 or invertible, and
     for invertible solutions Y, Y' the product Y' Y^-1 commutes with every
@@ -409,10 +407,9 @@ def find_conjugacy(gens, targets) -> Conjugacy:
     gens, targets = list(gens), list(targets)
     tries = 0
     if len(gens) == len(targets):
-        gen_traces = [trace(g) for g in gens]
-        target_traces = [trace(t) for t in targets]
+        gen_traces, target_traces = _trace_table(gens), _trace_table(targets)
         for pi in permutations(range(len(targets))):
-            if any(tg != target_traces[p] for tg, p in zip(gen_traces, pi)):
+            if any(t != target_traces[tuple(sorted(pi[i] for i in key))] for key, t in gen_traces.items()):
                 continue
             tries += 1
             space = intertwiners(gens, [targets[p] for p in pi])
@@ -428,6 +425,12 @@ def _in_field(m: Matrix, field: CycloField) -> Matrix:
     """m with its entries embedded into `field`."""
     src = m[0][0].field
     return m if src is field else tuple(tuple(src.embed(x, field) for x in row) for row in m)
+
+
+@cached
+def _model_members(name: str, max_size: int, field: CycloField) -> frozenset[Matrix]:
+    """The model's closure under `max_size`, as a set of matrices over `field`."""
+    return frozenset(_in_field(m, field) for m in closure_summary(_reference_generators(name), max_size)[0])
 
 
 def _render_matrix(m: Matrix) -> str:
@@ -583,7 +586,7 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_grou
     in_group = None
     if cert.x is not None:
         x, x_inv = cert.x, mat_inverse(cert.x)
-        members = ref_group if field is ref.field else [_in_field(m, field) for m in ref_group]
+        members = _model_members(d.expected_group, max_group, field)
 
         def in_group(m: Matrix) -> bool:
             y = mat_prod([x, m, x_inv])

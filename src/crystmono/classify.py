@@ -8,7 +8,11 @@ sub-basis of the local algebra fixed up to that unit, and the count of
 basis classes sitting in a prescribed character eigenspace.
 
 All characters live in one cyclotomic field large enough to hold cube,
-fourth, eighth and ninth roots of unity at once.
+fourth, eighth and ninth roots of unity at once, Q(zeta_72).  Each is a
+72nd root of unity zeta_72^e, so the arithmetic is on the exponents e
+mod 72: a monomial's character is a dot product, the kernel character a
+difference, an order 72 / gcd(e, 72).  Exponents become field elements
+only in the values the public functions return.
 """
 
 from __future__ import annotations
@@ -16,12 +20,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from math import lcm
+from math import gcd, lcm
 
-from .cyclo import CycloField, CycloNum, cached, parse_value
+from .cyclo import CycloField, CycloNum, cached, parse_value, roots_of_unity
 from .monodromy import SPLITTING_ORDERS, CheckResult
 
 CHARACTER_FIELD = CycloField(72)
+N = CHARACTER_FIELD.n  # zeta_N^e is stored as e mod N
 
 Triple = tuple[int, int, int]
 
@@ -48,48 +53,99 @@ class SymmetryCase:
     basis: tuple[tuple[Triple, ...], ...] = ()
 
 
+# -- exponent arithmetic mod N ---------------------------------------------
+
+
+def _exponent(x) -> int | None:
+    """e with x = zeta_N^e, or None when x is no root of unity of the character field."""
+    entry = roots_of_unity(CHARACTER_FIELD).get(x)
+    return None if entry is None else entry[0]
+
+
+def _kappa_exponents(kappa, where: str) -> Triple:
+    e = tuple(_exponent(k) for k in kappa)
+    if None in e:
+        raise ClassifyError(f"{where}coordinate factor is not a root of unity")
+    return e
+
+
+def _exponents(case: SymmetryCase) -> Triple:
+    return _kappa_exponents(case.kappa, f"{case.label}: ")
+
+
+def _root(e: int) -> CycloNum:
+    return CHARACTER_FIELD.zeta(e)
+
+
+def _order(e: int) -> int:
+    return N // gcd(e, N)
+
+
+def _weight(e: Triple, term: Triple) -> int:
+    """The exponent of the unit by which the action scales one monomial."""
+    return (e[0] * term[0] + e[1] * term[1] + e[2] * term[2]) % N
+
+
+def _factor(case: SymmetryCase, e: Triple) -> int:
+    if not case.terms:
+        raise ClassifyError(f"{case.label}: no terms")
+    first = _weight(e, case.terms[0])
+    for t in case.terms[1:]:
+        w = _weight(e, t)
+        if w != first:
+            raise NotEquivariant(f"{case.label}: term {t} scales by {_root(w)}, first term by {_root(first)}")
+    return first
+
+
+def _class_weight(case: SymmetryCase, e: Triple, cls) -> int:
+    weights = {_weight(e, t) for t in cls}
+    if len(weights) > 1:
+        raise ClassifyError(f"{case.label}: basis class {cls} mixes characters")
+    return weights.pop()
+
+
+def _kernel(case: SymmetryCase, e: Triple) -> int:
+    """kx ky kz over the equivariance factor."""
+    return (sum(e) - _factor(case, e)) % N
+
+
+def _versal(case: SymmetryCase, e: Triple) -> tuple:
+    if not case.basis:
+        raise ClassifyError(f"{case.label}: no local basis attached")
+    f = _factor(case, e)
+    return tuple(cls for cls in case.basis if _class_weight(case, e, cls) == f)
+
+
+def _smoothable(case: SymmetryCase, e: Triple) -> bool:
+    f = _factor(case, e)
+    return f == 0 or f in e
+
+
+# -- the public functions, on field elements --------------------------------
+
+
 def character(kappa, term: Triple) -> CycloNum:
     """The unit by which the diagonal action scales one monomial."""
-    kx, ky, kz = kappa
-    return kx ** term[0] * ky ** term[1] * kz ** term[2]
+    return _root(_weight(_kappa_exponents(kappa, ""), term))
 
 
 def equivariance_factor(case: SymmetryCase) -> CycloNum:
     """The single unit multiplying every term of the function, or a failure."""
-    if not case.terms:
-        raise ClassifyError(f"{case.label}: no terms")
-    vals = [character(case.kappa, t) for t in case.terms]
-    for t, v in zip(case.terms[1:], vals[1:]):
-        if v != vals[0]:
-            raise NotEquivariant(
-                f"{case.label}: term {t} scales by {v}, first term by {vals[0]}"
-            )
-    return vals[0]
+    return _root(_factor(case, _exponents(case)))
 
 
 def symmetry_order(case: SymmetryCase) -> int:
-    orders = []
-    for k in case.kappa:
-        o = k.multiplicative_order()
-        if o is None:
-            raise ClassifyError(f"{case.label}: coordinate factor is not a root of unity")
-        orders.append(o)
-    return lcm(*orders)
+    return lcm(*map(_order, _exponents(case)))
 
 
 def class_character(case: SymmetryCase, cls) -> CycloNum:
     """Common character of a basis class; members must agree under this symmetry."""
-    vals = [character(case.kappa, t) for t in cls]
-    for v in vals[1:]:
-        if v != vals[0]:
-            raise ClassifyError(f"{case.label}: basis class {cls} mixes characters")
-    return vals[0]
+    return _root(_class_weight(case, _exponents(case), cls))
 
 
 def kernel_character(case: SymmetryCase) -> CycloNum:
     """Character of the symmetry on the distinguished monodromy kernel line."""
-    kx, ky, kz = case.kappa
-    return kx * ky * kz * equivariance_factor(case).inverse()
+    return _root(_kernel(case, _exponents(case)))
 
 
 def kernel_characters(case: SymmetryCase):
@@ -98,36 +154,35 @@ def kernel_characters(case: SymmetryCase):
     Only characters of the SPLITTING_ORDERS produce a pair of conjugate
     eigenspaces; any other returns None.
     """
-    chi = kernel_character(case)
-    if chi.multiplicative_order() not in SPLITTING_ORDERS:
+    k = _kernel(case, _exponents(case))
+    if _order(k) not in SPLITTING_ORDERS:
         return None
-    return chi, chi.conjugate()
+    return _root(k), _root(-k)
 
 
 def versal_classes(case: SymmetryCase) -> tuple:
     """Basis classes whose character equals the equivariance factor."""
-    if not case.basis:
-        raise ClassifyError(f"{case.label}: no local basis attached")
-    c = equivariance_factor(case)
-    return tuple(cls for cls in case.basis if class_character(case, cls) == c)
+    return _versal(case, _exponents(case))
 
 
 def character_multiplicity(case: SymmetryCase, chi: CycloNum) -> int:
     """Number of basis classes in the given character eigenspace.
 
     Classes are weighted by the kernel character, so the versal classes
-    are exactly the multiplicity of the kernel character itself.
+    are exactly the multiplicity of the kernel character itself.  A chi
+    that is no root of unity of the character field has none.
     """
     if not case.basis:
         raise ClassifyError(f"{case.label}: no local basis attached")
-    base = kernel_character(case)
-    return sum(1 for cls in case.basis if class_character(case, cls) * base == chi)
+    e = _exponents(case)
+    base = _kernel(case, e)
+    target = _exponent(chi)
+    return sum(1 for cls in case.basis if (_class_weight(case, e, cls) + base) % N == target)
 
 
 def is_smoothable(case: SymmetryCase) -> bool:
     """Whether the equivariant deformation admits a smoothing direction."""
-    c = equivariance_factor(case)
-    return c == CHARACTER_FIELD.one or c in case.kappa
+    return _smoothable(case, _exponents(case))
 
 
 @dataclass(frozen=True)
@@ -235,20 +290,22 @@ def _class_of(case: SymmetryCase, triple: Triple):
     raise ClassifyError(f"{case.label}: {triple} is not in the local basis")
 
 
-def _equivariance(case: SymmetryCase, claim: str, witness: str) -> CheckResult:
+def _equivariance(case: SymmetryCase, e: Triple, claim: str, witness: str) -> CheckResult:
     """The equivariance claim, failing with the offending term when there is no common unit."""
     try:
-        equivariance_factor(case)
-    except NotEquivariant as e:
-        return CheckResult("equivariance", claim, "fail", str(e))
+        _factor(case, e)
+    except NotEquivariant as exc:
+        return CheckResult("equivariance", claim, "fail", str(exc))
     return CheckResult("equivariance", claim, "pass", witness)
 
 
 def verify_table_row(row: TableRow) -> tuple[CheckResult, ...]:
     """Check one table row's order, versal set, kernel pair and smoothability."""
     case = row.case
+    e = _exponents(case)
     first = _equivariance(
         case,
+        e,
         "the symmetry multiplies every term of the function by one unit",
         f"factor of {row.notation} computed",
     )
@@ -256,7 +313,7 @@ def verify_table_row(row: TableRow) -> tuple[CheckResult, ...]:
         return (first,)
     checks = [first]
 
-    order = symmetry_order(case)
+    order = lcm(*map(_order, e))
     checks.append(
         CheckResult(
             "symmetry_order",
@@ -266,14 +323,14 @@ def verify_table_row(row: TableRow) -> tuple[CheckResult, ...]:
         )
     )
 
-    got = versal_classes(case)
+    got = _versal(case, e)
     want = []
     mismatch = None
     for t in row.declared_versal:
         try:
             want.append(_class_of(case, t))
-        except ClassifyError as e:
-            mismatch = str(e)
+        except ClassifyError as exc:
+            mismatch = str(exc)
     ok = mismatch is None and set(got) == set(want) and len(want) == len(row.declared_versal)
     checks.append(
         CheckResult(
@@ -284,8 +341,8 @@ def verify_table_row(row: TableRow) -> tuple[CheckResult, ...]:
         )
     )
 
-    pair = kernel_characters(case)
-    ok = pair is not None and set(pair) == set(row.declared_kernel)
+    k = _kernel(case, e)
+    ok = _order(k) in SPLITTING_ORDERS and {k, -k % N} == {_exponent(x) for x in row.declared_kernel}
     checks.append(
         CheckResult(
             "kernel_characters",
@@ -295,7 +352,7 @@ def verify_table_row(row: TableRow) -> tuple[CheckResult, ...]:
         )
     )
 
-    smoothable = is_smoothable(case)
+    smoothable = _smoothable(case, e)
     checks.append(
         CheckResult(
             "smoothability",
@@ -310,18 +367,21 @@ def verify_table_row(row: TableRow) -> tuple[CheckResult, ...]:
 def verify_proj_row(row: ProjRow) -> tuple[CheckResult, ...]:
     """Check one projective family: equivariance and whether the kernel splits."""
     case = row.case
+    e = _exponents(case)
     first = _equivariance(
         case,
+        e,
         "every term, modulus included, transforms by one common unit",
         f"{len(case.terms)} terms checked",
     )
     if first.verdict == "fail":
         return (first,)
-    split = kernel_characters(case) is not None
+    order = _order(_kernel(case, e))
+    split = order in SPLITTING_ORDERS
     second = CheckResult(
         "kernel_split",
         f"the kernel {'splits into a conjugate eigenspace pair' if row.declared_splits else 'does not split'}",
         "pass" if split == row.declared_splits else "fail",
-        f"kernel character order {kernel_character(case).multiplicative_order()}",
+        f"kernel character order {order}",
     )
     return (first, second)

@@ -340,7 +340,7 @@ class CycloNum:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        if other == 1:  # 1 / x, as _echelon asks for it: no product with one
+        if other == 1:  # 1 / x, as linalg._echelon asks for each pivot: no product with one
             return self.inverse()
         o = self._coerce(other)
         if o is None:
@@ -384,15 +384,9 @@ class CycloNum:
         return self.den == 1 and self.is_rational()
 
     def multiplicative_order(self) -> int | None:
-        """Order as a root of unity, or None. Roots of unity in
-        Q(zeta_n) have order dividing lcm(2, n)."""
-        limit = self.field.n if self.field.n % 2 == 0 else 2 * self.field.n
-        acc = self
-        for k in range(1, limit + 1):
-            if acc == self.field.one:
-                return k
-            acc = acc * self
-        return None
+        """Order as a root of unity, or None: a lookup in roots_of_unity."""
+        entry = roots_of_unity(self.field).get(self)
+        return None if entry is None else entry[1]
 
     # -- housekeeping ---------------------------------------------------
 
@@ -418,6 +412,25 @@ class CycloNum:
             (Fraction(c, self.den), "" if j == 0 else "z" if j == 1 else f"z^{j}")
             for j, c in enumerate(self.num)
         )
+
+
+@cached
+def roots_of_unity(field: CycloField) -> dict[CycloNum, tuple[int, int]]:
+    """Every root of unity of the field, mapped to (j, order): it is zeta_m^j
+    for zeta_m = exp(2 pi i / m), and its order is m / gcd(j, m).
+
+    Q(zeta_n) holds exactly the m-th roots of unity, m = lcm(2, n).  For
+    odd n, zeta_2n = -zeta_n^((n + 1) / 2), so zeta_2n^j is
+    (-1)^j zeta_n^(j (n + 1) / 2).  Read off the power table, with no products.
+    """
+    n = field.n
+    m = lcm(2, n)
+    step = 1 if m == n else (n + 1) // 2
+    table = {}
+    for j in range(m):
+        x = field.zeta(j * step)
+        table[-x if m != n and j % 2 else x] = (j, m // gcd(j, m))
+    return table
 
 
 # -- rings of integers -------------------------------------------------
@@ -546,23 +559,30 @@ _RENDER_BASES: dict[int, tuple[tuple[str, ...], ...]] = {
 
 @cached
 def _render_basis(field: CycloField):
-    """(words, rows, den): the field's symbol-product basis, and the integer
-    rows over den that take power-basis coordinates to coordinates in it."""
+    """(words, rows): the field's symbol-product basis, and the integer rows
+    that take power-basis coordinates to coordinates in it.
+
+    Every word is a product of roots of unity, so the matrix B with word k's
+    power-basis coordinates in column k is integral.  Every declared basis
+    is unimodular, so the Hermite normal form of [B | I] is [I | B^-1].
+    """
+    from .linalg import _hnf  # linalg is built on this module
+
     words = _RENDER_BASES.get(field.n)
     if words is None:
-        return (), (), 1
+        return (), ()
     vals = []
     for word in words:
         v = field.one
         for sym in word:
             v = v * parse_value(sym, field)
         vals.append(v)
-    # Gauss-Jordan on [basis | identity] leaves [identity | basis^-1]
     d = field.degree
-    rows = [[Fraction(v.num[r], v.den) for v in vals] + [Fraction(int(r == k)) for k in range(d)] for r in range(d)]
-    inverse = [row[d:] for row in _echelon(rows)[0]]
-    den = lcm(*(q.denominator for row in inverse for q in row))
-    return words, tuple(tuple(int(q * den) for q in row) for row in inverse), den
+    ident = [[int(r == k) for k in range(d)] for r in range(d)]
+    rows = _hnf([[v.num[r] for v in vals] + ident[r] for r in range(d)])
+    if [row[:d] for row in rows] != ident:
+        raise ArithmeticError(f"the render basis of Q(zeta_{field.n}) is not unimodular")
+    return words, tuple(tuple(row[d:]) for row in rows)
 
 
 def render_value(x: CycloNum) -> str:
@@ -574,12 +594,11 @@ def render_value(x: CycloNum) -> str:
     when a coordinate is not an integer; the fields used by the package
     all have one.
     """
-    words, rows, den = _render_basis(x.field)
-    den *= x.den
+    words, rows = _render_basis(x.field)
     coords = [sum(a * c for a, c in zip(row, x.num)) for row in rows]
-    if not words or any(c % den for c in coords):
+    if not words or any(c % x.den for c in coords):
         return x.as_poly_str()
-    return _join_terms((c // den, "*".join(_word_to_str(word))) for c, word in zip(coords, words))
+    return _join_terms((c // x.den, "*".join(_word_to_str(word))) for c, word in zip(coords, words))
 
 
 def _join_terms(terms) -> str:
@@ -617,42 +636,3 @@ def _word_to_str(word: tuple[str, ...]) -> list[str]:
         out.append(word[k] if j - k == 1 else f"{word[k]}^{j - k}")
         k = j
     return out
-
-
-# -- exact elimination ---------------------------------------------------
-
-
-def _echelon(rows: list[list]) -> tuple[list[list], list[int], list, int]:
-    """Gauss-Jordan reduction in place; the only field elimination in the package.
-
-    Entries are all Fractions or all CycloNums: the routine needs only
-    truth value, +, -, * and 1 / x.  Returns (rows, cols, pivots, sign):
-    the reduced row echelon form, the pivot column of each leading row,
-    the value each of those rows was divided by, and (-1)^(row swaps).
-    Row operations of the third kind keep the determinant, so a square
-    matrix with a pivot in every column has determinant sign * prod(pivots).
-    """
-    cols: list[int] = []
-    pivots: list = []
-    sign = 1
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pr = next((k for k in range(r, len(rows)) if rows[k][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            sign = -sign
-        piv = rows[r][c]
-        inv = 1 / piv
-        rows[r] = [inv * x for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        cols.append(c)
-        pivots.append(piv)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, cols, pivots, sign

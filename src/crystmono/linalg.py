@@ -11,11 +11,10 @@ integer Hermite normal form.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .cyclo import CycloField, CycloNum, _echelon, parse_value
+from .cyclo import CycloField, CycloNum, parse_value
 
 Vector = tuple[CycloNum, ...]
 Matrix = tuple[Vector, ...]
@@ -128,7 +127,42 @@ def reflection_order(m: Matrix) -> int:
 
 # -- elimination ----------------------------------------------------------
 #
-# Each runs on cyclo._echelon, the package's one Gauss-Jordan routine.
+# Each runs on _echelon, the package's one Gauss-Jordan routine.
+
+
+def _echelon(rows: list[list[CycloNum]]) -> tuple[list[list[CycloNum]], list[int], list[CycloNum], int]:
+    """Gauss-Jordan reduction in place; the only field elimination in the package.
+
+    Returns (rows, cols, pivots, sign): the reduced row echelon form, the
+    pivot column of each leading row, the value each of those rows was
+    divided by, and (-1)^(row swaps).  Row operations of the third kind
+    keep the determinant, so a square matrix with a pivot in every column
+    has determinant sign * prod(pivots).
+    """
+    cols: list[int] = []
+    pivots: list[CycloNum] = []
+    sign = 1
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        piv = rows[r][c]
+        inv = 1 / piv
+        rows[r] = [inv * x for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        cols.append(c)
+        pivots.append(piv)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, cols, pivots, sign
 
 
 def mat_rank(a: Matrix) -> int:
@@ -247,18 +281,17 @@ class HermitianGram:
         return d.rational_value()
 
     def is_negative_semidefinite(self) -> bool:
-        """Checked through every principal minor: (-1)^k det >= 0.
+        """Checked on the principal block G[I, I] of the pivot columns I of G.
 
-        Exact, and valid for singular forms where leading minors alone
-        would not be conclusive.
+        Those columns span the column space of G = G^H, so G[I, I] is
+        nonsingular and G = G[:, I] G[I, I]^-1 G[:, I]^H: G has the inertia
+        of G[I, I] plus zeros.  So G is negative semidefinite exactly when
+        G[I, I] is negative definite, that is when (-1)^k times each of its
+        leading k x k minors is positive (Sylvester).  Exact, singular
+        forms included.
         """
-        for k in range(1, self.n + 1):
-            s = 1 if k % 2 == 0 else -1
-            for idx in combinations(range(self.n), k):
-                if s * self.principal_minor(idx) < 0:
-                    return False
-        return True
-
+        cols = _echelon([list(r) for r in self.gram])[1]
+        return all((-1) ** k * self.principal_minor(cols[:k]) > 0 for k in range(1, len(cols) + 1))
 
 # -- integer lattices ------------------------------------------------------
 

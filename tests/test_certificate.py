@@ -11,6 +11,8 @@ lattices and the certificate are checked against it.
 
 from fractions import Fraction
 from functools import cache
+from itertools import permutations
+from math import lcm
 
 import pytest
 
@@ -33,7 +35,20 @@ from crystmono.affine import (
 )
 from crystmono.cli import main
 from crystmono.cyclo import CycloField
-from crystmono.linalg import ZLattice, conj_matrix, det, is_zero_vector, mat_inverse, mat_mul, mat_prod, mat_vec, matrix
+from crystmono.linalg import (
+    ZLattice,
+    conj_matrix,
+    det,
+    intertwiners,
+    is_zero_vector,
+    mat_inverse,
+    mat_mul,
+    mat_prod,
+    mat_vec,
+    matrix,
+    trace,
+    vec_scale,
+)
 from crystmono.monodromy import diagram, diagram_names, quotient_basis
 
 F3, F12 = CycloField(3), CycloField(12)
@@ -81,6 +96,17 @@ def _oracle_group(name, chi, field_n):
     return tuple(O.linear_closure([duals[j].linear for j in kept]))
 
 
+def _unfiltered_conjugacy(gens, targets):
+    """find_conjugacy without any trace filter: every bijection is solved."""
+    for pi in permutations(range(len(targets))):
+        space = intertwiners(gens, [targets[p] for p in pi])
+        assert len(space) <= 1
+        if space and not det(space[0]).is_zero():
+            c = lcm(*(x.den for row in space[0] for x in row))
+            return pi, tuple(vec_scale(c, row) for row in space[0])
+    return None, None
+
+
 @pytest.mark.parametrize("run", _runs(), ids=_ids)
 def test_certificate_and_saturated_lattices_match_the_closure_oracle(run):
     d, alpha0, q, frame, duals, kept = _setting(*run)
@@ -96,11 +122,14 @@ def test_certificate_and_saturated_lattices_match_the_closure_oracle(run):
     x = cert.x
     assert not det(x).is_zero()
     x_inv = mat_inverse(x)
+    rhos = []
+    for g in ref.generators:
+        rho = tuple(tuple(ref.field.embed(c, field) for c in row) for row in g.matrix)
+        rhos.append(conj_matrix(rho) if d.chi_label == "primary" else rho)
     for j, p in zip(kept, cert.pi):
-        rho = tuple(tuple(ref.field.embed(c, field) for c in row) for row in ref.generators[p].matrix)
-        if d.chi_label == "primary":
-            rho = conj_matrix(rho)
-        assert mat_prod([x, duals[j].linear, x_inv]) == rho
+        assert mat_prod([x, duals[j].linear, x_inv]) == rhos[p]
+    # the trace filters skip only bijections that have no invertible X
+    assert _unfiltered_conjugacy([duals[j].linear for j in kept], rhos) == (cert.pi, x)
 
     # the orbit lattice and the Schreier span, from every listed element
     t0 = duals[q.omitted_index].translation
@@ -143,6 +172,18 @@ def test_find_conjugacy_on_hand_made_generators():
     d1, d2 = matrix(F3, [["w", 0], [0, 1]]), matrix(F3, [[1, 0], [0, "w"]])
     with pytest.raises(AffineError, match="commute with more than the scalars: 2 independent"):
         find_conjugacy([d1, d2], [d1, d2])
+
+
+def test_find_conjugacy_solves_a_trace_matched_pair_without_an_invertible_x():
+    # a reducible pair with the single and pairwise traces of K5's generators:
+    # both bijections pass the filters, both systems are solved, and only
+    # X = 0 intertwines, for X g = rho X would carry g's common eigenvector
+    # to one of K5's irreducible pair
+    a, b = _reference_generators("K5")
+    g1, g2 = matrix(F3, [[0, 1], [0, "1 + w"]]), matrix(F3, [["1 + w", 1], [0, 0]])
+    assert (trace(g1), trace(g2), trace(mat_mul(g1, g2))) == (trace(a), trace(b), trace(mat_mul(a, b)))
+    assert find_conjugacy([g1, g2], [a, b]) == Conjugacy(None, None, 2)
+    assert intertwiners([g1, g2], [a, b]) == intertwiners([g1, g2], [b, a]) == []
 
 
 _dual_reflection = DualFrame.dual_reflection  # unpatched
@@ -191,8 +232,8 @@ def _wrong_eigenvalue(frame, root, eigenvalue, _other):
 
 
 def _duplicated(frame, _root, eigenvalue, other):
-    # traces still match, so bijections are solved, but X g = rho_0 X and
-    # X g = rho_1 X force rho_0 = rho_1 for an invertible X
+    # single traces still match, but tr(g g) differs from tr(rho_0 rho_1),
+    # so no bijection is solved
     return _dual_reflection(frame, other, eigenvalue)
 
 
@@ -216,7 +257,7 @@ def test_no_conjugacy_fails_without_a_diagram_closure(name, change, monkeypatch,
     verdicts = {c.claim_id: c.verdict for c in rep.checks}
     assert verdicts["linear_order"] == verdicts["reflection_multiset"] == "fail"
     assert rep.conjugacy.x is None
-    assert (rep.conjugacy.tries > 0) == (change is _duplicated)
+    assert rep.conjugacy.tries == 0  # rejected by the single or pairwise traces
     # the model is the only group closed, and membership stays undecided
     assert calls == [_reference_generators(d.expected_group)]
     for claim in ("omitted_in_closure", "translations_contained", "translations_generate"):

@@ -1,12 +1,16 @@
 import dataclasses
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from crystmono import cli
 from crystmono.classify import (
     CHARACTER_FIELD,
     ClassifyError,
     NotEquivariant,
     SymmetryCase,
+    _table_data,
     character,
     character_multiplicity,
     class_character,
@@ -21,7 +25,8 @@ from crystmono.classify import (
     verify_table_row,
     versal_classes,
 )
-from crystmono.monodromy import diagram, diagram_names
+from crystmono.cyclo import CycloField, CycloNum
+from crystmono.monodromy import SPLITTING_ORDERS, diagram, diagram_names
 
 F = CHARACTER_FIELD
 W = F.zeta(24)  # primitive cube root
@@ -179,3 +184,185 @@ def test_tampered_versal_declaration_fails():
     bad = dataclasses.replace(row, declared_versal=row.declared_versal[:-1] + ((1, 0, 0),))
     checks = verify_table_row(bad)
     assert any(c.claim_id == "versal_monomials" and c.verdict == "fail" for c in checks)
+
+
+# -- the exponent arithmetic against field arithmetic ------------------------
+#
+# classify computes with exponents mod 72; the oracle below is the same
+# classification written with field products, powers, inverses and a
+# multiply-loop order.
+
+
+def _loop_order(x):
+    acc = x
+    for k in range(1, 73):
+        if acc == F.one:
+            return k
+        acc = acc * x
+    return None
+
+
+def _o_character(kappa, term):
+    kx, ky, kz = kappa
+    return kx ** term[0] * ky ** term[1] * kz ** term[2]
+
+
+def _o_factor(c):
+    if not c.terms:
+        raise ClassifyError(f"{c.label}: no terms")
+    vals = [_o_character(c.kappa, t) for t in c.terms]
+    for t, v in zip(c.terms[1:], vals[1:]):
+        if v != vals[0]:
+            raise NotEquivariant(f"{c.label}: term {t} scales by {v}, first term by {vals[0]}")
+    return vals[0]
+
+
+def _o_order(c):
+    orders = [_loop_order(k) for k in c.kappa]
+    if None in orders:
+        raise ClassifyError(f"{c.label}: coordinate factor is not a root of unity")
+    return lcm(*orders)
+
+
+def _o_class_character(c, cls):
+    vals = [_o_character(c.kappa, t) for t in cls]
+    if any(v != vals[0] for v in vals):
+        raise ClassifyError(f"{c.label}: basis class {cls} mixes characters")
+    return vals[0]
+
+
+def _o_kernel_character(c):
+    kx, ky, kz = c.kappa
+    return kx * ky * kz * _o_factor(c).inverse()
+
+
+def _o_kernel_characters(c):
+    chi = _o_kernel_character(c)
+    return (chi, chi.conjugate()) if _loop_order(chi) in SPLITTING_ORDERS else None
+
+
+def _o_versal(c):
+    if not c.basis:
+        raise ClassifyError(f"{c.label}: no local basis attached")
+    f = _o_factor(c)
+    return tuple(cls for cls in c.basis if _o_class_character(c, cls) == f)
+
+
+def _o_multiplicity(c, chi):
+    if not c.basis:
+        raise ClassifyError(f"{c.label}: no local basis attached")
+    base = _o_kernel_character(c)
+    return sum(1 for cls in c.basis if _o_class_character(c, cls) * base == chi)
+
+
+def _o_smoothable(c):
+    f = _o_factor(c)
+    return f == F.one or f in c.kappa
+
+
+def _outcome(fn, *args):
+    """The value, or the exception's type and message."""
+    try:
+        return fn(*args)
+    except ClassifyError as exc:
+        return type(exc), str(exc)
+
+
+def _agrees_with_the_oracle(c):
+    pairs = [
+        (character, _o_character, c.kappa, t)
+        for t in c.terms
+    ] + [
+        (equivariance_factor, _o_factor, c),
+        (symmetry_order, _o_order, c),
+        (kernel_character, _o_kernel_character, c),
+        (kernel_characters, _o_kernel_characters, c),
+        (versal_classes, _o_versal, c),
+        (is_smoothable, _o_smoothable, c),
+    ]
+    pairs += [(class_character, _o_class_character, c, cls) for cls in c.basis]
+    chis = {F.one, F.zeta(), 2 * F.one}
+    for cls in c.basis:
+        try:
+            chis.add(_o_class_character(c, cls) * _o_kernel_character(c))
+        except ClassifyError:
+            pass
+    pairs += [(character_multiplicity, _o_multiplicity, c, chi) for chi in chis]
+    for fn, oracle, *args in pairs:
+        assert _outcome(fn, *args) == _outcome(oracle, *args), (c.label, fn.__name__, args[1:])
+
+
+def test_every_row_agrees_with_field_arithmetic():
+    cases = [r.case for r in table_rows()] + [r.case for r in proj_rows()]
+    assert len(cases) == 22
+    for c in cases:
+        _agrees_with_the_oracle(c)
+
+
+@st.composite
+def _drawn_cases(draw):
+    """kappa in mu_72^3 on some terms of a table function, with its basis."""
+    raw, bases = _table_data()
+    fid = draw(st.sampled_from(sorted(bases)))
+    terms = tuple(tuple(t) for t in raw["functions"][fid]["terms"])
+    terms = tuple(draw(st.permutations(terms))[: draw(st.integers(1, len(terms)))])
+    kappa = tuple(F.zeta(draw(st.integers(0, 71))) for _ in range(3))
+    return SymmetryCase("drawn", terms, kappa, bases[fid])
+
+
+@given(_drawn_cases())
+@settings(max_examples=60, deadline=None)
+def test_drawn_symmetries_agree_with_field_arithmetic(c):
+    _agrees_with_the_oracle(c)
+
+
+def test_a_factor_that_is_no_root_of_unity_is_an_error(monkeypatch, capsys):
+    row = table_rows()[0]
+    bad = dataclasses.replace(row.case, kappa=(2 * F.one,) + row.case.kappa[1:])
+    for fn in (equivariance_factor, symmetry_order, kernel_character, kernel_characters, versal_classes, is_smoothable):
+        with pytest.raises(ClassifyError, match="coordinate factor is not a root of unity"):
+            fn(bad)
+    for fn, arg in ((class_character, bad.basis[0]), (character_multiplicity, F.one)):
+        with pytest.raises(ClassifyError, match="coordinate factor is not a root of unity"):
+            fn(bad, arg)
+    with pytest.raises(ClassifyError, match="coordinate factor is not a root of unity"):
+        character(bad.kappa, (1, 0, 0))
+    with pytest.raises(ClassifyError):
+        verify_table_row(dataclasses.replace(row, case=bad))
+    proj = proj_rows()[0]
+    with pytest.raises(ClassifyError):
+        verify_proj_row(dataclasses.replace(proj, case=dataclasses.replace(proj.case, kappa=bad.kappa)))
+    monkeypatch.setattr(cli, "table_rows", lambda: (dataclasses.replace(row, case=bad),))
+    assert cli.main(["verify", "table1"]) == 2
+    assert "coordinate factor is not a root of unity" in capsys.readouterr().err
+
+
+def test_a_character_that_is_no_root_of_unity_has_multiplicity_zero():
+    for row in table_rows():
+        chi = kernel_character(row.case)
+        assert character_multiplicity(row.case, 2 * chi) == 0
+        assert character_multiplicity(row.case, CycloField(3).omega) == 0  # another field
+
+
+def test_row_checks_multiply_nothing_in_the_character_field(monkeypatch):
+    table, proj = table_rows(), proj_rows()  # parsing the data does multiply
+    calls = []
+    products, inverse = CycloField._sum_of_products, CycloNum.inverse
+
+    def counted_products(self, pairs):
+        if self is F:
+            calls.append("product")
+        return products(self, pairs)
+
+    def counted_inverse(self):
+        if self.field is F:
+            calls.append("inverse")
+        return inverse(self)
+
+    monkeypatch.setattr(CycloField, "_sum_of_products", counted_products)
+    monkeypatch.setattr(CycloNum, "inverse", counted_inverse)
+    checks = [c for row in table for c in verify_table_row(row)] + [c for row in proj for c in verify_proj_row(row)]
+    assert len(checks) == 5 * 15 + 2 * 7 and all(c.verdict == "pass" for c in checks)
+    assert calls == []
+    F.zeta().inverse()  # the counters do see Q(zeta_72) arithmetic
+    assert calls[0] == "inverse" and set(calls[1:]) == {"product"}

@@ -130,6 +130,19 @@ def test_verify_all_json_is_byte_stable_across_processes_and_caches(chi, tmp_pat
     assert len(witnesses) == 8 and all(w.startswith("pi: ") and "; X = [[" in w for w in witnesses)
 
 
+SNAPSHOTS = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("chi", ["primary", "conj"])
+def test_verify_all_prints_the_checked_in_report(chi, capsys):
+    """tests/data/verify_all_<chi>.txt is a change detector, not an answer
+    key: it is regenerated only on purpose, with every changed line listed
+    in CHANGES.md (see tests/data/README.md)."""
+    code, out, _ = run(["verify", "all", "--chi", chi], capsys)
+    assert code == 0
+    assert out == (SNAPSHOTS / f"verify_all_{chi}.txt").read_text()
+
+
 def cold_report(name, chi, path):
     """Run one diagram target in a fresh interpreter, so every cache starts empty."""
     argv = ["verify", "diagram", name, "--chi", chi, "--json", str(path)]

@@ -31,7 +31,7 @@ from crystmono.affine import (
     verify_crystallographic,
 )
 from crystmono.cyclo import CycloField
-from crystmono.linalg import identity, mat_mul, mat_rank, matrix, vec_sub
+from crystmono.linalg import identity, mat_mul, mat_rank, matrix, trace, vec_sub
 from crystmono.monodromy import diagram, diagram_names, operator_order, quotient_basis
 
 F3, F4, F12, F72 = (CycloField(n) for n in (3, 4, 12, 72))
@@ -115,12 +115,16 @@ def test_is_reflection_is_the_rank_one_test(case):
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_trace_prefilter_keeps_every_reflection(case):
+def test_trace_prefilter_keeps_every_reflection(case, monkeypatch):
     """reflection_order_multiset tests only elements whose tr m - (n - 1) is a
     root of unity other than 1; the multiset over every element is the same."""
     _, group, _ = _closures(case)
     everything = Counter(reflection_order(m) for m in group if is_reflection(m))
+    tested = []
+    monkeypatch.setattr(affine, "is_reflection", lambda m: tested.append(m) or is_reflection(m))
     assert reflection_order_multiset(group) == dict(everything)
+    n = len(group[0])
+    assert tested and all((trace(m) - (n - 1)).multiplicative_order() not in (None, 1) for m in tested)
 
 
 @pytest.mark.parametrize(

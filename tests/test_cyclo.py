@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystmono.cyclo import (
+    _RENDER_BASES,
     CycloField,
     GrammarError,
+    _render_basis,
     clear_caches,
     cyclotomic_polynomial,
     in_subring,
     parse_value,
     render_value,
+    roots_of_unity,
 )
-from crystmono.linalg import dot
+from crystmono.linalg import _hnf, dot
 
 F3 = CycloField(3)
 F4 = CycloField(4)
@@ -256,6 +259,51 @@ def test_complex_approximation_tracks_arithmetic(x, y):
     assert abs(lhs - rhs) < 1e-9 * (1 + abs(rhs))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12, 72])
+def test_roots_of_unity_table_against_powers(n):
+    field = CycloField(n)
+    table = roots_of_unity(field)
+    m = math.lcm(2, n)
+    assert len(table) == m
+    z = next(x for x, (j, _) in table.items() if j == 1)
+    # z = exp(2 pi i / m): zeta_n itself, or the square root of it nearest 1
+    assert z ** (m // n) == field.zeta()
+    assert abs(_to_complex(z) - cmath.exp(2j * cmath.pi / m)) < 1e-9
+    for x, (j, order) in table.items():
+        assert x == z**j
+        acc, loop = x, 1
+        while acc != 1:
+            acc, loop = acc * x, loop + 1
+        assert order == loop == m // math.gcd(j, m)
+    assert 2 * z not in table and field.zero not in table
+
+
+SYMBOL_BASES = [3, 4, 6, 8, 9, 12, 24, 36, 72]
+
+
+@pytest.mark.parametrize("n", SYMBOL_BASES)
+def test_render_bases_reduce_to_their_inverses_under_the_hnf(n):
+    assert sorted(k for k in _RENDER_BASES if CycloField(k).degree > 1) == SYMBOL_BASES
+    field = CycloField(n)
+    d = field.degree
+    words = _RENDER_BASES[n]
+    vals = [math.prod((parse_value(sym, field) for sym in word), start=field.one) for word in words]
+    basis = [[v.num[r] for v in vals] for r in range(d)]
+    ident = [[int(r == k) for k in range(d)] for r in range(d)]
+    rows = _hnf([basis[r] + ident[r] for r in range(d)])
+    assert [row[:d] for row in rows] == ident
+    inverse = [row[d:] for row in rows]
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*basis)] for row in inverse] == ident
+    assert _render_basis(field) == (words, tuple(map(tuple, inverse)))
+
+
+def test_every_root_of_unity_of_q72_round_trips():
+    for j in range(72):
+        x = F72.zeta(j)
+        text = render_value(x)
+        assert "z" not in text and parse_value(text, F72) == x
+
+
 @given(st.sampled_from([(3, 1), (3, 2), (4, 1), (4, 3), (9, 2), (12, 5), (12, 1)]))
 def test_root_orders(kp):
     k, p = kp
@@ -266,9 +314,9 @@ def test_root_orders(kp):
 @given(st.sampled_from([F3, F4, F12, F72]).flatmap(lambda f: _elements(field=f)))
 @settings(max_examples=80, deadline=None)
 def test_render_parse_round_trip_property(x):
-    # the symbol bases of these fields are integral, so integer power-basis
+    # the symbol bases of these fields are unimodular, so integer power-basis
     # coefficients always render in the grammar; at 72 the coordinates
-    # come from a 24-column rational system
+    # come from the integer inverse of a 24 x 24 basis matrix
     text = render_value(x)
     assert "z" not in text
     assert parse_value(text, x.field) == x

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,9 +114,13 @@ def test_negative_semidefinite():
     indef = HermitianGram(g3([[-3, "5"], ["5", -3]]))
     assert not indef.is_negative_semidefinite()
 
-    # leading minors alone would pass this one; the full subset check must not
+    # the leading minors of G alone would pass this one; those of its pivot block do not
     tricky = HermitianGram(g3([[0, 0, 0], [0, -1, 0], [0, 0, 1]]))
     assert not tricky.is_negative_semidefinite()
+
+    # nonsingular, leading minors 0, 0, -1: only the strict inequalities reject it
+    zero_minors = HermitianGram(g3([[0, 0, -1], [0, 1, -1], [-1, -1, -1]]))
+    assert not zero_minors.is_negative_semidefinite()
 
 
 def test_form_preservation_check():
@@ -309,3 +314,43 @@ def test_hnf_is_reduced(gens):
         assert row[c] > 0
         assert all(0 <= above[c] < row[c] for above in lat.rows[:k])
     assert all(lat.member(g) for g in gens)
+
+
+def _all_minors_nsd(g):
+    """(-1)^k times every principal k x k minor is >= 0, by cofactor expansion."""
+    n = len(g)
+    for k in range(1, n + 1):
+        for idx in combinations(range(n), k):
+            minor = _cofactor_det(tuple(tuple(g[i][j] for j in idx) for i in idx))
+            if (-1) ** k * minor.rational_value() < 0:
+                return False
+    return True
+
+
+@st.composite
+def _hermitian(draw):
+    """Random Hermitian matrices over Q(w) or Q(i); half of them -M^H M,
+    negative semidefinite and often singular."""
+    field = draw(st.sampled_from([F3, F4]))
+    n = draw(st.integers(1, 4))
+    entry = st.lists(_small, min_size=2, max_size=2).map(field.element)
+    if draw(st.booleans()):
+        m = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(0, n)))]
+        rows = [[-sum((r[i].conjugate() * r[j] for r in m), field.zero) for j in range(n)] for i in range(n)]
+        if draw(st.booleans()):  # a small shift that may break semidefiniteness
+            k = draw(st.integers(0, n - 1))
+            rows[k][k] += draw(st.integers(-1, 1))
+    else:
+        rows = [[field.zero] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = field.from_rational(draw(st.integers(-4, 1)))
+            for j in range(i + 1, n):
+                rows[i][j] = draw(entry)
+                rows[j][i] = rows[i][j].conjugate()
+    return tuple(tuple(r) for r in rows)
+
+
+@given(_hermitian())
+@settings(max_examples=150, deadline=None)
+def test_semidefiniteness_matches_every_principal_minor(g):
+    assert HermitianGram(g).is_negative_semidefinite() == _all_minors_nsd(g)
