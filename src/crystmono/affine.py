@@ -199,9 +199,9 @@ def reflection_order_multiset(group) -> dict[int, int]:
 def closure_summary(gens: tuple[Matrix, ...], max_size: int) -> tuple[list[Matrix], dict[int, int]]:
     """The linear closure of `gens` and its reflection-order multiset.
 
-    Keyed by the generator matrices and the bound, so a tampered diagram
-    never meets the closure of an honest one, and a smaller bound is
-    checked again rather than answered from a larger one's closure.
+    Only the models are closed.  Keyed by the generator matrices and the
+    bound, so a smaller bound is checked again rather than answered from a
+    larger one's closure.
     """
     group = linear_closure(gens, max_size)
     return group, reflection_order_multiset(group)
@@ -288,8 +288,9 @@ def saturate(lattice: ZLattice, mats, max_rounds: int) -> tuple[ZLattice, int]:
     round that adds nothing ends it.  When `mats` generate a finite group G,
     every element is a word of at most |G| - 1 letters, so the result is
     the Z-span of the G-orbit of `lattice`, reached within |G| rounds.
-    Past `max_rounds` rounds ClosureBoundError is raised, which also stops
-    a generator of infinite order whose orbit spans no lattice.
+    Callers pass the order of a group the conjugacy certificate has
+    identified; past `max_rounds` rounds ClosureBoundError is raised as a
+    guard.
     """
     for rounds in range(1, max_rounds + 1):
         basis = lattice.basis_vectors()
@@ -309,60 +310,52 @@ class TranslationReport:
     witness: str
 
 
-def translation_subgroup(gens, lattice: ZLattice, in_group, max_rounds: int = 2000) -> TranslationReport:
+def translation_subgroup(gens, lattice: ZLattice, escaped: int, max_rounds: int) -> TranslationReport:
     """Certify the candidate lattice against the affine group's translations.
 
     Precondition: the linear parts of the generators whose translation is
-    zero (the kept reflections) generate a finite group L, so every (m, 0)
-    with m in L lies in G = <gens>; `in_group(m)` decides whether m lies in
-    L, and is None when nothing decides it.  The translations T form the
+    zero (the kept reflections) generate a group L of at most `max_rounds`
+    elements, so every (m, 0) with m in L lies in G = <gens>, and `escaped`
+    generators have a linear part outside L.  The translations T form the
     kernel of the linear-part map of G, so the cosets of T are indexed by
-    linear parts, and the (m, 0) are a transversal exactly when every
-    generator's linear part lies in L; generators for which that fails are
-    counted as escaped.  Schreier's lemma (Seress, Permutation Group
-    Algorithms, 2003, 4.2; Holt-Eick-O'Brien, Handbook of Computational
-    Group Theory, 2005, 2.4) holds for any transversal containing the
-    identity: T is generated by (m, 0) * s * (m A, 0)^-1 for m in L and
-    generators s = (A, t), which is the translation by m t.  The span of
-    those is the L-orbit span of the shifts t, which `saturate` builds
-    under L's generators without listing L.
+    linear parts, and the (m, 0) are a transversal exactly when nothing
+    escaped.  Schreier's lemma (Seress, Permutation Group Algorithms, 2003,
+    4.2; Holt-Eick-O'Brien, Handbook of Computational Group Theory, 2005,
+    2.4) holds for any transversal containing the identity: T is generated
+    by (m, 0) * s * (m A, 0)^-1 for m in L and generators s = (A, t), which
+    is the translation by m t.  The span of those is the L-orbit span of
+    the shifts t, which `saturate` builds under L's generators without
+    listing L, within |L| rounds.
 
     invariance: each generator's linear part maps the lattice onto itself.
     containment: nothing escaped and the Schreier span lies in the lattice;
       every element of G is a translation in T times some (m, 0), so then
       all its translations do.
     fullness: nothing escaped and the Schreier span is exactly the lattice.
-    Without `in_group` both are inconclusive.
+    Both fail, with nothing saturated, when something escaped.
     states: the saturation rounds that built the Schreier span.
     """
     gens = list(gens)
     if not gens:
         raise AffineError("no generators")
-    field = lattice.field
-    n = lattice.dim
-
     invariance = all(lattice.transformed(g.linear) == lattice for g in gens)
+    if escaped:
+        witness = f"linear part outside the group for {escaped} of {len(gens)} generators"
+        return TranslationReport(invariance, "fail", "fail", 0, witness)
 
     linear = [g.linear for g in gens if is_zero_vector(g.translation)]
     shifts = [g.translation for g in gens if not is_zero_vector(g.translation)]
-    span, rounds = saturate(ZLattice(field, n, shifts), linear, max_rounds)
-    if in_group is None:
-        witness = "no test of membership in the linear group"
-        return TranslationReport(invariance, "inconclusive", "inconclusive", rounds, witness)
-
-    escaped = sum(not in_group(g.linear) for g in gens)
+    span, rounds = saturate(ZLattice(lattice.field, lattice.dim, shifts), linear, max_rounds)
     outside = sum(not lattice.member(v) for v in span.basis_vectors())
     spans = span == lattice
-    if escaped:
-        witness = f"linear part outside the group for {escaped} of {len(gens)} generators"
-    elif outside:
+    if outside:
         witness = f"{outside} of {span.rank} basis vectors of the Schreier span outside the lattice"
     elif not spans:
         witness = f"the Schreier span, saturated in {rounds} rounds, is a proper sublattice"
     else:
         witness = f"the Schreier span, saturated in {rounds} rounds, is the lattice"
-    containment = "fail" if escaped or outside else "pass"
-    fullness = "pass" if not escaped and spans else "fail"
+    containment = "fail" if outside else "pass"
+    fullness = "pass" if spans else "fail"
     return TranslationReport(invariance, containment, fullness, rounds, witness)
 
 
@@ -530,11 +523,13 @@ def _kept_indices(d: Diagram, q: Quotient) -> list[int]:
 def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_group: int = 2000) -> CaseReport:
     """Run every check tying the diagram's dual action to its crystallographic model.
 
-    Only the model's group is closed, under `max_group`.  The diagram's
-    linear group is tied to it by find_conjugacy, and its lattices are
-    built by saturation, capped at `max_group` rounds.  Without a conjugacy
-    the group claims fail and the membership claims are inconclusive.
-    An alpha0 from a larger field than the diagram's lifts the run into it.
+    Only the model's group R is closed, under `max_group`.  The diagram's
+    linear group is tied to it by find_conjugacy, which proves its order
+    |R|; its lattices are then built by saturation within |R| rounds, and
+    each omitted linear part is looked up in R once.  Without a conjugacy
+    the group claims fail, and the membership and lattice claims are
+    inconclusive with no search run.  An alpha0 from a larger field than
+    the diagram's lifts the run into it.
     """
     if d.expected_group is None:
         raise AffineError(f"{d.name} declares no crystallographic model")
@@ -583,15 +578,7 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_grou
     kept_linear = [duals[j].linear for j in kept]
     cert = find_conjugacy(kept_linear, targets)
     model = f"{'the conjugates of ' if conj else ''}the stored generators of {d.expected_group}"
-    in_group = None
     if cert.x is not None:
-        x, x_inv = cert.x, mat_inverse(cert.x)
-        members = _model_members(d.expected_group, max_group, field)
-
-        def in_group(m: Matrix) -> bool:
-            y = mat_prod([x, m, x_inv])
-            return (conj_matrix(y) if conj else y) in members
-
         pairs = ", ".join(f"{q.labels[j]}->{p}" for j, p in zip(kept, cert.pi))
         witness = f"pi: {pairs}; X = {_render_matrix(cert.x)}; bijections solved: {cert.tries}"
     else:
@@ -616,74 +603,54 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_grou
         )
     )
 
-    if in_group is None:
-        verdict, witness = "inconclusive", "no conjugacy to test membership"
-    else:
-        outside = [q.labels[j] for j in range(len(duals)) if j not in kept and not in_group(duals[j].linear)]
-        verdict = "fail" if outside else "pass"
-        witness = f"outside: {', '.join(outside)}" if outside else "all omitted linear parts found"
-    checks.append(
-        CheckResult(
-            "omitted_in_closure",
-            "linear parts of the omitted reflections already lie in the linear group",
-            verdict,
-            witness,
-        )
-    )
-
+    rule = ref.lattice_rule
+    claims = {
+        "omitted_in_closure": "linear parts of the omitted reflections already lie in the linear group",
+        "lattice_rank": f"the orbit lattice of the omitted translation has full rank {2 * frame.n}",
+        "lattice_invariant": "the lattice is carried onto itself by every generator's linear part",
+        "translations_contained": "every translation arising in the affine group lies in the lattice",
+        "translations_generate": "the translation subgroup, generated by its Schreier translations, is the whole lattice",
+    }
+    if rule["kind"] == "ring":
+        claims["ring_lattice"] = f"the lattice equals the {rule['ring']}-multiples of the omitted translation"
+    # without X no group order bounds a search, so none is run
+    results = {c: ("inconclusive", "no conjugacy to test membership or bound the lattices") for c in claims}
+    lattice = None
     t0 = duals[q.omitted_index].translation
-    lattice, _ = saturate(ZLattice(field, frame.n, [t0]), kept_linear, max_group)
-    full = lattice.rank == 2 * frame.n
-    checks.append(
-        CheckResult(
-            "lattice_rank",
-            f"the orbit lattice of the omitted translation has full rank {2 * frame.n}",
-            "pass" if full else "fail",
-            f"rank {lattice.rank}",
-        )
-    )
+    if cert.x is not None:
+        x, x_inv = cert.x, mat_inverse(cert.x)
+        members = _model_members(d.expected_group, max_group, field)
 
-    trep = translation_subgroup(duals, lattice, in_group, max_group)
-    checks.append(
-        CheckResult(
-            "lattice_invariant",
-            "the lattice is carried onto itself by every generator's linear part",
-            "pass" if trep.invariance else "fail",
-            "all generators checked",
+        def in_model(m: Matrix) -> bool:
+            y = mat_prod([x, m, x_inv])
+            return (conj_matrix(y) if conj else y) in members
+
+        # kept generators are members by construction; each omitted one is tested once
+        outside = [q.labels[j] for j in range(len(duals)) if j not in kept and not in_model(duals[j].linear)]
+        results["omitted_in_closure"] = (
+            ("fail", f"outside: {', '.join(outside)}") if outside else ("pass", "all omitted linear parts found")
         )
-    )
-    checks.append(
-        CheckResult(
-            "translations_contained",
-            "every translation arising in the affine group lies in the lattice",
+        # <kept> = X^-1 R X has the model's order, so both saturations end within it
+        lattice, _ = saturate(ZLattice(field, frame.n, [t0]), kept_linear, expected_order)
+        full = lattice.rank == 2 * frame.n
+        results["lattice_rank"] = ("pass" if full else "fail", f"rank {lattice.rank}")
+        trep = translation_subgroup(duals, lattice, len(outside), expected_order)
+        results["lattice_invariant"] = ("pass" if trep.invariance else "fail", "all generators checked")
+        results["translations_contained"] = (
             trep.containment,
             trep.witness
             if trep.containment != "pass"
             else f"the Schreier span, saturated in {trep.states} rounds, lies in it",
         )
-    )
-    checks.append(
-        CheckResult(
-            "translations_generate",
-            "the translation subgroup, generated by its Schreier translations, is the whole lattice",
-            trep.fullness,
-            trep.witness,
-        )
-    )
+        results["translations_generate"] = (trep.fullness, trep.witness)
+        if rule["kind"] == "ring":
+            unit = parse_value(RING_GENERATORS[rule["ring"]], field)
+            ring_lat = ZLattice(field, frame.n, [t0, vec_scale(unit, t0)])
+            verdict = "pass" if lattice == ring_lat else "fail"
+            results["ring_lattice"] = (verdict, "rank-1 ring lattice compared exactly")
+    checks += [CheckResult(c, claim, *results[c]) for c, claim in claims.items()]
 
-    rule = ref.lattice_rule
-    if rule["kind"] == "ring":
-        unit = parse_value(RING_GENERATORS[rule["ring"]], field)
-        ring_lat = ZLattice(field, frame.n, [t0, vec_scale(unit, t0)])
-        checks.append(
-            CheckResult(
-                "ring_lattice",
-                f"the lattice equals the {rule['ring']}-multiples of the omitted translation",
-                "pass" if lattice == ring_lat else "fail",
-                "rank-1 ring lattice compared exactly",
-            )
-        )
-    elif rule["kind"] == "order2_root_orbit":
+    if rule["kind"] == "order2_root_orbit":
         omitted_order = reflection_order(duals[q.omitted_index].linear)
         ok = omitted_order == 2 and d.cycles[q.omitted_index].order == 2
         checks.append(
@@ -741,5 +708,5 @@ def dilation_check(d: Diagram) -> DilationReport:
     match = tuple((c.claim_id, c.verdict) for c in base.checks) == tuple(
         (c.claim_id, c.verdict) for c in dilated.checks
     )
-    scaled = dilated.lattice == base.lattice.scaled(factor)
+    scaled = None not in (base.lattice, dilated.lattice) and dilated.lattice == base.lattice.scaled(factor)
     return DilationReport(d.name, d.chi_label, match, scaled, base, dilated)

@@ -10,7 +10,6 @@ integer Hermite normal form.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Sequence
 
@@ -273,13 +272,6 @@ class HermitianGram:
         """Whether <m u, m v> = <u, v>: m^T G conj(m) = G."""
         return mat_mul(transpose(m), mat_mul(self.gram, conj_matrix(m))) == self.gram
 
-    def principal_minor(self, idx: Sequence[int]) -> Fraction:
-        sub = tuple(tuple(self.gram[i][j] for j in idx) for i in idx)
-        d = det(sub)
-        if not d.is_rational():
-            raise ArithmeticError("Hermitian principal minor is not rational")
-        return d.rational_value()
-
     def is_negative_semidefinite(self) -> bool:
         """Checked on the principal block G[I, I] of the pivot columns I of G.
 
@@ -287,11 +279,25 @@ class HermitianGram:
         nonsingular and G = G[:, I] G[I, I]^-1 G[:, I]^H: G has the inertia
         of G[I, I] plus zeros.  So G is negative semidefinite exactly when
         G[I, I] is negative definite, that is when (-1)^k times each of its
-        leading k x k minors is positive (Sylvester).  Exact, singular
-        forms included.
+        leading k x k minors is positive (Sylvester).  Eliminating G[I, I]
+        once without row swaps makes the k-th leading minor the product of
+        the first k pivots, so that holds exactly when every pivot is
+        negative; a zero pivot is a zero minor.  Exact, singular forms
+        included.
         """
         cols = _echelon([list(r) for r in self.gram])[1]
-        return all((-1) ** k * self.principal_minor(cols[:k]) > 0 for k in range(1, len(cols) + 1))
+        rows = [[self.gram[i][j] for j in cols] for i in cols]
+        for k, row in enumerate(rows):
+            piv = row[k]
+            if not piv.is_rational():
+                raise ArithmeticError("Hermitian pivot is not rational")
+            if piv.rational_value() >= 0:
+                return False
+            inv = 1 / piv
+            for below in rows[k + 1 :]:
+                f = below[k] * inv
+                below[k:] = [x - f * y for x, y in zip(below[k:], row[k:])]
+        return True
 
 # -- integer lattices ------------------------------------------------------
 

@@ -400,8 +400,10 @@ def pl_operator(gram: HermitianGram, root: Vector, eigenvalue: CycloNum) -> PLOp
     return PLOperator(identity_minus_outer(coef, root, gbar), eigenvalue)
 
 
+@cached
 def diagram_operators(d: Diagram) -> tuple[PLOperator, ...]:
-    """One reflection per cycle, acting on the quotient basis."""
+    """One reflection per cycle, acting on the quotient basis; built once per
+    diagram, which hashes by identity."""
     q = quotient_basis(d)
     return tuple(
         pl_operator(q.gram, root, lam) for root, lam in zip(q.roots, q.eigenvalues)

@@ -227,51 +227,58 @@ def linear_part_closure(duals):
     return linear_closure([g.linear for g in duals if all(x.is_zero() for x in g.translation)])
 
 
+def _escaped(gens, group):
+    """The generators whose linear part lies outside the listed group."""
+    members = set(group)
+    return sum(g.linear not in members for g in gens)
+
+
 def test_translation_subgroup_rejects_wrong_lattice():
     d, q, fr, duals = duals_for("P8divZ6")
     group = linear_part_closure(duals)
     t0 = duals[q.omitted_index].translation
     lattice = ZLattice(fr.field, fr.n, [mat_vec(m, t0) for m in group])
-    good = translation_subgroup(duals, lattice, set(group).__contains__)
+    assert _escaped(duals, group) == 0
+    good = translation_subgroup(duals, lattice, 0, len(group))
     assert good.invariance and good.containment == "pass" and good.fullness == "pass"
     doubled = lattice.scaled(fr.field.from_rational(2))
-    bad = translation_subgroup(duals, doubled, set(group).__contains__)
+    bad = translation_subgroup(duals, doubled, 0, len(group))
     assert bad.containment == "fail"
 
 
 def test_translation_subgroup_exact_controls():
     d, q, fr, duals = duals_for("C3_33")
     group = linear_part_closure(duals)
-    in_group = set(group).__contains__
     t0 = duals[q.omitted_index].translation
     lattice = ZLattice(fr.field, fr.n, [mat_vec(m, t0) for m in group])
-    good = translation_subgroup(duals, lattice, in_group)
+    assert _escaped(duals, group) == 0
+    good = translation_subgroup(duals, lattice, 0, len(group))
     # states counts saturation rounds: 3 for C3_33, against the 72 linear parts a transversal lists
     assert (good.containment, good.fullness, good.states) == ("pass", "pass", 3)
-    half = translation_subgroup(duals, lattice.scaled(fr.field.from_rational(Fraction(1, 2))), in_group)
+    half = translation_subgroup(duals, lattice.scaled(fr.field.from_rational(Fraction(1, 2))), 0, len(group))
     assert (half.containment, half.fullness) == ("pass", "fail")
-    doubled = translation_subgroup(duals, lattice.scaled(fr.field.from_rational(2)), in_group)
+    doubled = translation_subgroup(duals, lattice.scaled(fr.field.from_rational(2)), 0, len(group))
     assert doubled.containment == "fail"
-    undecided = translation_subgroup(duals, lattice, None)
-    assert (undecided.invariance, undecided.containment, undecided.fullness) == (True, "inconclusive", "inconclusive")
 
     # v -> -v with the translations by 2 and 2w: the translation subgroup is 2Z[w]
     flip = AffineIsometry(matrix(F3, [[-1]]), vector(F3, [0]))
     shifts = [AffineIsometry(matrix(F3, [[1]]), vector(F3, [c])) for c in (2, "2*w")]
-    signs = set(linear_closure([flip.linear])).__contains__
+    signs = linear_closure([flip.linear])
     even = ZLattice(F3, 1, [vector(F3, [2]), vector(F3, ["2*w"])])
-    rep = translation_subgroup([flip, *shifts], even, signs)
+    assert _escaped([flip, *shifts], signs) == 0
+    rep = translation_subgroup([flip, *shifts], even, 0, len(signs))
     # the shifts already span a lattice -1 keeps, so one round confirms it (2 linear parts before)
     assert (rep.containment, rep.fullness, rep.states) == ("pass", "pass", 1)
-    four = translation_subgroup([flip, *shifts], even.scaled(F3.from_rational(2)), signs)
+    four = translation_subgroup([flip, *shifts], even.scaled(F3.from_rational(2)), 0, len(signs))
     assert (four.containment, four.fullness) == ("fail", "fail")
 
     # the linear part of v -> w v lies outside {1, -1}, so (1, 0), (-1, 0) are
-    # no transversal and both verdicts fail, although the Schreier
-    # translations alone would still span 2Z[w]
+    # no transversal and both verdicts fail with nothing saturated, although
+    # the Schreier translations alone would still span 2Z[w]
     turn = AffineIsometry(matrix(F3, [["w"]]), vector(F3, [0]))
-    escaped = translation_subgroup([flip, turn, *shifts], even, signs)
-    assert (escaped.containment, escaped.fullness) == ("fail", "fail")
+    assert _escaped([flip, turn, *shifts], signs) == 1
+    escaped = translation_subgroup([flip, turn, *shifts], even, 1, len(signs))
+    assert (escaped.containment, escaped.fullness, escaped.states) == ("fail", "fail", 0)
     assert escaped.witness == "linear part outside the group for 1 of 4 generators"
 
 
@@ -303,7 +310,9 @@ def _word_translation_span(duals, depth):
 def test_schreier_span_matches_word_oracle(name, depth):
     d, q, fr, duals = duals_for(name)
     lattice = verify_crystallographic(d).lattice
-    rep = translation_subgroup(duals, lattice, set(linear_part_closure(duals)).__contains__)
+    group = linear_part_closure(duals)
+    assert _escaped(duals, group) == 0
+    rep = translation_subgroup(duals, lattice, 0, len(group))
     assert rep.fullness == "pass"  # Schreier span == lattice
     assert _word_translation_span(duals, depth) == lattice
     assert _word_translation_span(duals, depth - 1) != lattice

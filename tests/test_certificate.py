@@ -2,11 +2,14 @@
 
 `verify_crystallographic` does not list a diagram's linear group: it finds
 an invertible X conjugating the kept linear parts onto the model's stored
-generators, and builds the orbit lattice and the Schreier span by
-saturation.  Here the breadth-first closure of oracle_closure.py lists the
-group anyway, for every diagram in both characters and for every run of
-the dilation check (the Z[i] diagrams lifted to Q(zeta12)), and the
-lattices and the certificate are checked against it.
+generators, and only then builds the orbit lattice and the Schreier span
+by saturation, each within the model's order of rounds, and looks each
+omitted linear part up in the model once.  Here the breadth-first closure
+of oracle_closure.py lists the group anyway, for every diagram in both
+characters and for every run of the dilation check (the Z[i] diagrams
+lifted to Q(zeta12)), and the lattices and the certificate are checked
+against it.  Tampered diagrams with no X must fail with no saturation run
+and every membership and lattice claim left inconclusive.
 """
 
 from fractions import Fraction
@@ -26,6 +29,7 @@ from crystmono.affine import (
     DualFrame,
     _kept_indices,
     _reference_generators,
+    dilation_check,
     find_conjugacy,
     lifted_quotient,
     reference_group,
@@ -107,15 +111,33 @@ def _unfiltered_conjugacy(gens, targets):
     return None, None
 
 
+def _spy_saturations(monkeypatch):
+    """Record (max_rounds, rounds taken) for every saturation."""
+    calls = []
+    real = affine.saturate
+
+    def spy(lattice, mats, max_rounds):
+        out = real(lattice, mats, max_rounds)
+        calls.append((max_rounds, out[1]))
+        return out
+
+    monkeypatch.setattr(affine, "saturate", spy)
+    return calls
+
+
 @pytest.mark.parametrize("run", _runs(), ids=_ids)
-def test_certificate_and_saturated_lattices_match_the_closure_oracle(run):
+def test_certificate_and_saturated_lattices_match_the_closure_oracle(run, monkeypatch):
     d, alpha0, q, frame, duals, kept = _setting(*run)
     field = q.field
+    saturations = _spy_saturations(monkeypatch)
     rep = verify_crystallographic(d, alpha0)
     assert rep.verdict == "pass"
     group = _oracle_group(run[0], run[1], field.n)
     ref = reference_group(d.expected_group)
     assert len(group) == ref.declared_order
+    # the orbit lattice and the Schreier span, each bounded by the model's order
+    assert len(saturations) == 2
+    assert all(bound == len(group) and rounds <= bound for bound, rounds in saturations)
 
     # the certificate, re-checked from the stored generators
     cert = rep.conjugacy
@@ -140,9 +162,9 @@ def test_certificate_and_saturated_lattices_match_the_closure_oracle(run):
     span, rounds = saturate(ZLattice(field, frame.n, shifts), kept_linear, len(group))
     assert span == schreier == rep.lattice
     members = set(group)
-    trep = translation_subgroup(duals, rep.lattice, members.__contains__)
-    assert (trep.containment, trep.fullness, trep.states) == ("pass", "pass", rounds)
     assert all(duals[j].linear in members for j in range(len(duals)) if j not in kept)
+    trep = translation_subgroup(duals, rep.lattice, 0, len(group))
+    assert (trep.containment, trep.fullness, trep.states) == ("pass", "pass", rounds)
 
 
 def test_saturation_rounds_are_bounded():
@@ -191,14 +213,14 @@ _dual_reflection = DualFrame.dual_reflection  # unpatched
 
 def _tamper_first_kept(monkeypatch, name, change):
     """Serve change(frame, root, eigenvalue, other) in place of the dual
-    reflection along the first kept root of `name` (primary character);
-    `other` is the last kept root."""
+    reflection along the first kept root of `name` (primary character),
+    in lifted runs too; `other` is the last kept root."""
     d = diagram(name)
     q = quotient_basis(d)
     kept = _kept_indices(d, q)
-    first, other = q.roots[kept[0]], q.roots[kept[-1]]
 
     def patched(self, root, eigenvalue):
+        first, other = (tuple(q.field.embed(x, self.field) for x in q.roots[j]) for j in (kept[0], kept[-1]))
         if root != first:
             return _dual_reflection(self, root, eigenvalue)
         return change(self, root, eigenvalue, other)
@@ -226,9 +248,13 @@ def _squared(frame, root, eigenvalue, _other):
 
 
 def _wrong_eigenvalue(frame, root, eigenvalue, _other):
-    # -1 in place of w would do too, but makes D4_3 and C3_33 infinite
-    # groups, which end at the bound, as they did with the diagram closure
     return _dual_reflection(frame, root, eigenvalue.conjugate())
+
+
+def _minus_one(frame, root, _eigenvalue, _other):
+    # in D4_3 and C3_33 this makes an infinite group whose orbit spans no
+    # lattice: with no X, nothing is saturated and the case fails at once
+    return _dual_reflection(frame, root, -frame.field.one)
 
 
 def _duplicated(frame, _root, eigenvalue, other):
@@ -237,12 +263,22 @@ def _duplicated(frame, _root, eigenvalue, other):
     return _dual_reflection(frame, other, eigenvalue)
 
 
+LATTICE_CLAIMS = (
+    "omitted_in_closure",
+    "lattice_rank",
+    "lattice_invariant",
+    "translations_contained",
+    "translations_generate",
+    "ring_lattice",
+)
+
 TAMPERED = [
     (name, change)
     for change, names in (
         (_squared, ("D4_3", "C3_33", "C3_24", "P8divZ4")),
         (_wrong_eigenvalue, ("D4_3", "C3_33", "C3_24", "P8divZ4")),
         (_duplicated, ("D4_3", "C3_33", "C3_24")),
+        (_minus_one, ("D4_3", "C3_33")),
     )
     for name in names
 ]
@@ -252,18 +288,26 @@ TAMPERED = [
 def test_no_conjugacy_fails_without_a_diagram_closure(name, change, monkeypatch, capsys):
     _tamper_first_kept(monkeypatch, name, change)
     calls = _spy_closures(monkeypatch)
+    saturations = _spy_saturations(monkeypatch)
     d = diagram(name)
     rep = verify_crystallographic(d)
     verdicts = {c.claim_id: c.verdict for c in rep.checks}
     assert verdicts["linear_order"] == verdicts["reflection_multiset"] == "fail"
     assert rep.conjugacy.x is None
     assert rep.conjugacy.tries == 0  # rejected by the single or pairwise traces
-    # the model is the only group closed, and membership stays undecided
+    # the model is the only group closed, no group order bounds a
+    # saturation, and the membership and lattice claims stay undecided
     assert calls == [_reference_generators(d.expected_group)]
-    for claim in ("omitted_in_closure", "translations_contained", "translations_generate"):
-        assert verdicts[claim] == "inconclusive"
+    open_claims = [c for c in LATTICE_CLAIMS if c in verdicts]
+    assert len(open_claims) == (6 if reference_group(d.expected_group).lattice_rule["kind"] == "ring" else 5)
+    assert {verdicts[c] for c in open_claims} == {"inconclusive"}
+    assert rep.lattice is None
+    dil = dilation_check(d)
+    assert dil.base.lattice is dil.dilated.lattice is None
+    assert (dil.verdicts_match, dil.lattice_scaled) == (True, False)
     assert main(["verify", "diagram", name]) == 1
     assert "no invertible X for the" in capsys.readouterr().out
+    assert saturations == []
     clear_caches()
 
 
@@ -296,18 +340,41 @@ def _halving(frame, root, _eigenvalue, _other):
     return _dual_reflection(frame, root, frame.field.from_rational(Fraction(1, 2)))
 
 
-def test_generator_of_infinite_order_ends_at_the_bound(monkeypatch, capsys):
+def test_generator_of_infinite_order_fails_without_a_search(monkeypatch, capsys):
     # a kept reflection with eigenvalue 1/2: the orbit of the omitted
-    # translation gains ever larger denominators and spans no lattice
+    # translation would gain ever larger denominators and span no lattice,
+    # but no X exists, so nothing is saturated and the case fails
     _tamper_first_kept(monkeypatch, "P8divZ6", _halving)
     calls = _spy_closures(monkeypatch)
-    with pytest.raises(ClosureBoundError, match="lattice saturation exceeds 40 rounds"):
-        verify_crystallographic(diagram("P8divZ6"), max_group=40)
+    saturations = _spy_saturations(monkeypatch)
+    rep = verify_crystallographic(diagram("P8divZ6"), max_group=40)
+    assert rep.verdict == "fail" and rep.lattice is None
     assert calls == [_reference_generators("K3_3")]
-    assert main(["verify", "diagram", "P8divZ6", "--max-group", "40"]) == 3
+    assert main(["verify", "diagram", "P8divZ6", "--max-group", "40"]) == 1
     out = capsys.readouterr().out
-    assert "group_bound" in out and "lattice saturation exceeds 40 rounds" in out
+    assert "group_bound" not in out and "verdict: fail" in out
+    assert saturations == []
     clear_caches()
+
+
+def test_catalogue_tests_each_omitted_generator_once(monkeypatch, capsys):
+    lookups = []
+    real = affine._model_members
+
+    class Counted(frozenset):
+        def __contains__(self, m):
+            lookups.append(m)
+            return frozenset.__contains__(self, m)
+
+    monkeypatch.setattr(affine, "_model_members", lambda *key: Counted(real(*key)))
+    omitted = 0
+    for chi in ("primary", "conj"):
+        assert main(["verify", "all", "--chi", chi]) == 0
+        for d in (diagram(n, chi) for n in diagram_names()):
+            q = quotient_basis(d)
+            omitted += len(q.roots) - len(_kept_indices(d, q))
+    capsys.readouterr()
+    assert len(lookups) == omitted == 20
 
 
 def test_catalogue_closes_only_the_models(monkeypatch, capsys):

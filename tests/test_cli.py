@@ -143,6 +143,25 @@ def test_verify_all_prints_the_checked_in_report(chi, capsys):
     assert out == (SNAPSHOTS / f"verify_all_{chi}.txt").read_text()
 
 
+@pytest.mark.parametrize("chi", ["primary", "conj"])
+def test_max_group_bounds_only_the_model_closures(chi, tmp_path, capsys):
+    """648 is the order of K25, the largest model: at that bound the report
+    is the checked-in one, and one below it only D4_3, whose model K25 is,
+    meets the bound.  The saturations are bounded by the certified model
+    order, never by --max-group."""
+    code, out, _ = run(["verify", "all", "--chi", chi, "--max-group", "648"], capsys)
+    assert code == 0
+    assert out == (SNAPSHOTS / f"verify_all_{chi}.txt").read_text()
+    path = tmp_path / "bound.json"
+    code, _, _ = run(["verify", "all", "--chi", chi, "--max-group", "647", "--json", str(path)], capsys)
+    assert code == 3
+    bounded = [
+        (r["case"], c["witness"]) for r in json.loads(path.read_text())["reports"] for c in r["checks"]
+        if c["claim_id"] == "group_bound"
+    ]
+    assert bounded == [("D4_3", "closure exceeds 647 elements")]
+
+
 def cold_report(name, chi, path):
     """Run one diagram target in a fresh interpreter, so every cache starts empty."""
     argv = ["verify", "diagram", name, "--chi", chi, "--json", str(path)]

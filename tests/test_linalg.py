@@ -122,6 +122,11 @@ def test_negative_semidefinite():
     zero_minors = HermitianGram(g3([[0, 0, -1], [0, 1, -1], [-1, -1, -1]]))
     assert not zero_minors.is_negative_semidefinite()
 
+    # over Q(zeta12) a real pivot need not be rational: -(zeta + conj(zeta)) = -sqrt(3)
+    z = F12.root_of_unity(12)
+    with pytest.raises(ArithmeticError, match="Hermitian pivot is not rational"):
+        HermitianGram(((-(z + z.conjugate()),),)).is_negative_semidefinite()
+
 
 def test_form_preservation_check():
     g = HermitianGram(g3([[-3, "1-w"], ["1-conj(w)", -3]]))

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crystmono import clear_caches, monodromy
 from crystmono.cli import diagram_from_payload, show_diagram_payload
 from crystmono.cyclo import CycloField, parse_value, render_value
 from crystmono.linalg import (
@@ -14,6 +15,7 @@ from crystmono.linalg import (
     vec_sub,
 )
 from crystmono.monodromy import (
+    CHARACTERS,
     Diagram,
     DiagramError,
     OrderBoundError,
@@ -28,6 +30,7 @@ from crystmono.monodromy import (
     operator_order,
     pl_operator,
     quotient_basis,
+    verify_diagram,
 )
 
 ALL_NAMES = list(diagram_names())
@@ -139,6 +142,27 @@ def test_operators_preserve_form_fix_kernel_and_have_declared_order():
                 assert q.gram.is_preserved_by(op.matrix)
                 assert operator_order(op.matrix) == cyc.order
                 assert mat_vec(op.matrix, q.kernel) == q.kernel
+
+
+def test_verify_diagram_builds_each_reflection_once(monkeypatch):
+    # the form, order, braid, classical-monodromy and extra-relation checks
+    # share one build of the cycle reflections
+    builds = []
+    real = monodromy.pl_operator
+
+    def spy(gram, root, eigenvalue):
+        builds.append(root)
+        return real(gram, root, eigenvalue)
+
+    monkeypatch.setattr(monodromy, "pl_operator", spy)
+    clear_caches()
+    for nm in ALL_NAMES:
+        for chi in CHARACTERS:
+            d = diagram(nm, chi)
+            before = len(builds)
+            assert {c.verdict for c in verify_diagram(d)} == {"pass"}
+            assert len(builds) - before == len(d.cycles)
+    clear_caches()
 
 
 def test_operator_rank_one_and_determinant():
