@@ -136,6 +136,14 @@ class DualFrame:
 def linear_closure(generators, max_size: int = 2000) -> list[Matrix]:
     """Dimino's closure of a finite matrix group, identity first, in deterministic order.
 
+    The closure runs on the group's action on O, the orbit of the standard
+    basis e_1..e_n under the generators.  An element m is the index tuple
+    p with m O[i] = O[p[i]], so the product a*b is b looked up in a, and
+    each matrix is read off at the end as its images of the basis, the
+    columns O[p[0]], ..., O[p[n-1]].  O holds the basis, so the action is
+    faithful: index tuples and matrices correspond one to one, and the
+    list, order included, is the one Dimino gives on the matrices.
+
     Dimino (1971), as presented in Butler, Fundamental Algorithms for
     Permutation Groups (LNCS 559, 1991): with H the group of the earlier
     generators already listed, each generator g not in H extends the list
@@ -144,27 +152,45 @@ def linear_closure(generators, max_size: int = 2000) -> list[Matrix]:
     product already listed lies in a listed coset, so its coset is
     skipped.  The union of cosets contains the identity and is closed
     under right multiplication by the generators, so it is the group.
-    The cosets are disjoint, so the bound check before each coset raises
-    ClosureBoundError exactly when the group has more than `max_size`
-    elements, which also stops a generator of infinite order.
+
+    The orbit of each e_j holds at most |G| points, so |O| <= n |G|, and
+    ClosureBoundError is raised once O would pass n * max_size points.
+    That proves |G| > max_size, and it stops a generator of infinite
+    order: a group acting faithfully on a finite set is finite, so its O
+    is infinite.  Past the orbit, the cosets are disjoint, so the bound
+    check before each coset raises exactly when the group has more than
+    `max_size` elements.
     """
     gens = list(generators)
     if not gens:
         raise AffineError("no generators")
-    field = gens[0][0][0].field
-    order = [identity(field, len(gens[0]))]
+    n = len(gens[0])
+    points = list(identity(gens[0][0][0].field, n))  # O, the basis first
+    index = {v: i for i, v in enumerate(points)}
+    images: dict[Matrix, list[int]] = {g: [] for g in gens}
+    for v in points:  # grows as new images are found
+        for g, img in images.items():
+            w = mat_vec(g, v)
+            if w not in index:
+                if len(points) >= n * max_size:
+                    raise ClosureBoundError(f"closure exceeds {max_size} elements")
+                index[w] = len(points)
+                points.append(w)
+            img.append(index[w])
+    perms = [tuple(images[g]) for g in gens]
+    order = [tuple(range(len(points)))]
     seen = set(order)
-    used: list[Matrix] = []
+    used: list[tuple[int, ...]] = []
 
-    def add_coset(x: Matrix) -> None:
+    def add_coset(x: tuple[int, ...]) -> None:
         if len(order) + len(h) > max_size:
             raise ClosureBoundError(f"closure exceeds {max_size} elements")
-        block = [x] + [mat_mul(e, x) for e in h[1:]]
+        block = [x] + [tuple(map(e.__getitem__, x)) for e in h[1:]]
         order.extend(block)
         seen.update(block)
         reps.append(x)
 
-    for g in gens:
+    for g in perms:
         if g in seen:
             continue
         used.append(g)
@@ -172,10 +198,10 @@ def linear_closure(generators, max_size: int = 2000) -> list[Matrix]:
         add_coset(g)
         for x in reps:  # grows as add_coset finds new cosets
             for s in used:
-                y = mat_mul(x, s)
+                y = tuple(map(x.__getitem__, s))
                 if y not in seen:
                     add_coset(y)
-    return order
+    return [tuple(zip(*(points[j] for j in p[:n]))) for p in order]
 
 
 def reflection_order_multiset(group) -> dict[int, int]:

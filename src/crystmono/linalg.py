@@ -104,7 +104,13 @@ def identity_minus_outer(c: CycloNum, u: Vector, w: Vector) -> Matrix:
 
 
 def trace(m: Matrix) -> CycloNum:
-    return sum(row[k] for k, row in enumerate(m))
+    """The diagonal sum, as one integer sum of the products 1 * m[k][k].
+
+    1 is the left factor, whose zero coefficients the product loop skips,
+    so each diagonal entry costs one pass over its coefficients.
+    """
+    one = m[0][0].field.one
+    return one.field._sum_of_products([(one, row[k]) for k, row in enumerate(m)])
 
 
 def is_reflection(m: Matrix) -> bool:
@@ -273,31 +279,36 @@ class HermitianGram:
         return mat_mul(transpose(m), mat_mul(self.gram, conj_matrix(m))) == self.gram
 
     def is_negative_semidefinite(self) -> bool:
-        """Checked on the principal block G[I, I] of the pivot columns I of G.
+        """One symmetric elimination of G, without row swaps.
 
-        Those columns span the column space of G = G^H, so G[I, I] is
-        nonsingular and G = G[:, I] G[I, I]^-1 G[:, I]^H: G has the inertia
-        of G[I, I] plus zeros.  So G is negative semidefinite exactly when
-        G[I, I] is negative definite, that is when (-1)^k times each of its
-        leading k x k minors is positive (Sylvester).  Eliminating G[I, I]
-        once without row swaps makes the k-th leading minor the product of
-        the first k pivots, so that holds exactly when every pivot is
-        negative; a zero pivot is a zero minor.  Exact, singular forms
-        included.
+        Eliminating a pivot p = G[k][k] leaves G congruent to p (+) S, with
+        S = G' - G'[:, k] p^-1 G'[k, :] the Schur complement, Hermitian
+        again.  So with p negative, G is negative semidefinite exactly when
+        S is, and a positive diagonal entry means it is not.  A zero
+        diagonal entry of a negative semidefinite matrix forces a zero row,
+        since the 2 x 2 principal minor it sits in is -|x|^2 for the other
+        entry x of its row; so a zero pivot whose row is not zero means G is
+        not negative semidefinite, and one whose row is zero is skipped,
+        its row and column adding nothing.  Exact, singular forms included.
         """
-        cols = _echelon([list(r) for r in self.gram])[1]
-        rows = [[self.gram[i][j] for j in cols] for i in cols]
+        rows = [list(r) for r in self.gram]
         for k, row in enumerate(rows):
             piv = row[k]
             if not piv.is_rational():
                 raise ArithmeticError("Hermitian pivot is not rational")
-            if piv.rational_value() >= 0:
+            if not piv:
+                if any(row[k + 1 :]):
+                    return False
+                continue
+            if piv.rational_value() > 0:
                 return False
             inv = 1 / piv
             for below in rows[k + 1 :]:
                 f = below[k] * inv
-                below[k:] = [x - f * y for x, y in zip(below[k:], row[k:])]
+                if f:
+                    below[k:] = [x - f * y for x, y in zip(below[k:], row[k:])]
         return True
+
 
 # -- integer lattices ------------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Dimino's closure and the rank-one reflection test against their oracles.
 
 `linear_closure` is compared with the breadth-first closure kept in
-oracle_closure.py, `is_reflection` with a full elimination rank of
+oracle_closure.py, and its list, order included, with Dimino run on the
+matrices themselves; `is_reflection` with a full elimination rank of
 m - I, and the trace-filtered reflection multiset with an unfiltered
 count, on the seven reference models, which are all the verifier closes,
 and on the groups of the kept dual linear parts of every diagram in both
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_closure as O
-from crystmono import affine, clear_caches
+from crystmono import affine, clear_caches, linalg
 from crystmono.affine import (
     AffineError,
     ClosureBoundError,
@@ -30,6 +31,7 @@ from crystmono.affine import (
     reflection_order_multiset,
     verify_crystallographic,
 )
+from crystmono.cli import main
 from crystmono.cyclo import CycloField
 from crystmono.linalg import identity, mat_mul, mat_rank, matrix, trace, vec_sub
 from crystmono.monodromy import diagram, diagram_names, operator_order, quotient_basis
@@ -98,6 +100,12 @@ def test_closure_matches_the_bfs_oracle(case):
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_closure_keeps_the_order_of_dimino_on_matrices(case):
+    gens, group, _ = _closures(case)
+    assert group == O.dimino_closure(gens)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_bound_is_exact(case):
     gens, group, _ = _closures(case)
     assert linear_closure(gens, max_size=len(group)) == group
@@ -142,6 +150,15 @@ def test_infinite_order_generator_hits_the_bound(gens):
         linear_closure(mats, max_size=40)
     with pytest.raises(ClosureBoundError, match="closure exceeds 40 elements"):
         O.linear_closure(mats, max_size=40)
+
+
+def test_orbit_bound_is_tight():
+    """<w I_2> over Q(w) has 3 elements and a basis orbit of 6 = n * 3 points."""
+    g = matrix(F3, [[F3.omega, 0], [0, F3.omega]])
+    group = linear_closure([g], max_size=3)
+    assert len(group) == 3 and group == O.dimino_closure([g])
+    with pytest.raises(ClosureBoundError, match="closure exceeds 2 elements"):
+        linear_closure([g], max_size=2)
 
 
 def test_redundant_generators_are_skipped():
@@ -231,3 +248,33 @@ def test_verdicts_do_not_depend_on_closure_order(monkeypatch, fresh_caches):
         rep = verify_crystallographic(diagram(nm))
         assert rep.checks == plain[nm].checks
         assert rep.lattice == plain[nm].lattice
+
+
+def test_catalogue_closures_multiply_no_matrices(monkeypatch, capsys, fresh_caches):
+    """Over `verify all` in both characters, every closure reads its matrices
+    off the basis orbit: no mat_mul call happens inside linear_closure."""
+    depth, closures, products = [], [], []
+    dimino, real_mul = affine.linear_closure, linalg.mat_mul
+
+    def closure(gens, max_size=2000):
+        depth.append(None)
+        try:
+            group = dimino(gens, max_size)
+        finally:
+            depth.pop()
+        closures.append(len(group))
+        return group
+
+    def mul(a, b):
+        if depth:
+            products.append(None)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(affine, "linear_closure", closure)
+    monkeypatch.setattr(affine, "mat_mul", mul)
+    monkeypatch.setattr(linalg, "mat_mul", mul)
+    for chi in ("primary", "conj"):
+        assert main(["verify", "all", "--chi", chi]) == 0
+    capsys.readouterr()
+    assert len(closures) == 7 and 648 in closures
+    assert products == []

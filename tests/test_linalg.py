@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crystmono.cyclo import CycloField, parse_value
 from crystmono.linalg import (
@@ -18,6 +18,7 @@ from crystmono.linalg import (
     matrix,
     nullspace,
     solve,
+    trace,
     transpose,
     vec_add,
     vec_scale,
@@ -319,6 +320,27 @@ def test_hnf_is_reduced(gens):
         assert row[c] > 0
         assert all(0 <= above[c] < row[c] for above in lat.rows[:k])
     assert all(lat.member(g) for g in gens)
+
+
+F72 = CycloField(72)
+
+
+@st.composite
+def _fractional_squares(draw):
+    """Square matrices over Q(w), Q(i), Q(zeta12) or Q(zeta72), sparse
+    coefficients over mixed denominators."""
+    field = draw(st.sampled_from([F3, F4, F12, F72]))
+    n = draw(st.integers(1, 4))
+    coeff = st.one_of(st.just(0), st.builds(Fraction, _small, st.sampled_from([1, 2, 3, 5, 7])))
+    entry = st.lists(coeff, min_size=field.degree, max_size=field.degree).map(field.element)
+    return tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+
+
+@given(_fractional_squares())
+@example(((F72.element([Fraction(2, 7)] + [0] * 22 + [Fraction(-1, 3)]),),))
+@settings(max_examples=80, deadline=None)
+def test_trace_is_the_diagonal_sum(m):
+    assert trace(m) == sum((row[k] for k, row in enumerate(m)), m[0][0].field.zero)
 
 
 def _all_minors_nsd(g):
