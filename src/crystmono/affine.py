@@ -63,7 +63,7 @@ class AffineError(ValueError):
 
 
 class ClosureBoundError(AffineError):
-    """Group closure exceeded the allowed size bound."""
+    """A group closure or a lattice saturation exceeded its bound."""
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ class DualFrame:
         return AffineIsometry(identity_minus_outer(coef, ub, w), tr)
 
 
-def linear_closure(generators, max_size: int = 2000) -> list[Matrix]:
+def linear_closure(generators, max_size: int) -> list[Matrix]:
     """Dimino's closure of a finite matrix group, identity first, in deterministic order.
 
     The closure runs on the group's action on O, the orbit of the standard
@@ -221,18 +221,6 @@ def reflection_order_multiset(group) -> dict[int, int]:
     return out
 
 
-@cached
-def closure_summary(gens: tuple[Matrix, ...], max_size: int) -> tuple[list[Matrix], dict[int, int]]:
-    """The linear closure of `gens` and its reflection-order multiset.
-
-    Only the models are closed.  Keyed by the generator matrices and the
-    bound, so a smaller bound is checked again rather than answered from a
-    larger one's closure.
-    """
-    group = linear_closure(gens, max_size)
-    return group, reflection_order_multiset(group)
-
-
 @dataclass(frozen=True)
 class ReferenceGroup:
     name: str
@@ -298,8 +286,30 @@ def reference_group(name: str) -> ReferenceGroup:
     )
 
 
-def reference_closure(name: str, max_size: int = 2000) -> list[Matrix]:
-    return closure_summary(_reference_generators(name), max_size)[0]
+@cached
+def model_closure(name: str) -> tuple[list[Matrix], dict[int, int]]:
+    """The closure of a model's stored generators and its reflection-order
+    multiset, held to the model's data.
+
+    Only the models are closed, each once, bounded by its declared order.
+    AffineError is raised unless the closure has exactly that order and
+    the declared reflection counts.
+    """
+    ref = reference_group(name)
+    try:
+        group = linear_closure(_reference_generators(name), ref.declared_order)
+    except ClosureBoundError:
+        raise ClosureBoundError(f"{name}: closure exceeds declared order {ref.declared_order}") from None
+    if len(group) != ref.declared_order:
+        raise AffineError(f"{name}: closure order {len(group)} contradicts declared {ref.declared_order}")
+    multiset = reflection_order_multiset(group)
+    if multiset != ref.declared_reflections:
+        raise AffineError(f"{name}: reflection orders {multiset} contradict declared {ref.declared_reflections}")
+    return group, multiset
+
+
+def reference_closure(name: str) -> list[Matrix]:
+    return model_closure(name)[0]
 
 
 def _reference_generators(name: str) -> tuple[Matrix, ...]:
@@ -447,9 +457,9 @@ def _in_field(m: Matrix, field: CycloField) -> Matrix:
 
 
 @cached
-def _model_members(name: str, max_size: int, field: CycloField) -> frozenset[Matrix]:
-    """The model's closure under `max_size`, as a set of matrices over `field`."""
-    return frozenset(_in_field(m, field) for m in closure_summary(_reference_generators(name), max_size)[0])
+def _model_members(name: str, field: CycloField) -> frozenset[Matrix]:
+    """The model's closure as a set of matrices over `field`."""
+    return frozenset(_in_field(m, field) for m in model_closure(name)[0])
 
 
 def _render_matrix(m: Matrix) -> str:
@@ -546,16 +556,18 @@ def _kept_indices(d: Diagram, q: Quotient) -> list[int]:
     ]
 
 
-def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_group: int = 2000) -> CaseReport:
+def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None) -> CaseReport:
     """Run every check tying the diagram's dual action to its crystallographic model.
 
-    Only the model's group R is closed, under `max_group`.  The diagram's
-    linear group is tied to it by find_conjugacy, which proves its order
-    |R|; its lattices are then built by saturation within |R| rounds, and
-    each omitted linear part is looked up in R once.  Without a conjugacy
-    the group claims fail, and the membership and lattice claims are
-    inconclusive with no search run.  An alpha0 from a larger field than
-    the diagram's lifts the run into it.
+    Only the model's group R is closed, by model_closure, which bounds it
+    by R's declared order and raises AffineError unless the order and the
+    reflection counts are the declared ones.  The diagram's linear group is
+    tied to R by find_conjugacy, which proves its order |R|; its lattices
+    are then built by saturation within |R| rounds, and each omitted linear
+    part is looked up in R once.  Without a conjugacy the group claims
+    fail, and the membership and lattice claims are inconclusive with no
+    search run.  An alpha0 from a larger field than the diagram's lifts the
+    run into it.
     """
     if d.expected_group is None:
         raise AffineError(f"{d.name} declares no crystallographic model")
@@ -586,16 +598,7 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_grou
         )
     )
 
-    ref_group, ref_multiset = closure_summary(_reference_generators(d.expected_group), max_group)
-    expected_order = len(ref_group)
-    if expected_order != ref.declared_order:
-        raise AffineError(
-            f"{d.expected_group}: closure order {expected_order} contradicts declared {ref.declared_order}"
-        )
-    if ref_multiset != ref.declared_reflections:
-        raise AffineError(
-            f"{d.expected_group}: reflection orders {ref_multiset} contradict declared {ref.declared_reflections}"
-        )
+    ref_multiset = model_closure(d.expected_group)[1]
 
     # the dual reflections carry conj(lambda), so for the primary character
     # the kept linear parts match the model's generators entrywise conjugated
@@ -613,7 +616,7 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_grou
         CheckResult(
             "linear_order",
             f"one invertible X conjugates the kept linear parts, one by one, onto {model}, "
-            f"so they generate a group of order {expected_order}",
+            f"so they generate a group of order {ref.declared_order}",
             "pass" if cert.x is not None else "fail",
             witness,
         )
@@ -645,7 +648,7 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_grou
     t0 = duals[q.omitted_index].translation
     if cert.x is not None:
         x, x_inv = cert.x, mat_inverse(cert.x)
-        members = _model_members(d.expected_group, max_group, field)
+        members = _model_members(d.expected_group, field)
 
         def in_model(m: Matrix) -> bool:
             y = mat_prod([x, m, x_inv])
@@ -657,10 +660,10 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None, max_grou
             ("fail", f"outside: {', '.join(outside)}") if outside else ("pass", "all omitted linear parts found")
         )
         # <kept> = X^-1 R X has the model's order, so both saturations end within it
-        lattice, _ = saturate(ZLattice(field, frame.n, [t0]), kept_linear, expected_order)
+        lattice, _ = saturate(ZLattice(field, frame.n, [t0]), kept_linear, ref.declared_order)
         full = lattice.rank == 2 * frame.n
         results["lattice_rank"] = ("pass" if full else "fail", f"rank {lattice.rank}")
-        trep = translation_subgroup(duals, lattice, len(outside), expected_order)
+        trep = translation_subgroup(duals, lattice, len(outside), ref.declared_order)
         results["lattice_invariant"] = ("pass" if trep.invariance else "fail", "all generators checked")
         results["translations_contained"] = (
             trep.containment,

@@ -229,17 +229,22 @@ def _tamper_first_kept(monkeypatch, name, change):
 
 
 def _spy_closures(monkeypatch):
-    """Record the generators of every linear closure, from empty caches."""
+    """Record the generators and bound of every linear closure, from empty caches."""
     calls = []
     dimino = affine.linear_closure
 
-    def spy(gens, max_size=2000):
-        calls.append(tuple(gens))
+    def spy(gens, max_size):
+        calls.append((tuple(gens), max_size))
         return dimino(gens, max_size)
 
     monkeypatch.setattr(affine, "linear_closure", spy)
     clear_caches()
     return calls
+
+
+def _model_call(name):
+    """The one closure a model gets: its stored generators, bounded by its declared order."""
+    return _reference_generators(name), reference_group(name).declared_order
 
 
 def _squared(frame, root, eigenvalue, _other):
@@ -297,7 +302,7 @@ def test_no_conjugacy_fails_without_a_diagram_closure(name, change, monkeypatch,
     assert rep.conjugacy.tries == 0  # rejected by the single or pairwise traces
     # the model is the only group closed, no group order bounds a
     # saturation, and the membership and lattice claims stay undecided
-    assert calls == [_reference_generators(d.expected_group)]
+    assert calls == [_model_call(d.expected_group)]
     open_claims = [c for c in LATTICE_CLAIMS if c in verdicts]
     assert len(open_claims) == (6 if reference_group(d.expected_group).lattice_rule["kind"] == "ring" else 5)
     assert {verdicts[c] for c in open_claims} == {"inconclusive"}
@@ -347,10 +352,10 @@ def test_generator_of_infinite_order_fails_without_a_search(monkeypatch, capsys)
     _tamper_first_kept(monkeypatch, "P8divZ6", _halving)
     calls = _spy_closures(monkeypatch)
     saturations = _spy_saturations(monkeypatch)
-    rep = verify_crystallographic(diagram("P8divZ6"), max_group=40)
+    rep = verify_crystallographic(diagram("P8divZ6"))
     assert rep.verdict == "fail" and rep.lattice is None
-    assert calls == [_reference_generators("K3_3")]
-    assert main(["verify", "diagram", "P8divZ6", "--max-group", "40"]) == 1
+    assert calls == [_model_call("K3_3")]
+    assert main(["verify", "diagram", "P8divZ6"]) == 1
     out = capsys.readouterr().out
     assert "group_bound" not in out and "verdict: fail" in out
     assert saturations == []
@@ -378,10 +383,15 @@ def test_catalogue_tests_each_omitted_generator_once(monkeypatch, capsys):
 
 
 def test_catalogue_closes_only_the_models(monkeypatch, capsys):
+    """`verify all` in both characters and `verify group` of every model
+    close each of the seven models once, bounded by its declared order."""
     calls = _spy_closures(monkeypatch)
-    assert main(["verify", "all"]) == 0
+    for chi in ("primary", "conj"):
+        assert main(["verify", "all", "--chi", chi]) == 0
+    models = {d.expected_group for d in map(diagram, diagram_names())}
+    for name in sorted(models):
+        assert main(["verify", "group", name]) == 0
     capsys.readouterr()
-    models = {_reference_generators(d.expected_group) for d in map(diagram, diagram_names())}
     assert len(calls) == len(models) == 7
-    assert set(calls) == models
+    assert set(calls) == {_model_call(name) for name in models}
     clear_caches()

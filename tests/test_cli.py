@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -9,13 +10,12 @@ from pathlib import Path
 import pytest
 
 import crystmono
-from crystmono.affine import ClosureBoundError, dilation_check, reference_closure
+from crystmono.affine import dilation_check, reference_names
 from crystmono.cli import (
     _EXIT,
     diagram_from_payload,
     diagram_report,
     build_parser,
-    group_report,
     main,
     show_diagram_payload,
 )
@@ -143,23 +143,17 @@ def test_verify_all_prints_the_checked_in_report(chi, capsys):
     assert out == (SNAPSHOTS / f"verify_all_{chi}.txt").read_text()
 
 
-@pytest.mark.parametrize("chi", ["primary", "conj"])
-def test_max_group_bounds_only_the_model_closures(chi, tmp_path, capsys):
-    """648 is the order of K25, the largest model: at that bound the report
-    is the checked-in one, and one below it only D4_3, whose model K25 is,
-    meets the bound.  The saturations are bounded by the certified model
-    order, never by --max-group."""
-    code, out, _ = run(["verify", "all", "--chi", chi, "--max-group", "648"], capsys)
-    assert code == 0
-    assert out == (SNAPSHOTS / f"verify_all_{chi}.txt").read_text()
-    path = tmp_path / "bound.json"
-    code, _, _ = run(["verify", "all", "--chi", chi, "--max-group", "647", "--json", str(path)], capsys)
-    assert code == 3
-    bounded = [
-        (r["case"], c["witness"]) for r in json.loads(path.read_text())["reports"] for c in r["checks"]
-        if c["claim_id"] == "group_bound"
-    ]
-    assert bounded == [("D4_3", "closure exceeds 647 elements")]
+def test_verify_group_prints_the_checked_in_reports(capsys):
+    """tests/data/verify_groups.txt holds `verify group NAME` for the seven
+    models, in their stored order, for the primary and then the conjugate
+    character; a change detector like the `verify all` snapshots."""
+    out = []
+    for chi in ("primary", "conj"):
+        for name in reference_names():
+            code, text, _ = run(["verify", "group", name, "--chi", chi], capsys)
+            assert code == 0
+            out.append(text)
+    assert "".join(out) == (SNAPSHOTS / "verify_groups.txt").read_text()
 
 
 def cold_report(name, chi, path):
@@ -183,24 +177,10 @@ def test_cold_and_warm_reports_are_identical(name, chi, tmp_path, capsys):
 
 
 def cache_probes(capsys):
-    """Calls whose outcomes must not depend on what earlier calls left cached.
-
-    The C3_33 run warms K5's closure under the default bound; the last two
-    ask for it again under a bound of 10.
-    """
-    small = build_parser().parse_args(["verify", "group", "K5", "--max-group", "10"])
-
-    def closure_outcome():
-        try:
-            return len(reference_closure("K5", 10))
-        except ClosureBoundError as exc:
-            return str(exc)
-
+    """Calls whose outcomes must not depend on what earlier calls left cached."""
     return [
         lambda: run(["verify", "diagram", "C3_33", "--chi", "conj"], capsys),
         lambda: dilation_check(diagram("P8divZ6")),
-        lambda: group_report("K5", small),
-        closure_outcome,
     ]
 
 
@@ -210,7 +190,6 @@ def test_outcomes_do_not_depend_on_cache_state(capsys):
     for probe in probes:
         crystmono.clear_caches()
         cold.append(probe())
-    assert cold[2]["verdict"] == "inconclusive" and cold[3] == "closure exceeds 10 elements"
 
     crystmono.clear_caches()
     forward = [probe() for probe in probes]
@@ -306,6 +285,33 @@ def test_model_contradicting_its_reflection_counts_is_a_data_error(patched_group
     assert "K5: reflection orders {3: 16} contradict declared {2: 99}" in err
 
 
+def test_closure_beyond_the_declared_order_is_a_data_error(patched_group, capsys):
+    """K5 has 72 elements; declared as 71, its closure stops at the bound,
+    and the outcome is the same from cold caches and after a warming run."""
+    patched_group("K5", order=71)
+    targets = [["verify", "group", "K5"], ["verify", "diagram", "C3_33"]]
+    cold = []
+    for argv in targets:
+        crystmono.clear_caches()
+        cold.append(run(argv, capsys))
+    # the model's generators and the diagram's quotient are cached; a failed closure is not
+    for argv in (["show", "group", "K5"], ["show", "diagram", "C3_33"], *targets):
+        run(argv, capsys)
+    warm = [run(argv, capsys) for argv in targets]
+    assert cold == warm
+    for code, _, err in cold:
+        assert code == 2
+        assert err == "error: K5: closure exceeds declared order 71\n"
+
+
+def test_closure_short_of_the_declared_order_is_a_data_error(patched_group, capsys):
+    patched_group("K5", order=73)
+    for target, name in (("group", "K5"), ("diagram", "C3_33")):
+        code, _, err = run(["verify", target, name], capsys)
+        assert code == 2
+        assert err == "error: K5: closure order 72 contradicts declared 73\n"
+
+
 def test_show_then_verify_round_trips(capsys):
     code, out, _ = run(["show", "diagram", "P8divZ4"], capsys)
     assert code == 0
@@ -351,21 +357,31 @@ def test_show_group_without_ring_rule_has_no_basis(capsys):
     assert payload["lattice_rule"]["kind"] == "order2_root_orbit"
 
 
-def test_exhausted_group_bound_is_inconclusive(capsys):
-    code, out, _ = run(["verify", "diagram", "P8divZ6", "--max-group", "1"], capsys)
-    assert code == 3
-    assert "verdict: inconclusive" in out
-    assert "closure exceeds 1 elements" in out
-
-
-@pytest.mark.parametrize("bound", ["0", "-5", "ten"])
-def test_group_bound_below_one_is_a_usage_error(bound, capsys):
+def test_max_group_is_not_an_option(capsys):
+    """Each model closure is bounded by its declared order, so no option bounds it."""
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "group", "K3_3", "--max-group", bound])
+        main(["verify", "all", "--max-group", "648"])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: crystmono verify")
-    assert f"--max-group: expected an integer of at least 1, got '{bound}'" in err
+    assert "unrecognized arguments: --max-group 648" in capsys.readouterr().err
+
+
+def test_verify_options_are_the_documented_flags():
+    """The verify options are exactly these four, and README's Flags
+    paragraph names each of them."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {o for a in commands.choices["verify"]._actions for o in a.option_strings}
+    assert options == {"-h", "--help", "--chi", "--json", "--timings"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (flags,) = [p for p in readme.split("\n\n") if p.startswith("Flags:")]
+    assert all(f"`{o}" in flags for o in options)
+
+
+@pytest.mark.parametrize("argv", [["verify", "table1"], ["show", "group", "K5"]], ids=["verify", "show"])
+def test_unwritable_json_path_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, _, err = run([*argv, "--json", str(path)], capsys)
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
 
 def test_timings_fill_the_timing_field(tmp_path, capsys):
