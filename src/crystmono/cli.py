@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from .affine import (
     AffineError,
@@ -36,15 +37,14 @@ from .classify import (
     verify_table_row,
 )
 from .cyclo import RING_GENERATORS, parse_value, render_value
-from .linalg import HermitianGram, matrix, vector
+from .linalg import matrix, vector
 from .monodromy import (
     CHARACTERS,
     CheckResult,
     Cycle,
     Diagram,
     DiagramError,
-    Edge,
-    character_index,
+    assemble_diagram,
     diagram,
     diagram_field,
     diagram_names,
@@ -163,17 +163,28 @@ def _print_report(r: dict) -> None:
         print(f"  time: {r['timing']}s")
 
 
-def _emit(doc: dict, args) -> int:
+def _json_writer(path):
+    """The one writer of a command's JSON document, to `path` if one is given.
+
+    The path is opened here, before the first case runs, so an unwritable
+    path stops the command before it prints anything; the document itself
+    is written once, at the end.
+    """
+    if not path:
+        return lambda text: None
+    open(path, "a").close()
+    return Path(path).write_text
+
+
+def _emit(doc: dict, write_json) -> int:
     for r in doc["reports"]:
         _print_report(r)
     print(f"verdict: {doc['verdict']}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+    write_json(json.dumps(doc, indent=2) + "\n")
     return _EXIT[doc["verdict"]]
 
 
-def run_verify(args) -> int:
+def run_verify(args, write_json) -> int:
     # the catalogue targets, in the order `all` concatenates them
     catalogue = {
         "table1": lambda: sorted((table_report(r, args) for r in table_rows()), key=lambda r: r["case"]),
@@ -204,7 +215,7 @@ def run_verify(args) -> int:
         "reports": reports,
         "verdict": worst_verdict(r["verdict"] for r in reports),
     }
-    return _emit(doc, args)
+    return _emit(doc, write_json)
 
 
 def show_diagram_payload(d: Diagram) -> dict:
@@ -255,40 +266,32 @@ def show_diagram_payload(d: Diagram) -> dict:
 
 
 def diagram_from_payload(payload: dict) -> Diagram:
-    """Rebuild a diagram from its ``show`` dump; derived sections are ignored."""
+    """Rebuild a diagram from its ``show`` dump through assemble_diagram.
+
+    It passes the same structural checks as a dataset diagram, or raises
+    DiagramError.  The derived sections (``character``, ``frame`` and the
+    edge values) are not read but follow from the rest of the payload; the
+    recorded choices are carried over, not reconciled again.
+    """
     field = diagram_field(payload["name"], payload["ring"])
 
     def val(text):
         return parse_value(text, field)
 
-    pair = tuple(val(x) for x in payload["kernel_characters"])
-    chi_label = payload["chi"]
-    return Diagram(
-        name=payload["name"],
-        ring=payload["ring"],
-        field=field,
-        chi_label=chi_label,
-        chi=pair[character_index(chi_label)],
-        kernel_chi_pair=pair,
+    relation = payload["relation"]
+    return assemble_diagram(
+        name=payload["name"], ring=payload["ring"], chi_label=payload["chi"],
+        kernel_chi_pair=tuple(val(x) for x in payload["kernel_characters"]),
         cycles=tuple(
-            Cycle(c["id"], c["self_pairing"], c["order"], val(c["eigenvalue"]))
-            for c in payload["cycles"]
+            Cycle(c["id"], c["self_pairing"], c["order"], val(c["eigenvalue"])) for c in payload["cycles"]
         ),
-        edges=tuple(
-            Edge(e["src"], e["dst"], val(e["value"]), e["braid"])
-            for e in payload["edges"]
-        ),
-        gram=HermitianGram(matrix(field, payload["gram"])),
-        relation=vector(field, payload["relation"]) if payload["relation"] is not None else None,
-        kernel_vector=vector(field, payload["kernel_vector"]),
-        omitted_root=payload["omitted_root"],
-        expected_group=payload["expected_group"],
-        tau=payload["tau"],
-        classical_order=payload["classical_order"],
-        resolved_choices=dict(payload["resolved_choices"]),
-        rejected_choices=tuple(
-            (dict(r["assignment"]), r["violates"]) for r in payload["rejected_choices"]
-        ),
+        edges=tuple((e["src"], e["dst"], e["braid"]) for e in payload["edges"]),
+        gram=matrix(field, payload["gram"]),
+        relation=vector(field, relation) if relation is not None else None,
+        kernel_vector=vector(field, payload["kernel_vector"]), omitted_root=payload["omitted_root"],
+        expected_group=payload["expected_group"], tau=payload["tau"],
+        classical_order=payload["classical_order"], resolved_choices=payload["resolved_choices"],
+        rejected_choices=tuple((dict(r["assignment"]), r["violates"]) for r in payload["rejected_choices"]),
     )
 
 
@@ -319,7 +322,7 @@ def show_group_payload(name: str) -> dict:
     }
 
 
-def run_show(args) -> int:
+def run_show(args, write_json) -> int:
     if args.kind == "diagram":
         payload = show_diagram_payload(diagram(args.name, args.chi))
     elif args.kind == "group":
@@ -329,9 +332,7 @@ def run_show(args) -> int:
         return 2
     text = json.dumps(payload, indent=2) + "\n"
     sys.stdout.write(text)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text)
+    write_json(text)
     return 0
 
 
@@ -369,9 +370,10 @@ def main(argv=None) -> int:
             print(f"error: verify {args.target} takes no name", file=sys.stderr)
             return 2
     try:
+        write_json = _json_writer(args.json)
         if args.command == "verify":
-            return run_verify(args)
-        return run_show(args)
+            return run_verify(args, write_json)
+        return run_show(args, write_json)
     except (DiagramError, AffineError, ClassifyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,10 +2,14 @@
 
 Each diagram bundles the hermitian pairing data of a distinguished set of
 cycles together with the reflection eigenvalue attached to every cycle.
-Loading a diagram reconciles any declared sign/unit ambiguities against
-hard constraints (hermitian, negative semi-definite, corank-1 quotient
-with the stated kernel vector) and the result is cached, so the same
-name always yields the identical object.
+Every Diagram is made by assemble_diagram, which checks the structure all
+diagrams share and reads each edge's value off the gram; the datasets,
+``show`` payloads (cli.diagram_from_payload) and fold build through it.
+Loading a dataset diagram also checks its eigenvalues and edge values and
+reconciles any declared sign/unit ambiguities against hard constraints
+(hermitian, negative semi-definite, corank-1 quotient with the stated
+kernel vector); the result is cached, so the same name always yields the
+identical object.
 
 Operators act on column vectors in the basis of the first tau cycles;
 when a linear relation is declared, the trailing cycle is rewritten in
@@ -33,6 +37,7 @@ from .linalg import (
     mat_vec,
     matrix,
     reflection_order,
+    vec_add,
     vec_scale,
     vector,
 )
@@ -180,162 +185,164 @@ def _diagram(name: str, chi: str) -> Diagram:
 
 
 def _build(raw: dict, chi_label: str) -> Diagram:
-    conj = character_index(chi_label)
-    field = diagram_field(raw["name"], raw["ring"])
-    chi_pair = tuple(parse_value(s, field) for s in raw["kernel_chi"])
-    if chi_pair[1] != chi_pair[0].conjugate():
-        raise DiagramError(f"{raw['name']}: kernel characters are not conjugate")
-    if chi_pair[0].multiplicative_order() not in SPLITTING_ORDERS:
-        raise DiagramError(f"{raw['name']}: kernel character is not an admissible root of unity")
-    chi = chi_pair[conj]
-
-    cycles = []
-    for c in raw["cycles"]:
-        lam = parse_value(c["lambda"], field, chi=chi)
-        cycles.append(Cycle(c["id"], c["self"], c["order"], lam))
-    cycles = tuple(cycles)
-    index = {c.id: k for k, c in enumerate(cycles)}
-    if len(index) != len(cycles):
-        raise DiagramError(f"{raw['name']}: duplicate cycle ids")
-
-    tau = raw["tau"]
-    relation_raw = raw.get("relation")
-    if tau != len(cycles) - (1 if relation_raw else 0):
-        raise DiagramError(f"{raw['name']}: tau does not match cycle/relation count")
-
-    edges = []
-    for e in raw["edges"]:
-        cands = tuple(e.get("ambiguity", [e["value"]]))
-        if cands[0] != e["value"]:
-            raise DiagramError(f"{raw['name']}: edge value must head its ambiguity list")
-        if e["braid"] is not None and e["braid"] not in _BRAID_LENGTHS:
-            raise DiagramError(f"{raw['name']}: unsupported braid length {e['braid']}")
-        edges.append((e["from"], e["to"], cands, e["braid"]))
-
-    # conjugate dataset: conjugate every stated value, keep the structure
-    def val(text: str) -> CycloNum:
-        v = parse_value(text, field, chi=chi)
-        return v.conjugate() if conj else v
-
-    kernel_vector = vector(field, [val(s) for s in raw["kernel_vector"]])
-    if len(kernel_vector) != tau:
-        raise DiagramError(f"{raw['name']}: kernel vector must have tau entries")
-    relation = None
-    if relation_raw:
-        relation = vector(field, [val(s) for s in relation_raw])
-
-    gram, choices, rejected = _reconcile(
-        raw["name"], field, raw["ring"], cycles, edges, relation, kernel_vector, tau, val
-    )
-
-    omitted = raw["omitted_root"]
-    if omitted not in index or index[omitted] >= tau:
-        raise DiagramError(f"{raw['name']}: omitted root must be one of the first tau cycles")
-
-    return Diagram(
-        name=raw["name"],
-        ring=raw["ring"],
-        field=field,
-        chi_label=chi_label,
-        chi=chi,
-        kernel_chi_pair=chi_pair,
-        cycles=cycles,
-        edges=tuple(
-            Edge(src, dst, gram.gram[index[src]][index[dst]], braid)
-            for src, dst, _, braid in edges
-        ),
-        gram=gram,
-        relation=relation,
-        kernel_vector=kernel_vector,
-        omitted_root=omitted,
-        expected_group=raw.get("expected_group"),
-        tau=tau,
-        classical_order=raw["classical_order"],
-        resolved_choices=choices,
-        rejected_choices=rejected,
-    )
-
-
-def _reconcile(name, field, ring, cycles, edges, relation, kernel_vector, tau, val):
-    """Pick edge values deterministically against the hard constraints.
+    """Parse one dataset entry, run the checks only datasets need, and
+    reconcile its declared ambiguities.
 
     Candidate assignments are enumerated in declared order (edge by edge,
-    candidate lists left to right); the first assignment satisfying every
-    constraint wins.  Rejected assignments are kept with the name of the
-    first constraint they broke, so ambiguous choices stay auditable.
+    candidate lists left to right).  Each is built through assemble_diagram
+    and judged by _check_gram; the first that breaks no constraint wins.
+    Rejected assignments are kept with the name of the first constraint
+    they broke, so ambiguous choices stay auditable.
     """
-    index = {c.id: k for k, c in enumerate(cycles)}
+    name, ring = raw["name"], raw["ring"]
+    conj = character_index(chi_label)
+    field = diagram_field(name, ring)
+    chi_pair = tuple(parse_value(s, field) for s in raw["kernel_chi"])
+    chi = chi_pair[conj]
+
+    cycles = tuple(
+        Cycle(c["id"], c["self"], c["order"], parse_value(c["lambda"], field, chi=chi))
+        for c in raw["cycles"]
+    )
     for c in cycles:
         if c.eigenvalue.multiplicative_order() != c.order:
             raise ReconcileError(f"{name}: eigenvalue_order violated for cycle {c.id}")
         if c.eigenvalue == field.one:
             raise ReconcileError(f"{name}: cycle {c.id} has eigenvalue 1")
 
-    candidate_values = []
-    for src, dst, cands, _ in edges:
-        if src not in index or dst not in index:
-            raise DiagramError(f"{name}: edge endpoint missing")
-        vals = tuple(val(s) for s in cands)
-        norms = {v * v.conjugate() for v in vals}
-        if len(norms) != 1:
-            raise ReconcileError(f"{name}: magnitude violated on edge {src}->{dst}")
-        for v in vals:
-            if not in_subring(v, ring):
-                raise ReconcileError(f"{name}: ring violated on edge {src}->{dst}")
-        candidate_values.append(vals)
+    # conjugate dataset: conjugate every stated value, keep the structure
+    def val(text: str) -> CycloNum:
+        v = parse_value(text, field, chi=chi)
+        return v.conjugate() if conj else v
 
-    zero = field.zero
-    rejected: list[tuple[dict[str, str], str]] = []
-    winner = None
+    edges, candidates = [], []
+    for e in raw["edges"]:
+        texts = tuple(e.get("ambiguity", [e["value"]]))
+        if texts[:1] != (e["value"],):
+            raise DiagramError(f"{name}: edge value must head its ambiguity list")
+        vals = tuple(val(s) for s in texts)
+        if len({v * v.conjugate() for v in vals}) != 1:
+            raise ReconcileError(f"{name}: magnitude violated on edge {e['from']}->{e['to']}")
+        if not all(in_subring(v, ring) for v in vals):
+            raise ReconcileError(f"{name}: ring violated on edge {e['from']}->{e['to']}")
+        edges.append((e["from"], e["to"], e["braid"]))
+        candidates.append(tuple(zip(texts, vals)))
 
-    for picks in itertools.product(*(range(len(v)) for v in candidate_values)):
+    relation_raw = raw.get("relation")
+    relation = vector(field, [val(s) for s in relation_raw]) if relation_raw else None
+    kernel_vector = vector(field, [val(s) for s in raw["kernel_vector"]])
+    index = {c.id: k for k, c in enumerate(cycles)}
+
+    def build(picks, resolved, rejected) -> Diagram:
         entries = [
-            [field.from_rational(c.self_pairing) if r == s else zero for s in range(len(cycles))]
+            [field.from_rational(c.self_pairing) if r == s else field.zero for s in range(len(cycles))]
             for r, c in enumerate(cycles)
         ]
-        for (src, dst, _, _), vals, pick in zip(edges, candidate_values, picks):
-            r, s = index[src], index[dst]
-            if r == s or not entries[r][s].is_zero():
-                raise DiagramError(f"{name}: conflicting edge {src}->{dst}")
-            entries[r][s] = vals[pick]
-            entries[s][r] = vals[pick].conjugate()
-        gram = HermitianGram(matrix(field, entries))
+        for (src, dst, _), (_, v) in zip(edges, picks):
+            if src in index and dst in index:  # assemble_diagram names a missing endpoint
+                entries[index[src]][index[dst]] = v
+                entries[index[dst]][index[src]] = v.conjugate()
+        return assemble_diagram(
+            name=name, ring=ring, chi_label=chi_label, kernel_chi_pair=chi_pair, cycles=cycles,
+            edges=tuple(edges), gram=matrix(field, entries), relation=relation,
+            kernel_vector=kernel_vector, omitted_root=raw["omitted_root"],
+            expected_group=raw.get("expected_group"), tau=raw["tau"],
+            classical_order=raw["classical_order"], resolved_choices=resolved, rejected_choices=rejected,
+        )
 
-        label = {
-            f"{src}->{dst}": cands[pick]
-            for (src, dst, cands, _), pick in zip(edges, picks)
-        }
-        failed = _check_gram(gram, relation, kernel_vector, tau)
-        if failed is None:
-            if winner is None:
-                winner = (gram, label)
-        else:
+    rejected: list[tuple[dict[str, str], str]] = []
+    winner = None
+    for picks in itertools.product(*candidates):
+        failed = _check_gram(build(picks, {}, ()))
+        if failed is not None:
+            label = {f"{src}->{dst}": text for (src, dst, _), (text, _) in zip(edges, picks)}
             rejected.append((label, failed))
-
+        elif winner is None:
+            winner = picks
     if winner is None:
-        detail = "; ".join(f"{lab}: {why}" for lab, why in rejected) or "no candidates"
+        detail = "; ".join(f"{lab}: {why}" for lab, why in rejected)
         raise ReconcileError(f"{name}: no admissible assignment ({detail})")
 
-    gram, label = winner
     choices = {
-        key: label[key]
-        for (src, dst, cands, _) in edges
+        f"{src}->{dst}": text
+        for (src, dst, _), (text, _), cands in zip(edges, winner, candidates)
         if len(cands) > 1
-        for key in (f"{src}->{dst}",)
     }
-    return gram, choices, tuple(rejected)
+    return build(winner, choices, tuple(rejected))
 
 
-def _check_gram(gram: HermitianGram, relation, kernel_vector, tau) -> str | None:
+def assemble_diagram(
+    *, name, ring, chi_label, kernel_chi_pair, cycles, edges, gram: Matrix, relation, kernel_vector,
+    omitted_root, expected_group, tau, classical_order, resolved_choices, rejected_choices,
+) -> Diagram:
+    """The one constructor of Diagram: check the structure every diagram
+    has, whatever built it, and read each edge's value off the gram.
+
+    Arguments are Diagram's fields, except that `edges` are (src, dst,
+    braid) triples and field, chi and the edge values are derived.  The
+    gram's entries and the cycle eigenvalues are not judged here;
+    verify_diagram judges them, so tampered values still reach its checks.
+    Raises DiagramError naming the first structural check that fails.
+    """
+    field = diagram_field(name, ring)
+    conj = character_index(chi_label)
+    pair = kernel_chi_pair
+    if len(pair) != 2 or pair[1] != pair[0].conjugate():
+        raise DiagramError(f"{name}: kernel characters are not conjugate")
+    if pair[0].multiplicative_order() not in SPLITTING_ORDERS:
+        raise DiagramError(f"{name}: kernel character is not an admissible root of unity")
+
+    n = len(cycles)
+    index = {c.id: k for k, c in enumerate(cycles)}
+    if len(index) != n:
+        raise DiagramError(f"{name}: duplicate cycle ids")
+    if tau != n - (relation is not None):
+        raise DiagramError(f"{name}: tau does not match cycle/relation count")
+    if len(kernel_vector) != tau:
+        raise DiagramError(f"{name}: kernel vector must have tau entries")
+    if relation is not None and len(relation) != n:
+        raise DiagramError(f"{name}: relation must have one entry per cycle")
+    if len(gram) != n or any(len(row) != n for row in gram):
+        raise DiagramError(f"{name}: gram must have one row and one column per cycle")
+
+    paired = set()
+    for src, dst, braid in edges:
+        if src not in index or dst not in index:
+            raise DiagramError(f"{name}: edge endpoint missing")
+        if src == dst:
+            raise DiagramError(f"{name}: edge {src}->{dst} joins a cycle to itself")
+        if frozenset((src, dst)) in paired:
+            raise DiagramError(f"{name}: conflicting edge {src}->{dst}")
+        paired.add(frozenset((src, dst)))
+        if braid is not None and braid not in _BRAID_LENGTHS:
+            raise DiagramError(f"{name}: unsupported braid length {braid}")
+    if index.get(omitted_root, tau) >= tau:
+        raise DiagramError(f"{name}: omitted root must be one of the first tau cycles")
+
+    try:
+        form = HermitianGram(gram)
+    except ValueError as exc:
+        raise DiagramError(f"{name}: gram {exc}") from None
+    return Diagram(
+        name=name, ring=ring, field=field, chi_label=chi_label, chi=pair[conj], kernel_chi_pair=pair,
+        cycles=cycles,
+        edges=tuple(Edge(src, dst, gram[index[src]][index[dst]], braid) for src, dst, braid in edges),
+        gram=form, relation=relation, kernel_vector=kernel_vector, omitted_root=omitted_root,
+        expected_group=expected_group, tau=tau, classical_order=classical_order,
+        resolved_choices=dict(resolved_choices), rejected_choices=rejected_choices,
+    )
+
+
+def _check_gram(d: Diagram) -> str | None:
     """Return the name of the first violated constraint, or None if all hold."""
-    if not gram.is_negative_semidefinite():
+    if not d.gram.is_negative_semidefinite():
         return "negative_semidefinite"
-    if relation is not None and not gram.in_radical(relation):
+    if d.relation is not None and not d.gram.in_radical(d.relation):
         return "relation_in_radical"
-    q = _quotient_gram(gram, tau)
+    q = _quotient_gram(d.gram, d.tau)
     if q.corank != 1:
         return "quotient_corank"
-    if not q.in_radical(kernel_vector):
+    if not q.in_radical(d.kernel_vector):
         return "kernel_vector"
     return None
 
@@ -537,9 +544,11 @@ def fold(d: Diagram, swap: tuple[str, str], sign_variant: int | None = None) -> 
     """Identify two cycles of a diagram, merging them into their (anti)sum.
 
     The merged cycle replaces the first of the pair; the second is removed.
-    With sign_variant None both signs are tried in the order +1, -1 and the
-    first variant passing the corank-1 constraint is returned; if a sign is
-    given it must pass on its own.
+    When the omitted root is either of the pair, the merged cycle becomes
+    the omitted root.  With sign_variant None both signs are tried in the
+    order +1, -1 and the first variant passing the corank-1 constraint is
+    returned; if a sign is given it must pass on its own.  The result is
+    built by assemble_diagram, its edges read off the folded gram.
     """
     a_id, b_id = swap
     if a_id == b_id:
@@ -552,27 +561,17 @@ def fold(d: Diagram, swap: tuple[str, str], sign_variant: int | None = None) -> 
         raise DiagramError(f"{d.name}: folded cycles must share their eigenvalue")
 
     field = d.field
-    n = len(d.cycles)
+    unit = identity(field, len(d.cycles))
+    kept = [k for k in range(len(d.cycles)) if k != ib]
     variants = (1, -1) if sign_variant is None else (sign_variant,)
     failures = []
     for s in variants:
         if s not in (1, -1):
             raise DiagramError("sign variant must be +1 or -1")
         sgn = field.one if s == 1 else -field.one
-        vecs = []
-        labels = []
-        for k, c in enumerate(d.cycles):
-            if k == ib:
-                continue
-            if k == ia:
-                v = [field.zero] * n
-                v[ia] = field.one
-                v[ib] = sgn
-                labels.append(f"{a_id}{'+' if s == 1 else '-'}{b_id}")
-            else:
-                v = [field.one if j == k else field.zero for j in range(n)]
-                labels.append(c.id)
-            vecs.append(vector(field, v))
+        merged = f"{a_id}{'+' if s == 1 else '-'}{b_id}"
+        labels = [merged if k == ia else d.cycles[k].id for k in kept]
+        vecs = [vec_add(unit[k], vec_scale(sgn, unit[ib])) if k == ia else unit[k] for k in kept]
         entries = [[d.gram.eval(u, v) for v in vecs] for u in vecs]
         gram = HermitianGram(matrix(field, entries))
         if not gram.is_negative_semidefinite():
@@ -584,39 +583,20 @@ def fold(d: Diagram, swap: tuple[str, str], sign_variant: int | None = None) -> 
         kernel = gram.kernel()[0]
         lead = next(x for x in kernel if not x.is_zero())
         kernel = vec_scale(lead.inverse(), kernel)
-        kept = [j for j in range(n) if j != ib]
         cycles = tuple(
-            Cycle(
-                labels[k],
-                int(gram.gram[k][k].rational_value()),
-                d.cycles[j].order,
-                d.cycles[j].eigenvalue,
-            )
+            Cycle(labels[k], int(gram.gram[k][k].rational_value()), d.cycles[j].order, d.cycles[j].eigenvalue)
             for k, j in enumerate(kept)
         )
-        new_edges = tuple(
-            Edge(labels[r], labels[c2], gram.gram[r][c2], None)
-            for r in range(len(vecs))
-            for c2 in range(len(vecs))
-            if r < c2 and not gram.gram[r][c2].is_zero()
-        )
-        return Diagram(
-            name=f"{d.name}_folded",
-            ring=d.ring,
-            field=field,
-            chi_label=d.chi_label,
-            chi=d.chi,
-            kernel_chi_pair=d.kernel_chi_pair,
+        return assemble_diagram(
+            name=f"{d.name}_folded", ring=d.ring, chi_label=d.chi_label, kernel_chi_pair=d.kernel_chi_pair,
             cycles=cycles,
-            edges=new_edges,
-            gram=gram,
-            relation=None,
-            kernel_vector=kernel,
-            omitted_root=d.omitted_root if d.omitted_root != b_id else labels[0],
-            expected_group=None,
-            tau=len(vecs),
-            classical_order=d.classical_order,
-            resolved_choices={"fold_sign": f"{s:+d}"},
+            edges=tuple(
+                (labels[r], labels[c], None)
+                for r in range(len(kept)) for c in range(r + 1, len(kept)) if not gram.gram[r][c].is_zero()
+            ),
+            gram=gram.gram, relation=None, kernel_vector=kernel,
+            omitted_root=merged if d.omitted_root in swap else d.omitted_root, expected_group=None,
+            tau=len(kept), classical_order=d.classical_order, resolved_choices={"fold_sign": f"{s:+d}"},
             rejected_choices=tuple(({"fold_sign": f"{fs:+d}"}, why) for fs, why in failures),
         )
     detail = "; ".join(f"sign {fs:+d}: {why}" for fs, why in failures)

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -19,7 +20,8 @@ from crystmono.cli import (
     main,
     show_diagram_payload,
 )
-from crystmono.monodromy import CheckResult, DiagramError, diagram, worst_verdict
+from crystmono.classify import table_rows, verify_table_row
+from crystmono.monodromy import CheckResult, DiagramError, diagram, verify_diagram, worst_verdict
 
 
 def run(argv, capsys):
@@ -248,6 +250,21 @@ def test_ring_names_are_spelled_only_in_cyclo():
     assert not spelled
 
 
+def test_diagram_has_one_constructor():
+    """Every Diagram, from a dataset, a payload or a fold, is made by
+    monodromy.assemble_diagram, so each passes the same structural checks."""
+    sites = []
+    for path in sorted(Path(crystmono.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "Diagram" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    sites.append(f"{path.name}:{getattr(top, 'name', node.lineno)}")
+    assert sites == ["monodromy.py:assemble_diagram"]
+
+
 @pytest.fixture
 def patched_group(monkeypatch):
     """Serve reference_groups.json with one model's entry changed, from cold caches."""
@@ -331,6 +348,102 @@ def test_payload_with_unknown_ring_or_character_is_rejected(key, value, capsys):
         diagram_from_payload(payload)
 
 
+def _set(*path, value):
+    """An edit that sets payload[path[0]]...[path[-1]] = value."""
+
+    def edit(p):
+        *head, last = path
+        for key in head:
+            p = p[key]
+        p[last] = value
+
+    return edit
+
+
+PAYLOAD_FAULTS = {
+    "tau": ("C3_33", lambda p: p.update(tau=p["tau"] + 1), "tau does not match cycle/relation count"),
+    "short_kernel_vector": (
+        "C3_33",
+        lambda p: p["kernel_vector"].pop(),
+        "kernel vector must have tau entries",
+    ),
+    "short_relation": ("P8divZ4", lambda p: p["relation"].pop(), "relation must have one entry per cycle"),
+    "endpoint": ("C3_33", _set("edges", 0, "dst", value="nowhere"), "edge endpoint missing"),
+    "loop": ("C3_33", _set("edges", 0, "dst", value="e1"), "edge e1->e1 joins a cycle to itself"),
+    "second_edge": (
+        "C3_33",
+        lambda p: p["edges"].append(dict(p["edges"][0], src="e0", dst="e1")),
+        "conflicting edge e0->e1",
+    ),
+    "braid": ("C3_33", _set("edges", 0, "braid", value=5), "unsupported braid length 5"),
+    "duplicate_id": (
+        "C3_33",
+        lambda p: p["cycles"][1].update(id=p["cycles"][0]["id"]),
+        "duplicate cycle ids",
+    ),
+    "gram_size": (
+        "C3_33",
+        lambda p: p.update(gram=[row[:-1] for row in p["gram"][:-1]]),
+        "gram must have one row and one column per cycle",
+    ),
+    "gram_ragged_row": ("C3_33", lambda p: p["gram"][1].pop(), "gram must have one row and one column per cycle"),
+    "gram_not_hermitian": ("C3_33", _set("gram", 0, 1, value="7"), "gram matrix is not Hermitian at (0, 1)"),
+    "kernel_pair": (
+        "C3_33",
+        lambda p: p.update(kernel_characters=[p["kernel_characters"][0]] * 2),
+        "kernel characters are not conjugate",
+    ),
+    "kernel_order": (
+        "C3_33",
+        _set("kernel_characters", value=["1", "1"]),
+        "kernel character is not an admissible root of unity",
+    ),
+    "omitted_root": (
+        "C3_33",
+        _set("omitted_root", value="nowhere"),
+        "omitted root must be one of the first tau cycles",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", PAYLOAD_FAULTS, ids=str)
+def test_payload_with_broken_structure_is_rejected(fault):
+    """A tampered payload is rejected by the check it breaks, never read
+    past its end, truncated into verdicts or passed."""
+    name, edit, message = PAYLOAD_FAULTS[fault]
+    payload = show_diagram_payload(diagram(name))
+    edit(payload)
+    with pytest.raises(DiagramError, match=re.escape(f"{name}: {message}")):
+        diagram_from_payload(payload)
+
+
+def test_payload_edge_values_are_read_off_the_gram():
+    payload = show_diagram_payload(diagram("C3_33"))
+    payload["edges"][0]["value"] = "7"
+    rebuilt = diagram_from_payload(payload)
+    assert [e.value for e in rebuilt.edges] == [e.value for e in diagram("C3_33").edges]
+
+
+def test_negative_controls_reach_their_verdicts():
+    """The tampered gram entry and eigenvalue pass the structural checks,
+    so verify_diagram judges them, with the verdicts these mutations have
+    always had; the flipped symmetry row fails its equivariance claim."""
+    payload = show_diagram_payload(diagram("C3_33"))
+    payload["gram"][0][0] = "-4"
+    verdicts = {c.claim_id: c.verdict for c in verify_diagram(diagram_from_payload(payload))}
+    assert verdicts == dict.fromkeys(("gram_form", "reflections", "braids", "classical_monodromy"), "fail")
+
+    payload = show_diagram_payload(diagram("C3_24"))
+    payload["cycles"][1]["eigenvalue"] = "-1"
+    verdicts = {c.claim_id: c.verdict for c in verify_diagram(diagram_from_payload(payload))}
+    assert verdicts == {"gram_form": "pass", "reflections": "fail", "braids": "fail", "classical_monodromy": "fail"}
+
+    row = table_rows()[0]
+    kx, ky, kz = row.case.kappa
+    flipped = dataclasses.replace(row, case=dataclasses.replace(row.case, kappa=(-kx, ky, kz)))
+    assert {c.claim_id: c.verdict for c in verify_table_row(flipped)}["equivariance"] == "fail"
+
+
 def test_round_trip_preserves_the_conjugate_binding(capsys):
     code, out, _ = run(["show", "diagram", "C3_24", "--chi", "conj"], capsys)
     assert code == 0
@@ -379,8 +492,9 @@ def test_verify_options_are_the_documented_flags():
 @pytest.mark.parametrize("argv", [["verify", "table1"], ["show", "group", "K5"]], ids=["verify", "show"])
 def test_unwritable_json_path_is_a_usage_error(argv, tmp_path, capsys):
     path = tmp_path / "missing" / "x.json"
-    code, _, err = run([*argv, "--json", str(path)], capsys)
+    code, out, err = run([*argv, "--json", str(path)], capsys)
     assert code == 2
+    assert out == ""  # the path is checked before the first case runs
     assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
 

@@ -1,8 +1,11 @@
+import copy
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystmono import clear_caches, monodromy
-from crystmono.cli import diagram_from_payload, show_diagram_payload
+from crystmono.cli import diagram_from_payload, main, show_diagram_payload
 from crystmono.cyclo import CycloField, parse_value, render_value
 from crystmono.linalg import (
     conj_matrix,
@@ -336,3 +339,91 @@ def test_property_reflection_scales_its_root(case, data):
     got = mat_vec(op.matrix, q.roots[k])
     want = tuple(q.eigenvalues[k] * c for c in q.roots[k])
     assert got == want
+
+
+@pytest.mark.parametrize("swap", [("e0", "e2"), ("e2", "e0")])
+def test_fold_of_the_omitted_root_omits_the_merged_cycle(swap):
+    folded = fold(diagram("D4_3"), swap)
+    merged = f"{swap[0]}+{swap[1]}"
+    assert merged in [c.id for c in folded.cycles]
+    assert folded.omitted_root == merged
+    q = quotient_basis(folded)
+    assert q.labels[q.omitted_index] == merged
+    assert {c.verdict for c in verify_diagram(folded)} == {"pass"}
+
+
+@pytest.fixture
+def patched_diagram(monkeypatch):
+    """Serve diagrams.json with one entry edited in place, from cold caches."""
+
+    def patch(name, edit):
+        raw = dict(monodromy._raw_diagrams())
+        raw[name] = copy.deepcopy(raw[name])
+        edit(raw[name])
+        monkeypatch.setattr(monodromy, "_raw_diagrams", lambda: raw)
+        clear_caches()
+
+    yield patch
+    clear_caches()
+
+
+def _set(*path, value):
+    """An edit that sets raw[path[0]]...[path[-1]] = value."""
+
+    def edit(raw):
+        *head, last = path
+        for key in head:
+            raw = raw[key]
+        raw[last] = value
+
+    return edit
+
+
+DATASET_FAULTS = {
+    "duplicate_id": ("D4_3", _set("cycles", 1, "id", value="e0"), "duplicate cycle ids"),
+    "tau": ("D4_3", _set("tau", value=3), "tau does not match cycle/relation count"),
+    "ambiguity_head": (
+        "P8_Z3",
+        _set("edges", 0, "ambiguity", value=["3*conj(w)", "3*w"]),
+        "edge value must head its ambiguity list",
+    ),
+    "braid": ("D4_3", _set("edges", 0, "braid", value=5), "unsupported braid length 5"),
+    "endpoint": ("D4_3", _set("edges", 0, "to", value="e9"), "edge endpoint missing"),
+    "loop": ("D4_3", _set("edges", 0, "to", value="e1"), "edge e1->e1 joins a cycle to itself"),
+    "second_edge": (
+        "D4_3",
+        lambda raw: raw["edges"].append(dict(raw["edges"][0], **{"from": "e0", "to": "e1"})),
+        "conflicting edge e0->e1",
+    ),
+    "omitted_root": ("D4_3", _set("omitted_root", value="e9"), "omitted root must be one of the first tau"),
+}
+
+
+@pytest.mark.parametrize("chi", CHARACTERS)
+@pytest.mark.parametrize("fault", DATASET_FAULTS, ids=str)
+def test_dataset_entry_with_broken_structure_is_rejected(patched_diagram, fault, chi):
+    name, edit, message = DATASET_FAULTS[fault]
+    patched_diagram(name, edit)
+    with pytest.raises(DiagramError, match="^" + re.escape(f"{name}: {message}")):
+        diagram(name, chi)
+    assert main(["verify", "diagram", name, "--chi", chi]) == 2
+
+
+@pytest.mark.parametrize("chi", CHARACTERS)
+def test_edge_values_are_the_stated_values(chi):
+    """Each edge reads its value off the gram at (src, dst): the dataset's
+    value, or its resolved choice, conjugated in the conjugate character."""
+    for name in ALL_NAMES:
+        d = diagram(name, chi)
+        for e, stated in zip(d.edges, monodromy._raw_diagrams()[name]["edges"]):
+            v = parse_value(d.resolved_choices.get(f"{e.src}->{e.dst}", stated["value"]), d.field, chi=d.chi)
+            assert e.value == (v.conjugate() if chi == "conj" else v), (name, e)
+
+
+def test_first_admissible_assignment_wins(patched_diagram):
+    """Candidates are judged in declared order: a later spelling of the
+    winning value is not chosen, and rejected ones keep their reason."""
+    patched_diagram("P8Z6_prime", _set("edges", 0, "ambiguity", value=["3", "-3", "conj(3)"]))
+    d = diagram("P8Z6_prime")
+    assert d.resolved_choices == {"e0->e1": "3"}
+    assert d.rejected_choices == (({"e0->e1": "-3"}, "kernel_vector"),)
