@@ -486,7 +486,8 @@ def maximal_root_check(d: Diagram, frame: DualFrame | None = None) -> MaximalRoo
     """Check the declared word identity writing a as a unit times A-word of a basis root.
 
     The letters are reflections on the non-kernel directions with the
-    restricted form, one per cycle index, with that cycle's eigenvalue.
+    restricted form, one per cycle index, with that cycle's eigenvalue:
+    the entrywise conjugates of the dual reflections' linear parts.
     Conjugating the whole dataset conjugates both sides, so the same word
     and the conjugated unit witness the identity for the other character.
     """
@@ -501,11 +502,7 @@ def maximal_root_check(d: Diagram, frame: DualFrame | None = None) -> MaximalRoo
         unit = unit.conjugate()
 
     q = frame.quotient
-    vgram = HermitianGram(frame.Q)
-    letters = {}
-    for j in set(word):
-        _, u = frame.decompose(q.roots[j])
-        letters[j] = pl_operator(vgram, u, d.cycles[j].eigenvalue).matrix
+    letters = {j: conj_matrix(frame.dual_reflection(q.roots[j], q.eigenvalues[j]).linear) for j in set(word)}
 
     _, v = frame.decompose(q.roots[leaf])
     v = vec_scale(unit, mat_vec(mat_prod([letters[j] for j in word]), v))

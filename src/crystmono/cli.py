@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from .affine import (
@@ -44,6 +45,7 @@ from .monodromy import (
     Cycle,
     Diagram,
     DiagramError,
+    Edge,
     assemble_diagram,
     diagram,
     diagram_field,
@@ -163,17 +165,27 @@ def _print_report(r: dict) -> None:
         print(f"  time: {r['timing']}s")
 
 
+@contextmanager
 def _json_writer(path):
     """The one writer of a command's JSON document, to `path` if one is given.
 
     The path is opened here, before the first case runs, so an unwritable
     path stops the command before it prints anything; the document itself
-    is written once, at the end.
+    is written once, at the end.  If the command ends without writing it,
+    a file this run created is removed and an older one left as it was.
     """
     if not path:
-        return lambda text: None
-    open(path, "a").close()
-    return Path(path).write_text
+        yield lambda text: None
+        return
+    target = Path(path)
+    created = not target.exists()
+    target.open("a").close()
+    written = []  # empty until the document is written
+    try:
+        yield lambda text: written.append(target.write_text(text))
+    finally:
+        if created and not written:
+            target.unlink(missing_ok=True)
 
 
 def _emit(doc: dict, write_json) -> int:
@@ -219,9 +231,10 @@ def run_verify(args, write_json) -> int:
 
 
 def show_diagram_payload(d: Diagram) -> dict:
-    q = quotient_basis(d)
-    frame = DualFrame(q) if d.expected_group is not None and d.tau >= 2 else None
-    payload = {
+    """The ``show`` dump of a diagram; self-pairings and edge values are read off the gram."""
+    g, pos = d.gram.gram, d.cycle_index
+    frame = DualFrame(quotient_basis(d)) if d.expected_group is not None and d.tau >= 2 else None
+    return {
         "schema": "1",
         "kind": "diagram",
         "name": d.name,
@@ -236,63 +249,57 @@ def show_diagram_payload(d: Diagram) -> dict:
         "cycles": [
             {
                 "id": c.id,
-                "self_pairing": c.self_pairing,
+                "self_pairing": int(g[k][k].rational_value()),
                 "order": c.order,
                 "eigenvalue": render_value(c.eigenvalue),
             }
-            for c in d.cycles
+            for k, c in enumerate(d.cycles)
         ],
         "edges": [
-            {"src": e.src, "dst": e.dst, "value": render_value(e.value), "braid": e.braid}
+            {"src": e.src, "dst": e.dst, "value": render_value(g[pos(e.src)][pos(e.dst)]), "braid": e.braid}
             for e in d.edges
         ],
-        "gram": [[render_value(x) for x in row] for row in d.gram.gram],
+        "gram": [[render_value(x) for x in row] for row in g],
         "kernel_vector": [render_value(x) for x in d.kernel_vector],
         "relation": [render_value(x) for x in d.relation] if d.relation is not None else None,
         "resolved_choices": dict(d.resolved_choices),
         "rejected_choices": [
             {"assignment": dict(choice), "violates": why} for choice, why in d.rejected_choices
         ],
-    }
-    if frame is not None:
-        payload["frame"] = {
+        "frame": None if frame is None else {
             "alpha0": render_value(frame.alpha0),
             "a": [render_value(x) for x in frame.a],
             "dual_form": [[render_value(x) for x in row] for row in frame.dual_gram.gram],
-        }
-    else:
-        payload["frame"] = None
-    return payload
+        },
+    }
 
 
 def diagram_from_payload(payload: dict) -> Diagram:
     """Rebuild a diagram from its ``show`` dump through assemble_diagram.
 
     It passes the same structural checks as a dataset diagram, or raises
-    DiagramError.  The derived sections (``character``, ``frame`` and the
-    edge values) are not read but follow from the rest of the payload; the
-    recorded choices are carried over, not reconciled again.
+    DiagramError, which also names a missing key.  The derived sections
+    (``character``, ``frame``, each cycle's ``self_pairing`` and each
+    edge's ``value``) are not read: the pairings come from ``gram`` alone.
+    The recorded choices are carried over, not reconciled again.
     """
-    field = diagram_field(payload["name"], payload["ring"])
-
-    def val(text):
-        return parse_value(text, field)
-
-    relation = payload["relation"]
-    return assemble_diagram(
-        name=payload["name"], ring=payload["ring"], chi_label=payload["chi"],
-        kernel_chi_pair=tuple(val(x) for x in payload["kernel_characters"]),
-        cycles=tuple(
-            Cycle(c["id"], c["self_pairing"], c["order"], val(c["eigenvalue"])) for c in payload["cycles"]
-        ),
-        edges=tuple((e["src"], e["dst"], e["braid"]) for e in payload["edges"]),
-        gram=matrix(field, payload["gram"]),
-        relation=vector(field, relation) if relation is not None else None,
-        kernel_vector=vector(field, payload["kernel_vector"]), omitted_root=payload["omitted_root"],
-        expected_group=payload["expected_group"], tau=payload["tau"],
-        classical_order=payload["classical_order"], resolved_choices=payload["resolved_choices"],
-        rejected_choices=tuple((dict(r["assignment"]), r["violates"]) for r in payload["rejected_choices"]),
-    )
+    try:
+        field = diagram_field(payload["name"], payload["ring"])
+        relation = payload["relation"]
+        return assemble_diagram(
+            name=payload["name"], ring=payload["ring"], chi_label=payload["chi"],
+            kernel_chi_pair=vector(field, payload["kernel_characters"]),
+            cycles=tuple(Cycle(c["id"], c["order"], parse_value(c["eigenvalue"], field)) for c in payload["cycles"]),
+            edges=tuple(Edge(e["src"], e["dst"], e["braid"]) for e in payload["edges"]),
+            gram=matrix(field, payload["gram"]),
+            relation=vector(field, relation) if relation is not None else None,
+            kernel_vector=vector(field, payload["kernel_vector"]), omitted_root=payload["omitted_root"],
+            expected_group=payload["expected_group"], tau=payload["tau"],
+            classical_order=payload["classical_order"], resolved_choices=payload["resolved_choices"],
+            rejected_choices=tuple((dict(r["assignment"]), r["violates"]) for r in payload["rejected_choices"]),
+        )
+    except KeyError as exc:
+        raise DiagramError(f"{payload.get('name', 'payload')}: missing key {exc.args[0]!r}") from None
 
 
 def show_group_payload(name: str) -> dict:
@@ -370,10 +377,10 @@ def main(argv=None) -> int:
             print(f"error: verify {args.target} takes no name", file=sys.stderr)
             return 2
     try:
-        write_json = _json_writer(args.json)
-        if args.command == "verify":
-            return run_verify(args, write_json)
-        return run_show(args, write_json)
+        with _json_writer(args.json) as write_json:
+            if args.command == "verify":
+                return run_verify(args, write_json)
+            return run_show(args, write_json)
     except (DiagramError, AffineError, ClassifyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,15 +1,15 @@
 """Vanishing-cycle diagrams and their Picard-Lefschetz operators.
 
 Each diagram bundles the hermitian pairing data of a distinguished set of
-cycles together with the reflection eigenvalue attached to every cycle.
-Every Diagram is made by assemble_diagram, which checks the structure all
-diagrams share and reads each edge's value off the gram; the datasets,
-``show`` payloads (cli.diagram_from_payload) and fold build through it.
-Loading a dataset diagram also checks its eigenvalues and edge values and
-reconciles any declared sign/unit ambiguities against hard constraints
-(hermitian, negative semi-definite, corank-1 quotient with the stated
-kernel vector); the result is cached, so the same name always yields the
-identical object.
+cycles together with the reflection eigenvalue attached to every cycle;
+the gram is the only record of the pairings.  Every Diagram is made by
+assemble_diagram, which checks the structure all diagrams share; the
+datasets, ``show`` payloads (cli.diagram_from_payload) and fold build
+through it.  Loading a dataset diagram also checks its eigenvalues and
+edge values and reconciles edges stating several candidate values against
+hard constraints (hermitian, negative semi-definite, corank-1 quotient
+with the stated kernel vector); the result is cached, so the same name
+always yields the identical object.
 
 Operators act on column vectors in the basis of the first tau cycles;
 when a linear relation is declared, the trailing cycle is rewritten in
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .cyclo import CycloField, CycloNum, cached, in_subring, parse_value, ring_field
@@ -68,7 +68,6 @@ _BRAID_LENGTHS = (2, 3, 4, 6)
 @dataclass(frozen=True)
 class Cycle:
     id: str
-    self_pairing: int
     order: int
     eigenvalue: CycloNum
 
@@ -77,7 +76,6 @@ class Cycle:
 class Edge:
     src: str
     dst: str
-    value: CycloNum
     braid: int | None
 
 
@@ -186,11 +184,13 @@ def _diagram(name: str, chi: str) -> Diagram:
 
 def _build(raw: dict, chi_label: str) -> Diagram:
     """Parse one dataset entry, run the checks only datasets need, and
-    reconcile its declared ambiguities.
+    reconcile the edges that state several candidate values.
 
-    Candidate assignments are enumerated in declared order (edge by edge,
-    candidate lists left to right).  Each is built through assemble_diagram
-    and judged by _check_gram; the first that breaks no constraint wins.
+    Each cycle's ``self`` is its gram diagonal entry; an edge's ``value``
+    is one value or the ordered list of its candidates.  Assignments are
+    enumerated in declared order (edge by edge, lists left to right).
+    Each is built through assemble_diagram and judged by _check_gram; the
+    first that breaks no constraint wins, and gets its choices attached.
     Rejected assignments are kept with the name of the first constraint
     they broke, so ambiguous choices stay auditable.
     """
@@ -200,15 +200,13 @@ def _build(raw: dict, chi_label: str) -> Diagram:
     chi_pair = tuple(parse_value(s, field) for s in raw["kernel_chi"])
     chi = chi_pair[conj]
 
-    cycles = tuple(
-        Cycle(c["id"], c["self"], c["order"], parse_value(c["lambda"], field, chi=chi))
-        for c in raw["cycles"]
-    )
+    cycles = tuple(Cycle(c["id"], c["order"], parse_value(c["lambda"], field, chi=chi)) for c in raw["cycles"])
     for c in cycles:
         if c.eigenvalue.multiplicative_order() != c.order:
             raise ReconcileError(f"{name}: eigenvalue_order violated for cycle {c.id}")
         if c.eigenvalue == field.one:
             raise ReconcileError(f"{name}: cycle {c.id} has eigenvalue 1")
+    diagonal = [field.from_rational(c["self"]) for c in raw["cycles"]]
 
     # conjugate dataset: conjugate every stated value, keep the structure
     def val(text: str) -> CycloNum:
@@ -217,15 +215,15 @@ def _build(raw: dict, chi_label: str) -> Diagram:
 
     edges, candidates = [], []
     for e in raw["edges"]:
-        texts = tuple(e.get("ambiguity", [e["value"]]))
-        if texts[:1] != (e["value"],):
-            raise DiagramError(f"{name}: edge value must head its ambiguity list")
+        texts = (e["value"],) if isinstance(e["value"], str) else tuple(e["value"])
         vals = tuple(val(s) for s in texts)
+        if not vals:
+            raise DiagramError(f"{name}: edge {e['from']}->{e['to']} states no value")
         if len({v * v.conjugate() for v in vals}) != 1:
             raise ReconcileError(f"{name}: magnitude violated on edge {e['from']}->{e['to']}")
         if not all(in_subring(v, ring) for v in vals):
             raise ReconcileError(f"{name}: ring violated on edge {e['from']}->{e['to']}")
-        edges.append((e["from"], e["to"], e["braid"]))
+        edges.append(Edge(e["from"], e["to"], e["braid"]))
         candidates.append(tuple(zip(texts, vals)))
 
     relation_raw = raw.get("relation")
@@ -233,42 +231,38 @@ def _build(raw: dict, chi_label: str) -> Diagram:
     kernel_vector = vector(field, [val(s) for s in raw["kernel_vector"]])
     index = {c.id: k for k, c in enumerate(cycles)}
 
-    def build(picks, resolved, rejected) -> Diagram:
-        entries = [
-            [field.from_rational(c.self_pairing) if r == s else field.zero for s in range(len(cycles))]
-            for r, c in enumerate(cycles)
-        ]
-        for (src, dst, _), (_, v) in zip(edges, picks):
-            if src in index and dst in index:  # assemble_diagram names a missing endpoint
-                entries[index[src]][index[dst]] = v
-                entries[index[dst]][index[src]] = v.conjugate()
+    def build(picks) -> Diagram:
+        entries = [[x if r == s else field.zero for s in range(len(cycles))] for r, x in enumerate(diagonal)]
+        for e, (_, v) in zip(edges, picks):
+            if e.src in index and e.dst in index:  # assemble_diagram names a missing endpoint
+                entries[index[e.src]][index[e.dst]] = v
+                entries[index[e.dst]][index[e.src]] = v.conjugate()
         return assemble_diagram(
             name=name, ring=ring, chi_label=chi_label, kernel_chi_pair=chi_pair, cycles=cycles,
             edges=tuple(edges), gram=matrix(field, entries), relation=relation,
             kernel_vector=kernel_vector, omitted_root=raw["omitted_root"],
             expected_group=raw.get("expected_group"), tau=raw["tau"],
-            classical_order=raw["classical_order"], resolved_choices=resolved, rejected_choices=rejected,
+            classical_order=raw["classical_order"], resolved_choices={}, rejected_choices=(),
         )
 
     rejected: list[tuple[dict[str, str], str]] = []
     winner = None
     for picks in itertools.product(*candidates):
-        failed = _check_gram(build(picks, {}, ()))
+        failed = _check_gram(d := build(picks))
         if failed is not None:
-            label = {f"{src}->{dst}": text for (src, dst, _), (text, _) in zip(edges, picks)}
+            label = {f"{e.src}->{e.dst}": text for e, (text, _) in zip(edges, picks)}
             rejected.append((label, failed))
         elif winner is None:
-            winner = picks
+            winner, chosen = d, picks
     if winner is None:
         detail = "; ".join(f"{lab}: {why}" for lab, why in rejected)
         raise ReconcileError(f"{name}: no admissible assignment ({detail})")
 
+    # the choices are not structure, so the winner is not assembled again
     choices = {
-        f"{src}->{dst}": text
-        for (src, dst, _), (text, _), cands in zip(edges, winner, candidates)
-        if len(cands) > 1
+        f"{e.src}->{e.dst}": text for e, (text, _), cands in zip(edges, chosen, candidates) if len(cands) > 1
     }
-    return build(winner, choices, tuple(rejected))
+    return replace(winner, resolved_choices=choices, rejected_choices=tuple(rejected))
 
 
 def assemble_diagram(
@@ -276,13 +270,13 @@ def assemble_diagram(
     omitted_root, expected_group, tau, classical_order, resolved_choices, rejected_choices,
 ) -> Diagram:
     """The one constructor of Diagram: check the structure every diagram
-    has, whatever built it, and read each edge's value off the gram.
+    has, whatever built it.
 
-    Arguments are Diagram's fields, except that `edges` are (src, dst,
-    braid) triples and field, chi and the edge values are derived.  The
-    gram's entries and the cycle eigenvalues are not judged here;
-    verify_diagram judges them, so tampered values still reach its checks.
-    Raises DiagramError naming the first structural check that fails.
+    Arguments are Diagram's fields, except field and chi, which are
+    derived.  The gram's entries, beyond integral self-pairings, and the
+    cycle eigenvalues are not judged here; verify_diagram judges them, so
+    tampered values still reach its checks.  Raises DiagramError naming
+    the first structural check that fails.
     """
     field = diagram_field(name, ring)
     conj = character_index(chi_label)
@@ -306,16 +300,16 @@ def assemble_diagram(
         raise DiagramError(f"{name}: gram must have one row and one column per cycle")
 
     paired = set()
-    for src, dst, braid in edges:
-        if src not in index or dst not in index:
+    for e in edges:
+        if e.src not in index or e.dst not in index:
             raise DiagramError(f"{name}: edge endpoint missing")
-        if src == dst:
-            raise DiagramError(f"{name}: edge {src}->{dst} joins a cycle to itself")
-        if frozenset((src, dst)) in paired:
-            raise DiagramError(f"{name}: conflicting edge {src}->{dst}")
-        paired.add(frozenset((src, dst)))
-        if braid is not None and braid not in _BRAID_LENGTHS:
-            raise DiagramError(f"{name}: unsupported braid length {braid}")
+        if e.src == e.dst:
+            raise DiagramError(f"{name}: edge {e.src}->{e.dst} joins a cycle to itself")
+        if frozenset((e.src, e.dst)) in paired:
+            raise DiagramError(f"{name}: conflicting edge {e.src}->{e.dst}")
+        paired.add(frozenset((e.src, e.dst)))
+        if e.braid is not None and e.braid not in _BRAID_LENGTHS:
+            raise DiagramError(f"{name}: unsupported braid length {e.braid}")
     if index.get(omitted_root, tau) >= tau:
         raise DiagramError(f"{name}: omitted root must be one of the first tau cycles")
 
@@ -323,11 +317,11 @@ def assemble_diagram(
         form = HermitianGram(gram)
     except ValueError as exc:
         raise DiagramError(f"{name}: gram {exc}") from None
+    if not all(gram[k][k].is_integer() for k in range(n)):
+        raise DiagramError(f"{name}: self-pairings must be integers")
     return Diagram(
         name=name, ring=ring, field=field, chi_label=chi_label, chi=pair[conj], kernel_chi_pair=pair,
-        cycles=cycles,
-        edges=tuple(Edge(src, dst, gram[index[src]][index[dst]], braid) for src, dst, braid in edges),
-        gram=form, relation=relation, kernel_vector=kernel_vector, omitted_root=omitted_root,
+        cycles=cycles, edges=edges, gram=form, relation=relation, kernel_vector=kernel_vector, omitted_root=omitted_root,
         expected_group=expected_group, tau=tau, classical_order=classical_order,
         resolved_choices=dict(resolved_choices), rejected_choices=rejected_choices,
     )
@@ -548,7 +542,8 @@ def fold(d: Diagram, swap: tuple[str, str], sign_variant: int | None = None) -> 
     the omitted root.  With sign_variant None both signs are tried in the
     order +1, -1 and the first variant passing the corank-1 constraint is
     returned; if a sign is given it must pass on its own.  The result is
-    built by assemble_diagram, its edges read off the folded gram.
+    built by assemble_diagram, with an edge wherever the folded gram pairs
+    two cycles.
     """
     a_id, b_id = swap
     if a_id == b_id:
@@ -583,15 +578,11 @@ def fold(d: Diagram, swap: tuple[str, str], sign_variant: int | None = None) -> 
         kernel = gram.kernel()[0]
         lead = next(x for x in kernel if not x.is_zero())
         kernel = vec_scale(lead.inverse(), kernel)
-        cycles = tuple(
-            Cycle(labels[k], int(gram.gram[k][k].rational_value()), d.cycles[j].order, d.cycles[j].eigenvalue)
-            for k, j in enumerate(kept)
-        )
         return assemble_diagram(
             name=f"{d.name}_folded", ring=d.ring, chi_label=d.chi_label, kernel_chi_pair=d.kernel_chi_pair,
-            cycles=cycles,
+            cycles=tuple(Cycle(labels[k], d.cycles[j].order, d.cycles[j].eigenvalue) for k, j in enumerate(kept)),
             edges=tuple(
-                (labels[r], labels[c], None)
+                Edge(labels[r], labels[c], None)
                 for r in range(len(kept)) for c in range(r + 1, len(kept)) if not gram.gram[r][c].is_zero()
             ),
             gram=gram.gram, relation=None, kernel_vector=kernel,

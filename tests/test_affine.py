@@ -6,7 +6,9 @@ import pytest
 from crystmono import clear_caches
 from crystmono.cyclo import CycloField
 from crystmono.linalg import (
+    HermitianGram,
     ZLattice,
+    conj_matrix,
     conj_vector,
     identity,
     mat_inverse,
@@ -326,6 +328,23 @@ def test_maximal_root_words_both_characters():
             assert rep.holds, (nm, chi, rep.word)
     with pytest.raises(AffineError):
         maximal_root_check(diagram("P8divZ6"))
+
+
+def test_maximal_root_letters_are_the_conjugated_dual_reflections():
+    """maximal_root_check reads its letters off the dual reflections; the
+    construction it replaced, a reflection for the restricted form built
+    by pl_operator, is the oracle."""
+    cases = 0
+    for nm in ALL_NAMES:
+        for chi in ("primary", "conj"):
+            frame = frame_for(nm, chi)
+            restricted = HermitianGram(frame.Q)
+            for root, lam in zip(frame.quotient.roots, frame.quotient.eigenvalues):
+                _, u = frame.decompose(root)
+                oracle = pl_operator(restricted, u, lam).matrix
+                assert conj_matrix(frame.dual_reflection(root, lam).linear) == oracle, (nm, chi)
+                cases += 1
+    assert cases == 46
 
 
 def test_verify_small_cases_pass():

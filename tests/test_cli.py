@@ -21,7 +21,7 @@ from crystmono.cli import (
     show_diagram_payload,
 )
 from crystmono.classify import table_rows, verify_table_row
-from crystmono.monodromy import CheckResult, DiagramError, diagram, verify_diagram, worst_verdict
+from crystmono.monodromy import CheckResult, DiagramError, diagram, diagram_names, verify_diagram, worst_verdict
 
 
 def run(argv, capsys):
@@ -388,6 +388,7 @@ PAYLOAD_FAULTS = {
     ),
     "gram_ragged_row": ("C3_33", lambda p: p["gram"][1].pop(), "gram must have one row and one column per cycle"),
     "gram_not_hermitian": ("C3_33", _set("gram", 0, 1, value="7"), "gram matrix is not Hermitian at (0, 1)"),
+    "fractional_self_pairing": ("C3_33", _set("gram", 0, 0, value=-3.5), "self-pairings must be integers"),
     "kernel_pair": (
         "C3_33",
         lambda p: p.update(kernel_characters=[p["kernel_characters"][0]] * 2),
@@ -421,7 +422,7 @@ def test_payload_edge_values_are_read_off_the_gram():
     payload = show_diagram_payload(diagram("C3_33"))
     payload["edges"][0]["value"] = "7"
     rebuilt = diagram_from_payload(payload)
-    assert [e.value for e in rebuilt.edges] == [e.value for e in diagram("C3_33").edges]
+    assert rebuilt.gram.gram == diagram("C3_33").gram.gram
 
 
 def test_negative_controls_reach_their_verdicts():
@@ -442,6 +443,71 @@ def test_negative_controls_reach_their_verdicts():
     kx, ky, kz = row.case.kappa
     flipped = dataclasses.replace(row, case=dataclasses.replace(row.case, kappa=(-kx, ky, kz)))
     assert {c.claim_id: c.verdict for c in verify_table_row(flipped)}["equivariance"] == "fail"
+
+
+# every payload key diagram_from_payload reads; list entries are named by their first item
+READ_KEYS = [
+    ("name",), ("ring",), ("chi",), ("kernel_characters",), ("tau",), ("classical_order",),
+    ("expected_group",), ("omitted_root",), ("cycles",), ("edges",), ("gram",), ("kernel_vector",),
+    ("relation",), ("resolved_choices",), ("rejected_choices",),
+    ("cycles", 0, "id"), ("cycles", 0, "order"), ("cycles", 0, "eigenvalue"),
+    ("edges", 0, "src"), ("edges", 0, "dst"), ("edges", 0, "braid"),
+    ("rejected_choices", 0, "assignment"), ("rejected_choices", 0, "violates"),
+]
+# the keys it does not read: labels, and the sections derived from the rest
+UNREAD_KEYS = [
+    ("schema",), ("kind",), ("character",), ("frame",), ("cycles", 0, "self_pairing"), ("edges", 0, "value"),
+]
+
+
+def _key_path_id(path):
+    return ".".join(map(str, path))
+
+
+def _delete(payload, path):
+    *head, last = path
+    for key in head:
+        payload = payload[key]
+    del payload[last]
+
+
+def test_every_payload_key_is_read_or_unread():
+    payload = show_diagram_payload(diagram("P8_Z3"))  # the one diagram with a rejected choice
+    paths = {(k,) for k in payload}
+    for section in ("cycles", "edges", "rejected_choices"):
+        paths |= {(section, 0, k) for k in payload[section][0]}
+    assert paths == set(READ_KEYS) | set(UNREAD_KEYS)
+    assert not set(READ_KEYS) & set(UNREAD_KEYS)
+
+
+@pytest.mark.parametrize("path", READ_KEYS, ids=_key_path_id)
+def test_payload_missing_a_key_is_rejected(path):
+    payload = show_diagram_payload(diagram("P8_Z3"))
+    _delete(payload, path)
+    owner = "payload" if path == ("name",) else "P8_Z3"
+    with pytest.raises(DiagramError, match="^" + re.escape(f"{owner}: missing key {path[-1]!r}") + "$"):
+        diagram_from_payload(payload)
+
+
+@pytest.mark.parametrize("chi", ["primary", "conj"])
+@pytest.mark.parametrize("name", sorted(diagram_names()))
+def test_payload_round_trip_is_a_fixed_point(name, chi):
+    payload = show_diagram_payload(diagram(name, chi))
+    assert show_diagram_payload(diagram_from_payload(payload)) == payload
+
+
+@pytest.mark.parametrize("value", ["x", -7, None], ids=["text", "integer", "deleted"])
+@pytest.mark.parametrize("path", UNREAD_KEYS, ids=_key_path_id)
+def test_unread_payload_keys_are_inert(path, value):
+    """Editing or deleting a key the reader does not read changes nothing:
+    the rebuilt diagram shows as the unedited one."""
+    shown = show_diagram_payload(diagram("P8_Z3"))
+    payload = show_diagram_payload(diagram("P8_Z3"))
+    if value is None:
+        _delete(payload, path)
+    else:
+        _set(*path, value=value)(payload)
+    assert show_diagram_payload(diagram_from_payload(payload)) == shown
 
 
 def test_round_trip_preserves_the_conjugate_binding(capsys):
@@ -496,6 +562,27 @@ def test_unwritable_json_path_is_a_usage_error(argv, tmp_path, capsys):
     assert code == 2
     assert out == ""  # the path is checked before the first case runs
     assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+FAILING_COMMANDS = [["verify", "diagram", "bogus"], ["verify", "bogus"], ["show", "group", "bogus"]]
+
+
+@pytest.mark.parametrize("argv", FAILING_COMMANDS, ids=" ".join)
+def test_failed_command_leaves_no_json_file_behind(argv, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    code, _, _ = run([*argv, "--json", str(path)], capsys)
+    assert code == 2
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", FAILING_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("text", ["", "kept\n"], ids=["empty", "text"])
+def test_failed_command_leaves_an_existing_json_file_untouched(argv, text, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    code, _, _ = run([*argv, "--json", str(path)], capsys)
+    assert code == 2
+    assert path.read_text() == text
 
 
 def test_timings_fill_the_timing_field(tmp_path, capsys):

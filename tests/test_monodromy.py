@@ -101,7 +101,7 @@ def test_conjugate_dataset_is_entrywise_conjugate():
         assert dc.kernel_vector == conj_vector(d.kernel_vector)
         for a, b in zip(d.cycles, dc.cycles):
             assert b.eigenvalue == a.eigenvalue.conjugate()
-            assert b.order == a.order and b.self_pairing == a.self_pairing
+            assert b.order == a.order
 
 
 def test_full_gram_is_hermitian_negative_semidefinite():
@@ -110,8 +110,8 @@ def test_full_gram_is_hermitian_negative_semidefinite():
         g = d.gram
         assert g.gram == conj_matrix(tuple(zip(*g.gram)))
         assert g.is_negative_semidefinite()
-        for k, c in enumerate(d.cycles):
-            assert g.gram[k][k] == d.field.from_rational(c.self_pairing)
+        for k, c in enumerate(monodromy._raw_diagrams()[nm]["cycles"]):
+            assert g.gram[k][k] == d.field.from_rational(c["self"])
 
 
 def test_quotient_has_corank_one_with_stated_kernel():
@@ -382,11 +382,7 @@ def _set(*path, value):
 DATASET_FAULTS = {
     "duplicate_id": ("D4_3", _set("cycles", 1, "id", value="e0"), "duplicate cycle ids"),
     "tau": ("D4_3", _set("tau", value=3), "tau does not match cycle/relation count"),
-    "ambiguity_head": (
-        "P8_Z3",
-        _set("edges", 0, "ambiguity", value=["3*conj(w)", "3*w"]),
-        "edge value must head its ambiguity list",
-    ),
+    "no_value": ("P8_Z3", _set("edges", 0, "value", value=[]), "edge A2->3A1_low states no value"),
     "braid": ("D4_3", _set("edges", 0, "braid", value=5), "unsupported braid length 5"),
     "endpoint": ("D4_3", _set("edges", 0, "to", value="e9"), "edge endpoint missing"),
     "loop": ("D4_3", _set("edges", 0, "to", value="e1"), "edge e1->e1 joins a cycle to itself"),
@@ -411,19 +407,26 @@ def test_dataset_entry_with_broken_structure_is_rejected(patched_diagram, fault,
 
 @pytest.mark.parametrize("chi", CHARACTERS)
 def test_edge_values_are_the_stated_values(chi):
-    """Each edge reads its value off the gram at (src, dst): the dataset's
-    value, or its resolved choice, conjugated in the conjugate character."""
+    """The gram at (src, dst) of each edge holds the dataset's value, or
+    its resolved choice, conjugated in the conjugate character, and
+    ``show`` renders that entry as the edge's value and each cycle's
+    stated self-pairing as its diagonal entry."""
     for name in ALL_NAMES:
         d = diagram(name, chi)
-        for e, stated in zip(d.edges, monodromy._raw_diagrams()[name]["edges"]):
+        raw = monodromy._raw_diagrams()[name]
+        shown = show_diagram_payload(d)
+        for e, stated, dumped in zip(d.edges, raw["edges"], shown["edges"]):
             v = parse_value(d.resolved_choices.get(f"{e.src}->{e.dst}", stated["value"]), d.field, chi=d.chi)
-            assert e.value == (v.conjugate() if chi == "conj" else v), (name, e)
+            want = v.conjugate() if chi == "conj" else v
+            assert d.gram.gram[d.cycle_index(e.src)][d.cycle_index(e.dst)] == want, (name, e)
+            assert parse_value(dumped["value"], d.field) == want, (name, e)
+        assert [c["self_pairing"] for c in shown["cycles"]] == [c["self"] for c in raw["cycles"]]
 
 
 def test_first_admissible_assignment_wins(patched_diagram):
     """Candidates are judged in declared order: a later spelling of the
     winning value is not chosen, and rejected ones keep their reason."""
-    patched_diagram("P8Z6_prime", _set("edges", 0, "ambiguity", value=["3", "-3", "conj(3)"]))
+    patched_diagram("P8Z6_prime", _set("edges", 0, "value", value=["3", "-3", "conj(3)"]))
     d = diagram("P8Z6_prime")
     assert d.resolved_choices == {"e0->e1": "3"}
     assert d.rejected_choices == (({"e0->e1": "-3"}, "kernel_vector"),)
