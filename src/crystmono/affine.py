@@ -32,7 +32,6 @@ from .linalg import (
     identity,
     identity_minus_outer,
     intertwiners,
-    is_reflection,
     is_zero_vector,
     mat_inverse,
     mat_mul,
@@ -133,16 +132,45 @@ class DualFrame:
         return AffineIsometry(identity_minus_outer(coef, ub, w), tr)
 
 
-def linear_closure(generators, max_size: int) -> list[Matrix]:
+class Closure:
+    """A finite matrix group as index tuples on O, the orbit of the standard
+    basis e_1..e_n under its generators; len() is the group order.
+
+    An element m is the tuple p with m O[i] = O[p[i]], over all of O or,
+    once cut by basis_images, over the basis alone.  O holds the basis,
+    so m is the matrix with columns O[p[0]], ..., O[p[n-1]], and the
+    elements correspond one to one with their images of the basis.
+    """
+
+    __slots__ = ("points", "elements")
+
+    def __init__(self, points: list[Vector], elements: list[tuple[int, ...]]):
+        self.points = points
+        self.elements = elements
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def basis_images(self) -> "Closure":
+        """The same group, each element cut to its images of the basis."""
+        n = len(self.points[0])
+        return Closure(self.points, [p[:n] for p in self.elements])
+
+    def matrices(self) -> list[Matrix]:
+        """Every element as a matrix, read off its images of the basis."""
+        points, n = self.points, len(self.points[0])
+        return [tuple(zip(*(points[j] for j in p[:n]))) for p in self.elements]
+
+
+def linear_closure(generators, max_size: int) -> Closure:
     """Dimino's closure of a finite matrix group, identity first, in deterministic order.
 
     The closure runs on the group's action on O, the orbit of the standard
-    basis e_1..e_n under the generators.  An element m is the index tuple
-    p with m O[i] = O[p[i]], so the product a*b is b looked up in a, and
-    each matrix is read off at the end as its images of the basis, the
-    columns O[p[0]], ..., O[p[n-1]].  O holds the basis, so the action is
-    faithful: index tuples and matrices correspond one to one, and the
-    list, order included, is the one Dimino gives on the matrices.
+    basis e_1..e_n under the generators, and builds no matrix.  An element
+    m is the index tuple p with m O[i] = O[p[i]], so the product a*b is b
+    looked up in a.  O holds the basis, so the action is faithful: index
+    tuples and matrices correspond one to one, and the list, order
+    included, is the one Dimino gives on the matrices.
 
     Dimino (1971), as presented in Butler, Fundamental Algorithms for
     Permutation Groups (LNCS 559, 1991): with H the group of the earlier
@@ -201,22 +229,65 @@ def linear_closure(generators, max_size: int) -> list[Matrix]:
                 y = tuple(map(x.__getitem__, s))
                 if y not in seen:
                     add_coset(y)
-    return [tuple(zip(*(points[j] for j in p[:n]))) for p in order]
+    return Closure(points, order)
 
 
-def reflection_order_multiset(group) -> dict[int, int]:
-    """Orders of all reflections in the group, with multiplicities.
+def _reflection_orders(group: Closure) -> list[int]:
+    """Each element's order as a reflection, or 0 if it is none, from power sums.
 
-    A reflection's trace is (n - 1) + lambda, its eigenvalue lambda being a
-    root of unity other than 1 whose order is the reflection's, so only the
-    elements whose tr m - (n - 1) is such a root get the rank-one test.
+    The elements must permute all of O.  For the element p, m^j e_i is
+    O[p^j(i)], so tr(m^j) is a sum of n orbit coordinates; tr(m^j) - (n - 1)
+    is memoised by the interned diagonal entries.  m has finite order, so
+    it is diagonalisable, and tr(m^j) is the j-th power sum of its
+    eigenvalues.  m is a reflection of order k exactly when those are n - 1
+    ones and one lambda of order k > 1.  By Newton's identities the power
+    sums p_1..p_n fix the elementary symmetric functions, so the multiset
+    of eigenvalues, and that holds exactly when lambda = tr m - (n - 1) is
+    a root of unity of order k > 1 and tr(m^j) = n - 1 + lambda^j for
+    j = 2..n.  Only the elements passing the first test read their higher
+    powers.
     """
-    group = list(group)
-    n = len(group[0])
+    points = group.points
+    n = len(points[0])
+    ids: dict[CycloNum, int] = {}
+    diag = [tuple(ids.setdefault(x, len(ids)) for x in v) for v in points]
+    values = list(ids)
+    start = points[0][0].field.from_rational(1 - n)
+    shifted: dict[tuple[int, ...], tuple[CycloNum, int | None]] = {}
+    powers: dict[CycloNum, list[CycloNum]] = {}
+
+    def shifted_trace(images: tuple[int, ...]) -> tuple[CycloNum, int | None]:
+        """tr - (n - 1) of the element with these images of the basis, and
+        its order as a root of unity, or None."""
+        key = tuple(diag[c][i] for i, c in enumerate(images))
+        out = shifted.get(key)
+        if out is None:
+            t = sum((values[v] for v in key), start)
+            out = shifted[key] = (t, t.multiplicative_order())
+        return out
+
+    def order(p: tuple[int, ...]) -> int:
+        images = p[:n]
+        lam, k = shifted_trace(images)
+        if k is None or k == 1:
+            return 0
+        if lam not in powers:
+            powers[lam] = [lam**j for j in range(2, n + 1)]
+        for want in powers[lam]:
+            images = tuple(p[c] for c in images)
+            if shifted_trace(images)[0] != want:
+                return 0
+        return k
+
+    return [order(p) for p in group.elements]
+
+
+def reflection_order_multiset(group: Closure) -> dict[int, int]:
+    """Orders of all reflections in the group, with multiplicities, in the
+    order the closure lists them; see _reflection_orders."""
     out: dict[int, int] = {}
-    for m in group:
-        k = (trace(m) - (n - 1)).multiplicative_order()
-        if k is not None and k > 1 and is_reflection(m):
+    for k in _reflection_orders(group):
+        if k:
             out[k] = out.get(k, 0) + 1
     return out
 
@@ -287,9 +358,9 @@ def reference_group(name: str) -> ReferenceGroup:
 
 
 @cached
-def model_closure(name: str) -> tuple[list[Matrix], dict[int, int]]:
-    """The closure of a model's stored generators and its reflection-order
-    multiset, held to the model's data.
+def model_closure(name: str) -> tuple[Closure, dict[int, int]]:
+    """The closure of a model's stored generators, cut to its images of the
+    basis, and its reflection-order multiset, held to the model's data.
 
     Only the models are closed, each once, bounded by its declared order.
     AffineError is raised unless the closure has exactly that order and
@@ -305,11 +376,12 @@ def model_closure(name: str) -> tuple[list[Matrix], dict[int, int]]:
     multiset = reflection_order_multiset(group)
     if multiset != ref.declared_reflections:
         raise AffineError(f"{name}: reflection orders {multiset} contradict declared {ref.declared_reflections}")
-    return group, multiset
+    return group.basis_images(), multiset
 
 
 def reference_closure(name: str) -> list[Matrix]:
-    return model_closure(name)[0]
+    """The model's elements as matrices, in the closure's order."""
+    return model_closure(name)[0].matrices()
 
 
 def _reference_generators(name: str) -> tuple[Matrix, ...]:
@@ -457,9 +529,19 @@ def _in_field(m: Matrix, field: CycloField) -> Matrix:
 
 
 @cached
-def _model_members(name: str, field: CycloField) -> frozenset[Matrix]:
-    """The model's closure as a set of matrices over `field`."""
-    return frozenset(_in_field(m, field) for m in model_closure(name)[0])
+def _model_members(name: str, field: CycloField) -> tuple[dict[Vector, int], frozenset[tuple[int, ...]]]:
+    """The index of the model's basis orbit, embedded into `field`, and the
+    set of its elements' images of the basis."""
+    group = model_closure(name)[0]
+    return {v: k for k, v in enumerate(_in_field(group.points, field))}, frozenset(group.elements)
+
+
+def _model_contains(name: str, m: Matrix) -> bool:
+    """m lies in the model's group exactly when every column of m is a
+    point of the basis orbit and their indices are an element's images of
+    the basis: an element is fixed by those images."""
+    index, images = _model_members(name, m[0][0].field)
+    return tuple(index.get(col) for col in zip(*m)) in images
 
 
 def _render_matrix(m: Matrix) -> str:
@@ -645,11 +727,10 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None) -> CaseR
     t0 = duals[q.omitted_index].translation
     if cert.x is not None:
         x, x_inv = cert.x, mat_inverse(cert.x)
-        members = _model_members(d.expected_group, field)
 
         def in_model(m: Matrix) -> bool:
             y = mat_prod([x, m, x_inv])
-            return (conj_matrix(y) if conj else y) in members
+            return _model_contains(d.expected_group, conj_matrix(y) if conj else y)
 
         # kept generators are members by construction; each omitted one is tested once
         outside = [q.labels[j] for j in range(len(duals)) if j not in kept and not in_model(duals[j].linear)]

@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from math import isfinite
 from pathlib import Path
 
 from .affine import (
@@ -37,8 +38,7 @@ from .classify import (
     verify_proj_row,
     verify_table_row,
 )
-from .cyclo import RING_GENERATORS, parse_value, render_value
-from .linalg import matrix, vector
+from .cyclo import RING_GENERATORS, GrammarError, parse_value, render_value
 from .monodromy import (
     CHARACTERS,
     CheckResult,
@@ -278,28 +278,73 @@ def diagram_from_payload(payload: dict) -> Diagram:
     """Rebuild a diagram from its ``show`` dump through assemble_diagram.
 
     It passes the same structural checks as a dataset diagram, or raises
-    DiagramError, which also names a missing key.  The derived sections
-    (``character``, ``frame``, each cycle's ``self_pairing`` and each
-    edge's ``value``) are not read: the pairings come from ``gram`` alone.
-    The recorded choices are carried over, not reconciled again.
+    DiagramError, which also names a missing key, a value outside the
+    value grammar, an integer field holding anything but an int, or a cycle
+    id that is not a string.  The derived sections (``character``,
+    ``frame``, each cycle's ``self_pairing`` and each edge's ``value``) are
+    not read: the pairings come from ``gram`` alone.  The recorded choices
+    are carried over, not reconciled again.
     """
+    name = payload.get("name", "payload")
+
+    def fault(key, what, x):
+        return DiagramError(f"{name}: {key} must be {what}, not {x!r}")
+
+    def value(x, key):
+        """A grammar string or a finite JSON number, as a value of the field."""
+        if isinstance(x, str):
+            try:
+                return parse_value(x, field)
+            except GrammarError:
+                raise fault(key, "in the value grammar", x) from None
+        if type(x) not in (int, float) or not isfinite(x):  # a bool is no number here
+            raise fault(key, "a value", x)
+        return field.from_rational(x)
+
+    def values(xs, key):
+        return tuple(value(x, f"{key}[{k}]") for k, x in enumerate(xs))
+
+    def integer(x, key, optional=False):
+        if type(x) is not int and not (optional and x is None):  # bool is an int too
+            raise fault(key, "an integer", x)
+        return x
+
+    def cycle_id(x, key):
+        if not isinstance(x, str):
+            raise fault(key, "a cycle id", x)
+        return x
+
     try:
         field = diagram_field(payload["name"], payload["ring"])
         relation = payload["relation"]
         return assemble_diagram(
             name=payload["name"], ring=payload["ring"], chi_label=payload["chi"],
-            kernel_chi_pair=vector(field, payload["kernel_characters"]),
-            cycles=tuple(Cycle(c["id"], c["order"], parse_value(c["eigenvalue"], field)) for c in payload["cycles"]),
-            edges=tuple(Edge(e["src"], e["dst"], e["braid"]) for e in payload["edges"]),
-            gram=matrix(field, payload["gram"]),
-            relation=vector(field, relation) if relation is not None else None,
-            kernel_vector=vector(field, payload["kernel_vector"]), omitted_root=payload["omitted_root"],
-            expected_group=payload["expected_group"], tau=payload["tau"],
-            classical_order=payload["classical_order"], resolved_choices=payload["resolved_choices"],
+            kernel_chi_pair=values(payload["kernel_characters"], "kernel_characters"),
+            cycles=tuple(
+                Cycle(
+                    cycle_id(c["id"], f"cycles[{k}].id"), integer(c["order"], f"cycles[{k}].order"),
+                    value(c["eigenvalue"], f"cycles[{k}].eigenvalue"),
+                )
+                for k, c in enumerate(payload["cycles"])
+            ),
+            edges=tuple(
+                Edge(
+                    cycle_id(e["src"], f"edges[{k}].src"), cycle_id(e["dst"], f"edges[{k}].dst"),
+                    integer(e["braid"], f"edges[{k}].braid", optional=True),
+                )
+                for k, e in enumerate(payload["edges"])
+            ),
+            gram=tuple(values(row, f"gram[{r}]") for r, row in enumerate(payload["gram"])),
+            relation=values(relation, "relation") if relation is not None else None,
+            kernel_vector=values(payload["kernel_vector"], "kernel_vector"),
+            omitted_root=cycle_id(payload["omitted_root"], "omitted_root"),
+            expected_group=payload["expected_group"], tau=integer(payload["tau"], "tau"),
+            classical_order=integer(payload["classical_order"], "classical_order"),
+            resolved_choices=payload["resolved_choices"],
             rejected_choices=tuple((dict(r["assignment"]), r["violates"]) for r in payload["rejected_choices"]),
         )
     except KeyError as exc:
-        raise DiagramError(f"{payload.get('name', 'payload')}: missing key {exc.args[0]!r}") from None
+        raise DiagramError(f"{name}: missing key {exc.args[0]!r}") from None
 
 
 def show_group_payload(name: str) -> dict:

@@ -33,6 +33,7 @@ from crystmono.affine import (
     CaseReport,
     ClosureBoundError,
     DualFrame,
+    _reference_generators,
     dilation_check,
     linear_closure,
     maximal_root_check,
@@ -165,7 +166,8 @@ def test_linear_closure_sizes_and_bound():
 def test_reference_groups_rebuild_to_declared_order():
     for nm in reference_names():
         ref = reference_group(nm)
-        group = reference_closure(nm)
+        assert len(reference_closure(nm)) == ref.declared_order
+        group = linear_closure(_reference_generators(nm), ref.declared_order)
         assert len(group) == ref.declared_order
         got = reflection_order_multiset(group)
         assert got == ref.declared_reflections
@@ -226,8 +228,8 @@ def test_orbit_lattice_basis_is_canonical(chi):
 
 def linear_part_closure(duals):
     """Closure of the linear parts of the duals whose translation is zero,
-    bounded by 648, the order of K25, the largest model."""
-    return linear_closure([g.linear for g in duals if all(x.is_zero() for x in g.translation)], 648)
+    bounded by 648, the order of K25, the largest model, as matrices."""
+    return linear_closure([g.linear for g in duals if all(x.is_zero() for x in g.translation)], 648).matrices()
 
 
 def _escaped(gens, group):
@@ -266,7 +268,7 @@ def test_translation_subgroup_exact_controls():
     # v -> -v with the translations by 2 and 2w: the translation subgroup is 2Z[w]
     flip = AffineIsometry(matrix(F3, [[-1]]), vector(F3, [0]))
     shifts = [AffineIsometry(matrix(F3, [[1]]), vector(F3, [c])) for c in (2, "2*w")]
-    signs = linear_closure([flip.linear], 2)
+    signs = linear_closure([flip.linear], 2).matrices()
     even = ZLattice(F3, 1, [vector(F3, [2]), vector(F3, ["2*w"])])
     assert _escaped([flip, *shifts], signs) == 0
     rep = translation_subgroup([flip, *shifts], even, 0, len(signs))

@@ -14,7 +14,7 @@ and every membership and lattice claim left inconclusive.
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 from math import lcm
 
 import pytest
@@ -364,14 +364,8 @@ def test_generator_of_infinite_order_fails_without_a_search(monkeypatch, capsys)
 
 def test_catalogue_tests_each_omitted_generator_once(monkeypatch, capsys):
     lookups = []
-    real = affine._model_members
-
-    class Counted(frozenset):
-        def __contains__(self, m):
-            lookups.append(m)
-            return frozenset.__contains__(self, m)
-
-    monkeypatch.setattr(affine, "_model_members", lambda *key: Counted(real(*key)))
+    real = affine._model_contains
+    monkeypatch.setattr(affine, "_model_contains", lambda name, m: lookups.append(real(name, m)) or lookups[-1])
     omitted = 0
     for chi in ("primary", "conj"):
         assert main(["verify", "all", "--chi", chi]) == 0
@@ -380,6 +374,57 @@ def test_catalogue_tests_each_omitted_generator_once(monkeypatch, capsys):
             omitted += len(q.roots) - len(_kept_indices(d, q))
     capsys.readouterr()
     assert len(lookups) == omitted == 20
+    assert all(lookups)
+
+
+@cache
+def _oracle_model(name, field):
+    """The model's BFS closure as a set of matrices over `field`."""
+    ref = reference_group(name)
+    return frozenset(
+        tuple(tuple(ref.field.embed(c, field) for c in row) for row in m)
+        for m in O.linear_closure(_reference_generators(name))
+    )
+
+
+@pytest.mark.parametrize("run", _runs(), ids=_ids)
+def test_membership_from_basis_images_matches_the_matrix_set(run):
+    """X m X^-1 (conjugated for the primary character) for every omitted
+    reflection, and for its sibling of eigenvalue -1, is found from its
+    basis images exactly when the oracle's matrix set holds it."""
+    d, alpha0, q, frame, duals, kept = _setting(*run)
+    x = verify_crystallographic(d, alpha0).conjugacy.x
+    x_inv = mat_inverse(x)
+    members = _oracle_model(d.expected_group, q.field)
+    found = []
+    for j in range(len(duals)):
+        if j in kept:
+            continue
+        for m in (duals[j].linear, frame.dual_reflection(q.roots[j], -q.field.one).linear):
+            y = mat_prod([x, m, x_inv])
+            y = conj_matrix(y) if d.chi_label == "primary" else y
+            found.append(affine._model_contains(d.expected_group, y))
+            assert found[-1] == (y in members)
+    assert found[0::2] == [True] * (len(duals) - len(kept))
+
+
+@pytest.mark.parametrize("name", ["K25", "K5", "K8", "G312"])
+def test_orbit_columns_outside_the_model_are_not_members(name):
+    """Matrices whose columns are all basis-orbit points but which are no
+    element: e_1 in every column, and the first invertible one, where there
+    is one; the 18 monomial matrices of G(3,1,2) are all its elements."""
+    points = affine.model_closure(name)[0].points
+    members = _oracle_model(name, reference_group(name).field)
+    n = len(points[0])
+    outside = [tuple(zip(*[points[0]] * n))]
+    for cols in product(range(len(points)), repeat=n):
+        m = tuple(zip(*(points[c] for c in cols)))
+        if not det(m).is_zero() and m not in members:
+            outside.append(m)
+            break
+    assert len(outside) == (1 if name == "G312" else 2)
+    assert not any(affine._model_contains(name, m) for m in outside)
+    assert all(affine._model_contains(name, g) for g in members)
 
 
 def test_catalogue_closes_only_the_models(monkeypatch, capsys):

@@ -418,6 +418,54 @@ def test_payload_with_broken_structure_is_rejected(fault):
         diagram_from_payload(payload)
 
 
+PAYLOAD_TYPE_FAULTS = {
+    "gram_name": ("C3_33", ("gram", 0, 1), "x", "gram[0][1] must be in the value grammar"),
+    "gram_power": ("C3_33", ("gram", 1, 0), "w**2", "gram[1][0] must be in the value grammar"),
+    "gram_null": ("C3_33", ("gram", 0, 1), None, "gram[0][1] must be a value"),
+    "gram_bool": ("C3_33", ("gram", 0, 0), True, "gram[0][0] must be a value"),
+    "gram_list": ("C3_33", ("gram", 0, 2), [0], "gram[0][2] must be a value"),
+    "gram_nan": ("C3_33", ("gram", 0, 2), float("nan"), "gram[0][2] must be a value"),
+    "gram_infinite": ("C3_33", ("gram", 2, 2), float("-inf"), "gram[2][2] must be a value"),
+    "eigenvalue": ("C3_33", ("cycles", 1, "eigenvalue"), "zeta", "cycles[1].eigenvalue must be in the value grammar"),
+    "kernel_vector": ("C3_33", ("kernel_vector", 1), "2 + q", "kernel_vector[1] must be in the value grammar"),
+    "kernel_characters": ("C3_33", ("kernel_characters", 0), "-w^", "kernel_characters[0] must be in the value grammar"),
+    "relation": ("P8divZ4", ("relation", 2), "i*", "relation[2] must be in the value grammar"),
+    "order_text": ("C3_33", ("cycles", 0, "order"), "3", "cycles[0].order must be an integer"),
+    "order_bool": ("C3_33", ("cycles", 0, "order"), True, "cycles[0].order must be an integer"),
+    "order_float": ("C3_33", ("cycles", 0, "order"), 3.0, "cycles[0].order must be an integer"),
+    "tau_text": ("C3_33", ("tau",), "3", "tau must be an integer"),
+    "tau_bool": ("C3_33", ("tau",), True, "tau must be an integer"),
+    "tau_float": ("C3_33", ("tau",), 3.0, "tau must be an integer"),
+    "braid_text": ("C3_33", ("edges", 0, "braid"), "3", "edges[0].braid must be an integer"),
+    "braid_bool": ("C3_33", ("edges", 0, "braid"), True, "edges[0].braid must be an integer"),
+    "braid_float": ("C3_33", ("edges", 0, "braid"), 3.0, "edges[0].braid must be an integer"),
+    "classical_order_text": ("C3_33", ("classical_order",), "3", "classical_order must be an integer"),
+    "classical_order_bool": ("C3_33", ("classical_order",), True, "classical_order must be an integer"),
+    "omitted_root_index": ("C3_33", ("omitted_root",), 0, "omitted_root must be a cycle id"),
+    "omitted_root_list": ("C3_33", ("omitted_root",), ["e0"], "omitted_root must be a cycle id"),
+    "cycle_id": ("C3_33", ("cycles", 0, "id"), ["e0"], "cycles[0].id must be a cycle id"),
+    "edge_src": ("C3_33", ("edges", 0, "src"), 1, "edges[0].src must be a cycle id"),
+}
+
+
+@pytest.mark.parametrize("fault", PAYLOAD_TYPE_FAULTS, ids=str)
+def test_payload_value_of_the_wrong_type_is_rejected(fault):
+    """A value outside the value grammar, an integer field that holds no
+    int (a bool is an int to Python), or an id that is no string is
+    rejected, naming the key and the value, and never reaches a check."""
+    name, path, value, message = PAYLOAD_TYPE_FAULTS[fault]
+    payload = show_diagram_payload(diagram(name))
+    _set(*path, value=value)(payload)
+    with pytest.raises(DiagramError, match="^" + re.escape(f"{name}: {message}, not {value!r}") + "$"):
+        diagram_from_payload(payload)
+
+
+def test_payload_braid_may_be_absent():
+    payload = show_diagram_payload(diagram("C3_33"))
+    payload["edges"][1]["braid"] = None
+    assert diagram_from_payload(payload).edges[1].braid is None
+
+
 def test_payload_edge_values_are_read_off_the_gram():
     payload = show_diagram_payload(diagram("C3_33"))
     payload["edges"][0]["value"] = "7"

@@ -1,12 +1,13 @@
-"""Dimino's closure and the rank-one reflection test against their oracles.
+"""Dimino's closure and the reflection tests against their oracles.
 
 `linear_closure` is compared with the breadth-first closure kept in
 oracle_closure.py, and its list, order included, with Dimino run on the
-matrices themselves; `is_reflection` with a full elimination rank of
-m - I, and the trace-filtered reflection multiset with an unfiltered
-count, on the seven reference models, which are all the verifier closes,
-and on the groups of the kept dual linear parts of every diagram in both
-characters and of the Q(zeta12) lifts that the dilation check builds.
+matrices themselves; `is_reflection` and the power-sum reflection test
+with a full elimination rank of m - I, element by element, and the
+reflection multiset with an unfiltered count, on the seven reference
+models, which are all the verifier closes, and on the groups of the kept
+dual linear parts of every diagram in both characters and of the
+Q(zeta12) lifts that the dilation check builds.
 """
 
 from collections import Counter
@@ -19,21 +20,22 @@ import oracle_closure as O
 from crystmono import affine, clear_caches, linalg
 from crystmono.affine import (
     AffineError,
+    Closure,
     ClosureBoundError,
     DualFrame,
     _kept_indices,
     _reference_generators,
-    is_reflection,
+    _reflection_orders,
     lifted_quotient,
     linear_closure,
+    reference_group,
     reference_names,
-    reflection_order,
     reflection_order_multiset,
     verify_crystallographic,
 )
 from crystmono.cli import main
-from crystmono.cyclo import CycloField
-from crystmono.linalg import identity, mat_mul, mat_rank, matrix, trace, vec_sub
+from crystmono.cyclo import CycloField, CycloNum
+from crystmono.linalg import identity, is_reflection, mat_mul, mat_rank, matrix, reflection_order, trace, vec_sub
 from crystmono.monodromy import diagram, diagram_names, operator_order, quotient_basis
 
 F3, F4, F12, F72 = (CycloField(n) for n in (3, 4, 12, 72))
@@ -70,8 +72,10 @@ def _generators(case):
 
 @cache
 def _closures(case):
+    """The generators, their closure, its matrices in order, and the BFS oracle's list."""
     gens = _generators(case)
-    return gens, linear_closure(gens, BOUND), O.linear_closure(gens)
+    closure = linear_closure(gens, BOUND)
+    return gens, closure, closure.matrices(), O.linear_closure(gens)
 
 
 def _ids(case):
@@ -93,30 +97,31 @@ def _rank_one(m):
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_closure_matches_the_bfs_oracle(case):
-    gens, group, oracle = _closures(case)
+    gens, closure, group, oracle = _closures(case)
+    assert closure.elements[0] == tuple(range(len(closure.points)))
     assert group[0] == identity(gens[0][0][0].field, len(gens[0]))
-    assert len(set(group)) == len(group)
+    assert len(set(group)) == len(group) == len(closure)
     assert set(group) == set(oracle)
-    assert group == linear_closure(gens, BOUND)  # deterministic order
+    assert linear_closure(gens, BOUND).matrices() == group  # deterministic order
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_closure_keeps_the_order_of_dimino_on_matrices(case):
-    gens, group, _ = _closures(case)
+    gens, _, group, _ = _closures(case)
     assert group == O.dimino_closure(gens)
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_bound_is_exact(case):
-    gens, group, _ = _closures(case)
-    assert linear_closure(gens, max_size=len(group)) == group
+    gens, _, group, _ = _closures(case)
+    assert linear_closure(gens, max_size=len(group)).matrices() == group
     with pytest.raises(ClosureBoundError, match=f"closure exceeds {len(group) - 1} elements"):
         linear_closure(gens, max_size=len(group) - 1)
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_is_reflection_is_the_rank_one_test(case):
-    _, group, _ = _closures(case)
+    _, _, group, _ = _closures(case)
     flags = [is_reflection(m) for m in group]
     assert flags == [_rank_one(m) for m in group]
     assert any(flags)
@@ -124,16 +129,56 @@ def test_is_reflection_is_the_rank_one_test(case):
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_power_sums_are_the_rank_one_test(case):
+    """Element by element, on the BFS oracle's matrices, the power-sum test
+    gives a rank-one element its reflection order and any other element 0."""
+    _, closure, group, oracle = _closures(case)
+    orders = dict(zip(group, _reflection_orders(closure)))
+    assert [orders[m] for m in oracle] == [reflection_order(m) if _rank_one(m) else 0 for m in oracle]
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_trace_prefilter_keeps_every_reflection(case, monkeypatch):
-    """reflection_order_multiset tests only elements whose tr m - (n - 1) is a
-    root of unity other than 1; the multiset over every element is the same."""
-    _, group, _ = _closures(case)
-    everything = Counter(reflection_order(m) for m in group if is_reflection(m))
-    tested = []
-    monkeypatch.setattr(affine, "is_reflection", lambda m: tested.append(m) or is_reflection(m))
-    assert reflection_order_multiset(group) == dict(everything)
+    """Only elements whose tr m - (n - 1) is a root of unity other than 1
+    have higher powers read, every reflection is among them, and the
+    multiset is the unfiltered count over every element."""
+    _, closure, group, _ = _closures(case)
     n = len(group[0])
-    assert tested and all((trace(m) - (n - 1)).multiplicative_order() not in (None, 1) for m in tested)
+    reflections = [m for m in group if is_reflection(m)]
+    assert reflections and all((trace(m) - (n - 1)).multiplicative_order() not in (None, 1) for m in reflections)
+    powered = []
+    real_pow = CycloNum.__pow__
+    monkeypatch.setattr(CycloNum, "__pow__", lambda x, k: powered.append(x) or real_pow(x, k))
+    multiset = reflection_order_multiset(closure)
+    monkeypatch.undo()
+    assert multiset == dict(Counter(reflection_order(m) for m in reflections))
+    # the powers 2..n of each lambda that passes the filter are taken once
+    passing = {lam for lam in (trace(m) - (n - 1) for m in group) if lam.multiplicative_order() not in (None, 1)}
+    assert Counter(powered) == (dict.fromkeys(passing, n - 1) if n > 1 else {})
+
+
+def test_trace_filter_alone_overcounts():
+    """Over the seven models 183 elements pass the trace filter and only 75
+    of them are reflections, so the checks for j >= 2 decide the counts."""
+    candidates = reflections = 0
+    for name in reference_names():
+        _, _, group, _ = _closures(("model", name))
+        n = len(group[0])
+        candidates += sum((trace(m) - (n - 1)).multiplicative_order() not in (None, 1) for m in group)
+        reflections += sum(map(_rank_one, group))
+    assert (candidates, reflections) == (183, 75)
+
+
+def test_trace_candidate_that_is_no_reflection():
+    """diag(1, i, -i) has tr m - 2 = -1, of order 2, but tr m^2 = -1, not 3;
+    so has its inverse, and m^2 = diag(1, -1, -1) fails the trace filter."""
+    i = F4.root_of_unity(4)
+    m = matrix(F4, [[1, 0, 0], [0, i, 0], [0, 0, -i]])
+    closure = linear_closure([m], 4)
+    assert len(closure) == 4 and not _rank_one(m)
+    assert (trace(m) - 2).multiplicative_order() == 2 and trace(mat_mul(m, m)) == -1
+    assert _reflection_orders(closure) == [0, 0, 0, 0]
+    assert reflection_order_multiset(closure) == {}
 
 
 @pytest.mark.parametrize(
@@ -157,7 +202,7 @@ def test_orbit_bound_is_tight():
     """<w I_2> over Q(w) has 3 elements and a basis orbit of 6 = n * 3 points."""
     g = matrix(F3, [[F3.omega, 0], [0, F3.omega]])
     group = linear_closure([g], max_size=3)
-    assert len(group) == 3 and group == O.dimino_closure([g])
+    assert len(group) == 3 and group.matrices() == O.dimino_closure([g])
     with pytest.raises(ClosureBoundError, match="closure exceeds 2 elements"):
         linear_closure([g], max_size=2)
 
@@ -165,12 +210,12 @@ def test_orbit_bound_is_tight():
 def test_redundant_generators_are_skipped():
     a, b = _generators(("model", "K5"))[:2]
     ident = identity(F3, len(a))
-    base = set(linear_closure([a, b], BOUND))
+    base = set(linear_closure([a, b], BOUND).matrices())
     for redundant in ([a, a, b], [a, b, a], [a, b, mat_mul(a, b)], [ident, a, b], [a, ident, b, b]):
-        got = linear_closure(redundant, BOUND)
+        got = linear_closure(redundant, BOUND).matrices()
         assert got[0] == ident and len(set(got)) == len(got)
         assert set(got) == base == set(O.linear_closure(redundant))
-    assert linear_closure([ident], 1) == [ident]
+    assert linear_closure([ident], 1).matrices() == [ident]
     with pytest.raises(AffineError):
         linear_closure([], 1)
 
@@ -243,7 +288,12 @@ def test_verdicts_do_not_depend_on_closure_order(monkeypatch, fresh_caches):
     names = ("D4_3", "C3_24")
     plain = {nm: verify_crystallographic(diagram(nm)) for nm in names}
     dimino = affine.linear_closure
-    monkeypatch.setattr(affine, "linear_closure", lambda gens, max_size: dimino(gens, max_size)[::-1])
+
+    def reversed_closure(gens, max_size):
+        group = dimino(gens, max_size)
+        return Closure(group.points, group.elements[::-1])
+
+    monkeypatch.setattr(affine, "linear_closure", reversed_closure)
     clear_caches()
     for nm in names:
         rep = verify_crystallographic(diagram(nm))
@@ -252,9 +302,12 @@ def test_verdicts_do_not_depend_on_closure_order(monkeypatch, fresh_caches):
 
 
 def test_catalogue_closures_multiply_no_matrices(monkeypatch, capsys, fresh_caches):
-    """Over `verify all` in both characters, every closure reads its matrices
-    off the basis orbit: no mat_mul call happens inside linear_closure."""
-    depth, closures, products = [], [], []
+    """Over `verify all` in both characters and `verify group` of every
+    model, each model is closed once, bounded by its declared order, and
+    stays index tuples on its basis orbit: no mat_mul call happens inside
+    linear_closure, no element is read off as a matrix, and the traces and
+    field embeddings number fewer than the 847 elements closed."""
+    depth, closures, products, per_element = [], [], [], []
     dimino, real_mul = affine.linear_closure, linalg.mat_mul
 
     def closure(gens, max_size):
@@ -263,7 +316,9 @@ def test_catalogue_closures_multiply_no_matrices(monkeypatch, capsys, fresh_cach
             group = dimino(gens, max_size)
         finally:
             depth.pop()
-        closures.append(len(group))
+        assert isinstance(group, Closure)
+        assert all(type(i) is int for p in group.elements for i in p)
+        closures.append((tuple(gens), max_size, len(group)))
         return group
 
     def mul(a, b):
@@ -271,11 +326,25 @@ def test_catalogue_closures_multiply_no_matrices(monkeypatch, capsys, fresh_cach
             products.append(None)
         return real_mul(a, b)
 
+    def spy(name):
+        real = getattr(affine, name)
+        monkeypatch.setattr(affine, name, lambda *args: per_element.append(name) or real(*args))
+
     monkeypatch.setattr(affine, "linear_closure", closure)
     monkeypatch.setattr(affine, "mat_mul", mul)
     monkeypatch.setattr(linalg, "mat_mul", mul)
+    for name in ("trace", "_in_field", "reference_closure"):
+        spy(name)
+    matrices = Closure.matrices
+    monkeypatch.setattr(Closure, "matrices", lambda self: per_element.append("matrices") or matrices(self))
     for chi in ("primary", "conj"):
         assert main(["verify", "all", "--chi", chi]) == 0
+    for name in reference_names():
+        assert main(["verify", "group", name]) == 0
     capsys.readouterr()
-    assert len(closures) == 7 and 648 in closures
+    models = {name: reference_group(name).declared_order for name in reference_names()}
+    assert Counter(c[:2] for c in closures) == Counter((_reference_generators(nm), k) for nm, k in models.items())
+    assert all(size == bound for _, bound, size in closures)
     assert products == []
+    assert "matrices" not in per_element and "reference_closure" not in per_element
+    assert 0 < len(per_element) < sum(models.values()) == 847
