@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import permutations
 from math import lcm
+from typing import NamedTuple
 
 from .cyclo import RING_GENERATORS, CycloField, CycloNum, cached, parse_value, render_value, ring_field
 from .linalg import (
@@ -292,8 +293,7 @@ def reflection_order_multiset(group: Closure) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class ReferenceGroup:
+class ReferenceGroup(NamedTuple):
     name: str
     ring: str
     field: CycloField
@@ -409,8 +409,7 @@ def saturate(lattice: ZLattice, mats, max_rounds: int) -> tuple[ZLattice, int]:
     raise ClosureBoundError(f"lattice saturation exceeds {max_rounds} rounds")
 
 
-@dataclass(frozen=True)
-class TranslationReport:
+class TranslationReport(NamedTuple):
     invariance: bool
     containment: str
     fullness: str
@@ -467,8 +466,7 @@ def translation_subgroup(gens, lattice: ZLattice, escaped: int, max_rounds: int)
     return TranslationReport(invariance, containment, fullness, rounds, witness)
 
 
-@dataclass(frozen=True)
-class Conjugacy:
+class Conjugacy(NamedTuple):
     """X g_i X^-1 = targets[pi[i]] for every kept generator g_i, or pi and
     x None when no trace-matched bijection gives an invertible X; `tries`
     counts the bijections whose linear system was solved."""
@@ -558,8 +556,7 @@ _MAXIMAL_ROOT_WORDS = {
 }
 
 
-@dataclass(frozen=True)
-class MaximalRootReport:
+class MaximalRootReport(NamedTuple):
     holds: bool
     word: str
 
@@ -592,8 +589,7 @@ def maximal_root_check(d: Diagram, frame: DualFrame | None = None) -> MaximalRoo
     return MaximalRootReport(v == frame.a, word_text)
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     diagram: str
     chi: str
     group: str
@@ -614,15 +610,12 @@ def lifted_quotient(q: Quotient, target: CycloField) -> Quotient:
     def e(x):
         return src.embed(x, target)
 
-    gram = HermitianGram(matrix(target, [[e(c) for c in row] for row in q.gram.gram]))
-    return Quotient(
+    return q._replace(
         field=target,
-        gram=gram,
+        gram=HermitianGram(matrix(target, [[e(c) for c in row] for row in q.gram.gram])),
         roots=tuple(tuple(e(c) for c in r) for r in q.roots),
         eigenvalues=tuple(e(l) for l in q.eigenvalues),
-        labels=q.labels,
         kernel=tuple(e(c) for c in q.kernel),
-        omitted_index=q.omitted_index,
     )
 
 
@@ -791,8 +784,7 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None) -> CaseR
     )
 
 
-@dataclass(frozen=True)
-class DilationReport:
+class DilationReport(NamedTuple):
     diagram: str
     chi: str
     verdicts_match: bool

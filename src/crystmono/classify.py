@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .cyclo import CycloField, CycloNum, cached, parse_value, roots_of_unity
 from .monodromy import SPLITTING_ORDERS, CheckResult
@@ -197,8 +198,7 @@ class TableRow:
     diagram: str | None
 
 
-@dataclass(frozen=True)
-class ProjRow:
+class ProjRow(NamedTuple):
     id: int
     case: SymmetryCase
     modulus_term: Triple | None

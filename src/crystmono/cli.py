@@ -278,12 +278,12 @@ def diagram_from_payload(payload: dict) -> Diagram:
     """Rebuild a diagram from its ``show`` dump through assemble_diagram.
 
     It passes the same structural checks as a dataset diagram, or raises
-    DiagramError, which also names a missing key, a value outside the
-    value grammar, an integer field holding anything but an int, or a cycle
-    id that is not a string.  The derived sections (``character``,
-    ``frame``, each cycle's ``self_pairing`` and each edge's ``value``) are
-    not read: the pairings come from ``gram`` alone.  The recorded choices
-    are carried over, not reconciled again.
+    DiagramError, which also names a missing key, a list or object of the
+    wrong shape, a value outside the value grammar, an integer field holding
+    anything but an int, or a cycle id that is not a string.  The derived
+    sections (``character``, ``frame``, each cycle's ``self_pairing`` and
+    each edge's ``value``) are not read: the pairings come from ``gram``
+    alone.  The recorded choices are carried over, not reconciled again.
     """
     name = payload.get("name", "payload")
 
@@ -301,8 +301,16 @@ def diagram_from_payload(payload: dict) -> Diagram:
             raise fault(key, "a value", x)
         return field.from_rational(x)
 
+    def shaped(x, key, kind=list):
+        if not isinstance(x, kind):
+            raise fault(key, "a list" if kind is list else "an object", x)
+        return x
+
+    def entries(xs, key):
+        return [(k, shaped(x, f"{key}[{k}]", dict)) for k, x in enumerate(shaped(xs, key))]
+
     def values(xs, key):
-        return tuple(value(x, f"{key}[{k}]") for k, x in enumerate(xs))
+        return tuple(value(x, f"{key}[{k}]") for k, x in enumerate(shaped(xs, key)))
 
     def integer(x, key, optional=False):
         if type(x) is not int and not (optional and x is None):  # bool is an int too
@@ -325,23 +333,26 @@ def diagram_from_payload(payload: dict) -> Diagram:
                     cycle_id(c["id"], f"cycles[{k}].id"), integer(c["order"], f"cycles[{k}].order"),
                     value(c["eigenvalue"], f"cycles[{k}].eigenvalue"),
                 )
-                for k, c in enumerate(payload["cycles"])
+                for k, c in entries(payload["cycles"], "cycles")
             ),
             edges=tuple(
                 Edge(
                     cycle_id(e["src"], f"edges[{k}].src"), cycle_id(e["dst"], f"edges[{k}].dst"),
                     integer(e["braid"], f"edges[{k}].braid", optional=True),
                 )
-                for k, e in enumerate(payload["edges"])
+                for k, e in entries(payload["edges"], "edges")
             ),
-            gram=tuple(values(row, f"gram[{r}]") for r, row in enumerate(payload["gram"])),
+            gram=tuple(values(row, f"gram[{r}]") for r, row in enumerate(shaped(payload["gram"], "gram"))),
             relation=values(relation, "relation") if relation is not None else None,
             kernel_vector=values(payload["kernel_vector"], "kernel_vector"),
             omitted_root=cycle_id(payload["omitted_root"], "omitted_root"),
             expected_group=payload["expected_group"], tau=integer(payload["tau"], "tau"),
             classical_order=integer(payload["classical_order"], "classical_order"),
-            resolved_choices=payload["resolved_choices"],
-            rejected_choices=tuple((dict(r["assignment"]), r["violates"]) for r in payload["rejected_choices"]),
+            resolved_choices=shaped(payload["resolved_choices"], "resolved_choices", dict),
+            rejected_choices=tuple(
+                (dict(shaped(r["assignment"], f"rejected_choices[{k}].assignment", dict)), r["violates"])
+                for k, r in entries(payload["rejected_choices"], "rejected_choices")
+            ),
         )
     except KeyError as exc:
         raise DiagramError(f"{name}: missing key {exc.args[0]!r}") from None

@@ -251,7 +251,7 @@ class HermitianGram:
         self.field = gram[0][0].field
         self.n = len(gram)
         for i in range(self.n):
-            for j in range(self.n):
+            for j in range(i, self.n):  # conjugation is an involution: (j, i) is the same test
                 if gram[i][j] != gram[j][i].conjugate():
                     raise ValueError(f"matrix is not Hermitian at ({i}, {j})")
 

@@ -22,6 +22,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from importlib import resources
+from typing import NamedTuple
 
 from .cyclo import CycloField, CycloNum, cached, in_subring, parse_value, ring_field
 from .linalg import (
@@ -65,30 +66,26 @@ SPLITTING_ORDERS = (3, 4, 6)
 _BRAID_LENGTHS = (2, 3, 4, 6)
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     id: str
     order: int
     eigenvalue: CycloNum
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     braid: int | None
 
 
-@dataclass(frozen=True)
-class PLOperator:
+class PLOperator(NamedTuple):
     """A complex reflection together with the eigenvalue that built it."""
 
     matrix: Matrix
     eigenvalue: CycloNum
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One verified claim: a stable id, the claim in plain words, and the outcome."""
 
     claim_id: str
@@ -346,8 +343,7 @@ def _quotient_gram(gram: HermitianGram, tau: int) -> HermitianGram:
     return HermitianGram(matrix(gram.field, sub))
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(NamedTuple):
     """The span of the first tau cycles with every cycle written in that basis."""
 
     field: CycloField

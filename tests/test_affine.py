@@ -96,7 +96,7 @@ def test_frame_rejects_bad_input():
         DualFrame(q, fr.field.zero)
     with pytest.raises(AffineError):
         fr.dual_reflection(q.kernel, fr.field.omega)  # no component off the kernel line
-    shifted = dataclasses.replace(q, kernel=vec_scale(fr.field.omega, q.kernel))
+    shifted = q._replace(kernel=vec_scale(fr.field.omega, q.kernel))
     with pytest.raises(AffineError):
         DualFrame(shifted)
 
@@ -377,7 +377,7 @@ def test_verify_requires_a_declared_group():
 def test_verify_flags_wrong_eigenvalue():
     d = diagram("C3_24")
     cycles = list(d.cycles)
-    cycles[1] = dataclasses.replace(cycles[1], eigenvalue=-d.field.one)
+    cycles[1] = cycles[1]._replace(eigenvalue=-d.field.one)
     tampered = dataclasses.replace(d, cycles=tuple(cycles))
     rep = verify_crystallographic(tampered)
     assert rep.verdict == "fail"

@@ -331,7 +331,7 @@ def test_a_factor_that_is_no_root_of_unity_is_an_error(monkeypatch, capsys):
         verify_table_row(dataclasses.replace(row, case=bad))
     proj = proj_rows()[0]
     with pytest.raises(ClassifyError):
-        verify_proj_row(dataclasses.replace(proj, case=dataclasses.replace(proj.case, kappa=bad.kappa)))
+        verify_proj_row(proj._replace(case=dataclasses.replace(proj.case, kappa=bad.kappa)))
     monkeypatch.setattr(cli, "table_rows", lambda: (dataclasses.replace(row, case=bad),))
     assert cli.main(["verify", "table1"]) == 2
     assert "coordinate factor is not a root of unity" in capsys.readouterr().err

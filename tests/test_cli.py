@@ -265,6 +265,87 @@ def test_diagram_has_one_constructor():
     assert sites == ["monodromy.py:assemble_diagram"]
 
 
+def test_only_replaced_records_are_dataclasses():
+    """Value records are typing.NamedTuple classes, which build faster at
+    import than the methods a dataclass generates.  Four stay dataclasses:
+    TableRow and SymmetryCase, because the negative controls in
+    perfbench/child.py and tests/test_acceptance.py copy them with
+    dataclasses.replace; Diagram, because its equality and hash are by
+    identity and _build copies it with replace; AffineIsometry, because its
+    * is composition, and a tuple's * and + must not leak into it."""
+    decorated = []
+    for path in sorted(Path(crystmono.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for dec in node.decorator_list:
+                    target = getattr(dec, "func", dec)
+                    if "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None)):
+                        decorated.append(node.name)
+    assert sorted(decorated) == ["AffineIsometry", "Diagram", "SymmetryCase", "TableRow"]
+
+
+RECORDS = (
+    "CheckResult", "Cycle", "Edge", "PLOperator", "Quotient", "ProjRow", "ReferenceGroup",
+    "TranslationReport", "Conjugacy", "MaximalRootReport", "CaseReport", "DilationReport",
+)
+
+
+@pytest.fixture(scope="module")
+def real_records():
+    """The first instance of each record class met in a `verify all` run,
+    a dilation check, a reference group and the projective rows."""
+    from crystmono import affine, cli
+
+    seen = {}
+
+    def keep(*records):
+        for r in records:
+            seen.setdefault(type(r).__name__, r)
+
+    def spy(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            keep(out)
+            return out
+
+        return wrapper
+
+    spied = [(affine, n) for n in ("quotient_basis", "translation_subgroup", "maximal_root_check")]
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in spied + [(cli, "verify_crystallographic")]:
+            mp.setattr(module, name, spy(getattr(module, name)))
+        assert main(["verify", "all"]) == 0
+    case = seen["CaseReport"]
+    d = diagram(case.diagram)
+    ref = crystmono.reference_group(case.group)
+    keep(*case.checks, case.conjugacy, *d.cycles, *d.edges, ref, *ref.generators, dilation_check(d))
+    keep(*crystmono.proj_rows())
+    return seen
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_keep_their_value_semantics(name, real_records):
+    """Each record is immutable, shows as Name(field=value, ...) in field
+    order, and hashes as the tuple of its field values, as the frozen
+    dataclasses did; one holding a dict or a lattice is unhashable, as before."""
+    rec = real_records[name]
+    values = [getattr(rec, f) for f in rec._fields]
+    with pytest.raises(AttributeError):
+        setattr(rec, rec._fields[0], values[0])
+    with pytest.raises(AttributeError):
+        rec.extra = None
+    assert repr(rec) == f"{name}(" + ", ".join(f"{f}={v!r}" for f, v in zip(rec._fields, values)) + ")"
+    twin = type(rec)(*values)
+    assert twin == rec and twin is not rec
+    try:
+        expected = hash(tuple(values))
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(rec) == hash(twin) == expected
+
+
 @pytest.fixture
 def patched_group(monkeypatch):
     """Serve reference_groups.json with one model's entry changed, from cold caches."""
@@ -445,14 +526,27 @@ PAYLOAD_TYPE_FAULTS = {
     "omitted_root_list": ("C3_33", ("omitted_root",), ["e0"], "omitted_root must be a cycle id"),
     "cycle_id": ("C3_33", ("cycles", 0, "id"), ["e0"], "cycles[0].id must be a cycle id"),
     "edge_src": ("C3_33", ("edges", 0, "src"), 1, "edges[0].src must be a cycle id"),
+    "gram_scalar": ("C3_33", ("gram",), 5, "gram must be a list"),
+    "gram_row_scalar": ("C3_33", ("gram", 0), 5, "gram[0] must be a list"),
+    "cycles_scalar": ("C3_33", ("cycles",), 5, "cycles must be a list"),
+    "edge_scalar": ("C3_33", ("edges", 0), 5, "edges[0] must be an object"),
+    "kernel_vector_scalar": ("C3_33", ("kernel_vector",), 5, "kernel_vector must be a list"),
+    "rejected_assignment": (
+        "P8_Z3",  # the one diagram with a rejected choice
+        ("rejected_choices", 0, "assignment"),
+        5,
+        "rejected_choices[0].assignment must be an object",
+    ),
+    "resolved_choices_list": ("C3_33", ("resolved_choices",), [1], "resolved_choices must be an object"),
 }
 
 
 @pytest.mark.parametrize("fault", PAYLOAD_TYPE_FAULTS, ids=str)
 def test_payload_value_of_the_wrong_type_is_rejected(fault):
     """A value outside the value grammar, an integer field that holds no
-    int (a bool is an int to Python), or an id that is no string is
-    rejected, naming the key and the value, and never reaches a check."""
+    int (a bool is an int to Python), an id that is no string, or a list or
+    object of the wrong shape is rejected, naming the key and the value,
+    and never reaches a check."""
     name, path, value, message = PAYLOAD_TYPE_FAULTS[fault]
     payload = show_diagram_payload(diagram(name))
     _set(*path, value=value)(payload)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -78,8 +79,13 @@ def test_solve():
 
 
 def test_hermitian_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("matrix is not Hermitian at (0, 1)")):
         HermitianGram(g3([[0, "w"], ["w", 0]]))
+    # a fault below the diagonal is named at its mirror image above it
+    with pytest.raises(ValueError, match=re.escape("matrix is not Hermitian at (0, 2)")):
+        HermitianGram(g3([[-3, 0, 0], [0, -3, 0], ["w", 0, -3]]))
+    with pytest.raises(ValueError, match=re.escape("matrix is not Hermitian at (1, 1)")):
+        HermitianGram(g3([[-3, 0], [0, "w"]]))
     g = HermitianGram(g3([[-3, "1-w"], ["1-conj(w)", -3]]))
     assert g.rank == 2
 
