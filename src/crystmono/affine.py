@@ -15,12 +15,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from itertools import permutations
 from math import lcm
 from typing import NamedTuple
 
-from .cyclo import RING_GENERATORS, CycloField, CycloNum, cached, parse_value, render_value, ring_field
+from .cyclo import (
+    RING_GENERATORS,
+    CycloField,
+    CycloNum,
+    cached,
+    parse_value,
+    render_value,
+    ring_field,
+    roots_of_unity,
+)
 from .linalg import (
     HermitianGram,
     Matrix,
@@ -33,6 +43,7 @@ from .linalg import (
     identity,
     identity_minus_outer,
     intertwiners,
+    is_reflection,
     is_zero_vector,
     mat_inverse,
     mat_mul,
@@ -134,153 +145,134 @@ class DualFrame:
 
 
 class Closure:
-    """A finite matrix group as index tuples on O, the orbit of the standard
-    basis e_1..e_n under its generators; len() is the group order.
+    """A finite matrix group as tuples of indices into O, the orbit of the
+    standard basis e_1..e_n under its generators; len() is the group order.
 
-    An element m is the tuple p with m O[i] = O[p[i]], over all of O or,
-    once cut by basis_images, over the basis alone.  O holds the basis,
-    so m is the matrix with columns O[p[0]], ..., O[p[n-1]], and the
-    elements correspond one to one with their images of the basis.
+    An element m is the tuple x with m e_i = O[x[i]], its images of the
+    basis, so m is the matrix with columns O[x[0]], ..., O[x[n-1]], and
+    the elements correspond one to one with those tuples.  dets holds each
+    element's determinant as its exponent j in roots_of_unity.
     """
 
-    __slots__ = ("points", "elements")
+    __slots__ = ("points", "elements", "dets")
 
-    def __init__(self, points: list[Vector], elements: list[tuple[int, ...]]):
+    def __init__(self, points: list[Vector], elements: list[tuple[int, ...]], dets: list[int]):
         self.points = points
         self.elements = elements
+        self.dets = dets
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def basis_images(self) -> "Closure":
-        """The same group, each element cut to its images of the basis."""
-        n = len(self.points[0])
-        return Closure(self.points, [p[:n] for p in self.elements])
+    def matrix(self, images: tuple[int, ...]) -> Matrix:
+        """The element with these images of the basis, as a matrix."""
+        return tuple(zip(*(self.points[j] for j in images)))
 
     def matrices(self) -> list[Matrix]:
         """Every element as a matrix, read off its images of the basis."""
-        points, n = self.points, len(self.points[0])
-        return [tuple(zip(*(points[j] for j in p[:n]))) for p in self.elements]
+        return [self.matrix(x) for x in self.elements]
+
+
+def _bfs(start, moves, limit: int, max_size: int) -> tuple[list, list[list[int]]]:
+    """The states reached from `start` under the maps `moves`, breadth
+    first, in the order found, and each move as the index of its image of
+    each state.  ClosureBoundError is raised once more than `limit` states
+    would be listed."""
+    order = list(start)
+    index = {s: i for i, s in enumerate(order)}
+    images: list[list[int]] = [[] for _ in moves]
+    for s in order:  # grows as new states are found
+        for move, img in zip(moves, images):
+            t = move(s)
+            j = index.get(t)
+            if j is None:
+                if len(order) >= limit:
+                    raise ClosureBoundError(f"closure exceeds {max_size} elements")
+                j = index[t] = len(order)
+                order.append(t)
+            img.append(j)
+    return order, images
 
 
 def linear_closure(generators, max_size: int) -> Closure:
-    """Dimino's closure of a finite matrix group, identity first, in deterministic order.
+    """The finite matrix group the generators generate, identity first, by
+    two breadth-first searches that build no matrix.
 
-    The closure runs on the group's action on O, the orbit of the standard
-    basis e_1..e_n under the generators, and builds no matrix.  An element
-    m is the index tuple p with m O[i] = O[p[i]], so the product a*b is b
-    looked up in a.  O holds the basis, so the action is faithful: index
-    tuples and matrices correspond one to one, and the list, order
-    included, is the one Dimino gives on the matrices.
-
-    Dimino (1971), as presented in Butler, Fundamental Algorithms for
-    Permutation Groups (LNCS 559, 1991): with H the group of the earlier
-    generators already listed, each generator g not in H extends the list
-    by whole right cosets H*x, x first.  The first is H*g; every new
-    representative x pushes x*s for each generator s used so far, and a
-    product already listed lies in a listed coset, so its coset is
-    skipped.  The union of cosets contains the identity and is closed
-    under right multiplication by the generators, so it is the group.
+    The first lists O, the orbit of the standard basis e_1..e_n, and each
+    generator g as the permutation p of O with g O[i] = O[p[i]].  The
+    second lists the group from the identity, each element m as its images
+    of the basis x, with m e_i = O[x[i]]: g m has the images p[x[i]], n
+    lookups.  The elements reached by left multiplication with the
+    generators from the identity are all of a finite group, since each
+    inverse is a positive power.
 
     The orbit of each e_j holds at most |G| points, so |O| <= n |G|, and
     ClosureBoundError is raised once O would pass n * max_size points.
     That proves |G| > max_size, and it stops a generator of infinite
     order: a group acting faithfully on a finite set is finite, so its O
-    is infinite.  Past the orbit, the cosets are disjoint, so the bound
-    check before each coset raises exactly when the group has more than
-    `max_size` elements.
+    is infinite.  The second search raises exactly when the group has more
+    than `max_size` elements.
+
+    Past the orbit the group is finite, so the determinant of an
+    invertible generator is a root of unity, read once with det; a singular
+    generator raises AffineError.  The search carries each element's
+    determinant, a character, as its exponent in roots_of_unity.
     """
     gens = list(generators)
     if not gens:
         raise AffineError("no generators")
     n = len(gens[0])
-    points = list(identity(gens[0][0][0].field, n))  # O, the basis first
-    index = {v: i for i, v in enumerate(points)}
-    images: dict[Matrix, list[int]] = {g: [] for g in gens}
-    for v in points:  # grows as new images are found
-        for g, img in images.items():
-            w = mat_vec(g, v)
-            if w not in index:
-                if len(points) >= n * max_size:
-                    raise ClosureBoundError(f"closure exceeds {max_size} elements")
-                index[w] = len(points)
-                points.append(w)
-            img.append(index[w])
-    perms = [tuple(images[g]) for g in gens]
-    order = [tuple(range(len(points)))]
-    seen = set(order)
-    used: list[tuple[int, ...]] = []
-
-    def add_coset(x: tuple[int, ...]) -> None:
-        if len(order) + len(h) > max_size:
-            raise ClosureBoundError(f"closure exceeds {max_size} elements")
-        block = [x] + [tuple(map(e.__getitem__, x)) for e in h[1:]]
-        order.extend(block)
-        seen.update(block)
-        reps.append(x)
-
-    for g in perms:
-        if g in seen:
-            continue
-        used.append(g)
-        h, reps = order[:], []  # h: the group of the earlier generators, identity first
-        add_coset(g)
-        for x in reps:  # grows as add_coset finds new cosets
-            for s in used:
-                y = tuple(map(x.__getitem__, s))
-                if y not in seen:
-                    add_coset(y)
-    return Closure(points, order)
+    field = gens[0][0][0].field
+    points, perms = _bfs(identity(field, n), [partial(mat_vec, g) for g in gens], n * max_size, max_size)
+    roots = roots_of_unity(field)
+    dets = [roots.get(det(g)) for g in gens]  # (exponent, order) of each determinant
+    if None in dets:
+        raise AffineError("a generator is singular")
+    m = len(roots)
+    moves = [
+        lambda s, p=p, e=e: (tuple(map(p.__getitem__, s[0])), (s[1] + e) % m) for p, (e, _) in zip(perms, dets)
+    ]
+    states, _ = _bfs([(tuple(range(n)), 0)], moves, max_size, max_size)
+    return Closure(points, [x for x, _ in states], [d for _, d in states])
 
 
 def _reflection_orders(group: Closure) -> list[int]:
-    """Each element's order as a reflection, or 0 if it is none, from power sums.
+    """Each element's order as a reflection, or 0 if it is none, from its
+    trace and determinant.
 
-    The elements must permute all of O.  For the element p, m^j e_i is
-    O[p^j(i)], so tr(m^j) is a sum of n orbit coordinates; tr(m^j) - (n - 1)
-    is memoised by the interned diagonal entries.  m has finite order, so
-    it is diagonalisable, and tr(m^j) is the j-th power sum of its
-    eigenvalues.  m is a reflection of order k exactly when those are n - 1
-    ones and one lambda of order k > 1.  By Newton's identities the power
-    sums p_1..p_n fix the elementary symmetric functions, so the multiset
-    of eigenvalues, and that holds exactly when lambda = tr m - (n - 1) is
-    a root of unity of order k > 1 and tr(m^j) = n - 1 + lambda^j for
-    j = 2..n.  Only the elements passing the first test read their higher
-    powers.
+    m has finite order, so it is diagonalisable with eigenvalues eps_1..
+    eps_n that are roots of unity, and m is a reflection of order k exactly
+    when those are n - 1 ones and one lambda of order k > 1.  Then lambda
+    is tr m - (n - 1) and det m.  Conversely, let lambda = tr m - (n - 1)
+    have order k > 1 and det m = lambda.  Since 1/eps = conj(eps), the
+    elementary symmetric functions of the eigenvalues satisfy
+    e_{n-j} = e_n conj(e_j), so for n <= 3 the coefficients e_1 = tr m and
+    e_n = det m fix the characteristic polynomial (e_2 = e_3 conj(e_1)
+    when n = 3), which is then that of diag(1, ..., 1, lambda): m is a
+    reflection of order k.  For n >= 4 those two do not fix e_2, and the
+    elements that pass are confirmed with is_reflection on their matrix.
+
+    The trace is the sum of the diagonal entries O[x[i]][i], added as
+    integer numerators over the common denominator of O and looked up
+    among the roots of unity scaled to it; the determinant is the
+    closure's exponent.  No field element is built.
     """
     points = group.points
     n = len(points[0])
-    ids: dict[CycloNum, int] = {}
-    diag = [tuple(ids.setdefault(x, len(ids)) for x in v) for v in points]
-    values = list(ids)
-    start = points[0][0].field.from_rational(1 - n)
-    shifted: dict[tuple[int, ...], tuple[CycloNum, int | None]] = {}
-    powers: dict[CycloNum, list[CycloNum]] = {}
+    den = lcm(*(x.den for v in points for x in v))
+    diag = [[tuple(a * (den // x.den) for a in x.num) for x in v] for v in points]
+    roots = {tuple(a * den for a in r.num): entry for r, entry in roots_of_unity(points[0][0].field).items()}
+    shift = (n - 1) * den
 
-    def shifted_trace(images: tuple[int, ...]) -> tuple[CycloNum, int | None]:
-        """tr - (n - 1) of the element with these images of the basis, and
-        its order as a root of unity, or None."""
-        key = tuple(diag[c][i] for i, c in enumerate(images))
-        out = shifted.get(key)
-        if out is None:
-            t = sum((values[v] for v in key), start)
-            out = shifted[key] = (t, t.multiplicative_order())
-        return out
-
-    def order(p: tuple[int, ...]) -> int:
-        images = p[:n]
-        lam, k = shifted_trace(images)
-        if k is None or k == 1:
+    def order(x: tuple[int, ...], d: int) -> int:
+        lam = [sum(col) for col in zip(*(diag[c][i] for i, c in enumerate(x)))]
+        lam[0] -= shift
+        entry = roots.get(tuple(lam))  # (exponent, order) of lambda
+        if entry is None or entry[1] == 1 or entry[0] != d or (n > 3 and not is_reflection(group.matrix(x))):
             return 0
-        if lam not in powers:
-            powers[lam] = [lam**j for j in range(2, n + 1)]
-        for want in powers[lam]:
-            images = tuple(p[c] for c in images)
-            if shifted_trace(images)[0] != want:
-                return 0
-        return k
+        return entry[1]
 
-    return [order(p) for p in group.elements]
+    return [order(x, d) for x, d in zip(group.elements, group.dets)]
 
 
 def reflection_order_multiset(group: Closure) -> dict[int, int]:
@@ -359,8 +351,8 @@ def reference_group(name: str) -> ReferenceGroup:
 
 @cached
 def model_closure(name: str) -> tuple[Closure, dict[int, int]]:
-    """The closure of a model's stored generators, cut to its images of the
-    basis, and its reflection-order multiset, held to the model's data.
+    """The closure of a model's stored generators and its reflection-order
+    multiset, held to the model's data.
 
     Only the models are closed, each once, bounded by its declared order.
     AffineError is raised unless the closure has exactly that order and
@@ -376,7 +368,7 @@ def model_closure(name: str) -> tuple[Closure, dict[int, int]]:
     multiset = reflection_order_multiset(group)
     if multiset != ref.declared_reflections:
         raise AffineError(f"{name}: reflection orders {multiset} contradict declared {ref.declared_reflections}")
-    return group.basis_images(), multiset
+    return group, multiset
 
 
 def reference_closure(name: str) -> list[Matrix]:

@@ -280,12 +280,15 @@ def diagram_from_payload(payload: dict) -> Diagram:
     It passes the same structural checks as a dataset diagram, or raises
     DiagramError, which also names a missing key, a list or object of the
     wrong shape, a value outside the value grammar, an integer field holding
-    anything but an int, or a cycle id that is not a string.  The derived
+    anything but an int, or a name, ring, cycle id, choice or violated
+    check that is not a string (``expected_group`` may be null).  The derived
     sections (``character``, ``frame``, each cycle's ``self_pairing`` and
     each edge's ``value``) are not read: the pairings come from ``gram``
     alone.  The recorded choices are carried over, not reconciled again.
     """
     name = payload.get("name", "payload")
+    if not isinstance(name, str):
+        raise DiagramError(f"payload: name must be a string, not {name!r}")
 
     def fault(key, what, x):
         return DiagramError(f"{name}: {key} must be {what}, not {x!r}")
@@ -317,13 +320,16 @@ def diagram_from_payload(payload: dict) -> Diagram:
             raise fault(key, "an integer", x)
         return x
 
-    def cycle_id(x, key):
-        if not isinstance(x, str):
-            raise fault(key, "a cycle id", x)
+    def string(x, key, what="a string", optional=False):
+        if not isinstance(x, str) and not (optional and x is None):
+            raise fault(key, what, x)
         return x
 
+    def cycle_id(x, key):
+        return string(x, key, "a cycle id")
+
     try:
-        field = diagram_field(payload["name"], payload["ring"])
+        field = diagram_field(payload["name"], string(payload["ring"], "ring"))
         relation = payload["relation"]
         return assemble_diagram(
             name=payload["name"], ring=payload["ring"], chi_label=payload["chi"],
@@ -346,11 +352,18 @@ def diagram_from_payload(payload: dict) -> Diagram:
             relation=values(relation, "relation") if relation is not None else None,
             kernel_vector=values(payload["kernel_vector"], "kernel_vector"),
             omitted_root=cycle_id(payload["omitted_root"], "omitted_root"),
-            expected_group=payload["expected_group"], tau=integer(payload["tau"], "tau"),
+            expected_group=string(payload["expected_group"], "expected_group", "a string or null", optional=True),
+            tau=integer(payload["tau"], "tau"),
             classical_order=integer(payload["classical_order"], "classical_order"),
-            resolved_choices=shaped(payload["resolved_choices"], "resolved_choices", dict),
+            resolved_choices={
+                edge: string(choice, f"resolved_choices[{edge!r}]")
+                for edge, choice in shaped(payload["resolved_choices"], "resolved_choices", dict).items()
+            },
             rejected_choices=tuple(
-                (dict(shaped(r["assignment"], f"rejected_choices[{k}].assignment", dict)), r["violates"])
+                (
+                    dict(shaped(r["assignment"], f"rejected_choices[{k}].assignment", dict)),
+                    string(r["violates"], f"rejected_choices[{k}].violates"),
+                )
                 for k, r in entries(payload["rejected_choices"], "rejected_choices")
             ),
         )

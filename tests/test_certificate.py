@@ -231,11 +231,11 @@ def _tamper_first_kept(monkeypatch, name, change):
 def _spy_closures(monkeypatch):
     """Record the generators and bound of every linear closure, from empty caches."""
     calls = []
-    dimino = affine.linear_closure
+    real = affine.linear_closure
 
     def spy(gens, max_size):
         calls.append((tuple(gens), max_size))
-        return dimino(gens, max_size)
+        return real(gens, max_size)
 
     monkeypatch.setattr(affine, "linear_closure", spy)
     clear_caches()

@@ -538,6 +538,11 @@ PAYLOAD_TYPE_FAULTS = {
         "rejected_choices[0].assignment must be an object",
     ),
     "resolved_choices_list": ("C3_33", ("resolved_choices",), [1], "resolved_choices must be an object"),
+    "name_list": ("C3_33", ("name",), [], "name must be a string"),
+    "ring_list": ("C3_33", ("ring",), [], "ring must be a string"),
+    "expected_group_list": ("C3_33", ("expected_group",), [], "expected_group must be a string or null"),
+    "resolved_choice_int": ("C3_33", ("resolved_choices", "x"), 5, "resolved_choices['x'] must be a string"),
+    "rejected_violates": ("P8_Z3", ("rejected_choices", 0, "violates"), 5, "rejected_choices[0].violates must be a string"),
 }
 
 
@@ -546,11 +551,13 @@ def test_payload_value_of_the_wrong_type_is_rejected(fault):
     """A value outside the value grammar, an integer field that holds no
     int (a bool is an int to Python), an id that is no string, or a list or
     object of the wrong shape is rejected, naming the key and the value,
-    and never reaches a check."""
+    and never reaches a check.  A name that is no string is reported
+    under "payload", as a missing one is."""
     name, path, value, message = PAYLOAD_TYPE_FAULTS[fault]
     payload = show_diagram_payload(diagram(name))
     _set(*path, value=value)(payload)
-    with pytest.raises(DiagramError, match="^" + re.escape(f"{name}: {message}, not {value!r}") + "$"):
+    prefix = "payload" if path == ("name",) else name
+    with pytest.raises(DiagramError, match="^" + re.escape(f"{prefix}: {message}, not {value!r}") + "$"):
         diagram_from_payload(payload)
 
 

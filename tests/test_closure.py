@@ -1,12 +1,12 @@
-"""Dimino's closure and the reflection tests against their oracles.
+"""The closure and the reflection tests against their oracles.
 
 `linear_closure` is compared with the breadth-first closure kept in
-oracle_closure.py, and its list, order included, with Dimino run on the
-matrices themselves; `is_reflection` and the power-sum reflection test
-with a full elimination rank of m - I, element by element, and the
-reflection multiset with an unfiltered count, on the seven reference
-models, which are all the verifier closes, and on the groups of the kept
-dual linear parts of every diagram in both characters and of the
+oracle_closure.py, and its list, order included, with the same search run
+on the matrices themselves; `is_reflection` and the trace-and-determinant
+reflection test with a full elimination rank of m - I, element by element,
+and the reflection multiset with an unfiltered count, on the seven
+reference models, which are all the verifier closes, and on the groups of
+the kept dual linear parts of every diagram in both characters and of the
 Q(zeta12) lifts that the dilation check builds.
 """
 
@@ -34,8 +34,8 @@ from crystmono.affine import (
     verify_crystallographic,
 )
 from crystmono.cli import main
-from crystmono.cyclo import CycloField, CycloNum
-from crystmono.linalg import identity, is_reflection, mat_mul, mat_rank, matrix, reflection_order, trace, vec_sub
+from crystmono.cyclo import CycloField, CycloNum, roots_of_unity
+from crystmono.linalg import det, identity, is_reflection, mat_mul, mat_rank, matrix, reflection_order, trace, vec_sub
 from crystmono.monodromy import diagram, diagram_names, operator_order, quotient_basis
 
 F3, F4, F12, F72 = (CycloField(n) for n in (3, 4, 12, 72))
@@ -98,7 +98,9 @@ def _rank_one(m):
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_closure_matches_the_bfs_oracle(case):
     gens, closure, group, oracle = _closures(case)
-    assert closure.elements[0] == tuple(range(len(closure.points)))
+    n = len(gens[0])
+    assert closure.elements[0] == tuple(range(n)) and closure.dets[0] == 0
+    assert all(len(x) == n for x in closure.elements) and len(closure.dets) == len(closure)
     assert group[0] == identity(gens[0][0][0].field, len(gens[0]))
     assert len(set(group)) == len(group) == len(closure)
     assert set(group) == set(oracle)
@@ -106,9 +108,9 @@ def test_closure_matches_the_bfs_oracle(case):
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_closure_keeps_the_order_of_dimino_on_matrices(case):
+def test_closure_keeps_the_order_of_left_bfs_on_matrices(case):
     gens, _, group, _ = _closures(case)
-    assert group == O.dimino_closure(gens)
+    assert group == O.left_bfs_closure(gens)
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
@@ -129,56 +131,97 @@ def test_is_reflection_is_the_rank_one_test(case):
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_power_sums_are_the_rank_one_test(case):
-    """Element by element, on the BFS oracle's matrices, the power-sum test
-    gives a rank-one element its reflection order and any other element 0."""
+def test_reflection_orders_are_the_rank_one_test(case):
+    """Element by element, on the BFS oracle's matrices, the trace and
+    determinant give a rank-one element its reflection order and any other
+    element 0."""
     _, closure, group, oracle = _closures(case)
     orders = dict(zip(group, _reflection_orders(closure)))
     assert [orders[m] for m in oracle] == [reflection_order(m) if _rank_one(m) else 0 for m in oracle]
 
 
+def _passes(m, det_m=None):
+    """Whether lambda = tr m - (n - 1) has order k > 1 and, unless det_m is
+    None, det m = lambda: the test _reflection_orders makes, on a matrix."""
+    lam = trace(m) - (len(m) - 1)
+    return lam.multiplicative_order() not in (None, 1) and (det_m is None or det_m == lam)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_trace_and_determinant_are_the_rank_one_test(case):
+    """Element by element, the determinant the closure carries is det m,
+    and the trace and determinant pass exactly on the rank-one elements."""
+    _, closure, group, _ = _closures(case)
+    exponents = {x: j for x, (j, _) in roots_of_unity(group[0][0][0].field).items()}
+    dets = [det(m) for m in group]
+    assert closure.dets == [exponents[d] for d in dets]
+    assert [_passes(m, d) for m, d in zip(group, dets)] == [_rank_one(m) for m in group]
+
+
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_trace_prefilter_keeps_every_reflection(case, monkeypatch):
-    """Only elements whose tr m - (n - 1) is a root of unity other than 1
-    have higher powers read, every reflection is among them, and the
-    multiset is the unfiltered count over every element."""
+    """Every reflection passes the trace test, no power of a field element
+    is taken for n <= 3, and the multiset is the unfiltered count over
+    every element."""
     _, closure, group, _ = _closures(case)
-    n = len(group[0])
+    assert len(group[0]) <= 3
     reflections = [m for m in group if is_reflection(m)]
-    assert reflections and all((trace(m) - (n - 1)).multiplicative_order() not in (None, 1) for m in reflections)
+    assert reflections and all(map(_passes, reflections))
     powered = []
     real_pow = CycloNum.__pow__
     monkeypatch.setattr(CycloNum, "__pow__", lambda x, k: powered.append(x) or real_pow(x, k))
     multiset = reflection_order_multiset(closure)
     monkeypatch.undo()
     assert multiset == dict(Counter(reflection_order(m) for m in reflections))
-    # the powers 2..n of each lambda that passes the filter are taken once
-    passing = {lam for lam in (trace(m) - (n - 1) for m in group) if lam.multiplicative_order() not in (None, 1)}
-    assert Counter(powered) == (dict.fromkeys(passing, n - 1) if n > 1 else {})
+    assert powered == []
 
 
 def test_trace_filter_alone_overcounts():
-    """Over the seven models 183 elements pass the trace filter and only 75
-    of them are reflections, so the checks for j >= 2 decide the counts."""
-    candidates = reflections = 0
+    """Over the seven models 183 elements pass the trace test alone, and
+    exactly the 75 reflections pass the trace and determinant, so the
+    determinant decides the counts."""
+    candidates = passing = reflections = 0
     for name in reference_names():
         _, _, group, _ = _closures(("model", name))
-        n = len(group[0])
-        candidates += sum((trace(m) - (n - 1)).multiplicative_order() not in (None, 1) for m in group)
+        flags = [_passes(m, det(m)) for m in group]
+        assert flags == [_rank_one(m) for m in group]
+        candidates += sum(map(_passes, group))
+        passing += sum(flags)
         reflections += sum(map(_rank_one, group))
-    assert (candidates, reflections) == (183, 75)
+    assert (candidates, passing, reflections) == (183, 75, 75)
 
 
 def test_trace_candidate_that_is_no_reflection():
-    """diag(1, i, -i) has tr m - 2 = -1, of order 2, but tr m^2 = -1, not 3;
-    so has its inverse, and m^2 = diag(1, -1, -1) fails the trace filter."""
+    """diag(1, i, -i) has tr m - 2 = -1, of order 2, but det m = 1, not -1;
+    so has its inverse, and m^2 = diag(1, -1, -1) fails the trace test."""
     i = F4.root_of_unity(4)
     m = matrix(F4, [[1, 0, 0], [0, i, 0], [0, 0, -i]])
     closure = linear_closure([m], 4)
     assert len(closure) == 4 and not _rank_one(m)
-    assert (trace(m) - 2).multiplicative_order() == 2 and trace(mat_mul(m, m)) == -1
+    assert _passes(m) and det(m) == 1 and not _passes(mat_mul(m, m))
     assert _reflection_orders(closure) == [0, 0, 0, 0]
     assert reflection_order_multiset(closure) == {}
+
+
+def test_rank_four_candidates_are_confirmed_by_is_reflection(monkeypatch):
+    """S5 in its reflection representation on the root lattice of A4, over
+    Q(w): for n >= 4 the trace and determinant do not fix the eigenvalues,
+    so each element that passes them is confirmed with is_reflection on its
+    matrix.  The group has order 120 and its 10 transpositions are the
+    reflections, each of order 2."""
+    cartan = [[2 if r == c else -1 if abs(r - c) == 1 else 0 for c in range(4)] for r in range(4)]
+    gens = [matrix(F3, [[(r == c) - (cartan[i][c] if r == i else 0) for c in range(4)] for r in range(4)]) for i in range(4)]
+    closure = linear_closure(gens, 120)
+    group = closure.matrices()
+    assert len(group) == 120 and set(group) == set(O.linear_closure(gens))
+    assert group == O.left_bfs_closure(gens)
+    confirmed = []
+    real = affine.is_reflection
+    monkeypatch.setattr(affine, "is_reflection", lambda m: confirmed.append(m) or real(m))
+    orders = _reflection_orders(closure)
+    assert orders == [2 if _rank_one(m) else 0 for m in group]
+    assert orders.count(2) == 10 and len(confirmed) == 10
+    assert reflection_order_multiset(closure) == {2: 10}
 
 
 @pytest.mark.parametrize(
@@ -202,7 +245,7 @@ def test_orbit_bound_is_tight():
     """<w I_2> over Q(w) has 3 elements and a basis orbit of 6 = n * 3 points."""
     g = matrix(F3, [[F3.omega, 0], [0, F3.omega]])
     group = linear_closure([g], max_size=3)
-    assert len(group) == 3 and group.matrices() == O.dimino_closure([g])
+    assert len(group) == 3 and group.matrices() == O.left_bfs_closure([g])
     with pytest.raises(ClosureBoundError, match="closure exceeds 2 elements"):
         linear_closure([g], max_size=2)
 
@@ -218,6 +261,13 @@ def test_redundant_generators_are_skipped():
     assert linear_closure([ident], 1).matrices() == [ident]
     with pytest.raises(AffineError):
         linear_closure([], 1)
+
+
+def test_singular_generator_is_rejected():
+    """diag(0, 1) maps the basis into the finite set {0, e_2}, so the orbit
+    ends, but it generates no group."""
+    with pytest.raises(AffineError, match="^a generator is singular$"):
+        linear_closure([matrix(F3, [[0, 0], [0, 1]])], 10)
 
 
 def test_is_reflection_hand_made_branches():
@@ -287,11 +337,11 @@ def fresh_caches():
 def test_verdicts_do_not_depend_on_closure_order(monkeypatch, fresh_caches):
     names = ("D4_3", "C3_24")
     plain = {nm: verify_crystallographic(diagram(nm)) for nm in names}
-    dimino = affine.linear_closure
+    real = affine.linear_closure
 
     def reversed_closure(gens, max_size):
-        group = dimino(gens, max_size)
-        return Closure(group.points, group.elements[::-1])
+        group = real(gens, max_size)
+        return Closure(group.points, group.elements[::-1], group.dets[::-1])
 
     monkeypatch.setattr(affine, "linear_closure", reversed_closure)
     clear_caches()
@@ -348,3 +398,45 @@ def test_catalogue_closures_multiply_no_matrices(monkeypatch, capsys, fresh_cach
     assert products == []
     assert "matrices" not in per_element and "reference_closure" not in per_element
     assert 0 < len(per_element) < sum(models.values()) == 847
+
+
+@pytest.mark.parametrize("name", ["K25", "K5"])
+def test_model_closure_does_no_field_arithmetic_per_element(name, monkeypatch, fresh_caches):
+    """Once the model's basis orbit is built, the closure and its
+    reflection orders run the field's product and sum loops only inside det
+    of the generators, and besides at most once per root of unity: the
+    count does not grow with the group order (648 for K25, 72 for K5)."""
+    gens = _reference_generators(name)  # the model is built before the count
+    calls, where = Counter(), ["orbit"]
+    real_bfs, real_det = affine._bfs, affine.det
+
+    def bfs(*args):
+        out = real_bfs(*args)
+        where[0] = "after the orbit"
+        return out
+
+    def spy_det(m):
+        outer, where[0] = where[0], "det"
+        try:
+            return real_det(m)
+        finally:
+            where[0] = outer
+
+    def spy(owner, attr):
+        real = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *args: calls.update([where[0]]) or real(*args))
+
+    spy(CycloField, "_sum_of_products")
+    spy(CycloNum, "_combine")
+    where[0] = "det"
+    for g in gens:  # what det of the generators costs on its own
+        real_det(g)
+    per_det = calls.pop("det")
+    where[0] = "orbit"
+    monkeypatch.setattr(affine, "_bfs", bfs)
+    monkeypatch.setattr(affine, "det", spy_det)
+    group, multiset = affine.model_closure(name)
+    monkeypatch.undo()
+    assert len(group) == reference_group(name).declared_order and multiset
+    assert calls["det"] == per_det > 0
+    assert calls["after the orbit"] <= len(roots_of_unity(gens[0][0][0].field))
