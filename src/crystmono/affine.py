@@ -7,8 +7,8 @@ reflection induces an affine isometry of that hyperplane; the group they
 generate is tied to one of seven crystallographic models.  One invertible
 X conjugates the kept linear parts, generator by generator, onto the
 model's stored generators, so the linear group is the model group, which
-alone is closed; the translation lattice is built by saturation under the
-generators and certified by exact integer lattice arithmetic.
+alone is closed; the translation lattice is built by one saturation under
+the kept linear parts and certified by exact integer lattice arithmetic.
 """
 
 from __future__ import annotations
@@ -335,7 +335,9 @@ def reference_group(name: str) -> ReferenceGroup:
             raise AffineError(f"{name}: generator does not preserve the form")
     for a, b, length in raw["braids"]:
         if not check_braid(gens[a].matrix, gens[b].matrix, length):
-            raise AffineError(f"{name}: declared braid {length} fails between generators {a},{b}")
+            raise AffineError(
+                f"{name}: declared braid {length} is not the least that holds between generators {a},{b}"
+            )
     return ReferenceGroup(
         name=name,
         ring=raw["ring"],
@@ -403,59 +405,47 @@ def saturate(lattice: ZLattice, mats, max_rounds: int) -> tuple[ZLattice, int]:
 
 class TranslationReport(NamedTuple):
     invariance: bool
-    containment: str
-    fullness: str
+    verdict: str
     states: int
     witness: str
 
 
-def translation_subgroup(gens, lattice: ZLattice, escaped: int, max_rounds: int) -> TranslationReport:
-    """Certify the candidate lattice against the affine group's translations.
+def translation_subgroup(gens, orbit: tuple[ZLattice, int], escaped: int) -> TranslationReport:
+    """Decide whether the orbit lattice Lambda holds every translation of
+    the affine group G = <gens>, and whether it is their group T.
 
-    Precondition: the linear parts of the generators whose translation is
-    zero (the kept reflections) generate a group L of at most `max_rounds`
-    elements, so every (m, 0) with m in L lies in G = <gens>, and `escaped`
-    generators have a linear part outside L.  The translations T form the
-    kernel of the linear-part map of G, so the cosets of T are indexed by
-    linear parts, and the (m, 0) are a transversal exactly when nothing
-    escaped.  Schreier's lemma (Seress, Permutation Group Algorithms, 2003,
-    4.2; Holt-Eick-O'Brien, Handbook of Computational Group Theory, 2005,
-    2.4) holds for any transversal containing the identity: T is generated
-    by (m, 0) * s * (m A, 0)^-1 for m in L and generators s = (A, t), which
-    is the translation by m t.  The span of those is the L-orbit span of
-    the shifts t, which `saturate` builds under L's generators without
-    listing L, within |L| rounds.
+    Precondition: `orbit` is Lambda with its rounds, as `saturate` built it
+    from one shift t0 of a generator under the linear parts of some
+    generators whose translation is zero.  Those generate a finite group L,
+    so every (m, 0) with m in L lies in G, and `escaped` generators have a
+    linear part outside L.  T is the kernel of the linear-part map of G, so
+    the (m, 0) are a transversal of T exactly when nothing escaped.  Then
+    Schreier's lemma (Seress, Permutation Group Algorithms, 2003, 4.2;
+    Holt-Eick-O'Brien, Handbook of Computational Group Theory, 2005, 2.4)
+    makes T the span of the translations (m, 0) * s * (m A, 0)^-1 = (1, m t)
+    for m in L and generators s = (A, t): the span of the L-orbits of the
+    shifts t.  Every m t0 is one of them, so T contains Lambda, and L
+    carries Lambda into itself, so T lies in Lambda exactly when every
+    shift does.  Each element of G is (m, s) with s in T, so G's
+    translations lie in Lambda exactly when T = Lambda, exactly when every
+    shift lies in Lambda: one membership test per shift decides both.
 
-    invariance: each generator's linear part maps the lattice onto itself.
-    containment: nothing escaped and the Schreier span lies in the lattice;
-      every element of G is a translation in T times some (m, 0), so then
-      all its translations do.
-    fullness: nothing escaped and the Schreier span is exactly the lattice.
-    Both fail, with nothing saturated, when something escaped.
-    states: the saturation rounds that built the Schreier span.
+    invariance: each generator's linear part maps Lambda onto itself.
+    verdict: nothing escaped and every shift lies in Lambda.
+    states: Lambda's saturation rounds.
     """
     gens = list(gens)
     if not gens:
         raise AffineError("no generators")
+    lattice, rounds = orbit
     invariance = all(lattice.transformed(g.linear) == lattice for g in gens)
     if escaped:
         witness = f"linear part outside the group for {escaped} of {len(gens)} generators"
-        return TranslationReport(invariance, "fail", "fail", 0, witness)
-
-    linear = [g.linear for g in gens if is_zero_vector(g.translation)]
+        return TranslationReport(invariance, "fail", rounds, witness)
     shifts = [g.translation for g in gens if not is_zero_vector(g.translation)]
-    span, rounds = saturate(ZLattice(lattice.field, lattice.dim, shifts), linear, max_rounds)
-    outside = sum(not lattice.member(v) for v in span.basis_vectors())
-    spans = span == lattice
-    if outside:
-        witness = f"{outside} of {span.rank} basis vectors of the Schreier span outside the lattice"
-    elif not spans:
-        witness = f"the Schreier span, saturated in {rounds} rounds, is a proper sublattice"
-    else:
-        witness = f"the Schreier span, saturated in {rounds} rounds, is the lattice"
-    containment = "fail" if outside else "pass"
-    fullness = "pass" if spans else "fail"
-    return TranslationReport(invariance, containment, fullness, rounds, witness)
+    inside = sum(lattice.member(t) for t in shifts)
+    witness = f"{inside} of {len(shifts)} shifts in the orbit lattice, saturated in {rounds} rounds"
+    return TranslationReport(invariance, "pass" if inside == len(shifts) else "fail", rounds, witness)
 
 
 class Conjugacy(NamedTuple):
@@ -626,12 +616,14 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None) -> CaseR
     Only the model's group R is closed, by model_closure, which bounds it
     by R's declared order and raises AffineError unless the order and the
     reflection counts are the declared ones.  The diagram's linear group is
-    tied to R by find_conjugacy, which proves its order |R|; its lattices
-    are then built by saturation within |R| rounds, and each omitted linear
-    part is looked up in R once.  Without a conjugacy the group claims
-    fail, and the membership and lattice claims are inconclusive with no
-    search run.  An alpha0 from a larger field than the diagram's lifts the
-    run into it.
+    tied to R by find_conjugacy, which proves its order |R|, and each
+    omitted linear part is looked up in R once.  Then one saturation, of
+    the omitted translation t0 under the kept linear parts within |R|
+    rounds, builds the orbit lattice, and translation_subgroup decides both
+    translation claims by testing each shift for membership in it.
+    Without a conjugacy the group claims fail, and the membership and
+    lattice claims are inconclusive with nothing saturated.  An alpha0 from
+    a larger field than the diagram's lifts the run into it.
     """
     if d.expected_group is None:
         raise AffineError(f"{d.name} declares no crystallographic model")
@@ -722,19 +714,13 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None) -> CaseR
         results["omitted_in_closure"] = (
             ("fail", f"outside: {', '.join(outside)}") if outside else ("pass", "all omitted linear parts found")
         )
-        # <kept> = X^-1 R X has the model's order, so both saturations end within it
-        lattice, _ = saturate(ZLattice(field, frame.n, [t0]), kept_linear, ref.declared_order)
+        # <kept> = X^-1 R X has the model's order, so the saturation ends within it
+        lattice, rounds = saturate(ZLattice(field, frame.n, [t0]), kept_linear, ref.declared_order)
         full = lattice.rank == 2 * frame.n
         results["lattice_rank"] = ("pass" if full else "fail", f"rank {lattice.rank}")
-        trep = translation_subgroup(duals, lattice, len(outside), ref.declared_order)
+        trep = translation_subgroup(duals, (lattice, rounds), len(outside))
         results["lattice_invariant"] = ("pass" if trep.invariance else "fail", "all generators checked")
-        results["translations_contained"] = (
-            trep.containment,
-            trep.witness
-            if trep.containment != "pass"
-            else f"the Schreier span, saturated in {trep.states} rounds, lies in it",
-        )
-        results["translations_generate"] = (trep.fullness, trep.witness)
+        results["translations_contained"] = results["translations_generate"] = (trep.verdict, trep.witness)
         if rule["kind"] == "ring":
             unit = parse_value(RING_GENERATORS[rule["ring"]], field)
             ring_lat = ZLattice(field, frame.n, [t0, vec_scale(unit, t0)])

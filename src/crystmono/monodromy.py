@@ -407,7 +407,8 @@ def diagram_operators(d: Diagram) -> tuple[PLOperator, ...]:
     )
 
 
-def operator_order(m: Matrix, bound: int = 24) -> int:
+def operator_order(m: Matrix, bound: int) -> int:
+    """The least k <= bound with m^k = I; OrderBoundError if there is none."""
     n = len(m)
     field = m[0][0].field
     ident = identity(field, n)
@@ -420,24 +421,24 @@ def operator_order(m: Matrix, bound: int = 24) -> int:
 
 
 def check_braid(a: Matrix, b: Matrix, length: int) -> bool:
-    """Alternating word identity of the given length: 2 means commuting."""
+    """Whether `length` is the least supported k at which the alternating
+    words a b a ... and b a b ... of k letters agree (2: a and b commute),
+    as edge labels are read (Broue-Malle-Rouquier, J. reine angew. Math.
+    500, 1998); a relation of length k implies its multiples.  The words
+    grow a letter at a time, at most 2 (length - 1) products in all."""
     if length not in _BRAID_LENGTHS:
         raise DiagramError(f"unsupported braid length {length}")
-    letters = (a, b) * length
-    return mat_prod(letters[:length]) == mat_prod(letters[1 : length + 1])
+    p, q, x, y = a, b, b, a  # the two words so far and their next letters
+    for k in range(2, length + 1):
+        p, q, x, y = mat_mul(p, x), mat_mul(q, y), y, x
+        if k in _BRAID_LENGTHS and p == q:
+            return k == length
+    return False
 
 
 def classical_monodromy(d: Diagram) -> Matrix:
     """Product of the tau vertex reflections, first vertex applied first."""
     return mat_prod([op.matrix for op in reversed(diagram_operators(d)[: d.tau])])
-
-
-def _order_or_none(m: Matrix) -> int | None:
-    """Like operator_order, but bad data reports as a mismatch instead of raising."""
-    try:
-        return operator_order(m)
-    except OrderBoundError:
-        return None
 
 
 def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
@@ -493,19 +494,23 @@ def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
     checks.append(
         CheckResult(
             "braids",
-            "declared braid lengths hold and unpaired reflections commute",
+            "each declared braid length is the least that holds, and unpaired reflections commute",
             "fail" if bad else "pass",
             "; ".join(bad) if bad else "all alternating words compared",
         )
     )
 
-    order = _order_or_none(classical_monodromy(d))
+    # bounded by d, the search returns d exactly when the order is d
+    try:
+        order = operator_order(classical_monodromy(d), d.classical_order)
+    except OrderBoundError:
+        order = None
     checks.append(
         CheckResult(
             "classical_monodromy",
             f"the product of the vertex reflections has order {d.classical_order}",
             "pass" if order == d.classical_order else "fail",
-            f"computed order {order}" if order else "no power reached the identity within the bound",
+            f"computed order {order}" if order else f"no power up to {d.classical_order} is the identity",
         )
     )
 

@@ -41,6 +41,7 @@ from crystmono.affine import (
     reference_group,
     reference_names,
     reflection_order_multiset,
+    saturate,
     translation_subgroup,
     verify_crystallographic,
 )
@@ -238,52 +239,78 @@ def _escaped(gens, group):
     return sum(g.linear not in members for g in gens)
 
 
+def _orbit(duals, q, group):
+    """The orbit lattice of the omitted translation, saturated under the
+    linear parts of the duals whose translation is zero, and its rounds."""
+    kept = [g.linear for g in duals if all(x.is_zero() for x in g.translation)]
+    t0 = duals[q.omitted_index].translation
+    return saturate(ZLattice(t0[0].field, len(t0), [t0]), kept, len(group))
+
+
+def _shifted(g, c):
+    """g with its translation times c."""
+    return AffineIsometry(g.linear, vec_scale(c, g.translation))
+
+
 def test_translation_subgroup_rejects_wrong_lattice():
     d, q, fr, duals = duals_for("P8divZ6")
     group = linear_part_closure(duals)
     t0 = duals[q.omitted_index].translation
-    lattice = ZLattice(fr.field, fr.n, [mat_vec(m, t0) for m in group])
+    orbit = _orbit(duals, q, group)
+    assert orbit[0] == ZLattice(fr.field, fr.n, [mat_vec(m, t0) for m in group])
     assert _escaped(duals, group) == 0
-    good = translation_subgroup(duals, lattice, 0, len(group))
-    assert good.invariance and good.containment == "pass" and good.fullness == "pass"
-    doubled = lattice.scaled(fr.field.from_rational(2))
-    bad = translation_subgroup(duals, doubled, 0, len(group))
-    assert bad.containment == "fail"
+    good = translation_subgroup(duals, orbit, 0)
+    assert good.invariance and good.verdict == "pass"
+    # the relation cycle's shift halved lies outside the orbit lattice
+    halved = _shifted(duals[-1], fr.field.from_rational(Fraction(1, 2)))
+    bad = translation_subgroup(duals[:-1] + [halved], orbit, 0)
+    assert bad.verdict == "fail" and bad.witness.startswith("1 of 2 shifts")
 
 
 def test_translation_subgroup_exact_controls():
     d, q, fr, duals = duals_for("C3_33")
     group = linear_part_closure(duals)
-    t0 = duals[q.omitted_index].translation
-    lattice = ZLattice(fr.field, fr.n, [mat_vec(m, t0) for m in group])
+    orbit = _orbit(duals, q, group)
     assert _escaped(duals, group) == 0
-    good = translation_subgroup(duals, lattice, 0, len(group))
+    good = translation_subgroup(duals, orbit, 0)
     # states counts saturation rounds: 3 for C3_33, against the 72 linear parts a transversal lists
-    assert (good.containment, good.fullness, good.states) == ("pass", "pass", 3)
-    half = translation_subgroup(duals, lattice.scaled(fr.field.from_rational(Fraction(1, 2))), 0, len(group))
-    assert (half.containment, half.fullness) == ("pass", "fail")
-    doubled = translation_subgroup(duals, lattice.scaled(fr.field.from_rational(2)), 0, len(group))
-    assert doubled.containment == "fail"
+    assert (good.verdict, good.states) == ("pass", 3)
+    assert good.witness == "1 of 1 shifts in the orbit lattice, saturated in 3 rounds"
+    # a second copy of the omitted reflection, its shift halved or doubled:
+    # t0 / 2 lies outside the orbit lattice of t0, and 2 t0 inside
+    omitted = duals[q.omitted_index]
+    half = translation_subgroup(duals + [_shifted(omitted, fr.field.from_rational(Fraction(1, 2)))], orbit, 0)
+    assert (half.verdict, half.witness) == ("fail", "1 of 2 shifts in the orbit lattice, saturated in 3 rounds")
+    doubled = translation_subgroup(duals + [_shifted(omitted, fr.field.from_rational(2))], orbit, 0)
+    assert doubled.verdict == "pass"
 
-    # v -> -v with the translations by 2 and 2w: the translation subgroup is 2Z[w]
+    # v -> -w v with the translations by 2 and 2w: the orbit lattice of 2 under
+    # the sixth roots of unity is 2Z[w], which holds 2w and 4w but not w
+    turn = AffineIsometry(matrix(F3, [["-w"]]), vector(F3, [0]))
+    sixths = linear_closure([turn.linear], 6).matrices()
+
+    def shift(c):
+        return AffineIsometry(matrix(F3, [[1]]), vector(F3, [c]))
+
+    orbit = saturate(ZLattice(F3, 1, [vector(F3, [2])]), [turn.linear], len(sixths))
+    assert orbit == (ZLattice(F3, 1, [vector(F3, [2]), vector(F3, ["2*w"])]), 2)
+    rep = translation_subgroup([turn, shift(2), shift("2*w")], orbit, 0)
+    assert (rep.verdict, rep.states) == ("pass", 2)
+    assert translation_subgroup([turn, shift(2), shift("4*w")], orbit, 0).verdict == "pass"
+    odd = translation_subgroup([turn, shift(2), shift("w")], orbit, 0)
+    assert (odd.verdict, odd.witness) == ("fail", "1 of 2 shifts in the orbit lattice, saturated in 2 rounds")
+
+    # saturated under v -> -v alone, the orbit lattice is 2Z; the linear part
+    # of v -> w v lies outside {1, -1}, so (1, 0), (-1, 0) are no transversal
+    # and the claims fail with no shift tested
     flip = AffineIsometry(matrix(F3, [[-1]]), vector(F3, [0]))
-    shifts = [AffineIsometry(matrix(F3, [[1]]), vector(F3, [c])) for c in (2, "2*w")]
+    rotate = AffineIsometry(matrix(F3, [["w"]]), vector(F3, [0]))
     signs = linear_closure([flip.linear], 2).matrices()
-    even = ZLattice(F3, 1, [vector(F3, [2]), vector(F3, ["2*w"])])
-    assert _escaped([flip, *shifts], signs) == 0
-    rep = translation_subgroup([flip, *shifts], even, 0, len(signs))
-    # the shifts already span a lattice -1 keeps, so one round confirms it (2 linear parts before)
-    assert (rep.containment, rep.fullness, rep.states) == ("pass", "pass", 1)
-    four = translation_subgroup([flip, *shifts], even.scaled(F3.from_rational(2)), 0, len(signs))
-    assert (four.containment, four.fullness) == ("fail", "fail")
-
-    # the linear part of v -> w v lies outside {1, -1}, so (1, 0), (-1, 0) are
-    # no transversal and both verdicts fail with nothing saturated, although
-    # the Schreier translations alone would still span 2Z[w]
-    turn = AffineIsometry(matrix(F3, [["w"]]), vector(F3, [0]))
-    assert _escaped([flip, turn, *shifts], signs) == 1
-    escaped = translation_subgroup([flip, turn, *shifts], even, 1, len(signs))
-    assert (escaped.containment, escaped.fullness, escaped.states) == ("fail", "fail", 0)
+    orbit = saturate(ZLattice(F3, 1, [vector(F3, [2])]), [flip.linear], len(signs))
+    gens = [flip, rotate, shift(2), shift("2*w")]
+    assert _escaped(gens, signs) == 1
+    escaped = translation_subgroup(gens, orbit, 1)
+    assert (escaped.verdict, escaped.states) == ("fail", 1)
     assert escaped.witness == "linear part outside the group for 1 of 4 generators"
 
 
@@ -317,8 +344,9 @@ def test_schreier_span_matches_word_oracle(name, depth):
     lattice = verify_crystallographic(d).lattice
     group = linear_part_closure(duals)
     assert _escaped(duals, group) == 0
-    rep = translation_subgroup(duals, lattice, 0, len(group))
-    assert rep.fullness == "pass"  # Schreier span == lattice
+    orbit = _orbit(duals, q, group)
+    assert orbit[0] == lattice
+    assert translation_subgroup(duals, orbit, 0).verdict == "pass"  # translations == lattice
     assert _word_translation_span(duals, depth) == lattice
     assert _word_translation_span(duals, depth - 1) != lattice
 

@@ -2,9 +2,10 @@
 
 `verify_crystallographic` does not list a diagram's linear group: it finds
 an invertible X conjugating the kept linear parts onto the model's stored
-generators, and only then builds the orbit lattice and the Schreier span
-by saturation, each within the model's order of rounds, and looks each
-omitted linear part up in the model once.  Here the breadth-first closure
+generators, and only then builds the orbit lattice by one saturation,
+within the model's order of rounds, tests each shift for membership in it,
+and looks each omitted linear part up in the model once.  Here the
+breadth-first closure
 of oracle_closure.py lists the group anyway, for every diagram in both
 characters and for every run of the dilation check (the Z[i] diagrams
 lifted to Q(zeta12)), and the lattices and the certificate are checked
@@ -135,9 +136,10 @@ def test_certificate_and_saturated_lattices_match_the_closure_oracle(run, monkey
     group = _oracle_group(run[0], run[1], field.n)
     ref = reference_group(d.expected_group)
     assert len(group) == ref.declared_order
-    # the orbit lattice and the Schreier span, each bounded by the model's order
-    assert len(saturations) == 2
-    assert all(bound == len(group) and rounds <= bound for bound, rounds in saturations)
+    # the orbit lattice alone is saturated, bounded by the model's order
+    assert len(saturations) == 1
+    [(bound, rounds)] = saturations
+    assert rounds <= bound == len(group)
 
     # the certificate, re-checked from the stored generators
     cert = rep.conjugacy
@@ -159,12 +161,16 @@ def test_certificate_and_saturated_lattices_match_the_closure_oracle(run, monkey
     shifts = [g.translation for g in duals if not is_zero_vector(g.translation)]
     schreier = ZLattice(field, frame.n, {mat_vec(m, t) for m in group for t in shifts})
     kept_linear = [duals[j].linear for j in kept]
-    span, rounds = saturate(ZLattice(field, frame.n, shifts), kept_linear, len(group))
+    span, _ = saturate(ZLattice(field, frame.n, shifts), kept_linear, len(group))
     assert span == schreier == rep.lattice
     members = set(group)
     assert all(duals[j].linear in members for j in range(len(duals)) if j not in kept)
-    trep = translation_subgroup(duals, rep.lattice, 0, len(group))
-    assert (trep.containment, trep.fullness, trep.states) == ("pass", "pass", rounds)
+    # states and the witness carry the rounds of the one saturation
+    trep = translation_subgroup(duals, saturate(ZLattice(field, frame.n, [t0]), kept_linear, len(group)), 0)
+    assert (trep.verdict, trep.states) == ("pass", rounds)
+    witness = f"{len(shifts)} of {len(shifts)} shifts in the orbit lattice, saturated in {rounds} rounds"
+    checks = {c.claim_id: c for c in rep.checks}
+    assert checks["translations_contained"].witness == checks["translations_generate"].witness == witness
 
 
 def test_saturation_rounds_are_bounded():
@@ -329,8 +335,10 @@ def test_omitted_reflection_outside_the_model_group_fails(name, monkeypatch):
         return _dual_reflection(self, root, -self.field.one if root == omitted else eigenvalue)
 
     monkeypatch.setattr(DualFrame, "dual_reflection", patched)
+    saturations = _spy_saturations(monkeypatch)
     rep = verify_crystallographic(d)
     checks = {c.claim_id: c for c in rep.checks}
+    assert len(saturations) == 1  # the orbit lattice, still built for the rank and invariance claims
     assert checks["linear_order"].verdict == "pass"
     assert (checks["omitted_in_closure"].verdict, checks["omitted_in_closure"].witness) == (
         "fail",
@@ -339,6 +347,66 @@ def test_omitted_reflection_outside_the_model_group_fails(name, monkeypatch):
     assert checks["translations_contained"].verdict == checks["translations_generate"].verdict == "fail"
     assert checks["translations_generate"].witness.startswith("linear part outside the group for 1 of")
     assert patched(DualFrame(q), omitted, q.eigenvalues[q.omitted_index]).linear not in group
+
+
+def _scale_relation_shift(monkeypatch, d, c):
+    """Serve the dual reflection of the relation cycle with its translation times c."""
+    relation = quotient_basis(d).roots[-1]
+
+    def patched(self, root, eigenvalue):
+        g = _dual_reflection(self, root, eigenvalue)
+        return AffineIsometry(g.linear, vec_scale(c, g.translation)) if root == relation else g
+
+    monkeypatch.setattr(DualFrame, "dual_reflection", patched)
+
+
+def _scales(field):
+    """1, 1/2, 2, -1, 1/3 and a unit of the ring, as field elements."""
+    rational = {k: field.from_rational(Fraction(k)) for k in ("1", "1/2", "2", "-1", "1/3")}
+    return {**rational, "unit": field.root_of_unity(field.n)}
+
+
+def test_translation_claims_match_the_schreier_saturation():
+    """In the cases with two shifts, the omitted and the relation cycle's,
+    the relation shift scaled in turn: both translation claims read as the
+    Schreier span, the saturation of every shift, compared with the orbit
+    lattice, would, with one saturation and two membership tests."""
+    outcomes = []
+    for name in ("P8divZ6", "P8divZ4"):
+        for chi in ("primary", "conj"):
+            d = diagram(name, chi)
+            q = quotient_basis(d)
+            kept = _kept_indices(d, q)
+            order = reference_group(d.expected_group).declared_order
+            for label, c in _scales(d.field).items():
+                with pytest.MonkeyPatch.context() as mp:
+                    _scale_relation_shift(mp, d, c)
+                    saturations = _spy_saturations(mp)
+                    rep = verify_crystallographic(d)
+                    frame = DualFrame(q)
+                    duals = [frame.dual_reflection(r, lam) for r, lam in zip(q.roots, q.eigenvalues)]
+                assert len(saturations) == 1
+                shifts = [g.translation for g in duals if not is_zero_vector(g.translation)]
+                assert len(shifts) == 2
+                span, _ = saturate(ZLattice(q.field, frame.n, shifts), [duals[j].linear for j in kept], order)
+                contained = all(rep.lattice.member(v) for v in span.basis_vectors())
+                verdicts = {c.claim_id: c.verdict for c in rep.checks}
+                expected = ("pass" if contained else "fail", "pass" if span == rep.lattice else "fail")
+                got = (verdicts["translations_contained"], verdicts["translations_generate"])
+                assert got == expected, (name, chi, label)
+                outcomes.append(got[0])
+    assert (outcomes.count("pass"), outcomes.count("fail")) == (16, 8)
+
+
+def test_a_halved_second_shift_fails_both_translation_claims(monkeypatch):
+    d = diagram("P8divZ6")
+    _scale_relation_shift(monkeypatch, d, d.field.from_rational(Fraction(1, 2)))
+    checks = {c.claim_id: c for c in verify_crystallographic(d).checks}
+    for claim in ("translations_contained", "translations_generate"):
+        assert checks[claim].verdict == "fail"
+        assert checks[claim].witness.startswith("1 of 2 shifts in the orbit lattice")
+    # the orbit lattice and the linear parts are those of the untampered case
+    assert (checks["lattice_rank"].verdict, checks["lattice_invariant"].verdict) == ("pass", "pass")
 
 
 def _halving(frame, root, _eigenvalue, _other):

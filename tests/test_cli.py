@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import crystmono
-from crystmono.affine import dilation_check, reference_names
+from crystmono.affine import AffineError, dilation_check, reference_names
 from crystmono.cli import (
     _EXIT,
     diagram_from_payload,
@@ -367,6 +367,16 @@ def test_unknown_lattice_ring_is_a_data_error(patched_group, capsys):
     code, _, err = run(["show", "group", "K3_6"], capsys)
     assert code == 2
     assert "K3_6: unknown lattice ring 'Z[x]'" in err
+
+
+def test_model_braid_must_be_the_least_that_holds(patched_group, capsys):
+    # K8's generators satisfy the length-3 braid, so the length-6 one too
+    patched_group("K8", braids=[[0, 1, 6]])
+    with pytest.raises(AffineError, match="K8: declared braid 6 is not the least that holds between generators 0,1"):
+        crystmono.reference_group("K8")
+    code, _, err = run(["show", "group", "K8"], capsys)
+    assert code == 2
+    assert "K8: declared braid 6 is not the least that holds" in err
 
 
 def test_unknown_lattice_rule_is_a_data_error(patched_group, capsys):

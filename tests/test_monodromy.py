@@ -143,7 +143,7 @@ def test_operators_preserve_form_fix_kernel_and_have_declared_order():
             q = quotient_basis(d)
             for op, cyc in zip(diagram_operators(d), d.cycles):
                 assert q.gram.is_preserved_by(op.matrix)
-                assert operator_order(op.matrix) == cyc.order
+                assert operator_order(op.matrix, bound=cyc.order) == cyc.order
                 assert mat_vec(op.matrix, q.kernel) == q.kernel
 
 
@@ -192,6 +192,21 @@ def test_operator_order_bound():
     with pytest.raises(OrderBoundError):
         operator_order(m, bound=5)
     assert operator_order(m, bound=6) == 6
+    with pytest.raises(TypeError):
+        operator_order(m)  # no default bound
+    # an order above 24 is found when the bound allows it
+    f72 = CycloField(72)
+    assert operator_order(((f72.root_of_unity(72),),), bound=72) == 72
+
+
+@pytest.mark.parametrize("declared, witness", [(2, "no power up to 2 is the identity"), (6, "computed order 3")])
+def test_classical_order_is_exact(declared, witness):
+    """The declared order bounds the search: a lower one finds no identity
+    power, and a multiple of the true order 3 finds 3 first."""
+    payload = show_diagram_payload(diagram("C3_33"))
+    payload["classical_order"] = declared
+    checks = {c.claim_id: c for c in verify_diagram(diagram_from_payload(payload))}
+    assert (checks["classical_monodromy"].verdict, checks["classical_monodromy"].witness) == ("fail", witness)
 
 
 def test_declared_braids_hold():
@@ -218,6 +233,22 @@ def test_unpaired_cycles_commute():
                     assert check_braid(ops[i].matrix, ops[j].matrix, 2)
 
 
+def test_declared_braid_must_be_the_least_that_holds():
+    """A relation of length k implies those of its multiples, so a length
+    3 relabelled 6 and a commuting pair labelled 4 or 6 fail, in
+    check_braid and in the diagram's braids claim."""
+    d = diagram("C3_33")
+    ops = diagram_operators(d)
+    a, b, c = (ops[d.cycle_index(i)].matrix for i in ("e1", "e0", "e2"))
+    assert check_braid(a, b, 3) and not check_braid(a, b, 6)
+    assert check_braid(a, c, 4) and not check_braid(a, c, 3)
+    assert [check_braid(b, c, k) for k in (2, 4, 6)] == [True, False, False]  # unpaired
+    payload = show_diagram_payload(d)
+    payload["edges"][0]["braid"] = 6
+    checks = {c.claim_id: c for c in verify_diagram(diagram_from_payload(payload))}
+    assert (checks["braids"].verdict, checks["braids"].witness) == ("fail", "e1~e0 at 6")
+
+
 def test_braid_length_must_be_supported():
     d = diagram("D4_3")
     ops = diagram_operators(d)
@@ -230,7 +261,7 @@ def test_classical_monodromy_orders():
         expected = 4 if nm == "P8divZ4" else 3
         for chi in ("primary", "conj"):
             m = classical_monodromy(diagram(nm, chi))
-            assert operator_order(m) == expected, (nm, chi)
+            assert operator_order(m, bound=expected) == expected, (nm, chi)
 
 
 def test_classical_monodromy_P8divZ4_determinant_blocks_order_three():
