@@ -7,8 +7,12 @@ integer arithmetic (Phi_N is monic, so reduction never divides). Each
 conductor N gets one shared CycloField instance; elements of different
 conductors never mix silently, they must be moved with embed() first.
 
-The fields that actually occur here are small: most diagram data lives in
-a quadratic field (N in {3, 4, 6}), character bookkeeping needs N = 72.
+Every product goes through CycloField._sum_of_products, which takes one
+of two paths by the field's degree.  Every diagram and model lives in a
+quadratic field, Q(w) or Q(i) (N in {3, 4, 6}), where a closed form with
+three integer accumulators runs; the general-degree loop runs only in
+larger fields: Q(zeta_12) for the dilation lifts of the Z[i] diagrams,
+and Q(zeta_72), where the symmetry table's data are parsed.
 """
 
 from __future__ import annotations
@@ -111,6 +115,7 @@ class CycloField:
         self.n = n
         poly = cyclotomic_polynomial(n)
         self.degree = d = len(poly) - 1
+        self._phi_low = poly[:-1]  # (c0, c1) in the quadratic product kernel
         # zeta^k for every k mod n as its nonzero (index, integer) terms in
         # the power basis: multiply by x and rewrite the overflow x^d as
         # -(Phi_n - x^d), which is integral because Phi_n is monic
@@ -146,14 +151,41 @@ class CycloField:
         return coeffs
 
     def _sum_of_products(self, pairs: Iterable[tuple["CycloNum", "CycloNum"]]) -> "CycloNum":
-        """sum x * y over the pairs: the package's one coefficient product loop.
+        """sum x * y over the pairs: the package's one entry for products.
 
-        The unreduced integer products accumulate over one common
-        denominator; the sum is reduced mod Phi_n and put in lowest terms
-        once, at the end.
+        In a quadratic field (n in {3, 4, 6}, where every diagram and model
+        lives) each pair adds x0*y0, x0*y1 + x1*y0 and x1*y1 to three
+        integer accumulators over one common denominator, and the x^2 term
+        folds back once, at the end, by x^2 = -c1*x - c0 with Phi_n = x^2 +
+        c1*x + c0.  Every other field runs the general loop, which ends in
+        _reduce.  Either way the sum is put in lowest terms by _make.
         """
-        acc = [0] * (2 * self.degree - 1)
         den = 1
+        if self.degree == 2:
+            a0 = a1 = a2 = 0
+            for x, y in pairs:
+                if x.field is not self or y.field is not self:
+                    raise ValueError(f"conductor mismatch: {x.field.n} vs {y.field.n} in Q(zeta_{self.n})")
+                x0, x1 = x.num
+                y0, y1 = y.num
+                pd = x.den * y.den
+                if pd != 1:  # integral pairs, the common case, skip the denominator bookkeeping
+                    if den % pd:  # widen the common denominator to lcm(den, pd)
+                        f = pd // gcd(den, pd)
+                        a0, a1, a2, den = a0 * f, a1 * f, a2 * f, den * f
+                    s = den // pd
+                    x0, x1 = x0 * s, x1 * s
+                elif den != 1:
+                    x0, x1 = x0 * den, x1 * den
+                a0 += x0 * y0
+                a1 += x0 * y1 + x1 * y0
+                a2 += x1 * y1
+            c0, c1 = self._phi_low
+            return self._make((a0 - c0 * a2, a1 - c1 * a2), den)
+
+        # the general loop: the unreduced integer products accumulate over
+        # one common denominator, and the sum is reduced mod Phi_n once
+        acc = [0] * (2 * self.degree - 1)
         for x, y in pairs:
             if x.field is not self or y.field is not self:
                 raise ValueError(f"conductor mismatch: {x.field.n} vs {y.field.n} in Q(zeta_{self.n})")

@@ -33,6 +33,7 @@ from .linalg import (
     identity,
     identity_minus_outer,
     is_reflection,
+    is_zero_vector,
     mat_mul,
     mat_prod,
     mat_vec,
@@ -291,6 +292,8 @@ def assemble_diagram(
         raise DiagramError(f"{name}: tau does not match cycle/relation count")
     if len(kernel_vector) != tau:
         raise DiagramError(f"{name}: kernel vector must have tau entries")
+    if classical_order < 1:
+        raise DiagramError(f"{name}: classical order must be positive")
     if relation is not None and len(relation) != n:
         raise DiagramError(f"{name}: relation must have one entry per cycle")
     if len(gram) != n or any(len(row) != n for row in gram):
@@ -333,7 +336,7 @@ def _check_gram(d: Diagram) -> str | None:
     q = _quotient_gram(d.gram, d.tau)
     if q.corank != 1:
         return "quotient_corank"
-    if not q.in_radical(d.kernel_vector):
+    if is_zero_vector(d.kernel_vector) or not q.in_radical(d.kernel_vector):
         return "kernel_vector"
     return None
 
@@ -408,7 +411,9 @@ def diagram_operators(d: Diagram) -> tuple[PLOperator, ...]:
 
 
 def operator_order(m: Matrix, bound: int) -> int:
-    """The least k <= bound with m^k = I; OrderBoundError if there is none."""
+    """The least k <= bound with m^k = I; OrderBoundError if there is none.
+
+    A walk over the powers, kept as the oracle of order_failure."""
     n = len(m)
     field = m[0][0].field
     ident = identity(field, n)
@@ -418,6 +423,43 @@ def operator_order(m: Matrix, bound: int) -> int:
             return k
         p = mat_mul(p, m)
     raise OrderBoundError(f"no order found up to {bound}")
+
+
+def order_failure(m: Matrix, order: int) -> str | None:
+    """None when m has exactly the given order (>= 1), else the power that fails.
+
+    m^d = I, and m^(d/p) != I for each prime p dividing d, is order
+    exactly d.  Each power is taken by repeated squaring from the powers
+    already taken, so the check costs O(log d) products and needs no bound.
+    """
+    ident = identity(m[0][0].field, len(m))
+    powers = {1: m}
+
+    def power(k: int) -> Matrix:
+        if k not in powers:
+            powers[k] = mat_mul(power(k - 1), m) if k % 2 else mat_mul(power(k // 2), power(k // 2))
+        return powers[k]
+
+    if power(order) != ident:
+        return f"m^{order} is not the identity"
+    for p in _prime_factors(order):
+        if power(order // p) == ident:
+            return f"m^{order // p} is already the identity"
+    return None
+
+
+def _prime_factors(k: int) -> list[int]:
+    """The distinct primes dividing k >= 1, by trial division."""
+    out, p = [], 2
+    while p * p <= k:
+        if k % p == 0:
+            out.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    if k > 1:
+        out.append(k)
+    return out
 
 
 def check_braid(a: Matrix, b: Matrix, length: int) -> bool:
@@ -448,7 +490,8 @@ def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
 
     semidef = d.gram.is_negative_semidefinite()
     corank = q.gram.corank
-    kernel_ok = q.gram.in_radical(q.kernel)
+    nonzero = not is_zero_vector(q.kernel)  # the zero vector is annihilated but spans nothing
+    kernel_ok = nonzero and q.gram.in_radical(q.kernel)
     ok = semidef and corank == 1 and kernel_ok
     checks.append(
         CheckResult(
@@ -456,7 +499,8 @@ def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
             "the pairing matrix is negative semidefinite with a one-dimensional radical "
             "spanned by the stated kernel vector",
             "pass" if ok else "fail",
-            f"semidefinite {semidef}, corank {corank}, kernel annihilated {kernel_ok}",
+            f"semidefinite {semidef}, corank {corank}, "
+            + (f"kernel annihilated {kernel_ok}" if nonzero else "kernel vector is zero"),
         )
     )
 
@@ -500,17 +544,13 @@ def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
         )
     )
 
-    # bounded by d, the search returns d exactly when the order is d
-    try:
-        order = operator_order(classical_monodromy(d), d.classical_order)
-    except OrderBoundError:
-        order = None
+    failing = order_failure(classical_monodromy(d), d.classical_order)
     checks.append(
         CheckResult(
             "classical_monodromy",
             f"the product of the vertex reflections has order {d.classical_order}",
-            "pass" if order == d.classical_order else "fail",
-            f"computed order {order}" if order else f"no power up to {d.classical_order} is the identity",
+            "fail" if failing else "pass",
+            failing or f"computed order {d.classical_order}",
         )
     )
 

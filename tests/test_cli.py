@@ -1,5 +1,6 @@
 import argparse
 import ast
+import collections
 import dataclasses
 import json
 import os
@@ -21,6 +22,7 @@ from crystmono.cli import (
     show_diagram_payload,
 )
 from crystmono.classify import table_rows, verify_table_row
+from crystmono.cyclo import CycloField
 from crystmono.monodromy import CheckResult, DiagramError, diagram, diagram_names, verify_diagram, worst_verdict
 
 
@@ -197,6 +199,35 @@ def test_outcomes_do_not_depend_on_cache_state(capsys):
     forward = [probe() for probe in probes]
     backward = [probe() for probe in reversed(probes)][::-1]
     assert forward == backward == cold
+
+
+@pytest.mark.parametrize("chi", ["primary", "conj"])
+def test_verify_all_sends_no_quadratic_product_through_the_general_loop(chi, monkeypatch, capsys):
+    """Every diagram and model lives in Q(w) or Q(i), so a cold `verify all`
+    multiplies there only in the closed-form kernel.  The general-degree
+    loop ends in one _reduce per entry, so _reduce counts its entries."""
+    products, reduce = CycloField._sum_of_products, CycloField._reduce
+    entries, loops = collections.Counter(), collections.Counter()  # by degree
+
+    def counted_products(self, pairs):
+        entries[self.degree] += 1
+        return products(self, pairs)
+
+    def counted_reduce(self, coeffs):
+        loops[self.degree] += 1
+        return reduce(self, coeffs)
+
+    monkeypatch.setattr(CycloField, "_sum_of_products", counted_products)
+    monkeypatch.setattr(CycloField, "_reduce", counted_reduce)
+    crystmono.clear_caches()
+    assert main(["verify", "all", "--chi", chi]) == 0
+    capsys.readouterr()
+    assert entries[2] > 1000 and loops[2] == 0
+    assert loops == entries - collections.Counter({2: entries[2]})  # every other product runs the loop
+    before = loops[4]
+    CycloField(12).zeta() * CycloField(12).zeta()  # the counter does see the general loop
+    assert loops[4] == before + 1
+    crystmono.clear_caches()
 
 
 def test_benchmark_tracer_finds_every_traced_name():
@@ -458,6 +489,8 @@ PAYLOAD_FAULTS = {
         lambda p: p["kernel_vector"].pop(),
         "kernel vector must have tau entries",
     ),
+    "classical_order_zero": ("C3_33", _set("classical_order", value=0), "classical order must be positive"),
+    "classical_order_negative": ("C3_33", _set("classical_order", value=-3), "classical order must be positive"),
     "short_relation": ("P8divZ4", lambda p: p["relation"].pop(), "relation must have one entry per cycle"),
     "endpoint": ("C3_33", _set("edges", 0, "dst", value="nowhere"), "edge endpoint missing"),
     "loop": ("C3_33", _set("edges", 0, "dst", value="e1"), "edge e1->e1 joins a cycle to itself"),
@@ -602,6 +635,19 @@ def test_negative_controls_reach_their_verdicts():
     kx, ky, kz = row.case.kappa
     flipped = dataclasses.replace(row, case=dataclasses.replace(row.case, kappa=(-kx, ky, kz)))
     assert {c.claim_id: c.verdict for c in verify_table_row(flipped)}["equivariance"] == "fail"
+
+
+def test_zero_kernel_vector_fails_the_gram_claim():
+    """The zero vector is annihilated by every form but spans no radical, so
+    a payload stating it fails gram_form, as the dataset reconciliation
+    rejects it as a kernel_vector violation."""
+    payload = show_diagram_payload(diagram("C3_33"))
+    payload["kernel_vector"] = ["0", "0", "0"]
+    d = diagram_from_payload(payload)
+    gram = next(c for c in verify_diagram(d) if c.claim_id == "gram_form")
+    assert (gram.verdict, gram.witness) == ("fail", "semidefinite True, corank 1, kernel vector is zero")
+    assert crystmono.monodromy._check_gram(d) == "kernel_vector"
+    assert crystmono.monodromy._check_gram(diagram("C3_33")) is None
 
 
 # every payload key diagram_from_payload reads; list entries are named by their first item

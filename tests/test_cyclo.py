@@ -17,7 +17,7 @@ from crystmono.cyclo import (
     render_value,
     roots_of_unity,
 )
-from crystmono.linalg import _hnf, dot
+from crystmono.linalg import _hnf, dot, mat_mul
 
 F3 = CycloField(3)
 F4 = CycloField(4)
@@ -344,7 +344,7 @@ def _canonical(z) -> bool:
     return z.den > 0 and math.gcd(z.den, *z.num) == 1 and len(z.num) == z.field.degree
 
 
-_canonical_fields = st.sampled_from([F3, F4, F12, F72])
+_canonical_fields = st.sampled_from([F3, F4, F6, F12, F72])
 _rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
 
 
@@ -374,8 +374,20 @@ def test_every_result_is_in_lowest_terms(xy):
         assert unit == f.one == 1 and hash(unit) == hash(1)
 
 
-def test_dot_across_conductors_is_refused():
-    with pytest.raises(ValueError):
-        dot((F3.one, F3.omega), (F3.one, F12.root_of_unity(4)))
-    with pytest.raises(ValueError):
-        F3.omega * F4.root_of_unity(4)
+@pytest.mark.parametrize(
+    "f, g", [(F3, F4), (F4, F3), (F12, F72), (F72, F12)], ids=["w-i", "i-w", "z12-z72", "z72-z12"]
+)
+def test_products_across_conductors_are_refused(f, g):
+    """The quadratic kernel (Q(w), Q(i)) and the general loop (Q(zeta_12),
+    Q(zeta_72)) both refuse an operand of another field, in any pair."""
+    x, y = f.zeta(), g.zeta()
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        x * y
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        dot((x,), (y,))
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        dot((f.one, x), (x, y))  # a later pair
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        dot((f.one, y), (x, x))
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        mat_mul(((x, f.one), (f.zero, x)), ((x, f.one), (y, x)))

@@ -31,6 +31,7 @@ from crystmono.monodromy import (
     extra_relation_P8Z3,
     fold,
     operator_order,
+    order_failure,
     pl_operator,
     quotient_basis,
     verify_diagram,
@@ -199,14 +200,52 @@ def test_operator_order_bound():
     assert operator_order(((f72.root_of_unity(72),),), bound=72) == 72
 
 
-@pytest.mark.parametrize("declared, witness", [(2, "no power up to 2 is the identity"), (6, "computed order 3")])
+@pytest.mark.parametrize(
+    "declared, witness", [(2, "m^2 is not the identity"), (6, "m^3 is already the identity")]
+)
 def test_classical_order_is_exact(declared, witness):
-    """The declared order bounds the search: a lower one finds no identity
-    power, and a multiple of the true order 3 finds 3 first."""
+    """A fail names the failing power: a declared order that m^d = I does
+    not hold at, or a multiple of the true order 3, where m^(d/p) = I."""
     payload = show_diagram_payload(diagram("C3_33"))
     payload["classical_order"] = declared
     checks = {c.claim_id: c for c in verify_diagram(diagram_from_payload(payload))}
     assert (checks["classical_monodromy"].verdict, checks["classical_monodromy"].witness) == ("fail", witness)
+
+
+def test_order_failure_agrees_with_the_power_walk():
+    """order_failure passes exactly when the bounded walk, the oracle,
+    finds the declared order as the least identity power."""
+    f72 = CycloField(72)
+    ms = [
+        diagram_operators(diagram("P8Z6_dblprime"))[1].matrix,  # order 6
+        classical_monodromy(diagram("P8divZ4")),  # order 4
+        ((f72.root_of_unity(72),),),
+        identity(f72, 2),
+    ]
+    for m in ms:
+        for declared in range(1, 80):
+            try:
+                exact = operator_order(m, bound=declared) == declared
+            except OrderBoundError:
+                exact = False
+            assert (order_failure(m, declared) is None) == exact, (m, declared)
+
+
+def test_classical_order_takes_logarithmically_many_products(monkeypatch):
+    """A declared order of 2000 on the tampered -4 control, whose monodromy
+    has no finite order, costs a few dozen products, not 2000."""
+    payload = show_diagram_payload(diagram("C3_33"))
+    payload["gram"][0][0] = "-4"
+    payload["classical_order"] = 2000
+    d = diagram_from_payload(payload)
+    m = classical_monodromy(d)
+    calls = []
+    real = monodromy.mat_mul
+    monkeypatch.setattr(monodromy, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
+    assert order_failure(m, 2000) == "m^2000 is not the identity"
+    assert 0 < len(calls) <= 2 * (2000).bit_length()
+    checks = {c.claim_id: c for c in verify_diagram(d)}
+    assert checks["classical_monodromy"].witness == "m^2000 is not the identity"
 
 
 def test_declared_braids_hold():

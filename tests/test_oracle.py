@@ -17,7 +17,7 @@ import oracle_cyclo as O
 from crystmono.cyclo import CycloField, GrammarError, in_subring, parse_value, render_value
 from crystmono.linalg import ZLattice, _hnf, dot
 
-CONDUCTORS = [3, 4, 12, 72]
+CONDUCTORS = [3, 4, 6, 12, 72]
 
 _rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 4, 6]))
 # most coefficients zero, so that degree-24 values stay cheap in the oracle
