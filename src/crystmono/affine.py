@@ -17,8 +17,9 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from itertools import permutations
+from itertools import chain, permutations
 from math import lcm
+from operator import getitem, itemgetter, mul
 from typing import NamedTuple
 
 from .cyclo import (
@@ -201,8 +202,9 @@ def linear_closure(generators, max_size: int) -> Closure:
     The first lists O, the orbit of the standard basis e_1..e_n, and each
     generator g as the permutation p of O with g O[i] = O[p[i]].  The
     second lists the group from the identity, each element m as its images
-    of the basis x, with m e_i = O[x[i]]: g m has the images p[x[i]], n
-    lookups.  The elements reached by left multiplication with the
+    of the basis x, with m e_i = O[x[i]]: g m has the images p[x[i]], read
+    by one itemgetter(*x), built once per listed element, applied to each
+    generator's p.  The elements reached by left multiplication with the
     generators from the identity are all of a finite group, since each
     inverse is a positive power.
 
@@ -215,8 +217,9 @@ def linear_closure(generators, max_size: int) -> Closure:
 
     Past the orbit the group is finite, so the determinant of an
     invertible generator is a root of unity, read once with det; a singular
-    generator raises AffineError.  The search carries each element's
-    determinant, a character, as its exponent in roots_of_unity.
+    generator raises AffineError.  Each element's determinant, a character,
+    is recorded once, when the element is found, as its exponent in
+    roots_of_unity: its parent's plus the generator's, mod their number.
     """
     gens = list(generators)
     if not gens:
@@ -229,11 +232,22 @@ def linear_closure(generators, max_size: int) -> Closure:
     if None in dets:
         raise AffineError("a generator is singular")
     m = len(roots)
-    moves = [
-        lambda s, p=p, e=e: (tuple(map(p.__getitem__, s[0])), (s[1] + e) % m) for p, (e, _) in zip(perms, dets)
-    ]
-    states, _ = _bfs([(tuple(range(n)), 0)], moves, max_size, max_size)
-    return Closure(points, [x for x, _ in states], [d for _, d in states])
+    if n == 1:  # itemgetter of one index returns the item, so make each item the 1-tuple of images
+        perms = [[(j,) for j in p] for p in perms]
+    moves = [(p, e) for p, (e, _) in zip(perms, dets)]
+    elements, exponents = [tuple(range(n))], [0]
+    seen = set(elements)
+    for x, d in zip(elements, exponents):  # both grow as new elements are found
+        images = itemgetter(*x)
+        for p, e in moves:
+            y = images(p)
+            if y not in seen:
+                if len(elements) >= max_size:
+                    raise ClosureBoundError(f"closure exceeds {max_size} elements")
+                seen.add(y)
+                elements.append(y)
+                exponents.append((d + e) % m)
+    return Closure(points, elements, exponents)
 
 
 def _reflection_orders(group: Closure) -> list[int]:
@@ -243,36 +257,57 @@ def _reflection_orders(group: Closure) -> list[int]:
     m has finite order, so it is diagonalisable with eigenvalues eps_1..
     eps_n that are roots of unity, and m is a reflection of order k exactly
     when those are n - 1 ones and one lambda of order k > 1.  Then lambda
-    is tr m - (n - 1) and det m.  Conversely, let lambda = tr m - (n - 1)
-    have order k > 1 and det m = lambda.  Since 1/eps = conj(eps), the
-    elementary symmetric functions of the eigenvalues satisfy
-    e_{n-j} = e_n conj(e_j), so for n <= 3 the coefficients e_1 = tr m and
-    e_n = det m fix the characteristic polynomial (e_2 = e_3 conj(e_1)
-    when n = 3), which is then that of diag(1, ..., 1, lambda): m is a
-    reflection of order k.  For n >= 4 those two do not fix e_2, and the
-    elements that pass are confirmed with is_reflection on their matrix.
+    is tr m - (n - 1) and det m.  Conversely, let det m = zeta^d with d != 0
+    and tr m - (n - 1) = zeta^d, so lambda = tr m - (n - 1) has order
+    k > 1 and det m = lambda.  Since 1/eps = conj(eps), the elementary
+    symmetric functions of the eigenvalues satisfy e_{n-j} = e_n conj(e_j),
+    so for n <= 3 the coefficients e_1 = tr m and e_n = det m fix the
+    characteristic polynomial (e_2 = e_3 conj(e_1) when n = 3), which is
+    then that of diag(1, ..., 1, lambda): m is a reflection of order k.  For
+    n >= 4 those two do not fix e_2, and the elements that pass are
+    confirmed with is_reflection on their matrix.
 
-    The trace is the sum of the diagonal entries O[x[i]][i], added as
-    integer numerators over the common denominator of O and looked up
-    among the roots of unity scaled to it; the determinant is the
-    closure's exponent.  No field element is built.
+    So an element whose determinant exponent d is 0 is skipped, and any
+    other is a candidate exactly when its trace is (n - 1) + zeta^d.  Each
+    coordinate of each point of O is scaled to the common denominator den
+    of O, and its integer numerators c_0..c_{r-1} are packed into the one
+    integer sum c_k B^k, the numerator polynomial evaluated at B (Kronecker
+    substitution).  The trace of x is then sum(map(getitem, cols, x)), the
+    packed diagonal entries O[x[i]][i] added, and is compared with
+    (n - 1) + zeta^d scaled and packed the same way.  No field element is
+    built.
+
+    The packing is exact.  Let A bound |c| over every numerator of O and
+    every numerator of a root of unity times den; the identity's points
+    give A >= den.  A trace numerator is a sum of n of them, so it is at
+    most n A in absolute value, and a target numerator is at most
+    A + (n - 1) den <= n A.  With B = 2 n A + 1 every packed digit lies
+    strictly between -B/2 and B/2, where the base-B expansion with such
+    digits is unique, so two packed integers are equal exactly when their
+    numerators are.
     """
     points = group.points
     n = len(points[0])
-    den = lcm(*(x.den for v in points for x in v))
-    diag = [[tuple(a * (den // x.den) for a in x.num) for x in v] for v in points]
-    roots = {tuple(a * den for a in r.num): entry for r, entry in roots_of_unity(points[0][0].field).items()}
-    shift = (n - 1) * den
+    field = points[0][0].field
+    roots = sorted(roots_of_unity(field).items(), key=lambda item: item[1])  # by exponent
+    entries = list(chain.from_iterable(points))
+    den = lcm(*(x.den for x in entries))
+    bound = max(
+        max(max(map(abs, x.num)) * (den // x.den) for x in entries),
+        den * max(max(map(abs, r.num)) for r, _ in roots),  # each root of unity is integral: r.den = 1
+    )
+    powers = [(2 * n * bound + 1) ** k for k in range(field.degree)]
 
-    def order(x: tuple[int, ...], d: int) -> int:
-        lam = [sum(col) for col in zip(*(diag[c][i] for i, c in enumerate(x)))]
-        lam[0] -= shift
-        entry = roots.get(tuple(lam))  # (exponent, order) of lambda
-        if entry is None or entry[1] == 1 or entry[0] != d or (n > 3 and not is_reflection(group.matrix(x))):
-            return 0
-        return entry[1]
+    def pack(x: CycloNum) -> int:
+        return sum(map(mul, x.num, powers)) * (den // x.den)
 
-    return [order(x, d) for x, d in zip(group.elements, group.dets)]
+    cols = [list(map(pack, column)) for column in zip(*points)]
+    keys = [pack(r) + (n - 1) * den for r, _ in roots]  # (n - 1) + zeta^d, by exponent d
+    orders = [k for _, (_, k) in roots]
+    return [
+        orders[d] if d and sum(map(getitem, cols, x)) == keys[d] and (n <= 3 or is_reflection(group.matrix(x))) else 0
+        for x, d in zip(group.elements, group.dets)
+    ]
 
 
 def reflection_order_multiset(group: Closure) -> dict[int, int]:

@@ -165,24 +165,30 @@ def _print_report(r: dict) -> None:
         print(f"  time: {r['timing']}s")
 
 
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
 @contextmanager
 def _json_writer(path):
     """The one writer of a command's JSON document, to `path` if one is given.
 
     The path is opened here, before the first case runs, so an unwritable
     path stops the command before it prints anything; the document itself
-    is written once, at the end.  If the command ends without writing it,
-    a file this run created is removed and an older one left as it was.
+    is written once, at the end.  The writer takes a function that renders
+    the document, called only when there is a path.  If the command ends
+    without writing it, a file this run created is removed and an older one
+    left as it was.
     """
     if not path:
-        yield lambda text: None
+        yield lambda render: None
         return
     target = Path(path)
     created = not target.exists()
     target.open("a").close()
     written = []  # empty until the document is written
     try:
-        yield lambda text: written.append(target.write_text(text))
+        yield lambda render: written.append(target.write_text(render()))
     finally:
         if created and not written:
             target.unlink(missing_ok=True)
@@ -192,7 +198,7 @@ def _emit(doc: dict, write_json) -> int:
     for r in doc["reports"]:
         _print_report(r)
     print(f"verdict: {doc['verdict']}")
-    write_json(json.dumps(doc, indent=2) + "\n")
+    write_json(lambda: _dumps(doc))
     return _EXIT[doc["verdict"]]
 
 
@@ -406,9 +412,9 @@ def run_show(args, write_json) -> int:
     else:
         print(f"error: unknown show kind {args.kind!r}", file=sys.stderr)
         return 2
-    text = json.dumps(payload, indent=2) + "\n"
+    text = _dumps(payload)
     sys.stdout.write(text)
-    write_json(text)
+    write_json(lambda: text)
     return 0
 
 

@@ -22,6 +22,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from importlib import resources
+from math import lcm
 from typing import NamedTuple
 
 from .cyclo import CycloField, CycloNum, cached, in_subring, parse_value, ring_field
@@ -430,9 +431,15 @@ def order_failure(m: Matrix, order: int) -> str | None:
 
     m^d = I, and m^(d/p) != I for each prime p dividing d, is order
     exactly d.  Each power is taken by repeated squaring from the powers
-    already taken, so the check costs O(log d) products and needs no bound.
+    already taken, so the check costs O(log d) products.  Before any
+    product, d must divide finite_order_bound, which every finite order of
+    m divides, so a matrix of infinite order is never raised past it.
     """
-    ident = identity(m[0][0].field, len(m))
+    n, field = len(m), m[0][0].field
+    cap = finite_order_bound(n, field.degree)
+    if cap % order:
+        return f"{order} does not divide {cap}, the lcm of the finite orders of {n}x{n} matrices over Q(zeta_{field.n})"
+    ident = identity(field, n)
     powers = {1: m}
 
     def power(k: int) -> Matrix:
@@ -446,6 +453,25 @@ def order_failure(m: Matrix, order: int) -> str | None:
         if power(order // p) == ident:
             return f"m^{order // p} is already the identity"
     return None
+
+
+def finite_order_bound(n: int, degree: int) -> int:
+    """L = lcm{k : phi(k) <= n * degree}, which the order of every n x n
+    matrix of finite order over a field of that degree over Q divides.
+
+    Such a matrix is diagonalisable, and its order is the lcm of the orders
+    k of its eigenvalues.  An eigenvalue of order k has degree phi(k) over
+    Q and degree at most n over the field, so phi(k) <= n * degree.  Since
+    phi(k) >= sqrt(k / 2), every such k is at most 2 (n * degree)^2, and a
+    totient sieve up to there lists them.  For n = 3 over Q(w), L = 2520.
+    """
+    top = n * degree
+    phi = list(range(2 * top * top + 1))
+    for p in range(2, len(phi)):
+        if phi[p] == p:  # untouched, so prime
+            for k in range(p, len(phi), p):
+                phi[k] -= phi[k] // p
+    return lcm(*(k for k in range(1, len(phi)) if phi[k] <= top))
 
 
 def _prime_factors(k: int) -> list[int]:

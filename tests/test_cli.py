@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import crystmono
+from crystmono import cli
 from crystmono.affine import AffineError, dilation_check, reference_names
 from crystmono.cli import (
     _EXIT,
@@ -788,6 +789,23 @@ def test_failed_command_leaves_an_existing_json_file_untouched(argv, text, tmp_p
     code, _, _ = run([*argv, "--json", str(path)], capsys)
     assert code == 2
     assert path.read_text() == text
+
+
+@pytest.mark.parametrize("target", [["verify", "all"], ["show", "group", "K5"]])
+def test_json_document_is_serialized_only_for_a_path(target, tmp_path, monkeypatch, capsys):
+    """Without --json `verify` serializes nothing; with it, once.  `show`
+    serializes its payload once, for stdout, and writes those same bytes."""
+    dumped = []
+    real = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda doc: dumped.append(doc) or real(doc))
+    shown = target[0] == "show"
+    code, out, _ = run(target, capsys)
+    assert code == 0 and len(dumped) == shown
+    path = tmp_path / "doc.json"
+    code, out, _ = run([*target, "--json", str(path)], capsys)
+    assert code == 0 and len(dumped) == 1 + shown
+    assert path.read_text() == json.dumps(dumped[-1], indent=2) + "\n"
+    assert not shown or path.read_text() == out
 
 
 def test_timings_fill_the_timing_field(tmp_path, capsys):

@@ -11,10 +11,11 @@ Q(zeta12) lifts that the dilation check builds.
 """
 
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracle_closure as O
 from crystmono import affine, clear_caches, linalg
@@ -150,8 +151,10 @@ def _passes(m, det_m=None):
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_trace_and_determinant_are_the_rank_one_test(case):
-    """Element by element, the determinant the closure carries is det m,
-    and the trace and determinant pass exactly on the rank-one elements."""
+    """Element by element, the determinant the closure records when it
+    finds the element, its parent's plus its generator's, is det m of its
+    own matrix, and the trace and determinant pass exactly on the rank-one
+    elements."""
     _, closure, group, _ = _closures(case)
     exponents = {x: j for x, (j, _) in roots_of_unity(group[0][0][0].field).items()}
     dets = [det(m) for m in group]
@@ -223,6 +226,63 @@ def test_rank_four_candidates_are_confirmed_by_is_reflection(monkeypatch):
     assert orders == [2 if _rank_one(m) else 0 for m in group]
     assert orders.count(2) == 10 and len(confirmed) == 10
     assert reflection_order_multiset(closure) == {2: 10}
+
+
+@pytest.mark.parametrize("name", ["K3_3", "K3_4", "K3_6"])
+def test_rank_one_elements_stay_one_tuples(name):
+    """itemgetter of a single index returns the item, not a 1-tuple; the
+    rank-1 models still list each element as the 1-tuple of its image."""
+    _, closure, group, _ = _closures(("model", name))
+    assert all(type(x) is tuple and len(x) == 1 and type(x[0]) is int for x in closure.elements)
+    assert len(set(closure.elements)) == len(closure) == len(set(group)) == reference_group(name).declared_order
+
+
+@pytest.mark.parametrize("name", ["K5", "K8"])
+def test_packed_traces_are_exact_on_large_coordinates(name):
+    """Conjugated by a matrix with entries near 10^6 and denominators, the
+    basis orbit has numerators near 10^12 over a common denominator, and
+    the packed trace test still gives each element its order as a
+    rank-one reflection, and 0 otherwise."""
+    field = reference_group(name).field
+    p = matrix(field, [[field.element([1000003, 999991]), Fraction(999999, 7)], [999983, 1000033]])
+    inv = linalg.mat_inverse(p)
+    gens = [mat_mul(mat_mul(p, g), inv) for g in _reference_generators(name)]
+    closure = linear_closure(gens, reference_group(name).declared_order)
+    group = closure.matrices()
+    assert len(group) == reference_group(name).declared_order
+    assert max(abs(a) for v in closure.points for x in v for a in x.num) > 10**11
+    orders = _reflection_orders(closure)
+    assert orders == [reflection_order(m) if _rank_one(m) else 0 for m in group]
+    assert reflection_order_multiset(closure) == reference_group(name).declared_reflections
+
+
+@st.composite
+def _subgroup_generators(draw):
+    """A model and 1 to 3 random positive words in its generators, at least
+    one of them no reflection."""
+    name = draw(st.sampled_from(reference_names()))
+    model = _reference_generators(name)
+    letter = st.integers(0, len(model) - 1)
+    words = draw(st.lists(st.lists(letter, min_size=1, max_size=5), min_size=1, max_size=3))
+    gens = [linalg.mat_prod([model[k] for k in w]) for w in words]
+    assume(not all(map(is_reflection, gens)))
+    return name, gens
+
+
+@given(_subgroup_generators())
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_subgroup_closures_match_the_oracles(case):
+    """Groups generated by products of a model's generators: the element
+    set and order of the BFS oracle, the dets of det, and the reflection
+    orders of the rank-one test."""
+    name, gens = case
+    closure = linear_closure(gens, reference_group(name).declared_order)  # a subgroup's order divides the model's
+    group = closure.matrices()
+    assert len(set(group)) == len(group) == len(closure)
+    assert set(group) == set(O.linear_closure(gens))
+    exponents = {x: j for x, (j, _) in roots_of_unity(group[0][0][0].field).items()}
+    assert closure.dets == [exponents[det(m)] for m in group]
+    assert _reflection_orders(closure) == [reflection_order(m) if _rank_one(m) else 0 for m in group]
 
 
 @pytest.mark.parametrize(
@@ -405,13 +465,15 @@ def test_catalogue_closures_multiply_no_matrices(monkeypatch, capsys, fresh_cach
 def test_model_closure_does_no_field_arithmetic_per_element(name, monkeypatch, fresh_caches):
     """Once the model's basis orbit is built, the closure and its
     reflection orders run the field's product and sum loops only inside det
-    of the generators, and besides at most once per root of unity: the
-    count does not grow with the group order (648 for K25, 72 for K5)."""
+    of the generators: the group search moves index tuples, and the traces
+    are packed integers.  The orbit is the one search left to _bfs, so the
+    spy on it marks where the orbit ends."""
     gens = _reference_generators(name)  # the model is built before the count
-    calls, where = Counter(), ["orbit"]
+    calls, where, searches = Counter(), ["orbit"], []
     real_bfs, real_det = affine._bfs, affine.det
 
     def bfs(*args):
+        searches.append(args[2])
         out = real_bfs(*args)
         where[0] = "after the orbit"
         return out
@@ -439,5 +501,6 @@ def test_model_closure_does_no_field_arithmetic_per_element(name, monkeypatch, f
     group, multiset = affine.model_closure(name)
     monkeypatch.undo()
     assert len(group) == reference_group(name).declared_order and multiset
+    assert searches == [len(gens[0]) * len(group)]  # the orbit, bounded by n |G|
     assert calls["det"] == per_det > 0
-    assert calls["after the orbit"] <= len(roots_of_unity(gens[0][0][0].field))
+    assert calls["after the orbit"] == 0

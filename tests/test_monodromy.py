@@ -1,5 +1,6 @@
 import copy
 import re
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from crystmono.monodromy import (
     diagram_names,
     diagram_operators,
     extra_relation_P8Z3,
+    finite_order_bound,
     fold,
     operator_order,
     order_failure,
@@ -231,21 +233,63 @@ def test_order_failure_agrees_with_the_power_walk():
             assert (order_failure(m, declared) is None) == exact, (m, declared)
 
 
-def test_classical_order_takes_logarithmically_many_products(monkeypatch):
-    """A declared order of 2000 on the tampered -4 control, whose monodromy
-    has no finite order, costs a few dozen products, not 2000."""
+def _minus_four_control(declared):
+    """C3_33 with self-pairing -4, whose classical monodromy has no finite order."""
     payload = show_diagram_payload(diagram("C3_33"))
     payload["gram"][0][0] = "-4"
-    payload["classical_order"] = 2000
-    d = diagram_from_payload(payload)
+    payload["classical_order"] = declared
+    return diagram_from_payload(payload)
+
+
+def test_classical_order_takes_logarithmically_many_products(monkeypatch):
+    """A declared order of 2520, the largest a 3 x 3 matrix over Q(w) can
+    have, on the -4 control costs a few dozen products, not 2520."""
+    d = _minus_four_control(2520)
     m = classical_monodromy(d)
     calls = []
     real = monodromy.mat_mul
     monkeypatch.setattr(monodromy, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
-    assert order_failure(m, 2000) == "m^2000 is not the identity"
-    assert 0 < len(calls) <= 2 * (2000).bit_length()
+    assert order_failure(m, 2520) == "m^2520 is not the identity"
+    assert 0 < len(calls) <= 2 * (2520).bit_length()
     checks = {c.claim_id: c for c in verify_diagram(d)}
-    assert checks["classical_monodromy"].witness == "m^2000 is not the identity"
+    assert checks["classical_monodromy"].witness == "m^2520 is not the identity"
+
+
+@pytest.mark.parametrize("declared", [2000, 65536, 10**6])
+def test_classical_order_beyond_the_finite_order_bound_fails_unpowered(declared, monkeypatch):
+    """A declared order that does not divide 2520 fails before any power is
+    taken, so the entries of a matrix of infinite order never grow."""
+    d = _minus_four_control(declared)
+    m = classical_monodromy(d)
+    calls = []
+    real = monodromy.mat_mul
+    monkeypatch.setattr(monodromy, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
+    witness = f"{declared} does not divide 2520, the lcm of the finite orders of 3x3 matrices over Q(zeta_3)"
+    assert order_failure(m, declared) == witness
+    assert calls == []
+    monkeypatch.undo()
+    checks = {c.claim_id: c for c in verify_diagram(d)}
+    assert (checks["classical_monodromy"].verdict, checks["classical_monodromy"].witness) == ("fail", witness)
+
+
+def _totient(k):
+    return sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
+
+
+@pytest.mark.parametrize("n, degree", [(1, 1), (1, 2), (2, 2), (3, 2), (4, 2), (2, 4)])
+def test_finite_order_bound_is_the_lcm_of_the_small_totients(n, degree):
+    """Against a gcd count of phi(k) up to k = 4 (n degree)^2 + 4, twice
+    the range the sieve needs."""
+    top = n * degree
+    assert finite_order_bound(n, degree) == lcm(*(k for k in range(1, 4 * top * top + 5) if _totient(k) <= top))
+
+
+def test_every_classical_order_divides_its_bound():
+    assert finite_order_bound(3, 2) == 2520 and finite_order_bound(4, 2) == 5040
+    for nm in ALL_NAMES:
+        d = diagram(nm)
+        m = classical_monodromy(d)
+        assert finite_order_bound(len(m), d.field.degree) % d.classical_order == 0
 
 
 def test_declared_braids_hold():
