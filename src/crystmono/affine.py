@@ -43,7 +43,6 @@ from .linalg import (
     dot,
     identity,
     identity_minus_outer,
-    intertwiners,
     is_reflection,
     is_zero_vector,
     mat_inverse,
@@ -52,10 +51,10 @@ from .linalg import (
     mat_vec,
     matrix,
     reflection_order,
-    trace,
     transpose,
     vec_add,
     vec_scale,
+    vec_sub,
     vector,
 )
 from .monodromy import (
@@ -484,56 +483,74 @@ def translation_subgroup(gens, orbit: tuple[ZLattice, int], escaped: int) -> Tra
 
 
 class Conjugacy(NamedTuple):
-    """X g_i X^-1 = targets[pi[i]] for every kept generator g_i, or pi and
-    x None when no trace-matched bijection gives an invertible X; `tries`
-    counts the bijections whose linear system was solved."""
+    """X g_i X^-1 = targets[pi[i]], or pi and x None; `tries` counts Cartan-matched bijections."""
 
     pi: tuple[int, ...] | None
     x: Matrix | None
     tries: int
 
 
-def _trace_table(ms) -> dict[tuple[int, ...], CycloNum]:
-    """tr m_i under (i,), and tr(m_i m_j) = tr(m_j m_i) under (i, j) for i < j."""
-    flat = [tuple(x for row in m for x in row) for m in ms]
-    flat_t = [tuple(x for col in transpose(m) for x in col) for m in ms]
-    table = {(i,): trace(m) for i, m in enumerate(ms)}
-    for j in range(len(ms)):
-        for i in range(j):
-            table[i, j] = dot(flat[i], flat_t[j])
-    return table
+@cached
+def _cartan(reflections: tuple[Matrix, ...]) -> tuple[Matrix, Matrix, Matrix, Matrix] | None:
+    """(U, U^-1, A, F) for reflections g_i = I - u_i w_i^T whose roots u_i, the
+    first nonzero columns of I - g_i, form a basis, else None: w_i^T is row i
+    of U^-1 (I - g_i), A_ij = w_i^T u_j, and F holds A_ii and A_ij A_ji."""
+    if len(reflections) != len(reflections[0]) or not all(map(is_reflection, reflections)):
+        return None
+    moved = [tuple(map(vec_sub, identity(g[0][0].field, len(g)), g)) for g in reflections]  # I - g_i
+    u = transpose([next(c for c in zip(*m) if not is_zero_vector(c)) for m in moved])
+    try:
+        u_inv = mat_inverse(u)
+    except ValueError:  # the roots are dependent
+        return None
+    a = mat_mul([mat_vec(transpose(m), row) for m, row in zip(moved, u_inv)], u)  # the rows w_i^T times U
+    return u, u_inv, a, tuple(tuple(x * a[j][i] if i != j else x for j, x in enumerate(row)) for i, row in enumerate(a))
+
+
+def _rescaling(a: Matrix, b: Matrix) -> list[CycloNum] | None:
+    """Nonzero mu with a_ij = (mu_j / mu_i) b_ij for all i, j, or None: mu is 1
+    where no a_ij b_ij != 0 from a reached i fixes it, then all are checked;
+    exact when b is zero where its transpose is, as for every model."""
+    mu: list[CycloNum | None] = [None] * len(a)
+    for start in range(len(a)):
+        if mu[start] is None:
+            mu[start] = a[0][0].field.one
+            part = [start]
+            for i in part:  # grows as the part is reached
+                for j, aij in enumerate(a[i]):
+                    if aij and b[i][j] and mu[j] is None:
+                        mu[j] = mu[i] * aij / b[i][j]
+                        part.append(j)
+    consistent = all(aij * mu[i] == mu[j] * b[i][j] for i, row in enumerate(a) for j, aij in enumerate(row))
+    return mu if consistent else None
 
 
 def find_conjugacy(gens, targets) -> Conjugacy:
-    """An invertible X with X g_i = targets[pi(i)] X for every i, over the
-    bijections pi, in lexicographic order, under which the traces tr g_i
-    and the pairwise traces tr(g_i g_j) agree with the targets'; conjugation
-    keeps both.
-
-    Each such pi costs one nullspace solve in the n^2 entries of X.  The
-    targets generate a finite group, and for the seven models an absolutely
-    irreducible one, so only the scalars commute with it.  Then the image
-    of a solution Y is kept by every target, so Y is 0 or invertible, and
-    for invertible solutions Y, Y' the product Y' Y^-1 commutes with every
-    target and is a scalar: the solutions form at most one line.  A larger
-    solution space means targets outside that case, and AffineError is
-    raised rather than a verdict given.  X is scaled to clear its
-    denominators.
-    """
-    gens, targets = list(gens), list(targets)
+    """X with X g_i X^-1 = targets[pi(i)] for all i, at the first bijection pi,
+    in lexicographic order, matching A_ii and A_ij A_ji (the traces and pairwise
+    traces) that has one.  For g_i = I - u_i w_i^T and t_j = I - u'_j w'_j^T
+    with the u'_j a basis (else AffineError), X u_i = mu_i u'_pi(i) and
+    w'_pi(i)^T X = mu_i w_i^T, so X exists exactly when the u_i form a basis
+    and A_ij = (mu_j / mu_i) A'_pi(i)pi(j) (Cohen, Ann. Sci. ENS 9, 1976):
+    X = U'_pi diag(mu) U^-1, scaled to a last nonzero entry 1, then by the lcm of its denominators."""
+    model, frame = _cartan(tuple(targets)), _cartan(tuple(gens))
+    if model is None:
+        raise AffineError("the targets are not reflections whose roots form a basis")
+    if frame is None:
+        return Conjugacy(None, None, 0)
+    (roots, _, target, target_filter), (_, u_inv, a, filter_) = model, frame
     tries = 0
-    if len(gens) == len(targets):
-        gen_traces, target_traces = _trace_table(gens), _trace_table(targets)
-        for pi in permutations(range(len(targets))):
-            if any(t != target_traces[tuple(sorted(pi[i] for i in key))] for key, t in gen_traces.items()):
-                continue
-            tries += 1
-            space = intertwiners(gens, [targets[p] for p in pi])
-            if len(space) > 1:
-                raise AffineError(f"the targets commute with more than the scalars: {len(space)} independent intertwiners")
-            if space and not det(space[0]).is_zero():
-                c = lcm(*(x.den for row in space[0] for x in row))
-                return Conjugacy(pi, tuple(vec_scale(c, row) for row in space[0]), tries)
+    for pi in permutations(range(len(a))):
+        if any(filter_[i][j] != target_filter[p][q] for i, p in enumerate(pi) for j, q in enumerate(pi) if i <= j):
+            continue
+        tries += 1
+        mu = _rescaling(a, [[target[p][q] for q in pi] for p in pi])
+        if mu is not None:
+            x = mat_mul([[m * row[p] for m, p in zip(mu, pi)] for row in roots], u_inv)  # U'_pi diag(mu) U^-1
+            last = next(v for v in reversed([v for row in x for v in row]) if v)
+            x = [vec_scale(last.inverse(), row) for row in x]
+            c = lcm(*(v.den for row in x for v in row))
+            return Conjugacy(pi, tuple(vec_scale(c, row) for row in x), tries)
     return Conjugacy(None, None, tries)
 
 
@@ -590,10 +607,11 @@ def maximal_root_check(d: Diagram, frame: DualFrame | None = None) -> MaximalRoo
     if d.name not in _MAXIMAL_ROOT_WORDS:
         raise AffineError(f"no maximal-root identity declared for {d.name}")
     word, leaf, unit_expr = _MAXIMAL_ROOT_WORDS[d.name]
+    if max(*word, leaf) >= len(d.cycles):
+        raise AffineError(f"{d.name}: the maximal-root word names cycle {max(*word, leaf)} of {len(d.cycles)} cycles")
     if frame is None:
         frame = DualFrame(quotient_basis(d))
-    field = frame.field
-    unit = parse_value(unit_expr, field)
+    unit = parse_value(unit_expr, frame.field)
     if d.chi_label == "conj":
         unit = unit.conjugate()
 

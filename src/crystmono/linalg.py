@@ -200,24 +200,6 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     return None if v is None else v[:n]
 
 
-def intertwiners(gens: Sequence[Matrix], targets: Sequence[Matrix]) -> list[Matrix]:
-    """Basis of {X : X g_i = t_i X for every i}: the nullspace of one linear
-    system in the n^2 entries of X, X[a][b] standing at a * n + b."""
-    field = gens[0][0][0].field
-    n = len(gens[0])
-    rows = []
-    for g, t in zip(gens, targets):
-        for r in range(n):
-            for c in range(n):
-                # (X g - t X)[r][c] = sum_k X[r][k] g[k][c] - t[r][k] X[k][c]
-                row = [field.zero] * (n * n)
-                for k in range(n):
-                    row[r * n + k] += g[k][c]
-                    row[k * n + c] -= t[r][k]
-                rows.append(tuple(row))
-    return [tuple(v[a * n : (a + 1) * n] for a in range(n)) for v in nullspace(tuple(rows))]
-
-
 def mat_inverse(a: Matrix) -> Matrix:
     field = a[0][0].field
     n = len(a)

@@ -21,7 +21,7 @@ from math import lcm
 import pytest
 
 import oracle_closure as O
-from crystmono import affine, clear_caches
+from crystmono import affine, clear_caches, linalg
 from crystmono.affine import (
     AffineError,
     AffineIsometry,
@@ -44,14 +44,14 @@ from crystmono.linalg import (
     ZLattice,
     conj_matrix,
     det,
-    intertwiners,
+    identity,
     is_zero_vector,
     mat_inverse,
     mat_mul,
     mat_prod,
     mat_vec,
     matrix,
-    trace,
+    nullspace,
     vec_scale,
 )
 from crystmono.monodromy import diagram, diagram_names, quotient_basis
@@ -101,10 +101,31 @@ def _oracle_group(name, chi, field_n):
     return tuple(O.linear_closure([duals[j].linear for j in kept]))
 
 
+def _intertwiners(gens, targets):
+    """Basis of {X : X g_i = t_i X for every i}: the nullspace of one linear
+    system in the n^2 entries of X, X[a][b] standing at a * n + b."""
+    field = gens[0][0][0].field
+    n = len(gens[0])
+    rows = []
+    for g, t in zip(gens, targets):
+        for r in range(n):
+            for c in range(n):
+                # (X g - t X)[r][c] = sum_k X[r][k] g[k][c] - t[r][k] X[k][c]
+                row = [field.zero] * (n * n)
+                for k in range(n):
+                    row[r * n + k] += g[k][c]
+                    row[k * n + c] -= t[r][k]
+                rows.append(tuple(row))
+    return [tuple(v[a * n : (a + 1) * n] for a in range(n)) for v in nullspace(tuple(rows))]
+
+
 def _unfiltered_conjugacy(gens, targets):
-    """find_conjugacy without any trace filter: every bijection is solved."""
+    """find_conjugacy by brute force: for every bijection, with no filter,
+    the n^2-unknown system in the entries of X is solved, and its solution,
+    unique up to a scalar for the models' irreducible targets, is tested for
+    invertibility; the nullspace vector's last nonzero entry is 1."""
     for pi in permutations(range(len(targets))):
-        space = intertwiners(gens, [targets[p] for p in pi])
+        space = _intertwiners(gens, [targets[p] for p in pi])
         assert len(space) <= 1
         if space and not det(space[0]).is_zero():
             c = lcm(*(x.den for row in space[0] for x in row))
@@ -152,7 +173,8 @@ def test_certificate_and_saturated_lattices_match_the_closure_oracle(run, monkey
         rhos.append(conj_matrix(rho) if d.chi_label == "primary" else rho)
     for j, p in zip(kept, cert.pi):
         assert mat_prod([x, duals[j].linear, x_inv]) == rhos[p]
-    # the trace filters skip only bijections that have no invertible X
+    # the Cartan filter skips only bijections that have no invertible X, and
+    # the rescaled X is the n^2-unknown solve's, normalised alike
     assert _unfiltered_conjugacy([duals[j].linear for j in kept], rhos) == (cert.pi, x)
 
     # the orbit lattice and the Schreier span, from every listed element
@@ -186,6 +208,12 @@ def test_saturation_rounds_are_bounded():
         saturate(start, [matrix(F3, [[Fraction(1, 2), 0], [0, 1]])], 30)
 
 
+def _conjugates(cert, gens, targets):
+    """X g_i X^-1 = targets[pi(i)] for every i, with X invertible."""
+    x_inv = mat_inverse(cert.x)
+    return all(mat_prod([cert.x, g, x_inv]) == targets[p] for g, p in zip(gens, cert.pi))
+
+
 def test_find_conjugacy_on_hand_made_generators():
     a, b = _reference_generators("K5")
     y = matrix(F3, [[1, "w"], [0, 2]])
@@ -195,23 +223,84 @@ def test_find_conjugacy_on_hand_made_generators():
     # a and b are swapped by a conjugation as well, so the first bijection serves
     assert (cert.pi, cert.tries) == ((0, 1), 1)
     assert [mat_prod([cert.x, g, mat_inverse(cert.x)]) for g in gens] == [a, b]
-    assert find_conjugacy(gens, [a]) == Conjugacy(None, None, 0)
-    # diagonal targets commute with more than the scalars: no verdict
+    # one generator short: no X and no try; one target short: no basis
+    assert find_conjugacy(gens[:1], [a, b]) == Conjugacy(None, None, 0)
+    with pytest.raises(AffineError, match="roots form a basis"):
+        find_conjugacy(gens, [a])
+    # diagonal targets: a Cartan graph with no edge, each part rescaled from
+    # 1, so the X found is diagonal
     d1, d2 = matrix(F3, [["w", 0], [0, 1]]), matrix(F3, [[1, 0], [0, "w"]])
-    with pytest.raises(AffineError, match="commute with more than the scalars: 2 independent"):
-        find_conjugacy([d1, d2], [d1, d2])
+    assert find_conjugacy([d1, d2], [d1, d2]) == Conjugacy((0, 1), identity(F3, 2), 1)
+    # conjugated and swapped, with eigenvalues w and -1: (0, 1) fails the
+    # diagonal, A_00 = 2 against 1 - w, and is not tried
+    d3 = matrix(F3, [[1, 0], [0, -1]])
+    gens = [mat_prod([y_inv, t, y]) for t in (d3, d1)]
+    cert = find_conjugacy(gens, [d1, d3])
+    assert (cert.pi, cert.tries) == ((1, 0), 1) and _conjugates(cert, gens, [d1, d3])
+    # targets along one root line: no basis, so no verdict
+    with pytest.raises(AffineError, match="roots form a basis"):
+        find_conjugacy([d1, d2], [d1, matrix(F3, [["w^2", 0], [0, 1]])])
 
 
-def test_find_conjugacy_solves_a_trace_matched_pair_without_an_invertible_x():
-    # a reducible pair with the single and pairwise traces of K5's generators:
-    # both bijections pass the filters, both systems are solved, and only
-    # X = 0 intertwines, for X g = rho X would carry g's common eigenvector
-    # to one of K5's irreducible pair
+def test_find_conjugacy_refuses_a_generator_that_is_no_reflection():
+    # g has the trace 1 + w of each of K5's generators, but I - g has rank 2
     a, b = _reference_generators("K5")
-    g1, g2 = matrix(F3, [[0, 1], [0, "1 + w"]]), matrix(F3, [["1 + w", 1], [0, 0]])
-    assert (trace(g1), trace(g2), trace(mat_mul(g1, g2))) == (trace(a), trace(b), trace(mat_mul(a, b)))
-    assert find_conjugacy([g1, g2], [a, b]) == Conjugacy(None, None, 2)
-    assert intertwiners([g1, g2], [a, b]) == intertwiners([g1, g2], [b, a]) == []
+    g = matrix(F3, [["1 + w", 1], [-1, 0]])
+    for gens in ([a, g], [g, b], [a, mat_mul(a, b)], [a, identity(F3, 2)]):
+        assert find_conjugacy(gens, [a, b]) == Conjugacy(None, None, 0)
+
+
+def _from_cartan(rows):
+    """The reflections r_i = I - e_i a_i^T, with roots e_i and coroots a_i:
+    their Cartan matrix is `rows`, up to rescaling."""
+    ident = identity(F3, len(rows))
+    return [
+        tuple(tuple(x - y for x, y in zip(e, row)) if i == k else e for k, e in enumerate(ident))
+        for i, row in enumerate(matrix(F3, rows))
+    ]
+
+
+def test_find_conjugacy_tries_cartan_matched_reflections_without_an_invertible_x():
+    # the diagonals and the products a_ij a_ji agree under all six
+    # bijections, so each is tried, but the cyclic product a_12 a_23 a_31,
+    # which rescaling keeps, is -1 against 1: no mu, and the n^2-unknown
+    # system has no invertible solution either
+    targets = _from_cartan([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+    gens = _from_cartan([[2, 1, 1], [1, 2, -1], [1, -1, 2]])
+    assert find_conjugacy(gens, targets) == Conjugacy(None, None, 6)
+    assert _unfiltered_conjugacy(gens, targets) == (None, None)
+    # a rescaling of the targets' Cartan matrix by mu = (1, 2, -1) is found
+    rescaled = _from_cartan([[2, 2, -1], [Fraction(1, 2), 2, Fraction(-1, 2)], [-1, -2, 2]])
+    cert = find_conjugacy(rescaled, targets)
+    assert (cert.pi, cert.tries) == ((0, 1, 2), 1) and _conjugates(cert, rescaled, targets)
+    assert _unfiltered_conjugacy(rescaled, targets) == (cert.pi, cert.x)
+
+
+def test_find_conjugacy_runs_one_elimination_per_call(monkeypatch):
+    """Once the targets' factors are built, a call eliminates once, to
+    invert the generators' roots, however many bijections it tries; a
+    repeated call reads the generators' factors from the cache too."""
+    echelons = []
+    real = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda rows: echelons.append(None) or real(rows))
+    cases = [(_from_cartan([[2, 1, 1], [1, 2, -1], [1, -1, 2]]), _from_cartan([[2, 1, 1], [1, 2, 1], [1, 1, 2]]))]
+    for name in diagram_names():
+        _, _, _, _, duals, kept = _setting(name, "primary", None)
+        targets = [conj_matrix(g) for g in _reference_generators(diagram(name).expected_group)]
+        cases.append(([duals[j].linear for j in kept], targets))
+    tries, counts = [], []
+    for gens, targets in cases:
+        clear_caches()
+        affine._cartan(tuple(targets))
+        echelons.clear()
+        tries.append(find_conjugacy(gens, targets).tries)
+        find_conjugacy(gens, targets)
+        counts.append(len(echelons))
+    # none where the kept linear parts are the targets themselves, cached
+    # with them; one for the hand-made case, which tries six bijections
+    assert tries == [6] + [1] * len(diagram_names())
+    assert counts[0] == 1 and set(counts) <= {0, 1}
+    clear_caches()
 
 
 _dual_reflection = DualFrame.dual_reflection  # unpatched
@@ -269,8 +358,7 @@ def _minus_one(frame, root, _eigenvalue, _other):
 
 
 def _duplicated(frame, _root, eigenvalue, other):
-    # single traces still match, but tr(g g) differs from tr(rho_0 rho_1),
-    # so no bijection is solved
+    # two kept roots on one line are no basis, so no bijection is tried
     return _dual_reflection(frame, other, eigenvalue)
 
 
@@ -305,7 +393,7 @@ def test_no_conjugacy_fails_without_a_diagram_closure(name, change, monkeypatch,
     verdicts = {c.claim_id: c.verdict for c in rep.checks}
     assert verdicts["linear_order"] == verdicts["reflection_multiset"] == "fail"
     assert rep.conjugacy.x is None
-    assert rep.conjugacy.tries == 0  # rejected by the single or pairwise traces
+    assert rep.conjugacy.tries == 0  # no reflection, dependent roots, or rejected by the Cartan filter
     # the model is the only group closed, no group order bounds a
     # saturation, and the membership and lattice claims stay undecided
     assert calls == [_model_call(d.expected_group)]

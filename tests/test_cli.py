@@ -13,7 +13,7 @@ import pytest
 
 import crystmono
 from crystmono import cli
-from crystmono.affine import AffineError, dilation_check, reference_names
+from crystmono.affine import AffineError, dilation_check, reference_names, verify_crystallographic
 from crystmono.cli import (
     _EXIT,
     diagram_from_payload,
@@ -460,6 +460,18 @@ def test_show_then_verify_round_trips(capsys):
     rebuilt = diagram_from_payload(payload)
     args = build_parser().parse_args(["verify", "diagram", "P8divZ4"])
     assert diagram_report(rebuilt, args) == diagram_report(diagram("P8divZ4"), args)
+
+
+@pytest.mark.parametrize(
+    "source, name, missing, cycles", [("P8Z6_prime", "C3_33", 2, 2), ("P8Z6_prime", "D4_3", 3, 2), ("C3_24", "D4_3", 3, 3)]
+)
+def test_payload_under_a_shipped_name_with_fewer_cycles_is_an_affine_error(source, name, missing, cycles):
+    """The maximal-root words are declared by diagram name and index cycles
+    by position, so a payload that keeps a shipped name with fewer cycles
+    is refused by name and missing cycle, not by an IndexError."""
+    rebuilt = diagram_from_payload(dict(show_diagram_payload(diagram(source)), name=name))
+    with pytest.raises(AffineError, match=f"^{name}: the maximal-root word names cycle {missing} of {cycles} cycles$"):
+        verify_crystallographic(rebuilt)
 
 
 @pytest.mark.parametrize("key, value", [("ring", "Z[x]"), ("chi", "sideways")])

@@ -416,8 +416,8 @@ def test_catalogue_closures_multiply_no_matrices(monkeypatch, capsys, fresh_cach
     """Over `verify all` in both characters and `verify group` of every
     model, each model is closed once, bounded by its declared order, and
     stays index tuples on its basis orbit: no mat_mul call happens inside
-    linear_closure, no element is read off as a matrix, and the traces and
-    field embeddings number fewer than the 847 elements closed."""
+    linear_closure, no element is read off as a matrix, and the field
+    embeddings number fewer than the 847 elements closed."""
     depth, closures, products, per_element = [], [], [], []
     dimino, real_mul = affine.linear_closure, linalg.mat_mul
 
@@ -444,7 +444,7 @@ def test_catalogue_closures_multiply_no_matrices(monkeypatch, capsys, fresh_cach
     monkeypatch.setattr(affine, "linear_closure", closure)
     monkeypatch.setattr(affine, "mat_mul", mul)
     monkeypatch.setattr(linalg, "mat_mul", mul)
-    for name in ("trace", "_in_field", "reference_closure"):
+    for name in ("_in_field", "reference_closure"):
         spy(name)
     matrices = Closure.matrices
     monkeypatch.setattr(Closure, "matrices", lambda self: per_element.append("matrices") or matrices(self))
