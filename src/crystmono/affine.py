@@ -528,15 +528,15 @@ def _rescaling(a: Matrix, b: Matrix) -> list[CycloNum] | None:
 def find_conjugacy(gens, targets) -> Conjugacy:
     """X with X g_i X^-1 = targets[pi(i)] for all i, at the first bijection pi,
     in lexicographic order, matching A_ii and A_ij A_ji (the traces and pairwise
-    traces) that has one.  For g_i = I - u_i w_i^T and t_j = I - u'_j w'_j^T
-    with the u'_j a basis (else AffineError), X u_i = mu_i u'_pi(i) and
-    w'_pi(i)^T X = mu_i w_i^T, so X exists exactly when the u_i form a basis
+    traces) that has one, if as many g_i as targets.  For g_i = I - u_i w_i^T and
+    t_j = I - u'_j w'_j^T with the u'_j a basis (else AffineError), X u_i = mu_i u'_pi(i)
+    and w'_pi(i)^T X = mu_i w_i^T, so X exists exactly when the u_i form a basis
     and A_ij = (mu_j / mu_i) A'_pi(i)pi(j) (Cohen, Ann. Sci. ENS 9, 1976):
     X = U'_pi diag(mu) U^-1, scaled to a last nonzero entry 1, then by the lcm of its denominators."""
     model, frame = _cartan(tuple(targets)), _cartan(tuple(gens))
     if model is None:
         raise AffineError("the targets are not reflections whose roots form a basis")
-    if frame is None:
+    if frame is None or len(gens) != len(targets):  # _cartan ties each count to its dimension
         return Conjugacy(None, None, 0)
     (roots, _, target, target_filter), (_, u_inv, a, filter_) = model, frame
     tries = 0

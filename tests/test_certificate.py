@@ -276,6 +276,14 @@ def test_find_conjugacy_tries_cartan_matched_reflections_without_an_invertible_x
     assert _unfiltered_conjugacy(rescaled, targets) == (cert.pi, cert.x)
 
 
+def test_find_conjugacy_needs_as_many_generators_as_targets():
+    # three reflections against K5's two, and two against three targets
+    # whose first two share their Cartan matrix: no bijection, no try
+    three = _from_cartan([[2, 1, 0], [1, 2, 0], [0, 0, 2]])
+    assert find_conjugacy(three, list(_reference_generators("K5"))) == Conjugacy(None, None, 0)
+    assert find_conjugacy(_from_cartan([[2, 1], [1, 2]]), three) == Conjugacy(None, None, 0)
+
+
 def test_find_conjugacy_runs_one_elimination_per_call(monkeypatch):
     """Once the targets' factors are built, a call eliminates once, to
     invert the generators' roots, however many bijections it tries; a

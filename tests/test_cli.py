@@ -474,6 +474,24 @@ def test_payload_under_a_shipped_name_with_fewer_cycles_is_an_affine_error(sourc
         verify_crystallographic(rebuilt)
 
 
+@pytest.mark.parametrize("source, group", [("D4_3", "K5"), ("C3_33", "K25")])
+@pytest.mark.parametrize("chi", ["primary", "conj"])
+def test_payload_naming_a_model_of_another_rank_fails_its_group_claims(source, group, chi):
+    """Kept dual reflections and model generators of different counts have
+    no conjugacy: the group claims fail and the lattice claims are
+    inconclusive, with no exception."""
+    rebuilt = diagram_from_payload(dict(show_diagram_payload(diagram(source, chi)), expected_group=group))
+    verdicts = {c.claim_id: c.verdict for c in verify_crystallographic(rebuilt).checks}
+    assert verdicts == {
+        "dual_form": "pass",
+        "linear_order": "fail",
+        "reflection_multiset": "fail",
+        **dict.fromkeys(("omitted_in_closure", "lattice_rank", "lattice_invariant"), "inconclusive"),
+        **dict.fromkeys(("translations_contained", "translations_generate"), "inconclusive"),
+        "maximal_root": "pass",
+    }
+
+
 @pytest.mark.parametrize("key, value", [("ring", "Z[x]"), ("chi", "sideways")])
 def test_payload_with_unknown_ring_or_character_is_rejected(key, value, capsys):
     code, out, _ = run(["show", "diagram", "P8divZ4"], capsys)
