@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from itertools import chain, permutations
-from math import lcm
+from math import gcd, lcm
 from operator import getitem, itemgetter, mul
 from typing import NamedTuple
 
@@ -41,6 +41,8 @@ from .linalg import (
     conj_vector,
     det,
     dot,
+    flat_action,
+    flatten,
     identity,
     identity_minus_outer,
     is_reflection,
@@ -52,6 +54,7 @@ from .linalg import (
     matrix,
     reflection_order,
     transpose,
+    unflatten,
     vec_add,
     vec_scale,
     vec_sub,
@@ -194,13 +197,29 @@ def _bfs(start, moves, limit: int, max_size: int) -> tuple[list, list[list[int]]
     return order, images
 
 
+def _flat_move(action: tuple[tuple[int, ...], ...], den: int, p: tuple[int, ...]) -> tuple[int, ...]:
+    """The flattened point p = (*coordinates, denominator), in lowest terms,
+    mapped by the matrix whose flat_action is (action, den); each row of
+    action is one entry shorter than p, so map meets the coordinates alone."""
+    q = [sum(map(mul, row, p)) for row in action]
+    q.append(den * p[-1])
+    g = gcd(*q)
+    return tuple(q) if g == 1 else tuple(c // g for c in q)
+
+
 def linear_closure(generators, max_size: int) -> Closure:
     """The finite matrix group the generators generate, identity first, by
     two breadth-first searches that build no matrix.
 
     The first lists O, the orbit of the standard basis e_1..e_n, and each
-    generator g as the permutation p of O with g O[i] = O[p[i]].  The
-    second lists the group from the identity, each element m as its images
+    generator g as the permutation p of O with g O[i] = O[p[i]].  It runs
+    on flattened points, each the integer coordinates of a vector and their
+    denominator in lowest terms, moved by g's flat_action: integer dot
+    products and one gcd, no field product.  That is exact: flat_action(g)
+    is the same Q-linear map as g, and a vector has one flattened form in
+    lowest terms, so two points are equal exactly when their vectors are.
+    The points become vectors once, when the orbit ends.  The second lists
+    the group from the identity, each element m as its images
     of the basis x, with m e_i = O[x[i]]: g m has the images p[x[i]], read
     by one itemgetter(*x), built once per listed element, applied to each
     generator's p.  The elements reached by left multiplication with the
@@ -225,7 +244,9 @@ def linear_closure(generators, max_size: int) -> Closure:
         raise AffineError("no generators")
     n = len(gens[0])
     field = gens[0][0][0].field
-    points, perms = _bfs(identity(field, n), [partial(mat_vec, g) for g in gens], n * max_size, max_size)
+    start = [(*flat, den) for flat, den in map(flatten, identity(field, n))]
+    flat, perms = _bfs(start, [partial(_flat_move, *flat_action(g)) for g in gens], n * max_size, max_size)
+    points = [unflatten(field, p[:-1], p[-1]) for p in flat]
     roots = roots_of_unity(field)
     dets = [roots.get(det(g)) for g in gens]  # (exponent, order) of each determinant
     if None in dets:
@@ -420,8 +441,9 @@ def saturate(lattice: ZLattice, mats, max_rounds: int) -> tuple[ZLattice, int]:
     """The smallest lattice containing `lattice` and carried into itself by
     every matrix in `mats`, and the rounds it took.
 
-    Each round adds the images of the current HNF basis, and the first
-    round that adds nothing ends it.  When `mats` generate a finite group G,
+    Each round adds the images of the current HNF basis, taken on its
+    integer rows by ZLattice.with_images, and the first round that adds
+    nothing ends it.  When `mats` generate a finite group G,
     every element is a word of at most |G| - 1 letters, so the result is
     the Z-span of the G-orbit of `lattice`, reached within |G| rounds.
     Callers pass the order of a group the conjugacy certificate has
@@ -429,8 +451,7 @@ def saturate(lattice: ZLattice, mats, max_rounds: int) -> tuple[ZLattice, int]:
     guard.
     """
     for rounds in range(1, max_rounds + 1):
-        basis = lattice.basis_vectors()
-        grown = ZLattice(lattice.field, lattice.dim, basis + [mat_vec(m, v) for m in mats for v in basis])
+        grown = lattice.with_images(mats)
         if grown == lattice:
             return lattice, rounds
         lattice = grown
@@ -581,12 +602,14 @@ def _render_matrix(m: Matrix) -> str:
 
 
 # word identities expressing the kernel correction a through the V-side
-# reflections; indices are cycle positions, words apply right to left
+# reflections; indices are cycle positions, words apply right to left, and
+# the unit lies in the ring of RING_GENERATORS whose generator is named
+# last, or in Z for None
 _MAXIMAL_ROOT_WORDS = {
-    "C3_33": ((1, 2, 2), 1, "1"),
-    "D4_3": ((1, 3, 3, 1), 2, "1"),
-    "P8_Z3": ((2, 1, 1), 2, "conj(w)"),
-    "C3_24": ((1, 1), 2, "i"),
+    "C3_33": ((1, 2, 2), 1, "1", None),
+    "D4_3": ((1, 3, 3, 1), 2, "1", None),
+    "P8_Z3": ((2, 1, 1), 2, "conj(w)", "w"),
+    "C3_24": ((1, 1), 2, "i", "i"),
 }
 
 
@@ -606,11 +629,14 @@ def maximal_root_check(d: Diagram, frame: DualFrame | None = None) -> MaximalRoo
     """
     if d.name not in _MAXIMAL_ROOT_WORDS:
         raise AffineError(f"no maximal-root identity declared for {d.name}")
-    word, leaf, unit_expr = _MAXIMAL_ROOT_WORDS[d.name]
+    word, leaf, unit_expr, unit_gen = _MAXIMAL_ROOT_WORDS[d.name]
     if max(*word, leaf) >= len(d.cycles):
         raise AffineError(f"{d.name}: the maximal-root word names cycle {max(*word, leaf)} of {len(d.cycles)} cycles")
     if frame is None:
         frame = DualFrame(quotient_basis(d))
+    home = next((ring for ring, g in RING_GENERATORS.items() if g == unit_gen), None)
+    if home is not None and frame.field.n % ring_field(home).n:
+        raise AffineError(f"{d.name}: the maximal-root unit {unit_expr} lies in {home}, not in the diagram's ring {d.ring}")
     unit = parse_value(unit_expr, frame.field)
     if d.chi_label == "conj":
         unit = unit.conjugate()
@@ -712,15 +738,19 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None) -> CaseR
     # the dual reflections carry conj(lambda), so for the primary character
     # the kept linear parts match the model's generators entrywise conjugated
     conj = d.chi_label == "primary"
-    targets = [_in_field(conj_matrix(g) if conj else g, field) for g in _reference_generators(d.expected_group)]
     kept_linear = [duals[j].linear for j in kept]
-    cert = find_conjugacy(kept_linear, targets)
     model = f"{'the conjugates of ' if conj else ''}the stored generators of {d.expected_group}"
-    if cert.x is not None:
-        pairs = ", ".join(f"{q.labels[j]}->{p}" for j, p in zip(kept, cert.pi))
-        witness = f"pi: {pairs}; X = {_render_matrix(cert.x)}; bijections solved: {cert.tries}"
+    if field.n % ref.field.n:  # the model's generators do not embed, so no X can exist
+        cert = Conjugacy(None, None, 0)
+        witness = f"the model's ring {ref.ring} does not embed in Q(zeta_{field.n}), where the diagram's ring {d.ring} is verified"
     else:
-        witness = f"no invertible X for the {cert.tries} trace-matched bijections"
+        targets = [_in_field(conj_matrix(g) if conj else g, field) for g in _reference_generators(d.expected_group)]
+        cert = find_conjugacy(kept_linear, targets)
+        if cert.x is not None:
+            pairs = ", ".join(f"{q.labels[j]}->{p}" for j, p in zip(kept, cert.pi))
+            witness = f"pi: {pairs}; X = {_render_matrix(cert.x)}; bijections solved: {cert.tries}"
+        else:
+            witness = f"no invertible X for the {cert.tries} trace-matched bijections"
     checks.append(
         CheckResult(
             "linear_order",

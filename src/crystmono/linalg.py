@@ -6,14 +6,22 @@ On top of that sit the two structures the monodromy checks revolve
 around: Hermitian forms with their kernels and definiteness tests,
 and finitely generated Z-lattices inside Q(zeta)^n handled through an
 integer Hermite normal form.
+
+Q(zeta)^n of degree r over Q is also Q^(n r): `flatten` writes a vector as
+integer power-basis coordinates over one denominator, and `flat_action`
+writes a matrix as the integer matrix, over one denominator, of the same
+Q-linear map on those coordinates (restriction of scalars).  Lattice
+images and basis orbits are taken there, with integer products only.
 """
 
 from __future__ import annotations
 
-from math import lcm, prod
+from itertools import chain
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
-from .cyclo import CycloField, CycloNum, parse_value
+from .cyclo import CycloField, CycloNum, cached, parse_value
 
 Vector = tuple[CycloNum, ...]
 Matrix = tuple[Vector, ...]
@@ -292,6 +300,49 @@ class HermitianGram:
         return True
 
 
+# -- restriction of scalars -------------------------------------------------
+
+
+def flatten(v: Vector) -> tuple[list[int], int]:
+    """(flat, den): the integer power-basis coordinates of den * v, entry k
+    at k * r .. k * r + r - 1 for the degree r, and den, their least common
+    denominator."""
+    den = lcm(*(x.den for x in v))
+    return [c * (den // x.den) for x in v for c in x.num], den
+
+
+def unflatten(field: CycloField, flat: Sequence[int], den: int) -> Vector:
+    """The vector flat / den, each entry in lowest terms."""
+    r = field.degree
+    return tuple(field._make(flat[k : k + r], den) for k in range(0, len(flat), r))
+
+
+@cached
+def flat_action(m: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(M, D) with flatten(m v) = M flatten(v) / D, up to lowest terms.
+
+    v -> m v is Q-linear on the flattened coordinates, so it is one
+    (n r) x (n r) rational matrix, here an integer M over the least common
+    denominator D of m's entries.  Block (i, j) is multiplication by m_ij:
+    its column b holds the coordinates of m_ij zeta^b, that is of
+    sum_a c_a zeta^(a + b) over m_ij's numerators c_a, each power read off
+    the field's power table, so building M takes no field product.
+    """
+    field = m[0][0].field
+    r, n, table = field.degree, field.n, field._pow
+    den = lcm(*(x.den for row in m for x in row))
+    rows = [[0] * (len(m[0]) * r) for _ in range(len(m) * r)]
+    for i, mrow in enumerate(m):
+        for j, x in enumerate(mrow):
+            s = den // x.den
+            for a, c in enumerate(x.num):
+                if c:
+                    for b in range(r):
+                        for t, e in table[(a + b) % n]:
+                            rows[i * r + t][j * r + b] += s * c * e
+    return tuple(map(tuple, rows)), den
+
+
 # -- integer lattices ------------------------------------------------------
 
 
@@ -353,32 +404,42 @@ class ZLattice:
     d L in Z^k; `rows` is the reduced HNF of that integer lattice.  Both
     depend on the lattice alone, not on its generators, so equality
     compares them.  Membership and canonical reduction are exact.
+
+    Images under a matrix m are taken on the flattened rows, as
+    flat_action(m) times each row over D * scale: the same Q-linear map as
+    m, so the image lattice is exactly the one the field images span, and
+    it is built from integer products alone.
     """
 
-    def __init__(self, field: CycloField, dim: int, generators: Iterable[Vector]):
+    def __init__(
+        self,
+        field: CycloField,
+        dim: int,
+        generators: Iterable[Vector] = (),
+        flat: Iterable[tuple[Sequence[int], int]] = (),
+    ):
+        """The lattice spanned by the vectors `generators` and the vectors
+        p / den for the flattened pairs (p, den) in `flat`."""
         self.field = field
         self.dim = dim
         self.flat_dim = dim * field.degree
-        gens = [self._flatten(v) for v in generators]
-        self.scale = lcm(*(den for _, den in gens))
-        self.rows = _hnf([[c * (self.scale // den) for c in flat] for flat, den in gens])
+        gens = [self._flatten(v) for v in generators] + list(flat)
+        scale = lcm(*(den for _, den in gens))
+        rows = _hnf([[c * (scale // den) for c in p] for p, den in gens])
+        # the least d is scale over the part of it that divides every entry
+        g = gcd(scale, *chain.from_iterable(rows))
+        if g != 1:
+            scale //= g
+            rows = [[x // g for x in row] for row in rows]
+        self.scale, self.rows = scale, rows
         self._pivots = [next(j for j, x in enumerate(r) if x) for r in self.rows]
 
     def _flatten(self, v: Vector) -> tuple[list[int], int]:
-        """(flat, den): the integer coordinates of den * v and their least common denominator den."""
         if len(v) != self.dim:
             raise ValueError("wrong ambient dimension")
         if any(x.field is not self.field for x in v):
             raise ValueError("wrong field for lattice vector")
-        den = lcm(*(x.den for x in v))
-        return [c * (den // x.den) for x in v for c in x.num], den
-
-    def _unflatten(self, flat: Sequence[int], den: int) -> Vector:
-        """The vector flat / den."""
-        d = self.field.degree
-        return tuple(
-            self.field._make(flat[k * d : (k + 1) * d], den) for k in range(self.dim)
-        )
+        return flatten(v)
 
     @property
     def rank(self) -> int:
@@ -407,23 +468,38 @@ class ZLattice:
     def reduce(self, v: Vector) -> Vector:
         """Canonical representative of v modulo the lattice."""
         t, den = self._residue(v)
-        return self._unflatten(t, den * self.scale)
+        return unflatten(self.field, t, den * self.scale)
+
+    def _pairs(self) -> list[tuple[list[int], int]]:
+        return [(row, self.scale) for row in self.rows]
+
+    def _images(self, mats) -> list[tuple[list[int], int]]:
+        """The HNF rows' images under each matrix in mats, flattened."""
+        out = []
+        for m in mats:
+            if len(m) != self.dim or m[0][0].field is not self.field:
+                raise ValueError("wrong field or dimension for lattice matrix")
+            action, den = flat_action(m)
+            out += [([sum(map(mul, a, row)) for a in action], den * self.scale) for row in self.rows]
+        return out
 
     def join(self, other: "ZLattice") -> "ZLattice":
-        return ZLattice(self.field, self.dim, self.basis_vectors() + other.basis_vectors())
+        return ZLattice(self.field, self.dim, flat=self._pairs() + other._pairs())
 
-    def scaled(self, c: CycloNum) -> "ZLattice":
-        return ZLattice(
-            self.field, self.dim, [vec_scale(c, v) for v in self.basis_vectors()]
-        )
+    def with_images(self, mats) -> "ZLattice":
+        """The lattice spanned by this one and its images under every matrix in mats."""
+        return ZLattice(self.field, self.dim, flat=self._pairs() + self._images(mats))
 
     def transformed(self, m: Matrix) -> "ZLattice":
-        return ZLattice(
-            self.field, self.dim, [mat_vec(m, v) for v in self.basis_vectors()]
-        )
+        return ZLattice(self.field, self.dim, flat=self._images([m]))
+
+    def scaled(self, c: CycloNum) -> "ZLattice":
+        """The image under c I."""
+        zero = self.field.zero
+        return self.transformed(tuple(tuple(c if i == j else zero for j in range(self.dim)) for i in range(self.dim)))
 
     def basis_vectors(self) -> list[Vector]:
-        return [self._unflatten(row, self.scale) for row in self.rows]
+        return [unflatten(self.field, row, self.scale) for row in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, ZLattice):

@@ -492,6 +492,50 @@ def test_payload_naming_a_model_of_another_rank_fails_its_group_claims(source, g
     }
 
 
+@pytest.mark.parametrize("chi", ["primary", "conj"])
+def test_every_renamed_payload_verifies_or_is_an_affine_error(chi):
+    """All 64 renamings of the 8 diagrams: a run gives verdicts or raises
+    AffineError, and a maximal-root unit outside the payload's ring is
+    refused by both rings, not by a ValueError from the parser."""
+    names = diagram_names()
+    cross = {("C3_24", "Z[w]", "i", "Z[i]"), ("P8_Z3", "Z[i]", "conj(w)", "Z[w]")}
+    refused = []
+    for source in names:
+        payload = show_diagram_payload(diagram(source, chi))
+        for name in names:
+            try:
+                verify_crystallographic(diagram_from_payload(dict(payload, name=name)))
+            except AffineError as e:
+                refused.append((name, payload["ring"], str(e)))
+    unit_errors = {(name, ring, msg) for name, ring, msg in refused if "maximal-root unit" in msg}
+    assert unit_errors == {
+        (name, ring, f"{name}: the maximal-root unit {unit} lies in {home}, not in the diagram's ring {ring}")
+        for name, ring, unit, home in cross
+    }
+
+
+@pytest.mark.parametrize("source, group", [("C3_24", "K25"), ("D4_3", "K8")])
+@pytest.mark.parametrize("chi", ["primary", "conj"])
+def test_payload_naming_a_model_over_another_ring_fails_its_group_claims(source, group, chi):
+    """A model whose ring does not embed in the diagram's field has no
+    conjugacy: the verdicts of the rank mismatch, and a witness naming both
+    rings, with no exception."""
+    d = diagram_from_payload(dict(show_diagram_payload(diagram(source, chi)), expected_group=group))
+    checks = {c.claim_id: c for c in verify_crystallographic(d).checks}
+    assert {k: c.verdict for k, c in checks.items()} == {
+        "dual_form": "pass",
+        "linear_order": "fail",
+        "reflection_multiset": "fail",
+        **dict.fromkeys(("omitted_in_closure", "lattice_rank", "lattice_invariant"), "inconclusive"),
+        **dict.fromkeys(("translations_contained", "translations_generate"), "inconclusive"),
+        "maximal_root": "pass",
+    }
+    rings = (d.ring, {"K25": "Z[w]", "K8": "Z[i]"}[group])
+    assert checks["linear_order"].witness == (
+        f"the model's ring {rings[1]} does not embed in Q(zeta_{d.field.n}), where the diagram's ring {rings[0]} is verified"
+    )
+
+
 @pytest.mark.parametrize("key, value", [("ring", "Z[x]"), ("chi", "sideways")])
 def test_payload_with_unknown_ring_or_character_is_rejected(key, value, capsys):
     code, out, _ = run(["show", "diagram", "P8divZ4"], capsys)
