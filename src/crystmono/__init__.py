@@ -39,7 +39,6 @@ from .monodromy import (
     DiagramError,
     diagram,
     diagram_names,
-    fold,
     quotient_basis,
     verify_diagram,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "diagram",
     "diagram_names",
     "dilation_check",
-    "fold",
     "is_smoothable",
     "kernel_characters",
     "maximal_root_check",

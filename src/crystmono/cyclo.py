@@ -237,11 +237,11 @@ class CycloField:
             num[j] = c
         return CycloNum(self, tuple(num), 1)
 
-    def root_of_unity(self, k: int, power: int = 1) -> "CycloNum":
-        """zeta_k**power; requires k | n."""
+    def root_of_unity(self, k: int) -> "CycloNum":
+        """zeta_k; requires k | n."""
         if k <= 0 or self.n % k != 0:
             raise ValueError(f"zeta_{k} does not live in Q(zeta_{self.n})")
-        return self.zeta((self.n // k) * power)
+        return self.zeta(self.n // k)
 
     # The named root w = zeta_3, available when the conductor admits it.
 

@@ -248,10 +248,6 @@ class HermitianGram:
     def eval(self, u: Vector, v: Vector) -> CycloNum:
         return dot(u, mat_vec(self.gram, conj_vector(v)))
 
-    def kernel(self) -> list[Vector]:
-        """Vectors pairing to zero with everything: {v : G conj(v) = 0}."""
-        return [conj_vector(v) for v in nullspace(self.gram)]
-
     def in_radical(self, v: Vector) -> bool:
         """Whether v pairs to zero with everything: G conj(v) = 0."""
         return is_zero_vector(mat_vec(self.gram, conj_vector(v)))

@@ -4,9 +4,9 @@ Each diagram bundles the hermitian pairing data of a distinguished set of
 cycles together with the reflection eigenvalue attached to every cycle;
 the gram is the only record of the pairings.  Every Diagram is made by
 assemble_diagram, which checks the structure all diagrams share; the
-datasets, ``show`` payloads (cli.diagram_from_payload) and fold build
-through it.  Loading a dataset diagram also checks its eigenvalues and
-edge values and reconciles edges stating several candidate values against
+datasets and ``show`` payloads (cli.diagram_from_payload) build through
+it.  Loading a dataset diagram also checks its eigenvalues and edge
+values and reconciles edges stating several candidate values against
 hard constraints (hermitian, negative semi-definite, corank-1 quotient
 with the stated kernel vector); the result is cached, so the same name
 always yields the identical object.
@@ -40,7 +40,6 @@ from .linalg import (
     mat_vec,
     matrix,
     reflection_order,
-    vec_add,
     vec_scale,
     vector,
 )
@@ -600,62 +599,3 @@ def extra_relation_P8Z3(d: Diagram) -> bool:
     h0, h1, h2 = (op.matrix for op in diagram_operators(d))
     return mat_prod([h1, h0, h2, h0] * 2) == mat_prod([h0, h2, h0, h1] * 2)
 
-
-def fold(d: Diagram, swap: tuple[str, str], sign_variant: int | None = None) -> Diagram:
-    """Identify two cycles of a diagram, merging them into their (anti)sum.
-
-    The merged cycle replaces the first of the pair; the second is removed.
-    When the omitted root is either of the pair, the merged cycle becomes
-    the omitted root.  With sign_variant None both signs are tried in the
-    order +1, -1 and the first variant passing the corank-1 constraint is
-    returned; if a sign is given it must pass on its own.  The result is
-    built by assemble_diagram, with an edge wherever the folded gram pairs
-    two cycles.
-    """
-    a_id, b_id = swap
-    if a_id == b_id:
-        raise DiagramError("fold requires two distinct cycles")
-    ia, ib = d.cycle_index(a_id), d.cycle_index(b_id)
-    if d.relation is not None:
-        raise DiagramError(f"{d.name}: folding a diagram with a relation is not supported")
-    ca, cb = d.cycles[ia], d.cycles[ib]
-    if ca.eigenvalue != cb.eigenvalue or ca.order != cb.order:
-        raise DiagramError(f"{d.name}: folded cycles must share their eigenvalue")
-
-    field = d.field
-    unit = identity(field, len(d.cycles))
-    kept = [k for k in range(len(d.cycles)) if k != ib]
-    variants = (1, -1) if sign_variant is None else (sign_variant,)
-    failures = []
-    for s in variants:
-        if s not in (1, -1):
-            raise DiagramError("sign variant must be +1 or -1")
-        sgn = field.one if s == 1 else -field.one
-        merged = f"{a_id}{'+' if s == 1 else '-'}{b_id}"
-        labels = [merged if k == ia else d.cycles[k].id for k in kept]
-        vecs = [vec_add(unit[k], vec_scale(sgn, unit[ib])) if k == ia else unit[k] for k in kept]
-        entries = [[d.gram.eval(u, v) for v in vecs] for u in vecs]
-        gram = HermitianGram(matrix(field, entries))
-        if not gram.is_negative_semidefinite():
-            failures.append((s, "negative_semidefinite"))
-            continue
-        if gram.corank != 1:
-            failures.append((s, "quotient_corank"))
-            continue
-        kernel = gram.kernel()[0]
-        lead = next(x for x in kernel if not x.is_zero())
-        kernel = vec_scale(lead.inverse(), kernel)
-        return assemble_diagram(
-            name=f"{d.name}_folded", ring=d.ring, chi_label=d.chi_label, kernel_chi_pair=d.kernel_chi_pair,
-            cycles=tuple(Cycle(labels[k], d.cycles[j].order, d.cycles[j].eigenvalue) for k, j in enumerate(kept)),
-            edges=tuple(
-                Edge(labels[r], labels[c], None)
-                for r in range(len(kept)) for c in range(r + 1, len(kept)) if not gram.gram[r][c].is_zero()
-            ),
-            gram=gram.gram, relation=None, kernel_vector=kernel,
-            omitted_root=merged if d.omitted_root in swap else d.omitted_root, expected_group=None,
-            tau=len(kept), classical_order=d.classical_order, resolved_choices={"fold_sign": f"{s:+d}"},
-            rejected_choices=tuple(({"fold_sign": f"{fs:+d}"}, why) for fs, why in failures),
-        )
-    detail = "; ".join(f"sign {fs:+d}: {why}" for fs, why in failures)
-    raise ReconcileError(f"{d.name}: fold failed ({detail})")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from crystmono import clear_caches
+from crystmono.cli import diagram_from_payload, show_diagram_payload
 from crystmono.cyclo import CycloField
 from crystmono.linalg import (
     HermitianGram,
@@ -23,7 +24,6 @@ from crystmono.linalg import (
 from crystmono.monodromy import (
     diagram,
     diagram_names,
-    fold,
     pl_operator,
     quotient_basis,
 )
@@ -397,9 +397,10 @@ def test_verify_report_shape():
 
 
 def test_verify_requires_a_declared_group():
-    folded = fold(diagram("D4_3"), ("e2", "e3"))
-    with pytest.raises(AffineError):
-        verify_crystallographic(folded)
+    payload = show_diagram_payload(diagram("C3_33"))
+    payload["expected_group"] = None
+    with pytest.raises(AffineError, match="declares no crystallographic model"):
+        verify_crystallographic(diagram_from_payload(payload))
 
 
 def test_verify_flags_wrong_eigenvalue():

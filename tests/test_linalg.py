@@ -101,12 +101,13 @@ def test_hermitian_eval_sesquilinearity():
 
 
 def test_kernel_is_the_radical():
-    # rank 1 form: kernel pairs to zero against everything
+    # rank 1 form: its radical is the line of (1+w, 1), which pairs to zero against everything
     g = HermitianGram(g3([[-3, "-3*w"], ["-3*conj(w)", -3]]))
-    ker = g.kernel()
-    assert len(ker) == 1
-    k = ker[0]
-    for probe in (vector(F3, [1, 0]), vector(F3, [0, 1]), vector(F3, ["w", "1-w"])):
+    k = vector(F3, ["1+w", 1])
+    probes = (vector(F3, [1, 0]), vector(F3, [0, 1]), vector(F3, ["w", "1-w"]))
+    assert g.in_radical(k) and g.in_radical(vec_scale(F3.omega, k))
+    assert not any(g.in_radical(probe) for probe in probes)
+    for probe in probes:
         assert g.eval(probe, k).is_zero()
         assert g.eval(k, probe).is_zero()
 

@@ -1,4 +1,5 @@
 import copy
+import functools
 import re
 from math import gcd, lcm
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from crystmono import clear_caches, monodromy
 from crystmono.cli import diagram_from_payload, main, show_diagram_payload
-from crystmono.cyclo import CycloField, parse_value, render_value
+from crystmono.cyclo import CycloField, parse_value
 from crystmono.linalg import (
     conj_matrix,
     conj_vector,
@@ -16,6 +17,8 @@ from crystmono.linalg import (
     is_zero_vector,
     mat_rank,
     mat_vec,
+    vec_add,
+    vec_scale,
     vec_sub,
 )
 from crystmono.monodromy import (
@@ -23,7 +26,6 @@ from crystmono.monodromy import (
     Diagram,
     DiagramError,
     OrderBoundError,
-    ReconcileError,
     check_braid,
     classical_monodromy,
     diagram,
@@ -31,7 +33,6 @@ from crystmono.monodromy import (
     diagram_operators,
     extra_relation_P8Z3,
     finite_order_bound,
-    fold,
     operator_order,
     order_failure,
     pl_operator,
@@ -363,37 +364,23 @@ def test_extra_relation_P8_Z3():
         extra_relation_P8Z3(diagram("P8divZ6"))
 
 
-def test_fold_star_reproduces_the_three_cycle_diagram():
-    folded = fold(diagram("D4_3"), ("e2", "e3"))
-    ref = diagram("C3_33")
-    assert folded.gram.gram == ref.gram.gram
-    assert folded.kernel_vector == ref.kernel_vector
-    assert [c.eigenvalue for c in folded.cycles] == [c.eigenvalue for c in ref.cycles]
-    assert folded.resolved_choices == {"fold_sign": "+1"}
-    assert folded.rejected_choices == ()
-    assert folded.tau == 3
-
-
-def test_fold_sign_discrimination():
-    d = diagram("D4_3")
-    with pytest.raises(ReconcileError):
-        fold(d, ("e2", "e3"), sign_variant=-1)
-    both = fold(d, ("e2", "e3"), sign_variant=1)
-    assert both.resolved_choices == {"fold_sign": "+1"}
-
-
-def test_fold_labels_both_signs_alike():
-    # with row and column e3 negated, e2 - e3 is the fold that keeps corank 1
-    payload = show_diagram_payload(diagram("D4_3"))
-    k = [c["id"] for c in payload["cycles"]].index("e3")
-    gram = payload["gram"]
-    for i in range(len(gram)):
-        for j in range(len(gram)):
-            if (i == k) != (j == k):
-                gram[i][j] = render_value(-parse_value(gram[i][j], CycloField(3)))
-    folded = fold(diagram_from_payload(payload), ("e2", "e3"))
-    assert folded.resolved_choices == {"fold_sign": "-1"}
-    assert folded.rejected_choices == (({"fold_sign": "+1"}, "quotient_corank"),)
+@pytest.mark.parametrize("chi, kernel_entry", [("primary", "2+w"), ("conj", "1-w")])
+def test_c3_33_is_d4_3_with_e2_and_e3_merged(chi, kernel_entry):
+    """C3_33 is D4_3 with e2 and e3 merged into e2+e3: the pairings of
+    V = [e0, e1, e2+e3] in D4_3 are C3_33's gram, C3_33's kernel vector
+    mapped through V is D4_3's, and the merged cycles carry one
+    eigenvalue and order, in both characters."""
+    d4, c3 = diagram("D4_3", chi), diagram("C3_33", chi)
+    e = {c.id: u for c, u in zip(d4.cycles, identity(d4.field, len(d4.cycles)))}
+    merge = [e["e0"], e["e1"], vec_add(e["e2"], e["e3"])]
+    assert tuple(tuple(d4.gram.eval(u, v) for v in merge) for u in merge) == c3.gram.gram
+    mapped = functools.reduce(vec_add, map(vec_scale, c3.kernel_vector, merge))
+    one = d4.field.one
+    assert mapped == d4.kernel_vector == (one, parse_value(kernel_entry, d4.field), one, one)
+    cycles = {c.id: (c.eigenvalue, c.order) for c in d4.cycles}
+    assert cycles["e2"] == cycles["e3"]
+    assert [(c.eigenvalue, c.order) for c in c3.cycles] == [cycles[k] for k in ("e0", "e1", "e2")]
+    assert d4.omitted_root == c3.omitted_root == "e0"
 
 
 @pytest.mark.parametrize("name", ["P8divZ6", "P8divZ4"])
@@ -403,25 +390,6 @@ def test_quotient_rejects_relation_outside_the_radical(name):
     payload["gram"][0][0] = "4"
     with pytest.raises(DiagramError, match="relation not in the radical"):
         quotient_basis(diagram_from_payload(payload))
-
-
-def test_fold_error_modes():
-    d = diagram("D4_3")
-    with pytest.raises(DiagramError):
-        fold(d, ("e2", "e2"))
-    with pytest.raises(ReconcileError):
-        fold(d, ("e0", "e1"))  # leaf into center: both signs break the corank
-    with pytest.raises(DiagramError):
-        fold(diagram("P8divZ6"), ("e1", "e2"))
-    with pytest.raises(DiagramError):
-        fold(d, ("e2", "e3"), sign_variant=2)
-
-
-def test_fold_conj_tracks_the_character():
-    folded = fold(diagram("D4_3", "conj"), ("e2", "e3"))
-    ref = diagram("C3_33", "conj")
-    assert folded.gram.gram == ref.gram.gram
-    assert folded.kernel_vector == ref.kernel_vector
 
 
 _CASES = st.sampled_from([(nm, chi) for nm in ALL_NAMES for chi in ("primary", "conj")])
@@ -453,17 +421,6 @@ def test_property_reflection_scales_its_root(case, data):
     got = mat_vec(op.matrix, q.roots[k])
     want = tuple(q.eigenvalues[k] * c for c in q.roots[k])
     assert got == want
-
-
-@pytest.mark.parametrize("swap", [("e0", "e2"), ("e2", "e0")])
-def test_fold_of_the_omitted_root_omits_the_merged_cycle(swap):
-    folded = fold(diagram("D4_3"), swap)
-    merged = f"{swap[0]}+{swap[1]}"
-    assert merged in [c.id for c in folded.cycles]
-    assert folded.omitted_root == merged
-    q = quotient_basis(folded)
-    assert q.labels[q.omitted_index] == merged
-    assert {c.verdict for c in verify_diagram(folded)} == {"pass"}
 
 
 @pytest.fixture
