@@ -283,6 +283,29 @@ def _names_used(tree) -> set[str]:
     return names
 
 
+def _unreached(src: dict[str, str], bench: list[str]) -> set[str]:
+    """The "module.name" of each module-level def or class in the ``src``
+    sources (module stem -> text) that no other top-level statement of
+    ``src`` names and no ``bench`` source names, dotted string constants
+    included. "__init__" in ``src`` is skipped, so re-exports do not count."""
+    defined, reached = [], set()
+    for stem, text in src.items():
+        if stem == "__init__":
+            continue
+        for top in ast.parse(text).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((stem, own))
+            reached |= _names_used(top) - {own}
+    for text in bench:
+        tree = ast.parse(text)
+        reached |= _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"[\w.]+", node.value):
+                reached |= set(node.value.split("."))
+    return {f"{stem}.{name}" for stem, name in defined if name not in reached}
+
+
 def test_every_src_function_has_a_caller():
     """Each module-level def or class in src/crystmono is used elsewhere in
     src (outside its own definition; __init__.py's re-exports do not
@@ -291,22 +314,36 @@ def test_every_src_function_has_a_caller():
     name, so a homonym counts as reached: classify.character is covered by
     the ``character`` parameter of cli._report. The uncalled rest is
     pinned, each with its reason for staying."""
-    defined, reached = [], set()
-    for path in sorted(Path(crystmono.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for top in ast.parse(path.read_text()).body:
-            own = getattr(top, "name", None)
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((path.stem, own))
-            reached |= _names_used(top) - {own}
-    for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"):
-        tree = ast.parse(path.read_text())
-        reached |= _names_used(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"[\w.]+", node.value):
-                reached |= set(node.value.split("."))
-    assert {f"{mod}.{name}" for mod, name in defined if name not in reached} == set(UNCALLED)
+    src = {path.stem: path.read_text() for path in Path(crystmono.__file__).parent.glob("*.py")}
+    bench = [path.read_text() for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")]
+    assert _unreached(src, bench) == set(UNCALLED)
+
+
+def test_caller_scan_flags_only_the_uncalled():
+    """The scan behind test_every_src_function_has_a_caller reports a def
+    that only its own body and an __init__ re-export name, and counts as
+    reached a def called from another module, a class used as an attribute
+    and a function that a benchmark names only by a dotted string."""
+    src = {
+        "__init__": "from .a import lonely, Used\n__all__ = ['lonely']\n",
+        "a": "class Used:\n    pass\n\ndef lonely():\n    return lonely()\n\ndef called():\n    pass\n\ndef traced():\n    pass\n",
+        "b": "from . import a\nfrom .a import called\n\ndef user():\n    return a.Used, called()\n",
+    }
+    bench = ["import b\nb.user()\nPATCH = 'a.traced'\n"]
+    assert _unreached(src, bench) == {"a.lonely"}
+    assert _unreached(src, []) == {"a.lonely", "a.traced", "b.user"}
+
+
+def test_fold_and_its_helpers_are_gone():
+    """monodromy.fold, HermitianGram.kernel and root_of_unity's power
+    parameter were deleted with no replacement."""
+    with pytest.raises(AttributeError):
+        crystmono.fold
+    assert "fold" not in crystmono.__all__
+    assert not hasattr(crystmono.monodromy, "fold")
+    assert not hasattr(crystmono.linalg.HermitianGram, "kernel")
+    with pytest.raises(TypeError):
+        CycloField(3).root_of_unity(3, 2)
 
 
 def test_no_dynamic_evaluation_in_the_package():

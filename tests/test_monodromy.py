@@ -383,6 +383,19 @@ def test_c3_33_is_d4_3_with_e2_and_e3_merged(chi, kernel_entry):
     assert d4.omitted_root == c3.omitted_root == "e0"
 
 
+@pytest.mark.parametrize("chi", ["primary", "conj"])
+def test_merging_along_e2_minus_e3_is_not_c3_33(chi):
+    """The sign of the merge matters: e1 pairs alike with e2 and e3 in
+    D4_3, so it pairs to zero with e2-e3, where C3_33's gram pairs e1 and
+    e2 to a nonzero value."""
+    d4, c3 = diagram("D4_3", chi), diagram("C3_33", chi)
+    e = {c.id: u for c, u in zip(d4.cycles, identity(d4.field, len(d4.cycles)))}
+    merge = [e["e0"], e["e1"], vec_sub(e["e2"], e["e3"])]
+    assert d4.gram.eval(e["e1"], merge[2]).is_zero()
+    assert not c3.gram.gram[1][2].is_zero()
+    assert tuple(tuple(d4.gram.eval(u, v) for v in merge) for u in merge) != c3.gram.gram
+
+
 @pytest.mark.parametrize("name", ["P8divZ6", "P8divZ4"])
 def test_quotient_rejects_relation_outside_the_radical(name):
     # gram[0][0] = 4 also breaks semidefiniteness, which must not hide the relation
