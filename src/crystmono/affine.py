@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from itertools import chain, permutations
+from itertools import permutations
 from math import gcd, lcm
 from operator import getitem, itemgetter, mul
 from typing import NamedTuple
@@ -148,8 +148,10 @@ class DualFrame:
 
 
 class Closure:
-    """A finite matrix group as tuples of indices into O, the orbit of the
-    standard basis e_1..e_n under its generators; len() is the group order.
+    """A finite matrix group over `field` as tuples of indices into O, the
+    orbit of the standard basis e_1..e_n under its generators, each point
+    the integer tuple (*coordinates, den) in lowest terms that
+    linear_closure moved; len() is the group order.
 
     An element m is the tuple x with m e_i = O[x[i]], its images of the
     basis, so m is the matrix with columns O[x[0]], ..., O[x[n-1]], and
@@ -157,9 +159,10 @@ class Closure:
     element's determinant as its exponent j in roots_of_unity.
     """
 
-    __slots__ = ("points", "elements", "dets")
+    __slots__ = ("field", "points", "elements", "dets")
 
-    def __init__(self, points: list[Vector], elements: list[tuple[int, ...]], dets: list[int]):
+    def __init__(self, field: CycloField, points: list[tuple[int, ...]], elements: list[tuple[int, ...]], dets: list[int]):
+        self.field = field
         self.points = points
         self.elements = elements
         self.dets = dets
@@ -169,18 +172,18 @@ class Closure:
 
     def matrix(self, images: tuple[int, ...]) -> Matrix:
         """The element with these images of the basis, as a matrix."""
-        return tuple(zip(*(self.points[j] for j in images)))
+        return tuple(zip(*(unflatten(self.field, self.points[j][:-1], self.points[j][-1]) for j in images)))
 
     def matrices(self) -> list[Matrix]:
         """Every element as a matrix, read off its images of the basis."""
         return [self.matrix(x) for x in self.elements]
 
 
-def _bfs(start, moves, limit: int, max_size: int) -> tuple[list, list[list[int]]]:
+def _bfs(start, moves, max_size: int) -> tuple[list, list[list[int]]]:
     """The states reached from `start` under the maps `moves`, breadth
     first, in the order found, and each move as the index of its image of
-    each state.  ClosureBoundError is raised once more than `limit` states
-    would be listed."""
+    each state.  ClosureBoundError is raised once more than
+    len(start) * max_size states would be listed."""
     order = list(start)
     index = {s: i for i, s in enumerate(order)}
     images: list[list[int]] = [[] for _ in moves]
@@ -189,7 +192,7 @@ def _bfs(start, moves, limit: int, max_size: int) -> tuple[list, list[list[int]]
             t = move(s)
             j = index.get(t)
             if j is None:
-                if len(order) >= limit:
+                if len(order) >= len(start) * max_size:
                     raise ClosureBoundError(f"closure exceeds {max_size} elements")
                 j = index[t] = len(order)
                 order.append(t)
@@ -218,9 +221,9 @@ def linear_closure(generators, max_size: int) -> Closure:
     products and one gcd, no field product.  That is exact: flat_action(g)
     is the same Q-linear map as g, and a vector has one flattened form in
     lowest terms, so two points are equal exactly when their vectors are.
-    The points become vectors once, when the orbit ends.  The second lists
-    the group from the identity, each element m as its images
-    of the basis x, with m e_i = O[x[i]]: g m has the images p[x[i]], read
+    The closure keeps the points in that form, as its O.  The second lists
+    the group from the identity, each element m as its images of the
+    basis x, with m e_i = O[x[i]]: g m has the images p[x[i]], read
     by one itemgetter(*x), built once per listed element, applied to each
     generator's p.  The elements reached by left multiplication with the
     generators from the identity are all of a finite group, since each
@@ -245,8 +248,7 @@ def linear_closure(generators, max_size: int) -> Closure:
     n = len(gens[0])
     field = gens[0][0][0].field
     start = [(*flat, den) for flat, den in map(flatten, identity(field, n))]
-    flat, perms = _bfs(start, [partial(_flat_move, *flat_action(g)) for g in gens], n * max_size, max_size)
-    points = [unflatten(field, p[:-1], p[-1]) for p in flat]
+    points, perms = _bfs(start, [partial(_flat_move, *flat_action(g)) for g in gens], max_size)
     roots = roots_of_unity(field)
     dets = [roots.get(det(g)) for g in gens]  # (exponent, order) of each determinant
     if None in dets:
@@ -267,7 +269,7 @@ def linear_closure(generators, max_size: int) -> Closure:
                 seen.add(y)
                 elements.append(y)
                 exponents.append((d + e) % m)
-    return Closure(points, elements, exponents)
+    return Closure(field, points, elements, exponents)
 
 
 def _reflection_orders(group: Closure) -> list[int]:
@@ -289,13 +291,14 @@ def _reflection_orders(group: Closure) -> list[int]:
 
     So an element whose determinant exponent d is 0 is skipped, and any
     other is a candidate exactly when its trace is (n - 1) + zeta^d.  Each
-    coordinate of each point of O is scaled to the common denominator den
-    of O, and its integer numerators c_0..c_{r-1} are packed into the one
-    integer sum c_k B^k, the numerator polynomial evaluated at B (Kronecker
-    substitution).  The trace of x is then sum(map(getitem, cols, x)), the
-    packed diagonal entries O[x[i]][i] added, and is compared with
-    (n - 1) + zeta^d scaled and packed the same way.  No field element is
-    built.
+    point of O is read straight off its flattened form: coordinate i is the
+    block p[i r:(i + 1) r] of numerators c_0..c_{r-1} over p's denominator,
+    for the degree r.  Scaled to the common denominator den of O, it is
+    packed into the one integer sum c_k B^k, the numerator polynomial
+    evaluated at B (Kronecker substitution).  The trace of x is then
+    sum(map(getitem, cols, x)), the packed diagonal entries O[x[i]][i]
+    added, and is compared with (n - 1) + zeta^d scaled and packed the same
+    way.  No field element is built.
 
     The packing is exact.  Let A bound |c| over every numerator of O and
     every numerator of a root of unity times den; the identity's points
@@ -306,23 +309,17 @@ def _reflection_orders(group: Closure) -> list[int]:
     digits is unique, so two packed integers are equal exactly when their
     numerators are.
     """
-    points = group.points
-    n = len(points[0])
-    field = points[0][0].field
-    roots = sorted(roots_of_unity(field).items(), key=lambda item: item[1])  # by exponent
-    entries = list(chain.from_iterable(points))
-    den = lcm(*(x.den for x in entries))
+    points, r = group.points, group.field.degree
+    n = (len(points[0]) - 1) // r
+    roots = sorted(roots_of_unity(group.field).items(), key=lambda item: item[1])  # by exponent
+    den = lcm(*(p[-1] for p in points))
     bound = max(
-        max(max(map(abs, x.num)) * (den // x.den) for x in entries),
-        den * max(max(map(abs, r.num)) for r, _ in roots),  # each root of unity is integral: r.den = 1
+        max(max(map(abs, p[:-1])) * (den // p[-1]) for p in points),
+        den * max(max(map(abs, z.num)) for z, _ in roots),  # each root of unity is integral: z.den = 1
     )
-    powers = [(2 * n * bound + 1) ** k for k in range(field.degree)]
-
-    def pack(x: CycloNum) -> int:
-        return sum(map(mul, x.num, powers)) * (den // x.den)
-
-    cols = [list(map(pack, column)) for column in zip(*points)]
-    keys = [pack(r) + (n - 1) * den for r, _ in roots]  # (n - 1) + zeta^d, by exponent d
+    powers = [(2 * n * bound + 1) ** k for k in range(r)]
+    cols = [[sum(map(mul, p[i * r : (i + 1) * r], powers)) * (den // p[-1]) for p in points] for i in range(n)]
+    keys = [(sum(map(mul, z.num, powers)) + n - 1) * den for z, _ in roots]  # (n - 1) + zeta^d, by exponent d
     orders = [k for _, (_, k) in roots]
     return [
         orders[d] if d and sum(map(getitem, cols, x)) == keys[d] and (n <= 3 or is_reflection(group.matrix(x))) else 0
@@ -582,19 +579,25 @@ def _in_field(m: Matrix, field: CycloField) -> Matrix:
 
 
 @cached
-def _model_members(name: str, field: CycloField) -> tuple[dict[Vector, int], frozenset[tuple[int, ...]]]:
-    """The index of the model's basis orbit, embedded into `field`, and the
-    set of its elements' images of the basis."""
+def _model_members(name: str, field: CycloField) -> tuple[dict[tuple[int, ...], int], frozenset[tuple[int, ...]]]:
+    """The index of the model's basis orbit, flattened over `field` (over a
+    larger one each point is unflattened, embedded and flattened again),
+    and the set of its elements' images of the basis."""
     group = model_closure(name)[0]
-    return {v: k for k, v in enumerate(_in_field(group.points, field))}, frozenset(group.elements)
+    points = group.points
+    if field is not group.field:
+        vectors = _in_field([unflatten(group.field, p[:-1], p[-1]) for p in points], field)
+        points = [(*flat, den) for flat, den in map(flatten, vectors)]
+    return {p: k for k, p in enumerate(points)}, frozenset(group.elements)
 
 
 def _model_contains(name: str, m: Matrix) -> bool:
     """m lies in the model's group exactly when every column of m is a
     point of the basis orbit and their indices are an element's images of
-    the basis: an element is fixed by those images."""
+    the basis: an element is fixed by those images.  flatten gives a column
+    its least positive denominator, as _flat_move gives each point."""
     index, images = _model_members(name, m[0][0].field)
-    return tuple(index.get(col) for col in zip(*m)) in images
+    return tuple(index.get((*flat, den)) for flat, den in map(flatten, zip(*m))) in images
 
 
 def _render_matrix(m: Matrix) -> str:

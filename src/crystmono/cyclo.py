@@ -478,19 +478,11 @@ def ring_field(ring: str) -> CycloField | None:
 
 
 def in_subring(x: CycloNum, ring: str) -> bool:
-    """Membership in Z or in a ring Z[g] of RING_GENERATORS, tested inside x's own field.
+    """Membership in a ring Z[g] of RING_GENERATORS, tested inside x's own
+    field, which must hold g.
 
     g is not real, so x = a + b*g over Q forces b = (x - conj x) / (g - conj g).
-    If g does not even live in the field the answer can only be yes for
-    rational integers.
     """
-    if ring == "Z":
-        return x.is_integer()
-    home = ring_field(ring)
-    if home is None:
-        raise ValueError(f"unknown subring {ring!r}")
-    if x.field.n % home.n:
-        return x.is_integer()
     g = parse_value(RING_GENERATORS[ring], x.field)
     b = (x - x.conjugate()) / (g - g.conjugate())
     return b.is_integer() and (x - b * g).is_integer()

@@ -52,6 +52,7 @@ from crystmono.linalg import (
     mat_vec,
     matrix,
     nullspace,
+    unflatten,
     vec_scale,
 )
 from crystmono.monodromy import diagram, diagram_names, quotient_basis
@@ -572,21 +573,31 @@ def test_membership_from_basis_images_matches_the_matrix_set(run):
     assert found[0::2] == [True] * (len(duals) - len(kept))
 
 
-@pytest.mark.parametrize("name", ["K25", "K5", "K8", "G312"])
-def test_orbit_columns_outside_the_model_are_not_members(name):
+@pytest.mark.parametrize(
+    "name, field",
+    [("K25", None), ("K5", None), ("K8", None), ("G312", None), ("K8", F12), ("K3_4", F12)],
+    ids=["K25", "K5", "K8", "G312", "K8-Q12", "K3_4-Q12"],
+)
+def test_orbit_columns_outside_the_model_are_not_members(name, field):
     """Matrices whose columns are all basis-orbit points but which are no
-    element: e_1 in every column, and the first invertible one, where there
-    is one; the 18 monomial matrices of G(3,1,2) are all its elements."""
-    points = affine.model_closure(name)[0].points
-    members = _oracle_model(name, reference_group(name).field)
+    element: e_1 in every column, for n > 1, and the first invertible one,
+    where there is one; the 18 monomial matrices of G(3,1,2) are all its
+    elements, and a rank-one model's 1 x 1 orbit matrices are all its
+    elements.  Over Q(zeta12), where the dilation lifts K8 and K3_4, the
+    model's points are embedded first, and the members must still be
+    found."""
+    closure = affine.model_closure(name)[0]
+    field = field or closure.field
+    points = [tuple(closure.field.embed(x, field) for x in unflatten(closure.field, p[:-1], p[-1])) for p in closure.points]
+    members = _oracle_model(name, field)
     n = len(points[0])
-    outside = [tuple(zip(*[points[0]] * n))]
+    outside = [tuple(zip(*[points[0]] * n))] if n > 1 else []
     for cols in product(range(len(points)), repeat=n):
         m = tuple(zip(*(points[c] for c in cols)))
         if not det(m).is_zero() and m not in members:
             outside.append(m)
             break
-    assert len(outside) == (1 if name == "G312" else 2)
+    assert len(outside) == {"G312": 1, "K3_4": 0}.get(name, 2)
     assert not any(affine._model_contains(name, m) for m in outside)
     assert all(affine._model_contains(name, g) for g in members)
 

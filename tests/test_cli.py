@@ -260,6 +260,7 @@ def test_no_unused_imports_in_the_package():
 
 
 UNCALLED = {
+    "classify.character": "public field-valued API: the unit scaling one monomial",
     "classify.character_multiplicity": "public field-valued API; acceptance criterion 3 rests on it",
     "classify.versal_classes": "public field-valued API; acceptance criterion 3 rests on it",
     "classify.class_character": "public field-valued API: the character of one basis class",
@@ -272,10 +273,18 @@ UNCALLED = {
 
 
 def _names_used(tree) -> set[str]:
+    """The names `tree` reads, imports or reads as attributes. A Name that
+    a function `tree` binds as one of its own parameters is that
+    parameter, not a use of a homonymous def."""
+    params = set()
+    if isinstance(tree, ast.FunctionDef):
+        a = tree.args
+        params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            if node.id not in params:
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
@@ -311,8 +320,8 @@ def test_every_src_function_has_a_caller():
     src (outside its own definition; __init__.py's re-exports do not
     count) or named in perfbench/*.py, where the tracer patches functions
     by dotted strings such as "monodromy.operator_order". The scan goes by
-    name, so a homonym counts as reached: classify.character is covered by
-    the ``character`` parameter of cli._report. The uncalled rest is
+    name, but a parameter is no use: the ``character`` parameter of
+    cli._report does not reach classify.character. The uncalled rest is
     pinned, each with its reason for staying."""
     src = {path.stem: path.read_text() for path in Path(crystmono.__file__).parent.glob("*.py")}
     bench = [path.read_text() for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")]
@@ -323,15 +332,17 @@ def test_caller_scan_flags_only_the_uncalled():
     """The scan behind test_every_src_function_has_a_caller reports a def
     that only its own body and an __init__ re-export name, and counts as
     reached a def called from another module, a class used as an attribute
-    and a function that a benchmark names only by a dotted string."""
+    and a function that a benchmark names only by a dotted string. A def
+    whose name is only another def's parameter stays unreached."""
     src = {
         "__init__": "from .a import lonely, Used\n__all__ = ['lonely']\n",
-        "a": "class Used:\n    pass\n\ndef lonely():\n    return lonely()\n\ndef called():\n    pass\n\ndef traced():\n    pass\n",
-        "b": "from . import a\nfrom .a import called\n\ndef user():\n    return a.Used, called()\n",
+        "a": "class Used:\n    pass\n\ndef lonely():\n    return lonely()\n\ndef called():\n    pass\n\n"
+        "def traced():\n    pass\n\ndef homonym():\n    pass\n",
+        "b": "from . import a\nfrom .a import called\n\ndef user(homonym=None):\n    return a.Used, called(), homonym\n",
     }
     bench = ["import b\nb.user()\nPATCH = 'a.traced'\n"]
-    assert _unreached(src, bench) == {"a.lonely"}
-    assert _unreached(src, []) == {"a.lonely", "a.traced", "b.user"}
+    assert _unreached(src, bench) == {"a.lonely", "a.homonym"}
+    assert _unreached(src, []) == {"a.lonely", "a.traced", "b.user", "a.homonym"}
 
 
 def test_fold_and_its_helpers_are_gone():

@@ -250,7 +250,7 @@ def test_packed_traces_are_exact_on_large_coordinates(name):
     closure = linear_closure(gens, reference_group(name).declared_order)
     group = closure.matrices()
     assert len(group) == reference_group(name).declared_order
-    assert max(abs(a) for v in closure.points for x in v for a in x.num) > 10**11
+    assert max(abs(c) for p in closure.points for c in p[:-1]) > 10**11
     orders = _reflection_orders(closure)
     assert orders == [reflection_order(m) if _rank_one(m) else 0 for m in group]
     assert reflection_order_multiset(closure) == reference_group(name).declared_reflections
@@ -402,7 +402,7 @@ def test_verdicts_do_not_depend_on_closure_order(monkeypatch, fresh_caches):
 
     def reversed_closure(gens, max_size):
         group = real(gens, max_size)
-        return Closure(group.points, group.elements[::-1], group.dets[::-1])
+        return Closure(group.field, group.points, group.elements[::-1], group.dets[::-1])
 
     monkeypatch.setattr(affine, "linear_closure", reversed_closure)
     clear_caches()
@@ -464,17 +464,18 @@ def test_catalogue_closures_multiply_no_matrices(monkeypatch, capsys, fresh_cach
 @pytest.mark.parametrize("name", reference_names())
 def test_model_closure_does_no_field_arithmetic_per_element(name, monkeypatch, fresh_caches):
     """The model's closure and its reflection orders run the field's
-    product and sum loops only inside det of the generators: the basis
-    orbit moves flattened integer points by each generator's flat_action,
-    the group search moves index tuples, and the traces are packed
-    integers.  The orbit is the one search left to _bfs, so the spy on it
+    product and sum loops, and build field elements, only inside det of
+    the generators: the basis orbit moves flattened integer points by each
+    generator's flat_action and the closure keeps them so, the group
+    search moves index tuples, and the traces are packed straight off the
+    points.  The orbit is the one search left to _bfs, so the spy on it
     marks where the orbit ends."""
     gens = _reference_generators(name)  # the model is built before the count
     calls, where, searches = Counter(), ["orbit"], []
     real_bfs, real_det = affine._bfs, affine.det
 
     def bfs(*args):
-        searches.append(args[2])
+        searches.append((len(args[0]), args[2]))
         out = real_bfs(*args)
         where[0] = "after the orbit"
         return out
@@ -492,6 +493,7 @@ def test_model_closure_does_no_field_arithmetic_per_element(name, monkeypatch, f
 
     spy(CycloField, "_sum_of_products")
     spy(CycloNum, "_combine")
+    spy(CycloField, "_make")
     where[0] = "det"
     for g in gens:  # what det of the generators costs on its own
         real_det(g)
@@ -502,6 +504,7 @@ def test_model_closure_does_no_field_arithmetic_per_element(name, monkeypatch, f
     group, multiset = affine.model_closure(name)
     monkeypatch.undo()
     assert len(group) == reference_group(name).declared_order and multiset
-    assert searches == [len(gens[0]) * len(group)]  # the orbit, bounded by n |G|
+    assert searches == [(len(gens[0]), len(group))]  # the orbit of the n basis vectors, bounded by n |G|
+    assert all(type(c) is int for p in group.points for c in p)
     assert calls["det"] == per_det > 0
     assert calls["orbit"] == calls["after the orbit"] == 0
