@@ -7,10 +7,12 @@ integer arithmetic (Phi_N is monic, so reduction never divides). Each
 conductor N gets one shared CycloField instance; elements of different
 conductors never mix silently, they must be moved with embed() first.
 
-Every product goes through CycloField._sum_of_products, which takes one
-of two paths by the field's degree.  Every diagram and model lives in a
-quadratic field, Q(w) or Q(i) (N in {3, 4, 6}), where a closed form with
-three integer accumulators runs; the general-degree loop runs only in
+Every diagram and model lives in a quadratic field, Q(w) or Q(i) (N in
+{3, 4, 6}, Phi_N = x^2 + c1*x + 1), and there conjugation, inverse and a
+single product x * y each take a closed form on the two integer
+numerators; a sum of products goes through CycloField._sum_of_products,
+whose quadratic path keeps three integer accumulators.  The general-degree
+paths, the Galois substitution loop and the product loop, run only in
 larger fields: Q(zeta_12) for the dilation lifts of the Z[i] diagrams,
 and Q(zeta_72), where the symmetry table's data are parsed.
 """
@@ -115,7 +117,7 @@ class CycloField:
         self.n = n
         poly = cyclotomic_polynomial(n)
         self.degree = d = len(poly) - 1
-        self._phi_low = poly[:-1]  # (c0, c1) in the quadratic product kernel
+        self._phi_low = poly[:-1]  # (1, c1) in the quadratic closed forms
         # zeta^k for every k mod n as its nonzero (index, integer) terms in
         # the power basis: multiply by x and rewrite the overflow x^d as
         # -(Phi_n - x^d), which is integral because Phi_n is monic
@@ -151,7 +153,8 @@ class CycloField:
         return coeffs
 
     def _sum_of_products(self, pairs: Iterable[tuple["CycloNum", "CycloNum"]]) -> "CycloNum":
-        """sum x * y over the pairs: the package's one entry for products.
+        """sum x * y over the pairs: the package's one entry for sums of
+        products, and for single products outside the quadratic fields.
 
         In a quadratic field (n in {3, 4, 6}, where every diagram and model
         lives) each pair adds x0*y0, x0*y1 + x1*y0 and x1*y1 to three
@@ -253,6 +256,8 @@ class CycloField:
         """The automorphism zeta -> zeta^k, for gcd(k, n) = 1."""
         if gcd(k, self.n) != 1:
             raise ValueError(f"zeta -> zeta^{k} is not an automorphism mod {self.n}")
+        if self.degree == 2:  # the units mod 3, 4 and 6 are 1 and -1
+            return x if k % self.n == 1 else x.conjugate()
         return self._substitute(x, k)
 
     def embed(self, x: "CycloNum", into: "CycloField") -> "CycloNum":
@@ -344,20 +349,38 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.field._sum_of_products(((self, o),))
+        f = self.field
+        if f.degree != 2:
+            return f._sum_of_products(((self, o),))
+        # (a0 + a1 z)(b0 + b1 z) with z^2 = -c1 z - 1
+        a0, a1 = self.num
+        b0, b1 = o.num
+        top = a1 * b1
+        return f._make((a0 * b0 - top, a0 * b1 + a1 * b0 - f._phi_low[1] * top), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
         """Multiplicative inverse: the product of the other Galois conjugates
-        over the norm, a nonzero rational."""
+        over the norm, a nonzero rational.
+
+        In a quadratic field the one other conjugate is conj, and
+        1 / ((a + b z) / d) = d * conj(a + b z) / (a^2 - c1 a b + b^2).
+        """
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
         f = self.field
-        co = f.one
+        if f.degree == 2:
+            a, b = self.num
+            c1, d = f._phi_low[1], self.den
+            return f._make(((a - c1 * b) * d, -b * d), a * a - c1 * a * b + b * b)
+        co = None
         for k in range(2, f.n):
             if gcd(k, f.n) == 1:
-                co = f._sum_of_products(((co, f._substitute(self, k)),))
+                conj = f._substitute(self, k)
+                co = conj if co is None else f._sum_of_products(((co, conj),))
+        if co is None:  # Q itself: no other conjugate
+            co = f.one
         norm = f._sum_of_products(((self, co),))
         # 1 / self = co * norm.den / norm.num[0]
         p, q = norm.num[0], norm.den
@@ -396,7 +419,13 @@ class CycloNum:
     # -- structure ------------------------------------------------------
 
     def conjugate(self) -> "CycloNum":
-        return self.field.galois(self, self.field.n - 1)
+        f = self.field
+        if f.degree != 2:
+            return f.galois(self, f.n - 1)
+        # z + conj(z) = -c1, so conj(a + b z) = (a - c1 b) - b z: a unimodular
+        # map of the numerators, which leaves them in lowest terms
+        a, b = self.num
+        return CycloNum(f, (a - f._phi_low[1] * b, -b), self.den)
 
     def is_zero(self) -> bool:
         return not any(self.num)

@@ -286,7 +286,7 @@ class HermitianGram:
                 if any(row[k + 1 :]):
                     return False
                 continue
-            if piv.rational_value() > 0:
+            if piv.num[0] > 0:  # the sign of the rational pivot, its denominator being positive
                 return False
             inv = 1 / piv
             for below in rows[k + 1 :]:

@@ -391,23 +391,10 @@ def _qpoly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 def in_subring(x: CycloNum, ring: str) -> bool:
-    """Membership in Z, Z[omega] or Z[i], tested inside x's own field.
-
-    If the generator does not even live in the field the answer can only
-    be yes for rational integers.
-    """
-    if ring == "Z":
-        return x.is_integer()
-    if ring == "Z[w]":
-        gen_div = 3
-    elif ring == "Z[i]":
-        gen_div = 4
-    else:
-        raise ValueError(f"unknown subring {ring!r}")
+    """Membership in Z[omega] or Z[i], tested inside x's own field, which
+    must hold the generator."""
     f = x.field
-    if f.n % gen_div != 0:
-        return x.is_integer()
-    g = f.root_of_unity(gen_div)
+    g = f.root_of_unity({"Z[w]": 3, "Z[i]": 4}[ring])
     # solve x = a + b*g over Q, then demand integrality
     sol = _solve_span([f.one, g], x)
     if sol is None:

@@ -23,7 +23,7 @@ from crystmono.cli import (
     show_diagram_payload,
 )
 from crystmono.classify import table_rows, verify_table_row
-from crystmono.cyclo import CycloField
+from crystmono.cyclo import CycloField, CycloNum
 from crystmono.monodromy import CheckResult, DiagramError, diagram, diagram_names, verify_diagram, worst_verdict
 
 
@@ -205,10 +205,15 @@ def test_outcomes_do_not_depend_on_cache_state(capsys):
 @pytest.mark.parametrize("chi", ["primary", "conj"])
 def test_verify_all_sends_no_quadratic_product_through_the_general_loop(chi, monkeypatch, capsys):
     """Every diagram and model lives in Q(w) or Q(i), so a cold `verify all`
-    multiplies there only in the closed-form kernel.  The general-degree
-    loop ends in one _reduce per entry, so _reduce counts its entries."""
+    multiplies, conjugates and inverts there only in closed form.  The
+    general-degree product loop ends in one _reduce per entry, so _reduce
+    counts its entries; conjugation outside closed form is a _substitute;
+    and the general inverse multiplies its conjugates, so an inverse that
+    reaches _sum_of_products ran the general loop."""
     products, reduce = CycloField._sum_of_products, CycloField._reduce
-    entries, loops = collections.Counter(), collections.Counter()  # by degree
+    substitute, inverse, conjugate = CycloField._substitute, CycloNum.inverse, CycloNum.conjugate
+    entries, loops, substitutions = collections.Counter(), collections.Counter(), collections.Counter()
+    inverses, general_inverses, conjugates = collections.Counter(), collections.Counter(), collections.Counter()
 
     def counted_products(self, pairs):
         entries[self.degree] += 1
@@ -218,16 +223,41 @@ def test_verify_all_sends_no_quadratic_product_through_the_general_loop(chi, mon
         loops[self.degree] += 1
         return reduce(self, coeffs)
 
+    def counted_substitute(self, x, step):
+        substitutions[self.degree] += 1
+        return substitute(self, x, step)
+
+    def counted_inverse(self):
+        inverses[self.field.degree] += 1
+        before = entries.total()
+        out = inverse(self)
+        general_inverses[self.field.degree] += entries.total() > before
+        return out
+
+    def counted_conjugate(self):
+        conjugates[self.field.degree] += 1
+        return conjugate(self)
+
     monkeypatch.setattr(CycloField, "_sum_of_products", counted_products)
     monkeypatch.setattr(CycloField, "_reduce", counted_reduce)
+    monkeypatch.setattr(CycloField, "_substitute", counted_substitute)
+    monkeypatch.setattr(CycloNum, "inverse", counted_inverse)
+    monkeypatch.setattr(CycloNum, "conjugate", counted_conjugate)
     crystmono.clear_caches()
     assert main(["verify", "all", "--chi", chi]) == 0
     capsys.readouterr()
     assert entries[2] > 1000 and loops[2] == 0
     assert loops == entries - collections.Counter({2: entries[2]})  # every other product runs the loop
-    before = loops[4]
-    CycloField(12).zeta() * CycloField(12).zeta()  # the counter does see the general loop
-    assert loops[4] == before + 1
+    assert conjugates[2] > 500 and substitutions[2] == 0
+    assert inverses[2] > 100 and general_inverses[2] == 0
+    # the counters do see the general paths: in Q(zeta_12), a product is one
+    # loop, a conjugate one substitution, and an inverse substitutes its three
+    # other conjugates and runs three loops, two for their product and one
+    # for the norm
+    z = CycloField(12).zeta()
+    before = loops[4], substitutions[4], general_inverses[4]
+    z * z, z.conjugate(), z.inverse()
+    assert (loops[4], substitutions[4], general_inverses[4]) == (before[0] + 4, before[1] + 4, before[2] + 1)
     crystmono.clear_caches()
 
 

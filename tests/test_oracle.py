@@ -73,6 +73,36 @@ def test_galois_and_embed_match_the_oracle(xk):
     assert same(f.embed(x, CycloField(72)), of.embed(ox, O.CycloField(72)))
 
 
+# numerators up to about 2^70 over denominators 1..12, zero half the time
+_wide_numerators = st.one_of(st.just(0), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def _wide_quadratic_values(draw, n):
+    den = draw(st.integers(1, 12))
+    return CycloField(n).element([Fraction(draw(_wide_numerators), den) for _ in range(2)])
+
+
+@given(st.sampled_from([3, 4, 6]).flatmap(lambda n: st.tuples(_wide_quadratic_values(n), _wide_quadratic_values(n))))
+@settings(max_examples=200, deadline=None)
+def test_quadratic_closed_forms_give_the_canonical_form(xy):
+    """Q(w) and Q(i) conjugate, invert and multiply in closed form.  The
+    oracle comparison goes through Fractions, so it cannot see a result left
+    out of lowest terms, which would break == and hash: check that too."""
+    x, y = xy
+    f, ox, oy = x.field, twin(x), twin(y)
+    of = ox.field
+    cases = [(x.conjugate(), ox.conjugate()), (x * y, ox * oy), (x + y, ox + oy), (x - y, ox - oy)]
+    cases += [(f.galois(x, k), of.galois(ox, k)) for k in (1, -1, f.n + 1, 2 * f.n - 1)]
+    if x:
+        cases.append((x.inverse(), ox.inverse()))
+    if y:
+        cases.append((x / y, ox / oy))
+    for z, oz in cases:
+        assert z.den > 0 and gcd(z.den, *z.num) == 1
+        assert same(z, oz)
+
+
 @given(st.sampled_from(CONDUCTORS).flatmap(lambda n: st.tuples(_values(n), st.integers(-3, 3))))
 @settings(max_examples=60, deadline=None)
 def test_powers_match_the_oracle(xk):
