@@ -668,19 +668,11 @@ class CaseReport(NamedTuple):
 
 
 def lifted_quotient(q: Quotient, target: CycloField) -> Quotient:
-    """Embed every entry of the quotient data into a larger cyclotomic field."""
-    src = q.field
-
-    def e(x):
-        return src.embed(x, target)
-
-    return q._replace(
-        field=target,
-        gram=HermitianGram(matrix(target, [[e(c) for c in row] for row in q.gram.gram])),
-        roots=tuple(tuple(e(c) for c in r) for r in q.roots),
-        eigenvalues=tuple(e(l) for l in q.eigenvalues),
-        kernel=tuple(e(c) for c in q.kernel),
-    )
+    """The quotient with its gram, roots, eigenvalues and kernel embedded
+    into a larger cyclotomic field by _in_field."""
+    gram, roots = _in_field(q.gram.gram, target), _in_field(q.roots, target)
+    eigenvalues, kernel = _in_field((q.eigenvalues, q.kernel), target)
+    return q._replace(field=target, gram=HermitianGram(gram), roots=roots, eigenvalues=eigenvalues, kernel=kernel)
 
 
 def _kept_indices(d: Diagram, q: Quotient) -> list[int]:

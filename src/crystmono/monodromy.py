@@ -327,25 +327,6 @@ def assemble_diagram(
     )
 
 
-def _check_gram(d: Diagram) -> str | None:
-    """Return the name of the first violated constraint, or None if all hold."""
-    if not d.gram.is_negative_semidefinite():
-        return "negative_semidefinite"
-    if d.relation is not None and not d.gram.in_radical(d.relation):
-        return "relation_in_radical"
-    q = _quotient_gram(d.gram, d.tau)
-    if q.corank != 1:
-        return "quotient_corank"
-    if is_zero_vector(d.kernel_vector) or not q.in_radical(d.kernel_vector):
-        return "kernel_vector"
-    return None
-
-
-def _quotient_gram(gram: HermitianGram, tau: int) -> HermitianGram:
-    sub = [row[:tau] for row in gram.gram[:tau]]
-    return HermitianGram(matrix(gram.field, sub))
-
-
 class Quotient(NamedTuple):
     """The span of the first tau cycles with every cycle written in that basis."""
 
@@ -358,16 +339,16 @@ class Quotient(NamedTuple):
     omitted_index: int
 
 
+@cached
 def quotient_basis(d: Diagram) -> Quotient:
-    """Rewrite all cycles in the basis of the first tau cycles.
+    """Rewrite all cycles in the basis of the first tau cycles, on which the
+    form is the tau x tau corner of the gram; cached per diagram identity.
 
-    With no relation this is the identity rewrite.  A declared relation
-    must lie in the radical of the full form and must have an invertible
-    coefficient on the trailing cycle, which is then eliminated.
+    A declared relation must lie in the radical of the full form and have
+    an invertible coefficient on the trailing cycle, which it eliminates.
     """
     field = d.field
     tau = d.tau
-    qgram = _quotient_gram(d.gram, tau)
     roots = list(identity(field, tau))
     if d.relation is not None:
         last = d.relation[len(d.cycles) - 1]
@@ -378,13 +359,36 @@ def quotient_basis(d: Diagram) -> Quotient:
         roots.append(vec_scale(-last.inverse(), d.relation[:tau]))
     return Quotient(
         field=field,
-        gram=qgram,
+        gram=HermitianGram(tuple(row[:tau] for row in d.gram.gram[:tau])),
         roots=tuple(roots),
         eigenvalues=tuple(c.eigenvalue for c in d.cycles),
         labels=tuple(c.id for c in d.cycles),
         kernel=d.kernel_vector,
         omitted_index=d.cycle_index(d.omitted_root),
     )
+
+
+def _quotient_facts(d: Diagram) -> tuple[int, bool | None]:
+    """The quotient form's corank and whether it annihilates the kernel
+    vector (None for the zero vector, which spans no radical)."""
+    q = quotient_basis(d)
+    return q.gram.corank, None if is_zero_vector(q.kernel) else q.gram.in_radical(q.kernel)
+
+
+def _check_gram(d: Diagram) -> str | None:
+    """The name of the first violated constraint, or None.  A relation
+    outside the radical is named before quotient_basis would raise for it;
+    the rest is decided by _quotient_facts, as the gram_form claim is."""
+    if not d.gram.is_negative_semidefinite():
+        return "negative_semidefinite"
+    if d.relation is not None and not d.gram.in_radical(d.relation):
+        return "relation_in_radical"
+    corank, kernel_ok = _quotient_facts(d)
+    if corank != 1:
+        return "quotient_corank"
+    if not kernel_ok:
+        return "kernel_vector"
+    return None
 
 
 def pl_operator(gram: HermitianGram, root: Vector, eigenvalue: CycloNum) -> PLOperator:
@@ -514,10 +518,8 @@ def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
     q = quotient_basis(d)
 
     semidef = d.gram.is_negative_semidefinite()
-    corank = q.gram.corank
-    nonzero = not is_zero_vector(q.kernel)  # the zero vector is annihilated but spans nothing
-    kernel_ok = nonzero and q.gram.in_radical(q.kernel)
-    ok = semidef and corank == 1 and kernel_ok
+    corank, kernel_ok = _quotient_facts(d)
+    ok = semidef and corank == 1 and bool(kernel_ok)
     checks.append(
         CheckResult(
             "gram_form",
@@ -525,7 +527,7 @@ def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
             "spanned by the stated kernel vector",
             "pass" if ok else "fail",
             f"semidefinite {semidef}, corank {corank}, "
-            + (f"kernel annihilated {kernel_ok}" if nonzero else "kernel vector is zero"),
+            + ("kernel vector is zero" if kernel_ok is None else f"kernel annihilated {kernel_ok}"),
         )
     )
 

@@ -186,6 +186,18 @@ def test_tampered_versal_declaration_fails():
     assert any(c.claim_id == "versal_monomials" and c.verdict == "fail" for c in checks)
 
 
+@pytest.mark.parametrize("extra", [(0, 2, 0), (0, 0, 2)], ids=["triple-twice", "class-twice"])
+def test_versal_declaration_is_compared_as_a_multiset(extra):
+    """C3^(3,3) declares (0,0,0), (0,1,0) and (0,2,0), and (0,2,0) shares
+    its basis class with (0,0,2).  Declaring (0,2,0) again, or (0,0,2)
+    beside it, names one class twice: 4 declared against 3 computed."""
+    row = next(r for r in table_rows() if r.notation == "C3^(3,3)")
+    assert extra in next(cls for cls in row.case.basis if (0, 2, 0) in cls)
+    bad = dataclasses.replace(row, declared_versal=row.declared_versal + (extra,))
+    versal = next(c for c in verify_table_row(bad) if c.claim_id == "versal_monomials")
+    assert (versal.verdict, versal.witness) == ("fail", "computed 3 classes, declared 4")
+
+
 # -- the exponent arithmetic against field arithmetic ------------------------
 #
 # classify computes with exponents mod 72; the oracle below is the same

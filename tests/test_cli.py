@@ -299,6 +299,8 @@ UNCALLED = {
     "classify.kernel_character": "public field-valued API: the character on the kernel line",
     "classify.symmetry_order": "public field-valued API: the order of the symmetry",
     "cyclo.clear_caches": "README documents it as the way to empty every cache",
+    "cyclo.CycloField.element": "public constructor from rational coefficients; the oracle tests build values with it",
+    "linalg.ZLattice.basis_vectors": "public view of a lattice's basis; the lattice tests check membership with it",
 }
 
 
@@ -323,10 +325,12 @@ def _names_used(tree) -> set[str]:
 
 
 def _unreached(src: dict[str, str], bench: list[str]) -> set[str]:
-    """The "module.name" of each module-level def or class in the ``src``
-    sources (module stem -> text) that no other top-level statement of
-    ``src`` names and no ``bench`` source names, dotted string constants
-    included. "__init__" in ``src`` is skipped, so re-exports do not count."""
+    """The "module.name" of each module-level def or class, and the
+    "module.Class.name" of each method other than a dunder, in the ``src``
+    sources (module stem -> text) that no other statement of ``src`` names
+    and no ``bench`` source names, dotted string constants included. A
+    class's own name and a method's own name inside its body do not count.
+    "__init__" in ``src`` is skipped, so re-exports do not count."""
     defined, reached = [], set()
     for stem, text in src.items():
         if stem == "__init__":
@@ -334,23 +338,33 @@ def _unreached(src: dict[str, str], bench: list[str]) -> set[str]:
         for top in ast.parse(text).body:
             own = getattr(top, "name", None)
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((stem, own))
-            reached |= _names_used(top) - {own}
+                defined.append((f"{stem}.{own}", own))
+            if not isinstance(top, ast.ClassDef):
+                reached |= _names_used(top) - {own}
+                continue
+            for node in [*top.decorator_list, *top.bases, *top.keywords]:
+                reached |= _names_used(node)
+            for member in top.body:
+                name = getattr(member, "name", None)
+                if isinstance(member, ast.FunctionDef) and not re.fullmatch(r"__\w+__", name):
+                    defined.append((f"{stem}.{own}.{name}", name))
+                reached |= _names_used(member) - {own, name}
     for text in bench:
         tree = ast.parse(text)
         reached |= _names_used(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"[\w.]+", node.value):
                 reached |= set(node.value.split("."))
-    return {f"{stem}.{name}" for stem, name in defined if name not in reached}
+    return {dotted for dotted, name in defined if name not in reached}
 
 
 def test_every_src_function_has_a_caller():
-    """Each module-level def or class in src/crystmono is used elsewhere in
-    src (outside its own definition; __init__.py's re-exports do not
-    count) or named in perfbench/*.py, where the tracer patches functions
-    by dotted strings such as "monodromy.operator_order". The scan goes by
-    name, but a parameter is no use: the ``character`` parameter of
+    """Each module-level def or class in src/crystmono, and each method but
+    the dunders, is used elsewhere in src (outside its own definition;
+    __init__.py's re-exports do not count) or named in perfbench/*.py,
+    where the tracer patches functions by dotted strings such as
+    "monodromy.operator_order" or "linalg.ZLattice.reduce". The scan goes
+    by name, but a parameter is no use: the ``character`` parameter of
     cli._report does not reach classify.character. The uncalled rest is
     pinned, each with its reason for staying."""
     src = {path.stem: path.read_text() for path in Path(crystmono.__file__).parent.glob("*.py")}
@@ -363,16 +377,20 @@ def test_caller_scan_flags_only_the_uncalled():
     that only its own body and an __init__ re-export name, and counts as
     reached a def called from another module, a class used as an attribute
     and a function that a benchmark names only by a dotted string. A def
-    whose name is only another def's parameter stays unreached."""
+    whose name is only another def's parameter stays unreached. Methods
+    are scanned too, dunders aside: one called through an instance is
+    reached, one that only calls itself is not."""
     src = {
         "__init__": "from .a import lonely, Used\n__all__ = ['lonely']\n",
-        "a": "class Used:\n    pass\n\ndef lonely():\n    return lonely()\n\ndef called():\n    pass\n\n"
+        "a": "class Used:\n    def __repr__(self):\n        return ''\n\n    def spin(self):\n        return self.spin()\n\n"
+        "    def turn(self):\n        return Used()\n\n"
+        "def lonely():\n    return lonely()\n\ndef called():\n    pass\n\n"
         "def traced():\n    pass\n\ndef homonym():\n    pass\n",
-        "b": "from . import a\nfrom .a import called\n\ndef user(homonym=None):\n    return a.Used, called(), homonym\n",
+        "b": "from . import a\nfrom .a import called\n\ndef user(homonym=None):\n    return a.Used().turn(), called(), homonym\n",
     }
     bench = ["import b\nb.user()\nPATCH = 'a.traced'\n"]
-    assert _unreached(src, bench) == {"a.lonely", "a.homonym"}
-    assert _unreached(src, []) == {"a.lonely", "a.traced", "b.user", "a.homonym"}
+    assert _unreached(src, bench) == {"a.lonely", "a.homonym", "a.Used.spin"}
+    assert _unreached(src, []) == {"a.lonely", "a.traced", "b.user", "a.homonym", "a.Used.spin"}
 
 
 def test_fold_and_its_helpers_are_gone():
@@ -840,17 +858,72 @@ def test_negative_controls_reach_their_verdicts():
     assert {c.claim_id: c.verdict for c in verify_table_row(flipped)}["equivariance"] == "fail"
 
 
-def test_zero_kernel_vector_fails_the_gram_claim():
-    """The zero vector is annihilated by every form but spans no radical, so
-    a payload stating it fails gram_form, as the dataset reconciliation
-    rejects it as a kernel_vector violation."""
-    payload = show_diagram_payload(diagram("C3_33"))
-    payload["kernel_vector"] = ["0", "0", "0"]
+@pytest.mark.parametrize(
+    "fields, violated, witness",
+    [
+        ({}, None, "semidefinite True, corank 1, kernel annihilated True"),
+        ({"kernel_vector": ["0", "0", "0"]}, "kernel_vector", "semidefinite True, corank 1, kernel vector is zero"),
+        (
+            {"gram": [["3", "2 + w", "0"], ["1 - w", "-3", "2 - 2*w"], ["0", "4 + 2*w", "-6"]]},
+            "negative_semidefinite",
+            "semidefinite False, corank 0, kernel annihilated False",
+        ),
+        (
+            {"gram": [["-3"] * 3] * 3, "kernel_vector": ["1", "-1", "0"]},
+            "quotient_corank",
+            "semidefinite True, corank 2, kernel annihilated True",
+        ),
+    ],
+    ids=["shipped", "zero-kernel", "positive-self-pairing", "corank-2"],
+)
+def test_zero_kernel_vector_fails_the_gram_claim(fields, violated, witness):
+    """Reconciliation (_check_gram) and the gram_form claim decide the form
+    from the same quotient facts, so on C3_33's payload with `fields`
+    replaced, _check_gram names a constraint exactly when gram_form fails.
+    The zero vector is annihilated by every form but spans no radical; a
+    positive self-pairing makes the form indefinite; and the rank-one form
+    -3 (1, 1, 1)^T (1, 1, 1) has a radical of dimension 2, which contains
+    the kernel vector (1, -1, 0)."""
+    payload = dict(show_diagram_payload(diagram("C3_33")), **fields)
     d = diagram_from_payload(payload)
     gram = next(c for c in verify_diagram(d) if c.claim_id == "gram_form")
-    assert (gram.verdict, gram.witness) == ("fail", "semidefinite True, corank 1, kernel vector is zero")
-    assert crystmono.monodromy._check_gram(d) == "kernel_vector"
-    assert crystmono.monodromy._check_gram(diagram("C3_33")) is None
+    assert (gram.verdict, gram.witness) == ("pass" if violated is None else "fail", witness)
+    assert crystmono.monodromy._check_gram(d) == violated
+
+
+def test_quotient_basis_is_cached_per_diagram():
+    """quotient_basis keeps one Quotient per Diagram object, and
+    clear_caches() empties that cache."""
+    from crystmono.monodromy import quotient_basis
+
+    d = diagram("C3_33")
+    q = quotient_basis(d)
+    assert quotient_basis(d) is q
+    crystmono.clear_caches()
+    assert quotient_basis.cache_info().currsize == 0
+    fresh = quotient_basis(d)
+    assert fresh is not q and fresh.gram.gram == q.gram.gram and fresh.roots == q.roots
+
+
+def test_verify_all_builds_one_quotient_per_diagram(monkeypatch, capsys):
+    """A cold `verify all` builds at most one Quotient per Diagram object.
+    Reconciliation's winning candidate and the payload copy that _build
+    returns are two objects, so each is judged on its own quotient; the
+    spy reads the diagram from quotient_basis's frame."""
+    from crystmono import monodromy
+
+    real, built = monodromy.Quotient, []
+
+    def spy(**fields):
+        built.append(sys._getframe(1).f_locals["d"])
+        return real(**fields)
+
+    monkeypatch.setattr(monodromy, "Quotient", spy)
+    crystmono.clear_caches()
+    assert main(["verify", "all"]) == 0
+    crystmono.clear_caches()
+    per_diagram = collections.Counter(map(id, built))
+    assert built and max(per_diagram.values()) == 1
 
 
 # every payload key diagram_from_payload reads; list entries are named by their first item
