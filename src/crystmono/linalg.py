@@ -234,6 +234,8 @@ class HermitianGram:
 
     The pairing is linear in the first slot and conjugate linear in the
     second: <u, v> = u^T G conj(v). Construction checks Hermitian symmetry.
+    Two forms are equal, and hash alike, when their Gram rows are equal, so
+    records holding a form compare by value and a cache can key on it.
     """
 
     def __init__(self, gram: Matrix):
@@ -244,6 +246,14 @@ class HermitianGram:
             for j in range(i, self.n):  # conjugation is an involution: (j, i) is the same test
                 if gram[i][j] != gram[j][i].conjugate():
                     raise ValueError(f"matrix is not Hermitian at ({i}, {j})")
+
+    def __eq__(self, other):
+        if not isinstance(other, HermitianGram):
+            return NotImplemented
+        return self.gram == other.gram
+
+    def __hash__(self):
+        return hash(self.gram)
 
     def eval(self, u: Vector, v: Vector) -> CycloNum:
         return dot(u, mat_vec(self.gram, conj_vector(v)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from math import lcm
 from typing import NamedTuple
@@ -38,7 +38,6 @@ from .linalg import (
     mat_mul,
     mat_prod,
     mat_vec,
-    matrix,
     reflection_order,
     vec_scale,
     vector,
@@ -185,12 +184,14 @@ def _build(raw: dict, chi_label: str) -> Diagram:
     reconcile the edges that state several candidate values.
 
     Each cycle's ``self`` is its gram diagonal entry; an edge's ``value``
-    is one value or the ordered list of its candidates.  Assignments are
-    enumerated in declared order (edge by edge, lists left to right).
-    Each is built through assemble_diagram and judged by _check_gram; the
-    first that breaks no constraint wins, and gets its choices attached.
-    Rejected assignments are kept with the name of the first constraint
-    they broke, so ambiguous choices stay auditable.
+    is one value or the ordered list of its candidates.  The structure is
+    checked first, on the first candidate's gram, as the candidates differ
+    only in mirrored entry values.  Then each assignment, in declared
+    order (edge by edge, lists left to right), is judged by _check_gram on
+    its form alone.  The first that breaks no constraint is the one
+    Diagram assembled, with its choices; rejected assignments are kept
+    with the name of the first constraint they broke, so ambiguous choices
+    stay auditable.
     """
     name, ring = raw["name"], raw["ring"]
     conj = character_index(chi_label)
@@ -225,59 +226,60 @@ def _build(raw: dict, chi_label: str) -> Diagram:
         candidates.append(tuple(zip(texts, vals)))
 
     relation_raw = raw.get("relation")
-    relation = vector(field, [val(s) for s in relation_raw]) if relation_raw else None
-    kernel_vector = vector(field, [val(s) for s in raw["kernel_vector"]])
+    fields = dict(
+        name=name, ring=ring, chi_label=chi_label, kernel_chi_pair=chi_pair, cycles=cycles, edges=tuple(edges),
+        relation=vector(field, [val(s) for s in relation_raw]) if relation_raw else None,
+        kernel_vector=vector(field, [val(s) for s in raw["kernel_vector"]]), omitted_root=raw["omitted_root"],
+        tau=raw["tau"], classical_order=raw["classical_order"],
+    )
     index = {c.id: k for k, c in enumerate(cycles)}
 
-    def build(picks) -> Diagram:
+    def gram(picks) -> Matrix:
         entries = [[x if r == s else field.zero for s in range(len(cycles))] for r, x in enumerate(diagonal)]
         for e, (_, v) in zip(edges, picks):
-            if e.src in index and e.dst in index:  # assemble_diagram names a missing endpoint
+            if e.src in index and e.dst in index:  # _checked_form names a missing endpoint
                 entries[index[e.src]][index[e.dst]] = v
                 entries[index[e.dst]][index[e.src]] = v.conjugate()
-        return assemble_diagram(
-            name=name, ring=ring, chi_label=chi_label, kernel_chi_pair=chi_pair, cycles=cycles,
-            edges=tuple(edges), gram=matrix(field, entries), relation=relation,
-            kernel_vector=kernel_vector, omitted_root=raw["omitted_root"],
-            expected_group=raw.get("expected_group"), tau=raw["tau"],
-            classical_order=raw["classical_order"], resolved_choices={}, rejected_choices=(),
-        )
+        return tuple(map(tuple, entries))
 
+    assignments = list(itertools.product(*candidates))
+    # the structure first, so that its faults are named before any form is judged
+    forms = [_checked_form(**fields, gram=gram(assignments[0]))]
+    forms += [HermitianGram(gram(picks)) for picks in assignments[1:]]
     rejected: list[tuple[dict[str, str], str]] = []
     winner = None
-    for picks in itertools.product(*candidates):
-        failed = _check_gram(d := build(picks))
+    for picks, form in zip(assignments, forms):
+        failed = _check_gram(form, fields["tau"], fields["kernel_vector"], fields["relation"])
         if failed is not None:
             label = {f"{e.src}->{e.dst}": text for e, (text, _) in zip(edges, picks)}
             rejected.append((label, failed))
         elif winner is None:
-            winner, chosen = d, picks
+            winner, chosen = form, picks
     if winner is None:
         detail = "; ".join(f"{lab}: {why}" for lab, why in rejected)
         raise ReconcileError(f"{name}: no admissible assignment ({detail})")
 
-    # the choices are not structure, so the winner is not assembled again
     choices = {
         f"{e.src}->{e.dst}": text for e, (text, _), cands in zip(edges, chosen, candidates) if len(cands) > 1
     }
-    return replace(winner, resolved_choices=choices, rejected_choices=tuple(rejected))
+    return assemble_diagram(
+        **fields, gram=winner.gram, expected_group=raw.get("expected_group"),
+        resolved_choices=choices, rejected_choices=tuple(rejected),
+    )
 
 
-def assemble_diagram(
+def _checked_form(
     *, name, ring, chi_label, kernel_chi_pair, cycles, edges, gram: Matrix, relation, kernel_vector,
-    omitted_root, expected_group, tau, classical_order, resolved_choices, rejected_choices,
-) -> Diagram:
-    """The one constructor of Diagram: check the structure every diagram
-    has, whatever built it.
+    omitted_root, tau, classical_order,
+) -> HermitianGram:
+    """The form of `gram`, once the structure every diagram has is checked.
 
-    Arguments are Diagram's fields, except field and chi, which are
-    derived.  The gram's entries, beyond integral self-pairings, and the
-    cycle eigenvalues are not judged here; verify_diagram judges them, so
-    tampered values still reach its checks.  Raises DiagramError naming
-    the first structural check that fails.
+    The gram's entries, beyond integral self-pairings, and the cycle
+    eigenvalues are not judged here.  Raises DiagramError naming the first
+    structural check that fails.
     """
-    field = diagram_field(name, ring)
-    conj = character_index(chi_label)
+    diagram_field(name, ring)
+    character_index(chi_label)
     pair = kernel_chi_pair
     if len(pair) != 2 or pair[1] != pair[0].conjugate():
         raise DiagramError(f"{name}: kernel characters are not conjugate")
@@ -319,10 +321,22 @@ def assemble_diagram(
         raise DiagramError(f"{name}: gram {exc}") from None
     if not all(gram[k][k].is_integer() for k in range(n)):
         raise DiagramError(f"{name}: self-pairings must be integers")
+    return form
+
+
+def assemble_diagram(*, expected_group, resolved_choices, rejected_choices, **fields) -> Diagram:
+    """The one constructor of Diagram: check the structure every diagram
+    has, whatever built it, by _checked_form, which names the other fields.
+
+    Arguments are Diagram's fields, except field and chi, which are
+    derived.  The gram's entries, beyond integral self-pairings, and the
+    cycle eigenvalues are not judged here; verify_diagram judges them, so
+    tampered values still reach its checks.
+    """
+    form = _checked_form(**fields)
     return Diagram(
-        name=name, ring=ring, field=field, chi_label=chi_label, chi=pair[conj], kernel_chi_pair=pair,
-        cycles=cycles, edges=edges, gram=form, relation=relation, kernel_vector=kernel_vector, omitted_root=omitted_root,
-        expected_group=expected_group, tau=tau, classical_order=classical_order,
+        **dict(fields, gram=form), field=ring_field(fields["ring"]),
+        chi=fields["kernel_chi_pair"][CHARACTERS.index(fields["chi_label"])], expected_group=expected_group,
         resolved_choices=dict(resolved_choices), rejected_choices=rejected_choices,
     )
 
@@ -359,7 +373,7 @@ def quotient_basis(d: Diagram) -> Quotient:
         roots.append(vec_scale(-last.inverse(), d.relation[:tau]))
     return Quotient(
         field=field,
-        gram=HermitianGram(tuple(row[:tau] for row in d.gram.gram[:tau])),
+        gram=_corner(d.gram, tau),
         roots=tuple(roots),
         eigenvalues=tuple(c.eigenvalue for c in d.cycles),
         labels=tuple(c.id for c in d.cycles),
@@ -368,22 +382,34 @@ def quotient_basis(d: Diagram) -> Quotient:
     )
 
 
-def _quotient_facts(d: Diagram) -> tuple[int, bool | None]:
-    """The quotient form's corank and whether it annihilates the kernel
-    vector (None for the zero vector, which spans no radical)."""
-    q = quotient_basis(d)
-    return q.gram.corank, None if is_zero_vector(q.kernel) else q.gram.in_radical(q.kernel)
+def _corner(form: HermitianGram, tau: int) -> HermitianGram:
+    """The form on the span of the first tau cycles."""
+    return HermitianGram(tuple(row[:tau] for row in form.gram[:tau]))
 
 
-def _check_gram(d: Diagram) -> str | None:
+@cached
+def _form_facts(form: HermitianGram, tau: int, kernel: Vector) -> tuple[bool, int, bool | None]:
+    """Whether the form is negative semidefinite, the corank of its tau x tau
+    corner, and whether that corner annihilates the kernel vector (None for
+    the zero vector, which spans no radical).
+
+    Cached by value, as forms compare by their Gram rows: a dataset
+    diagram's form is judged once, in reconciliation, and its gram_form
+    claim reads that judgement; any other form is judged on its own rows.
+    """
+    corner = _corner(form, tau)
+    return form.is_negative_semidefinite(), corner.corank, None if is_zero_vector(kernel) else corner.in_radical(kernel)
+
+
+def _check_gram(form: HermitianGram, tau: int, kernel: Vector, relation: Vector | None) -> str | None:
     """The name of the first violated constraint, or None.  A relation
     outside the radical is named before quotient_basis would raise for it;
-    the rest is decided by _quotient_facts, as the gram_form claim is."""
-    if not d.gram.is_negative_semidefinite():
+    the rest is read from _form_facts, as the gram_form claim is."""
+    semidef, corank, kernel_ok = _form_facts(form, tau, kernel)
+    if not semidef:
         return "negative_semidefinite"
-    if d.relation is not None and not d.gram.in_radical(d.relation):
+    if relation is not None and not form.in_radical(relation):
         return "relation_in_radical"
-    corank, kernel_ok = _quotient_facts(d)
     if corank != 1:
         return "quotient_corank"
     if not kernel_ok:
@@ -513,12 +539,16 @@ def classical_monodromy(d: Diagram) -> Matrix:
 
 
 def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
-    """Intrinsic checks of one reconciled diagram: form, reflections, braids, monodromy."""
+    """Intrinsic checks of one reconciled diagram: form, reflections, braids, monodromy.
+
+    The gram_form claim reads _form_facts for the diagram's form, tau and
+    kernel vector: for a dataset diagram that is reconciliation's
+    judgement of the winning form, read back from its cache.
+    """
     checks = []
     q = quotient_basis(d)
 
-    semidef = d.gram.is_negative_semidefinite()
-    corank, kernel_ok = _quotient_facts(d)
+    semidef, corank, kernel_ok = _form_facts(d.gram, d.tau, d.kernel_vector)
     ok = semidef and corank == 1 and bool(kernel_ok)
     checks.append(
         CheckResult(

@@ -24,6 +24,7 @@ from crystmono.cli import (
 )
 from crystmono.classify import table_rows, verify_table_row
 from crystmono.cyclo import CycloField, CycloNum
+from crystmono.linalg import HermitianGram
 from crystmono.monodromy import CheckResult, DiagramError, diagram, diagram_names, verify_diagram, worst_verdict
 
 
@@ -449,7 +450,7 @@ def test_only_replaced_records_are_dataclasses():
     TableRow and SymmetryCase, because the negative controls in
     perfbench/child.py and tests/test_acceptance.py copy them with
     dataclasses.replace; Diagram, because its equality and hash are by
-    identity and _build copies it with replace; AffineIsometry, because its
+    identity, and tests copy it with replace; AffineIsometry, because its
     * is composition, and a tuple's * and + must not leak into it."""
     decorated = []
     for path in sorted(Path(crystmono.__file__).parent.glob("*.py")):
@@ -878,7 +879,7 @@ def test_negative_controls_reach_their_verdicts():
 )
 def test_zero_kernel_vector_fails_the_gram_claim(fields, violated, witness):
     """Reconciliation (_check_gram) and the gram_form claim decide the form
-    from the same quotient facts, so on C3_33's payload with `fields`
+    from the same form facts (_form_facts), so on C3_33's payload with `fields`
     replaced, _check_gram names a constraint exactly when gram_form fails.
     The zero vector is annihilated by every form but spans no radical; a
     positive self-pairing makes the form indefinite; and the rank-one form
@@ -888,12 +889,21 @@ def test_zero_kernel_vector_fails_the_gram_claim(fields, violated, witness):
     d = diagram_from_payload(payload)
     gram = next(c for c in verify_diagram(d) if c.claim_id == "gram_form")
     assert (gram.verdict, gram.witness) == ("pass" if violated is None else "fail", witness)
-    assert crystmono.monodromy._check_gram(d) == violated
+    assert crystmono.monodromy._check_gram(d.gram, d.tau, d.kernel_vector, d.relation) == violated
+
+
+def _lowered(form):
+    """The form with its first self-pairing lowered by 1."""
+    rows = [list(row) for row in form.gram]
+    rows[0][0] -= 1
+    return HermitianGram(tuple(map(tuple, rows)))
 
 
 def test_quotient_basis_is_cached_per_diagram():
     """quotient_basis keeps one Quotient per Diagram object, and
-    clear_caches() empties that cache."""
+    clear_caches() empties that cache.  Forms compare by their Gram rows,
+    so the Quotient rebuilt after clearing equals the first one; forms over
+    different Grams are unequal."""
     from crystmono.monodromy import quotient_basis
 
     d = diagram("C3_33")
@@ -902,28 +912,86 @@ def test_quotient_basis_is_cached_per_diagram():
     crystmono.clear_caches()
     assert quotient_basis.cache_info().currsize == 0
     fresh = quotient_basis(d)
-    assert fresh is not q and fresh.gram.gram == q.gram.gram and fresh.roots == q.roots
+    assert fresh is not q and fresh.gram is not q.gram
+    assert fresh == q and fresh.gram == q.gram and hash(fresh.gram) == hash(q.gram)
+    assert _lowered(d.gram) != d.gram and d.gram != diagram("C3_33", "conj").gram
+    assert fresh._replace(gram=_lowered(q.gram)) != q
 
 
 def test_verify_all_builds_one_quotient_per_diagram(monkeypatch, capsys):
-    """A cold `verify all` builds at most one Quotient per Diagram object.
-    Reconciliation's winning candidate and the payload copy that _build
-    returns are two objects, so each is judged on its own quotient; the
-    spy reads the diagram from quotient_basis's frame."""
-    from crystmono import monodromy
+    """A cold `verify all` judges each candidate form once and builds one
+    Quotient per (diagram, character), in either character.  Reconciliation
+    judges the 9 candidate forms (P8_Z3 has two), with one semidefiniteness
+    and one rank elimination each, and assembles only the 8 winners; the
+    gram_form claim reads that judgement, and quotient_basis is first
+    called on the assembled diagram, which the spy reads from its frame."""
+    from crystmono import linalg, monodromy
 
-    real, built = monodromy.Quotient, []
+    counted = {
+        "Quotient": (monodromy, "Quotient"),
+        "semidefinite": (linalg.HermitianGram, "is_negative_semidefinite"),
+        "mat_rank": (linalg, "mat_rank"),
+        "assemble_diagram": (monodromy, "assemble_diagram"),
+    }
+    calls, quotients = collections.Counter(), collections.Counter()
+    for key, (owner, attr) in counted.items():
 
-    def spy(**fields):
-        built.append(sys._getframe(1).f_locals["d"])
-        return real(**fields)
+        def spy(*args, _real=getattr(owner, attr), _key=key, **kwargs):
+            calls[_key] += 1
+            if _key == "Quotient":
+                d = sys._getframe(1).f_locals["d"]
+                quotients[d.name, d.chi_label] += 1
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(monodromy, "Quotient", spy)
+        monkeypatch.setattr(owner, attr, spy)
+    for chi in ("primary", "conj"):
+        calls.clear()
+        crystmono.clear_caches()
+        assert main(["verify", "all", "--chi", chi]) == 0
+        assert calls == {"Quotient": 8, "semidefinite": 9, "mat_rank": 9, "assemble_diagram": 8}
     crystmono.clear_caches()
-    assert main(["verify", "all"]) == 0
+    assert quotients == {(name, chi): 1 for name in diagram_names() for chi in ("primary", "conj")}
+
+
+def _claims(d):
+    """[claim id, verdict, witness] of every check of verify_diagram and
+    verify_crystallographic on one diagram."""
+    return [[c.claim_id, c.verdict, c.witness] for c in (*verify_diagram(d), *verify_crystallographic(d).checks)]
+
+
+def test_verdicts_do_not_depend_on_cache_state():
+    """Every check of the 8 diagrams in both characters reads the same, claim
+    id, verdict and witness: cold, in a fresh interpreter; warm, run twice
+    in this process; after clear_caches(); and with the diagrams taken in
+    reversed order from cleared caches.  A copy of a diagram with one
+    self-pairing lowered is judged on its own form, not on the cached
+    judgement of the form it was copied from."""
+    cases = [[name, chi] for name in diagram_names() for chi in ("primary", "conj")]
+
+    def run_all(order):
+        return sorted([*case, _claims(diagram(*case))] for case in order)
+
+    code = (
+        "import json, test_cli; from crystmono.monodromy import diagram;"
+        f" print(json.dumps([[*c, test_cli._claims(diagram(*c))] for c in {cases!r}]))"
+    )
+    env = fresh_env()
+    env["PYTHONPATH"] += os.pathsep + str(Path(__file__).parent)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    cold = sorted(json.loads(done.stdout))
+    run_all(cases)
+    warm = run_all(cases)
     crystmono.clear_caches()
-    per_diagram = collections.Counter(map(id, built))
-    assert built and max(per_diagram.values()) == 1
+    cleared = run_all(cases)
+    crystmono.clear_caches()
+    backwards = run_all(cases[::-1])
+    assert cold == warm == cleared == backwards
+
+    d = diagram("D4_3")
+    copy = dataclasses.replace(d, gram=_lowered(d.gram))
+    gram = next(c for c in verify_diagram(copy) if c.claim_id == "gram_form")
+    assert (gram.verdict, gram.witness) == ("fail", "semidefinite True, corank 0, kernel annihilated False")
+    assert next(c for c in verify_diagram(d) if c.claim_id == "gram_form").verdict == "pass"
 
 
 # every payload key diagram_from_payload reads; list entries are named by their first item

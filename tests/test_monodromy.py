@@ -26,6 +26,7 @@ from crystmono.monodromy import (
     Diagram,
     DiagramError,
     OrderBoundError,
+    ReconcileError,
     check_braid,
     classical_monodromy,
     diagram,
@@ -463,6 +464,18 @@ def _set(*path, value):
     return edit
 
 
+def _each(*edits):
+    """An edit that makes each of `edits` in turn."""
+
+    def edit(raw):
+        for e in edits:
+            e(raw)
+
+    return edit
+
+
+POSITIVE_FORM = _set("cycles", 0, "self", value=3)
+
 DATASET_FAULTS = {
     "duplicate_id": ("D4_3", _set("cycles", 1, "id", value="e0"), "duplicate cycle ids"),
     "tau": ("D4_3", _set("tau", value=3), "tau does not match cycle/relation count"),
@@ -476,6 +489,12 @@ DATASET_FAULTS = {
         "conflicting edge e0->e1",
     ),
     "omitted_root": ("D4_3", _set("omitted_root", value="e9"), "omitted root must be one of the first tau"),
+    # an inadmissible form as well: the structure is checked before any form is judged
+    "duplicate_id_and_positive_form": (
+        "D4_3",
+        _each(_set("cycles", 1, "id", value="e0"), POSITIVE_FORM),
+        "duplicate cycle ids",
+    ),
 }
 
 
@@ -487,6 +506,15 @@ def test_dataset_entry_with_broken_structure_is_rejected(patched_diagram, fault,
     with pytest.raises(DiagramError, match="^" + re.escape(f"{name}: {message}")):
         diagram(name, chi)
     assert main(["verify", "diagram", name, "--chi", chi]) == 2
+
+
+@pytest.mark.parametrize("chi", CHARACTERS)
+def test_positive_self_pairing_alone_is_a_reconciliation_fault(patched_diagram, chi):
+    """The form fault of the duplicate_id_and_positive_form case, on its own,
+    leaves D4_3 with no admissible assignment."""
+    patched_diagram("D4_3", POSITIVE_FORM)
+    with pytest.raises(ReconcileError, match=r"^D4_3: no admissible assignment \(.*: negative_semidefinite\)$"):
+        diagram("D4_3", chi)
 
 
 @pytest.mark.parametrize("chi", CHARACTERS)

@@ -1,6 +1,6 @@
-"""The data-mutation corpus: one-entry changes of the eight primary ``show``
-payloads, each rebuilt and verified, against the checked-in list of the
-mutants that pass every claim.
+"""The data-mutation corpus: one-entry changes of the eight ``show`` payloads
+in each kernel character, each rebuilt and verified, against the
+checked-in lists of the mutants that pass every claim.
 
 The mutation kinds are fixed in advance and never chosen to hide a gap:
 
@@ -17,9 +17,11 @@ The mutation kinds are fixed in advance and never chosen to hide a gap:
 Each mutant goes through diagram_from_payload, verify_diagram and
 verify_crystallographic.  A claim that does not pass catches it, and a
 DiagramError or AffineError raised on the way counts as ``raised``.
-``tests/data/mutation_gaps.txt`` lists the mutants that nothing catches, as
-a change detector: a change that closes a gap removes its line, and one
-that opens a gap fails here.  The failure message prints the catch matrix.
+``tests/data/mutation_gaps.txt`` (primary character) and
+``mutation_gaps_conj.txt`` (conjugate character) list the mutants that
+nothing catches, as change detectors: a change that closes a gap removes
+its line, and one that opens a gap fails here.  The failure message prints
+the catch matrix of each character.
 """
 
 import copy
@@ -31,7 +33,10 @@ from crystmono.cli import diagram_from_payload, show_diagram_payload
 from crystmono.cyclo import parse_value, render_value, roots_of_unity
 from crystmono.monodromy import DiagramError, diagram, diagram_field, diagram_names, verify_diagram
 
-GAPS = Path(__file__).parent / "data" / "mutation_gaps.txt"
+GAPS = {
+    "primary": Path(__file__).parent / "data" / "mutation_gaps.txt",
+    "conj": Path(__file__).parent / "data" / "mutation_gaps_conj.txt",
+}
 KINDS = ("gram", "eigenvalue", "self_pairing", "kernel", "braid", "omitted_root")
 BRAIDS = (None, 2, 3, 4, 6)
 
@@ -107,17 +112,17 @@ def caught_by(payload) -> set[str]:
     return caught
 
 
-def corpus():
-    """Each mutant's line, kind and catching claims, over the primary payloads."""
+def corpus(chi="primary"):
+    """Each mutant's line, kind and catching claims, over one character's payloads."""
     for name in diagram_names():
-        for kind, change, payload in mutants(show_diagram_payload(diagram(name))):
+        for kind, change, payload in mutants(show_diagram_payload(diagram(name, chi))):
             yield f"{name} {kind} {change}", kind, caught_by(payload)
 
 
-def catch_matrix(rows) -> str:
+def catch_matrix(rows, chi="primary") -> str:
     """Mutants per kind, and how many of them each claim catches; a claim
     of the shipped diagrams that catches nothing keeps its column of zeros."""
-    shipped = [diagram(name) for name in diagram_names()]
+    shipped = [diagram(name, chi) for name in diagram_names()]
     checked = {c.claim_id for d in shipped for c in (*verify_diagram(d), *verify_crystallographic(d).checks)}
     claims = sorted(checked.union(*(caught for _, _, caught in rows)))
     count = {(k, c): 0 for k in KINDS for c in [*claims, "mutants", "survived"]}
@@ -133,24 +138,29 @@ def catch_matrix(rows) -> str:
     return "\n".join(lines)
 
 
-def gap_lines() -> list[str]:
-    lines = GAPS.read_text().splitlines()
+def gap_lines(chi="primary") -> list[str]:
+    lines = GAPS[chi].read_text().splitlines()
     return [line for line in lines if line and not line.startswith("#")]
 
 
 def test_mutants_that_pass_every_claim_are_the_recorded_gaps():
-    rows = list(corpus())
-    survivors = [line for line, _, caught in rows if not caught]
-    assert survivors == gap_lines(), "catch matrix (mutants caught per kind and claim):\n" + catch_matrix(rows)
+    survivors, matrices = {}, []
+    for chi in GAPS:
+        rows = list(corpus(chi))
+        survivors[chi] = [line for line, _, caught in rows if not caught]
+        matrices.append(f"{chi} character:\n{catch_matrix(rows, chi)}")
+    recorded = {chi: gap_lines(chi) for chi in GAPS}
+    assert survivors == recorded, "catch matrix (mutants caught per kind and claim):\n" + "\n".join(matrices)
 
 
 def test_every_kind_makes_mutants_that_differ_from_their_payload():
     """Each kind changes something on some diagram, and no mutant is the
     payload it came from, so a gap is never a copy of the shipped data."""
-    made = set()
-    for name in diagram_names():
-        payload = show_diagram_payload(diagram(name))
-        for kind, _, mutant in mutants(payload):
-            made.add(kind)
-            assert mutant != payload
-    assert made == set(KINDS)
+    for chi in GAPS:
+        made = set()
+        for name in diagram_names():
+            payload = show_diagram_payload(diagram(name, chi))
+            for kind, _, mutant in mutants(payload):
+                made.add(kind)
+                assert mutant != payload
+        assert made == set(KINDS)
