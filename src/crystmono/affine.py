@@ -200,14 +200,31 @@ def _bfs(start, moves, max_size: int) -> tuple[list, list[list[int]]]:
     return order, images
 
 
-def _flat_move(action: tuple[tuple[int, ...], ...], den: int, p: tuple[int, ...]) -> tuple[int, ...]:
+def _flat_move(rows: tuple[tuple[int, tuple[int, ...]], ...], den: int, p: tuple[int, ...]) -> tuple[int, ...]:
     """The flattened point p = (*coordinates, denominator), in lowest terms,
-    mapped by the matrix whose flat_action is (action, den); each row of
-    action is one entry shorter than p, so map meets the coordinates alone."""
-    q = [sum(map(mul, row, p)) for row in action]
-    q.append(den * p[-1])
+    mapped by the matrix whose flat_action is (M, den), given as `rows`:
+    the pairs (i, M_i) for the rows of M other than den * e_i.
+
+    Each other coordinate is (den e_i) . p = den p_i, exactly, so only
+    `rows` take dot products; each is one entry shorter than p, so map
+    meets the coordinates alone.  The gcd divides the new denominator
+    den * p[-1], so when that is 1 the point is in lowest terms as it is.
+    """
+    q = [den * c for c in p] if den != 1 else list(p)
+    for i, row in rows:
+        q[i] = sum(map(mul, row, p))
+    if q[-1] == 1:
+        return tuple(q)
     g = gcd(*q)
     return tuple(q) if g == 1 else tuple(c // g for c in q)
+
+
+def _orbit_move(g: Matrix):
+    """g's move on flattened points: _flat_move with the rows of
+    flat_action(g) that differ from D e_i, where D is its denominator."""
+    action, den = flat_action(g)
+    rows = tuple((i, row) for i, row in enumerate(action) if row[i] != den or any(row[:i]) or any(row[i + 1 :]))
+    return partial(_flat_move, rows, den)
 
 
 def linear_closure(generators, max_size: int) -> Closure:
@@ -217,10 +234,14 @@ def linear_closure(generators, max_size: int) -> Closure:
     The first lists O, the orbit of the standard basis e_1..e_n, and each
     generator g as the permutation p of O with g O[i] = O[p[i]].  It runs
     on flattened points, each the integer coordinates of a vector and their
-    denominator in lowest terms, moved by g's flat_action: integer dot
-    products and one gcd, no field product.  That is exact: flat_action(g)
-    is the same Q-linear map as g, and a vector has one flattened form in
-    lowest terms, so two points are equal exactly when their vectors are.
+    denominator in lowest terms, moved by g's flat_action (M, D): integer
+    dot products and one gcd, no field product.  That is exact:
+    flat_action(g) is the same Q-linear map as g, and a vector has one
+    flattened form in lowest terms, so two points are equal exactly when
+    their vectors are.  A row of M equal to D e_i scales coordinate i by D
+    with no dot product, and a reflection's M differs from D I in the rows
+    of its one moved field row alone; the gcd is skipped when D and the
+    point's denominator are both 1 (see _flat_move).
     The closure keeps the points in that form, as its O.  The second lists
     the group from the identity, each element m as its images of the
     basis x, with m e_i = O[x[i]]: g m has the images p[x[i]], read
@@ -248,7 +269,7 @@ def linear_closure(generators, max_size: int) -> Closure:
     n = len(gens[0])
     field = gens[0][0][0].field
     start = [(*flat, den) for flat, den in map(flatten, identity(field, n))]
-    points, perms = _bfs(start, [partial(_flat_move, *flat_action(g)) for g in gens], max_size)
+    points, perms = _bfs(start, [_orbit_move(g) for g in gens], max_size)
     roots = roots_of_unity(field)
     dets = [roots.get(det(g)) for g in gens]  # (exponent, order) of each determinant
     if None in dets:

@@ -11,11 +11,13 @@ that can be parsed and re-verified.  Each model closure is bounded by
 the model's declared order, so no option bounds a search.  Exit codes:
 0 all claims hold, 1 at least one fails, 2 usage error, unknown name,
 model data contradicting its closure or unwritable --json path, 3 the
-worst verdict is inconclusive.
+worst verdict is inconclusive, 141 (128 + SIGPIPE) stdout closed by its
+reader.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -453,9 +455,14 @@ def main(argv=None) -> int:
             return 2
     try:
         with _json_writer(args.json) as write_json:
-            if args.command == "verify":
-                return run_verify(args, write_json)
-            return run_show(args, write_json)
+            code = (run_verify if args.command == "verify" else run_show)(args, write_json)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): point it at devnull, so that
+        # the flush at exit does not raise again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DiagramError, AffineError, ClassifyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -59,16 +59,39 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(dot(r, v) for r in a)
 
 
+def _is_one(x: CycloNum) -> bool:
+    """x == 1, read off the numerators with no 1 built."""
+    return x.den == 1 and x.num[0] == 1 and not any(x.num[1:])
+
+
+def _is_unit_row(row: Vector, i: int) -> bool:
+    """Whether row is e_i: 1 at i and 0 elsewhere."""
+    return i < len(row) and _is_one(row[i]) and not any(row[:i]) and not any(row[i + 1 :])
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a b, with row i of b copied wherever row i of a is the unit row e_i.
+
+    That is exact, since e_i^T b = b_i, and it spares most of the work on
+    the reflections built here: each is the identity outside one row, so
+    with a reflection on the left only that row takes products.
+    """
     bt = transpose(b)
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
+    return tuple(
+        tuple(b[i]) if _is_unit_row(ra, i) else tuple(dot(ra, cb) for cb in bt) for i, ra in enumerate(a)
+    )
 
 
 def mat_prod(ms: Sequence[Matrix]) -> Matrix:
-    """ms[0] ms[1] ... ms[-1]: on column vectors the last factor acts first."""
-    p = ms[0]
-    for m in ms[1:]:
-        p = mat_mul(p, m)
+    """ms[0] ms[1] ... ms[-1]: on column vectors the last factor acts first.
+
+    Multiplied from the right end, so each single factor is the left one
+    of its product, where mat_mul copies its unit rows; by associativity
+    the product is the same.
+    """
+    p = ms[-1]
+    for m in reversed(ms[:-1]):
+        p = mat_mul(m, p)
     return p
 
 
@@ -106,9 +129,10 @@ def is_zero_vector(v: Vector) -> bool:
 
 
 def identity_minus_outer(c: CycloNum, u: Vector, w: Vector) -> Matrix:
-    """I - c u w^T, the shape of every complex reflection built here."""
+    """I - c u w^T, the shape of every complex reflection built here; row i
+    is e_i exactly where u_i = 0, and is kept so."""
     ident = identity(c.field, len(u))
-    return tuple(vec_sub(e, vec_scale(c * x, w)) for e, x in zip(ident, u))
+    return tuple(vec_sub(e, vec_scale(c * x, w)) if x else e for e, x in zip(ident, u))
 
 
 def trace(m: Matrix) -> CycloNum:
@@ -150,7 +174,9 @@ def _echelon(rows: list[list[CycloNum]]) -> tuple[list[list[CycloNum]], list[int
     pivot column of each leading row, the value each of those rows was
     divided by, and (-1)^(row swaps).  Row operations of the third kind
     keep the determinant, so a square matrix with a pivot in every column
-    has determinant sign * prod(pivots).
+    has determinant sign * prod(pivots).  A pivot equal to 1 is neither
+    inverted nor divided out: its row already has 1 there, as a unit row
+    of a reflection does.
     """
     cols: list[int] = []
     pivots: list[CycloNum] = []
@@ -164,8 +190,9 @@ def _echelon(rows: list[list[CycloNum]]) -> tuple[list[list[CycloNum]], list[int
             rows[r], rows[pr] = rows[pr], rows[r]
             sign = -sign
         piv = rows[r][c]
-        inv = 1 / piv
-        rows[r] = [inv * x for x in rows[r]]
+        if not _is_one(piv):
+            inv = 1 / piv
+            rows[r] = [inv * x for x in rows[r]]
         for k in range(len(rows)):
             if k != r and rows[k][c]:
                 f = rows[k][c]

@@ -484,6 +484,7 @@ def order_failure(m: Matrix, order: int) -> str | None:
     return None
 
 
+@cached
 def finite_order_bound(n: int, degree: int) -> int:
     """L = lcm{k : phi(k) <= n * degree}, which the order of every n x n
     matrix of finite order over a field of that degree over Q divides.
@@ -492,7 +493,8 @@ def finite_order_bound(n: int, degree: int) -> int:
     k of its eigenvalues.  An eigenvalue of order k has degree phi(k) over
     Q and degree at most n over the field, so phi(k) <= n * degree.  Since
     phi(k) >= sqrt(k / 2), every such k is at most 2 (n * degree)^2, and a
-    totient sieve up to there lists them.  For n = 3 over Q(w), L = 2520.
+    totient sieve up to there lists them, once per (n, degree).  For n = 3
+    over Q(w), L = 2520.
     """
     top = n * degree
     phi = list(range(2 * top * top + 1))
@@ -522,12 +524,15 @@ def check_braid(a: Matrix, b: Matrix, length: int) -> bool:
     words a b a ... and b a b ... of k letters agree (2: a and b commute),
     as edge labels are read (Broue-Malle-Rouquier, J. reine angew. Math.
     500, 1998); a relation of length k implies its multiples.  The words
-    grow a letter at a time, at most 2 (length - 1) products in all."""
+    grow a letter at a time on the left, a (b a b ...) and b (a b a ...),
+    at most 2 (length - 1) products in all: the same words, each product
+    with a single reflection as its left factor, whose unit rows mat_mul
+    copies."""
     if length not in _BRAID_LENGTHS:
         raise DiagramError(f"unsupported braid length {length}")
-    p, q, x, y = a, b, b, a  # the two words so far and their next letters
+    p, q = a, b  # the words a b a ... and b a b ... of k letters
     for k in range(2, length + 1):
-        p, q, x, y = mat_mul(p, x), mat_mul(q, y), y, x
+        p, q = mat_mul(a, q), mat_mul(b, p)
         if k in _BRAID_LENGTHS and p == q:
             return k == length
     return False

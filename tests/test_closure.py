@@ -12,7 +12,9 @@ Q(zeta12) lifts that the dilation check builds.
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -36,7 +38,20 @@ from crystmono.affine import (
 )
 from crystmono.cli import main
 from crystmono.cyclo import CycloField, CycloNum, roots_of_unity
-from crystmono.linalg import det, identity, is_reflection, mat_mul, mat_rank, matrix, reflection_order, trace, vec_sub
+from crystmono.linalg import (
+    det,
+    flat_action,
+    flatten,
+    identity,
+    is_reflection,
+    mat_mul,
+    mat_prod,
+    mat_rank,
+    matrix,
+    reflection_order,
+    trace,
+    vec_sub,
+)
 from crystmono.monodromy import diagram, diagram_names, operator_order, quotient_basis
 
 F3, F4, F12, F72 = (CycloField(n) for n in (3, 4, 12, 72))
@@ -508,3 +523,65 @@ def test_model_closure_does_no_field_arithmetic_per_element(name, monkeypatch, f
     assert all(type(c) is int for p in group.points for c in p)
     assert calls["det"] == per_det > 0
     assert calls["orbit"] == calls["after the orbit"] == 0
+
+
+def _dense_move(action, den, p):
+    """The orbit move with every row of the action taking its dot product."""
+    q = [sum(map(mul, row, p)) for row in action]
+    q.append(den * p[-1])
+    g = gcd(*q)
+    return tuple(c // g for c in q)
+
+
+def _halved(p):
+    """The flattened point p / 2, in lowest terms."""
+    q = (*p[:-1], 2 * p[-1])
+    g = gcd(*q)
+    return tuple(c // g for c in q)
+
+
+def test_orbit_moves_skip_unit_rows_exactly():
+    """For all 7 models, moving each orbit point only along the rows of
+    flat_action(g) other than D e_i gives the dense move's points and
+    permutations.  K5 and K8 have generators with D != 1, and a conjugate
+    by diag(1/2, 1, ...) of each generator, still the identity outside
+    its moved row, gives every model such an action.  diag(2, 1, ...) g,
+    of infinite order, doubles a unit row over D = 1, so on halved points
+    its gcd may exceed 1.  On the orbit points and their halves the moves
+    of both must agree with the dense move too."""
+    dens = set()
+    for name in reference_names():
+        gens = _reference_generators(name)
+        field, n = gens[0][0][0].field, len(gens[0])
+        start = [(*flat, den) for flat, den in map(flatten, identity(field, n))]
+        bound = reference_group(name).declared_order
+        points, perms = affine._bfs(start, [affine._orbit_move(g) for g in gens], bound)
+        assert (points, perms) == affine._bfs(start, [partial(_dense_move, *flat_action(g)) for g in gens], bound)
+        assert points == affine.model_closure(name)[0].points
+
+        def diag(first):
+            return tuple(tuple(field.from_rational(first if i == j == 0 else int(i == j)) for j in range(n)) for i in range(n))
+
+        probes = points + [_halved(p) for p in points]
+        for g in gens:
+            for h in (mat_prod([diag(Fraction(1, 2)), g, diag(2)]), mat_prod([diag(2), g])):
+                dens.add(flat_action(h)[1])
+                move, dense = affine._orbit_move(h), partial(_dense_move, *flat_action(h))
+                assert all(move(p) == dense(p) for p in probes)
+    assert {1, 2} <= dens
+
+
+def test_orbit_moves_compute_only_the_moved_rows(monkeypatch, fresh_caches):
+    """K25's generators are reflections over Q(w), each the identity
+    outside one row, so each orbit move takes the 2 dot products of that
+    row's flattened rows, where a dense move over its 3 x 2 flattened
+    coordinates takes 6."""
+    gens = _reference_generators("K25")
+    products = []
+    monkeypatch.setattr(affine, "mul", lambda x, y: products.append(None) or x * y)
+    group = linear_closure(gens, 648)
+    monkeypatch.undo()
+    assert len(group) == 648
+    moves = len(group.points) * len(gens)
+    flat_dim = len(group.points[0]) - 1
+    assert flat_dim == 6 and len(products) == 2 * flat_dim * moves

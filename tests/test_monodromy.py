@@ -6,7 +6,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystmono import clear_caches, monodromy
+from crystmono import clear_caches, linalg, monodromy
 from crystmono.cli import diagram_from_payload, main, show_diagram_payload
 from crystmono.cyclo import CycloField, parse_value
 from crystmono.linalg import (
@@ -286,6 +286,20 @@ def test_finite_order_bound_is_the_lcm_of_the_small_totients(n, degree):
     assert finite_order_bound(n, degree) == lcm(*(k for k in range(1, 4 * top * top + 5) if _totient(k) <= top))
 
 
+def test_finite_order_bound_sieves_once_until_the_caches_clear():
+    """order_failure asks for the bound on every call; the sieve runs once
+    per (n, degree), and clear_caches empties that memo with the others."""
+    clear_caches()
+    assert finite_order_bound.cache_info().currsize == 0
+    m = classical_monodromy(diagram("C3_33"))
+    for _ in range(3):
+        assert order_failure(m, diagram("C3_33").classical_order) is None
+    info = finite_order_bound.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    clear_caches()
+    assert finite_order_bound.cache_info().currsize == 0
+
+
 def test_every_classical_order_divides_its_bound():
     assert finite_order_bound(3, 2) == 2520 and finite_order_bound(4, 2) == 5040
     for nm in ALL_NAMES:
@@ -332,6 +346,27 @@ def test_declared_braid_must_be_the_least_that_holds():
     payload["edges"][0]["braid"] = 6
     checks = {c.claim_id: c for c in verify_diagram(diagram_from_payload(payload))}
     assert (checks["braids"].verdict, checks["braids"].witness) == ("fail", "e1~e0 at 6")
+
+
+def test_words_of_reflections_grow_by_one_row(monkeypatch):
+    """check_braid grows its words on the left, so each product has a
+    single reflection as its left factor, and mat_mul copies that
+    reflection's three unit rows: a product of D4_3's 4 x 4 operators takes
+    the 4 dot products of one row, where a dense product takes 16.  So
+    does each of the 3 products of the classical monodromy, which mat_prod
+    takes from the right end."""
+    d = diagram("D4_3")
+    ops = [op.matrix for op in diagram_operators(d)]
+    products, dots = [], []
+    real_mul, real_dot = monodromy.mat_mul, linalg.dot
+    monkeypatch.setattr(monodromy, "mat_mul", lambda a, b: products.append(None) or real_mul(a, b))
+    monkeypatch.setattr(linalg, "dot", lambda u, v: dots.append(None) or real_dot(u, v))
+    edges = [e for e in d.edges if e.braid is not None]
+    assert edges and all(check_braid(ops[d.cycle_index(e.src)], ops[d.cycle_index(e.dst)], e.braid) for e in edges)
+    assert len(products) >= 2 * len(edges) and len(dots) == 4 * len(products)
+    dots.clear()
+    classical_monodromy(d)
+    assert d.tau == 4 and len(dots) == 4 * 3
 
 
 def test_braid_length_must_be_supported():

@@ -8,6 +8,7 @@ same rational coefficients in both.
 import json
 from fractions import Fraction
 from importlib import resources
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_cyclo as O
 from crystmono.cyclo import CycloField, GrammarError, in_subring, parse_value, render_value
-from crystmono.linalg import ZLattice, _hnf, dot
+from crystmono.linalg import ZLattice, _hnf, det, dot, mat_mul, mat_prod
 
 CONDUCTORS = [3, 4, 6, 12, 72]
 
@@ -137,6 +138,69 @@ def test_dot_with_mixed_denominators_matches_the_oracle(uv):
     for x, y in zip(u[1:], v[1:]):
         expected = expected + twin(x) * twin(y)
     assert same(dot(tuple(u), tuple(v)), expected)
+
+
+# -- matrices with unit rows ------------------------------------------------
+#
+# mat_mul copies a unit row's row of the right factor, mat_prod multiplies
+# from the right end and _echelon skips the division at a pivot equal to 1;
+# here each is held to the textbook sum of products and the Leibniz
+# determinant, computed in the oracle.
+
+
+@st.composite
+def _square_words(draw):
+    """1 to 4 square matrices over Q(w), Q(i) or Q(zeta_12), each row at
+    random a unit row e_i, e_i with 1 + zeta in place of its 1, a row with
+    1 on the diagonal, or any row, with entries over denominators other
+    than 1 too."""
+    field = CycloField(draw(st.sampled_from([3, 4, 12])))
+    dim = draw(st.integers(1, 4))
+
+    def row(i):
+        kind = draw(st.sampled_from(["unit", "near unit", "pivot", "any"]))
+        if kind in ("unit", "near unit"):
+            one = field.one if kind == "unit" else field.one + field.zeta()
+            return tuple(one if j == i else field.zero for j in range(dim))
+        out = list(draw(_vectors(field.n, dim)))
+        if kind == "pivot":
+            out[i] = field.one
+        return tuple(out)
+
+    return [tuple(row(i) for i in range(dim)) for _ in range(draw(st.integers(1, 4)))]
+
+
+def _oracle_mul(a, b):
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), row[0].field.zero) for j in range(len(b[0]))] for row in a]
+
+
+def _oracle_det(a):
+    total = a[0][0].field.zero
+    for p in permutations(range(len(a))):
+        inversions = sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+        term = a[0][0].field.one
+        for i, j in enumerate(p):
+            term = term * a[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _same_matrix(m, om) -> bool:
+    return all(same(x, ox) for row, orow in zip(m, om) for x, ox in zip(row, orow))
+
+
+@given(_square_words())
+@settings(max_examples=80, deadline=None)
+def test_products_and_determinants_with_unit_rows_match_the_oracle(ms):
+    oms = [[[twin(x) for x in row] for row in m] for m in ms]
+    a, oa = ms[0], oms[0]
+    for b, ob in zip(ms[1:], oms[1:]):
+        assert _same_matrix(mat_mul(a, b), _oracle_mul(oa, ob))
+    expected = oms[0]
+    for om in oms[1:]:
+        expected = _oracle_mul(expected, om)
+    assert _same_matrix(mat_prod(ms), expected)
+    assert all(same(det(m), _oracle_det(om)) for m, om in zip(ms, oms))
 
 
 # -- the value grammar ------------------------------------------------------
