@@ -68,6 +68,7 @@ from .monodromy import (
     check_braid,
     pl_operator,
     quotient_basis,
+    word_matrix,
     worst_verdict,
 )
 
@@ -625,52 +626,35 @@ def _render_matrix(m: Matrix) -> str:
     return "[" + ", ".join("[" + ", ".join(render_value(x) for x in row) + "]" for row in m) + "]"
 
 
-# word identities expressing the kernel correction a through the V-side
-# reflections; indices are cycle positions, words apply right to left, and
-# the unit lies in the ring of RING_GENERATORS whose generator is named
-# last, or in Z for None
-_MAXIMAL_ROOT_WORDS = {
-    "C3_33": ((1, 2, 2), 1, "1", None),
-    "D4_3": ((1, 3, 3, 1), 2, "1", None),
-    "P8_Z3": ((2, 1, 1), 2, "conj(w)", "w"),
-    "C3_24": ((1, 1), 2, "i", "i"),
-}
-
-
 class MaximalRootReport(NamedTuple):
     holds: bool
     word: str
 
 
 def maximal_root_check(d: Diagram, frame: DualFrame | None = None) -> MaximalRootReport:
-    """Check the declared word identity writing a as a unit times A-word of a basis root.
+    """Check the diagram's maximal-root identity, which writes a as a unit
+    times a word applied to a basis root; the witness names cycles by position.
 
     The letters are reflections on the non-kernel directions with the
-    restricted form, one per cycle index, with that cycle's eigenvalue:
-    the entrywise conjugates of the dual reflections' linear parts.
+    restricted form, one per cycle, with that cycle's eigenvalue: the
+    entrywise conjugates of the dual reflections' linear parts.
     Conjugating the whole dataset conjugates both sides, so the same word
     and the conjugated unit witness the identity for the other character.
     """
-    if d.name not in _MAXIMAL_ROOT_WORDS:
+    if d.maximal_root is None:
         raise AffineError(f"no maximal-root identity declared for {d.name}")
-    word, leaf, unit_expr, unit_gen = _MAXIMAL_ROOT_WORDS[d.name]
-    if max(*word, leaf) >= len(d.cycles):
-        raise AffineError(f"{d.name}: the maximal-root word names cycle {max(*word, leaf)} of {len(d.cycles)} cycles")
-    if frame is None:
-        frame = DualFrame(quotient_basis(d))
-    home = next((ring for ring, g in RING_GENERATORS.items() if g == unit_gen), None)
-    if home is not None and frame.field.n % ring_field(home).n:
-        raise AffineError(f"{d.name}: the maximal-root unit {unit_expr} lies in {home}, not in the diagram's ring {d.ring}")
-    unit = parse_value(unit_expr, frame.field)
+    word, leaf, unit_text = d.maximal_root
+    frame = frame or DualFrame(quotient_basis(d))
+    unit = parse_value(unit_text, frame.field)
     if d.chi_label == "conj":
         unit = unit.conjugate()
 
-    q = frame.quotient
-    letters = {j: conj_matrix(frame.dual_reflection(q.roots[j], q.eigenvalues[j]).linear) for j in set(word)}
-
-    _, v = frame.decompose(q.roots[leaf])
-    v = vec_scale(unit, mat_vec(mat_prod([letters[j] for j in word]), v))
-    word_text = "".join(f"A{j}" for j in word) + f"*e{leaf}" + (f" times {unit_expr}" if unit_expr != "1" else "")
+    q, pos = frame.quotient, d.cycle_index
+    cycles = zip(q.labels, q.roots, q.eigenvalues)
+    letters = {c: conj_matrix(frame.dual_reflection(r, lam).linear) for c, r, lam in cycles if c in word}
+    _, v = frame.decompose(q.roots[pos(leaf)])
+    v = vec_scale(unit, mat_vec(word_matrix(word, letters), v))
+    word_text = "".join(f"A{pos(c)}" for c in word) + f"*e{pos(leaf)}" + (f" times {unit_text}" if unit_text != "1" else "")
     return MaximalRootReport(v == frame.a, word_text)
 
 
@@ -697,12 +681,8 @@ def lifted_quotient(q: Quotient, target: CycloField) -> Quotient:
 
 
 def _kept_indices(d: Diagram, q: Quotient) -> list[int]:
-    last = len(q.roots) - 1
-    return [
-        j
-        for j in range(len(q.roots))
-        if j != q.omitted_index and not (d.relation is not None and j == last)
-    ]
+    """The first tau cycles but the omitted one: a relation's trailing cycle is the tau-th."""
+    return [j for j in range(d.tau) if j != q.omitted_index]
 
 
 def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None) -> CaseReport:
@@ -839,7 +819,7 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None) -> CaseR
             )
         )
 
-    if d.name in _MAXIMAL_ROOT_WORDS and not lifted:
+    if d.maximal_root is not None and not lifted:
         mr = maximal_root_check(d, frame)
         checks.append(
             CheckResult(

@@ -48,6 +48,7 @@ from .monodromy import (
     Diagram,
     DiagramError,
     Edge,
+    MaximalRoot,
     assemble_diagram,
     diagram,
     diagram_field,
@@ -60,20 +61,13 @@ from .monodromy import (
 _EXIT = {"pass": 0, "fail": 1, "inconclusive": 3}
 
 
-def _check_dicts(checks) -> list:
-    return [
-        {"claim_id": c.claim_id, "claim": c.claim, "verdict": c.verdict, "witness": c.witness}
-        for c in checks
-    ]
-
-
 def _report(case, checks, *, chi=None, character=None, group=None, resolved=None, timing=None) -> dict:
     return {
         "case": case,
         "chi": chi,
         "character": character,
         "group": group,
-        "checks": _check_dicts(checks),
+        "checks": [c._asdict() for c in checks],
         "resolved_choices": dict(resolved) if resolved else {},
         "verdict": worst_verdict(c.verdict for c in checks),
         "timing": timing,
@@ -177,10 +171,11 @@ def _json_writer(path):
 
     The path is opened here, before the first case runs, so an unwritable
     path stops the command before it prints anything; the document itself
-    is written once, at the end.  The writer takes a function that renders
-    the document, called only when there is a path.  If the command ends
-    without writing it, a file this run created is removed and an older one
-    left as it was.
+    is written once, after the last case and before any text, so a reader
+    that closes stdout early cannot lose it.  The writer takes a function
+    that renders the document, called only when there is a path.  If the
+    command ends without writing it, a file this run created is removed and
+    an older one left as it was.
     """
     if not path:
         yield lambda render: None
@@ -197,10 +192,10 @@ def _json_writer(path):
 
 
 def _emit(doc: dict, write_json) -> int:
+    write_json(lambda: _dumps(doc))  # first, so that a reader closing stdout cannot lose it
     for r in doc["reports"]:
         _print_report(r)
     print(f"verdict: {doc['verdict']}")
-    write_json(lambda: _dumps(doc))
     return _EXIT[doc["verdict"]]
 
 
@@ -270,6 +265,8 @@ def show_diagram_payload(d: Diagram) -> dict:
         "gram": [[render_value(x) for x in row] for row in g],
         "kernel_vector": [render_value(x) for x in d.kernel_vector],
         "relation": [render_value(x) for x in d.relation] if d.relation is not None else None,
+        "relations": [[list(word) for word in pair] for pair in d.relations],
+        "maximal_root": None if d.maximal_root is None else dict(d.maximal_root._asdict(), word=list(d.maximal_root.word)),
         "resolved_choices": dict(d.resolved_choices),
         "rejected_choices": [
             {"assignment": dict(choice), "violates": why} for choice, why in d.rejected_choices
@@ -287,12 +284,12 @@ def diagram_from_payload(payload: dict) -> Diagram:
 
     It passes the same structural checks as a dataset diagram, or raises
     DiagramError, which also names a missing key, a list or object of the
-    wrong shape, a value outside the value grammar, an integer field holding
-    anything but an int, or a name, ring, cycle id, choice or violated
-    check that is not a string (``expected_group`` may be null).  The derived
-    sections (``character``, ``frame``, each cycle's ``self_pairing`` and
-    each edge's ``value``) are not read: the pairings come from ``gram``
-    alone.  The recorded choices are carried over, not reconciled again.
+    wrong shape, a value outside the grammar or the field, an integer field
+    holding anything but an int, or a name, ring, cycle id, unit, choice or
+    violated check that is not a string (``expected_group`` and
+    ``maximal_root`` may be null).  The derived sections (``character``,
+    ``frame``, ``self_pairing`` and edge ``value``) are not read: the
+    pairings come from ``gram`` alone; recorded choices are not reconciled.
     """
     name = payload.get("name", "payload")
     if not isinstance(name, str):
@@ -308,6 +305,8 @@ def diagram_from_payload(payload: dict) -> Diagram:
                 return parse_value(x, field)
             except GrammarError:
                 raise fault(key, "in the value grammar", x) from None
+            except ValueError:  # a root of unity outside the field
+                raise fault(key, f"a value of Q(zeta_{field.n})", x) from None
         if type(x) not in (int, float) or not isfinite(x):  # a bool is no number here
             raise fault(key, "a value", x)
         return field.from_rational(x)
@@ -320,8 +319,8 @@ def diagram_from_payload(payload: dict) -> Diagram:
     def entries(xs, key):
         return [(k, shaped(x, f"{key}[{k}]", dict)) for k, x in enumerate(shaped(xs, key))]
 
-    def values(xs, key):
-        return tuple(value(x, f"{key}[{k}]") for k, x in enumerate(shaped(xs, key)))
+    def values(xs, key, read=value):
+        return tuple(read(x, f"{key}[{k}]") for k, x in enumerate(shaped(xs, key)))
 
     def integer(x, key, optional=False):
         if type(x) is not int and not (optional and x is None):  # bool is an int too
@@ -338,7 +337,6 @@ def diagram_from_payload(payload: dict) -> Diagram:
 
     try:
         field = diagram_field(payload["name"], string(payload["ring"], "ring"))
-        relation = payload["relation"]
         return assemble_diagram(
             name=payload["name"], ring=payload["ring"], chi_label=payload["chi"],
             kernel_chi_pair=values(payload["kernel_characters"], "kernel_characters"),
@@ -357,7 +355,15 @@ def diagram_from_payload(payload: dict) -> Diagram:
                 for k, e in entries(payload["edges"], "edges")
             ),
             gram=tuple(values(row, f"gram[{r}]") for r, row in enumerate(shaped(payload["gram"], "gram"))),
-            relation=values(relation, "relation") if relation is not None else None,
+            relation=None if (relation := payload["relation"]) is None else values(relation, "relation"),
+            relations=tuple(
+                tuple(values(w, f"relations[{k}][{s}]", cycle_id) for s, w in enumerate(shaped(pair, f"relations[{k}]")))
+                for k, pair in enumerate(shaped(payload["relations"], "relations"))
+            ),
+            maximal_root=None if (root := payload["maximal_root"]) is None else MaximalRoot(
+                values(shaped(root, "maximal_root", dict)["word"], "maximal_root.word", cycle_id),
+                cycle_id(root["leaf"], "maximal_root.leaf"), string(root["unit"], "maximal_root.unit"),
+            ),
             kernel_vector=values(payload["kernel_vector"], "kernel_vector"),
             omitted_root=cycle_id(payload["omitted_root"], "omitted_root"),
             expected_group=string(payload["expected_group"], "expected_group", "a string or null", optional=True),
@@ -384,9 +390,7 @@ def show_group_payload(name: str) -> dict:
     ref = reference_group(name)  # validates the model before showing it
     raw = _raw_groups()[name]
     rule = ref.lattice_rule
-    basis = None
-    if rule["kind"] == "ring":
-        basis = ["1", RING_GENERATORS[rule["ring"]]]
+    basis = ["1", RING_GENERATORS[rule["ring"]]] if rule["kind"] == "ring" else None
     return {
         "schema": "1",
         "kind": "group",
@@ -415,8 +419,8 @@ def run_show(args, write_json) -> int:
         print(f"error: unknown show kind {args.kind!r}", file=sys.stderr)
         return 2
     text = _dumps(payload)
-    sys.stdout.write(text)
     write_json(lambda: text)
+    sys.stdout.write(text)
     return 0
 
 

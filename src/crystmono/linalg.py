@@ -168,7 +168,7 @@ def reflection_order(m: Matrix) -> int:
 
 
 def _echelon(rows: list[list[CycloNum]]) -> tuple[list[list[CycloNum]], list[int], list[CycloNum], int]:
-    """Gauss-Jordan reduction in place; the only field elimination in the package.
+    """Gauss-Jordan reduction in place; HermitianGram.is_negative_semidefinite runs the other elimination.
 
     Returns (rows, cols, pivots, sign): the reduced row echelon form, the
     pivot column of each leading row, the value each of those rows was

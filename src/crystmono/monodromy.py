@@ -1,8 +1,9 @@
 """Vanishing-cycle diagrams and their Picard-Lefschetz operators.
 
 Each diagram bundles the hermitian pairing data of a distinguished set of
-cycles together with the reflection eigenvalue attached to every cycle;
-the gram is the only record of the pairings.  Every Diagram is made by
+cycles, the reflection eigenvalue attached to every cycle, and the words
+over cycle ids that its relations and maximal-root identity state; the
+gram is the only record of the pairings.  Every Diagram is made by
 assemble_diagram, which checks the structure all diagrams share; the
 datasets and ``show`` payloads (cli.diagram_from_payload) build through
 it.  Loading a dataset diagram also checks its eigenvalues and edge
@@ -78,6 +79,12 @@ class Edge(NamedTuple):
     braid: int | None
 
 
+class MaximalRoot(NamedTuple):
+    word: tuple[str, ...]  # a = unit * word(leaf): the kernel correction, in cycle ids
+    leaf: str
+    unit: str  # as declared; conjugated at use for the conjugate character
+
+
 class PLOperator(NamedTuple):
     """A complex reflection together with the eigenvalue that built it."""
 
@@ -123,6 +130,8 @@ class Diagram:
     edges: tuple[Edge, ...]
     gram: HermitianGram
     relation: Vector | None
+    relations: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
+    maximal_root: MaximalRoot | None
     kernel_vector: Vector
     omitted_root: str
     expected_group: str | None
@@ -225,10 +234,11 @@ def _build(raw: dict, chi_label: str) -> Diagram:
         edges.append(Edge(e["from"], e["to"], e["braid"]))
         candidates.append(tuple(zip(texts, vals)))
 
-    relation_raw = raw.get("relation")
     fields = dict(
         name=name, ring=ring, chi_label=chi_label, kernel_chi_pair=chi_pair, cycles=cycles, edges=tuple(edges),
-        relation=vector(field, [val(s) for s in relation_raw]) if relation_raw else None,
+        relation=vector(field, [val(s) for s in r]) if (r := raw.get("relation")) else None,
+        relations=tuple(tuple(map(tuple, pair)) for pair in raw.get("relations", ())),
+        maximal_root=MaximalRoot(tuple(m["word"]), m["leaf"], m["unit"]) if (m := raw.get("maximal_root")) else None,
         kernel_vector=vector(field, [val(s) for s in raw["kernel_vector"]]), omitted_root=raw["omitted_root"],
         tau=raw["tau"], classical_order=raw["classical_order"],
     )
@@ -269,8 +279,8 @@ def _build(raw: dict, chi_label: str) -> Diagram:
 
 
 def _checked_form(
-    *, name, ring, chi_label, kernel_chi_pair, cycles, edges, gram: Matrix, relation, kernel_vector,
-    omitted_root, tau, classical_order,
+    *, name, ring, chi_label, kernel_chi_pair, cycles, edges, gram: Matrix, relation, relations, maximal_root,
+    kernel_vector, omitted_root, tau, classical_order,
 ) -> HermitianGram:
     """The form of `gram`, once the structure every diagram has is checked.
 
@@ -278,7 +288,7 @@ def _checked_form(
     eigenvalues are not judged here.  Raises DiagramError naming the first
     structural check that fails.
     """
-    diagram_field(name, ring)
+    field = diagram_field(name, ring)
     character_index(chi_label)
     pair = kernel_chi_pair
     if len(pair) != 2 or pair[1] != pair[0].conjugate():
@@ -314,6 +324,19 @@ def _checked_form(
             raise DiagramError(f"{name}: unsupported braid length {e.braid}")
     if index.get(omitted_root, tau) >= tau:
         raise DiagramError(f"{name}: omitted root must be one of the first tau cycles")
+    if any(len(pair) != 2 for pair in relations):
+        raise DiagramError(f"{name}: each relation must be a pair of words")
+    words = {f"relations[{k}][{s}]": w for k, pair in enumerate(relations) for s, w in enumerate(pair)}
+    if maximal_root is not None:
+        words.update({"maximal_root.word": maximal_root.word, "maximal_root.leaf": (maximal_root.leaf,)})
+        try:
+            parse_value(maximal_root.unit, field)
+        except ValueError:
+            what = f"a value of Q(zeta_{field.n})"
+            raise DiagramError(f"{name}: maximal_root.unit must be {what}, not {maximal_root.unit!r}") from None
+    for key, word in words.items():
+        if not word or not index.keys() >= set(word):
+            raise DiagramError(f"{name}: {key} must name cycles of the diagram, not {list(word)!r}")
 
     try:
         form = HermitianGram(gram)
@@ -361,8 +384,7 @@ def quotient_basis(d: Diagram) -> Quotient:
     A declared relation must lie in the radical of the full form and have
     an invertible coefficient on the trailing cycle, which it eliminates.
     """
-    field = d.field
-    tau = d.tau
+    field, tau = d.field, d.tau
     roots = list(identity(field, tau))
     if d.relation is not None:
         last = d.relation[len(d.cycles) - 1]
@@ -538,13 +560,19 @@ def check_braid(a: Matrix, b: Matrix, length: int) -> bool:
     return False
 
 
+def word_matrix(word: tuple[str, ...], letters: dict[str, Matrix]) -> Matrix:
+    """The product of the matrices that a word of cycle ids names in
+    `letters`; its last letter acts first, as in mat_prod."""
+    return mat_prod([letters[c] for c in word])
+
+
 def classical_monodromy(d: Diagram) -> Matrix:
     """Product of the tau vertex reflections, first vertex applied first."""
     return mat_prod([op.matrix for op in reversed(diagram_operators(d)[: d.tau])])
 
 
 def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
-    """Intrinsic checks of one reconciled diagram: form, reflections, braids, monodromy.
+    """Intrinsic checks of one diagram: form, reflections, braids, monodromy, relation words.
 
     The gram_form claim reads _form_facts for the diagram's form, tau and
     kernel vector: for a dataset diagram that is reconciliation's
@@ -567,6 +595,7 @@ def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
     )
 
     ops = diagram_operators(d)
+    letters = {c.id: op.matrix for c, op in zip(d.cycles, ops)}
     bad = []
     for op, cyc in zip(ops, d.cycles):
         if not q.gram.is_preserved_by(op.matrix):
@@ -587,16 +616,11 @@ def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
 
     bad = []
     for e in d.edges:
-        if e.braid is None:
-            continue
-        a = ops[d.cycle_index(e.src)].matrix
-        b = ops[d.cycle_index(e.dst)].matrix
-        if not check_braid(a, b, e.braid):
+        if e.braid is not None and not check_braid(letters[e.src], letters[e.dst], e.braid):
             bad.append(f"{e.src}~{e.dst} at {e.braid}")
-    for i in range(len(d.cycles)):
-        for j in range(i + 1, len(d.cycles)):
-            if d.gram.gram[i][j].is_zero() and not check_braid(ops[i].matrix, ops[j].matrix, 2):
-                bad.append(f"{d.cycles[i].id}~{d.cycles[j].id} at 2")
+    for (i, a), (j, b) in itertools.combinations(enumerate(d.cycles), 2):
+        if d.gram.gram[i][j].is_zero() and not check_braid(letters[a.id], letters[b.id], 2):
+            bad.append(f"{a.id}~{b.id} at 2")
     checks.append(
         CheckResult(
             "braids",
@@ -616,8 +640,8 @@ def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
         )
     )
 
-    if d.name == "P8_Z3":
-        held = extra_relation_P8Z3(d)
+    if d.relations:
+        held = all(word_matrix(left, letters) == word_matrix(right, letters) for left, right in d.relations)
         checks.append(
             CheckResult(
                 "extra_relation",
@@ -627,12 +651,3 @@ def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
             )
         )
     return tuple(checks)
-
-
-def extra_relation_P8Z3(d: Diagram) -> bool:
-    """The length-8 relation specific to the order-3 invariant cubic case."""
-    if len(d.cycles) != 3 or d.relation is not None:
-        raise DiagramError(f"{d.name}: extra relation needs three independent cycles")
-    h0, h1, h2 = (op.matrix for op in diagram_operators(d))
-    return mat_prod([h1, h0, h2, h0] * 2) == mat_prod([h0, h2, h0, h1] * 2)
-

@@ -120,21 +120,27 @@ def test_package_runs_as_a_module():
     assert "verdict: pass" in done.stdout
 
 
-def test_stdout_closed_after_the_first_line_exits_141_silently():
+def test_stdout_closed_after_the_first_line_exits_141_silently(tmp_path, capsys):
     """`crystmono verify all | head -1`: the reader closes stdout after one
     line, and the command exits 141 (128 + SIGPIPE), with nothing on
     stderr.  The pipe is shrunk to one page, so the report, about 14 kB,
-    cannot all be in it by then: the rest is written to the closed pipe."""
-    read_end, write_end = os.pipe()
-    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
-    argv = [sys.executable, "-m", "crystmono", "verify", "all"]
-    with subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=fresh_env()) as proc:
-        os.close(write_end)
-        with os.fdopen(read_end, "rb") as out:
-            first = out.readline()
-        stderr = proc.stderr.read()
-    assert first.startswith(b"[pass] ")
-    assert (proc.returncode, stderr) == (141, b"")
+    cannot all be in it by then: the rest is written to the closed pipe.
+    With --json the document is written before the text, so the file is
+    that of a full run."""
+    full, cut = tmp_path / "full.json", tmp_path / "cut.json"
+    assert run(["verify", "all", "--json", str(full)], capsys)[0] == 0
+    for extra in ([], ["--json", str(cut)]):
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        argv = [sys.executable, "-m", "crystmono", "verify", "all", *extra]
+        with subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=fresh_env()) as proc:
+            os.close(write_end)
+            with os.fdopen(read_end, "rb") as out:
+                first = out.readline()
+            stderr = proc.stderr.read()
+        assert first.startswith(b"[pass] ")
+        assert (proc.returncode, stderr) == (141, b"")
+    assert cut.read_bytes() == full.read_bytes()
 
 
 @pytest.mark.parametrize("chi", ["primary", "conj"])
@@ -460,6 +466,18 @@ def test_ring_names_are_spelled_only_in_cyclo():
     assert not spelled
 
 
+def test_no_module_names_a_dataset_entry():
+    """Which claims a diagram or a model carries is read from its data, never
+    picked by its name: no src module spells the name of a diagram or a
+    model as a word, in code, strings or comments."""
+    names = set(diagram_names()) | set(reference_names())
+    spelled = []
+    for path in sorted(Path(crystmono.__file__).parent.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            spelled += [f"{path.name}:{lineno}: {word}" for word in re.findall(r"\w+", line) if word in names]
+    assert not spelled
+
+
 def test_diagram_has_one_constructor():
     """Every Diagram, from a dataset or a payload, is made by
     monodromy.assemble_diagram, so each passes the same structural checks."""
@@ -496,7 +514,7 @@ def test_only_replaced_records_are_dataclasses():
 
 RECORDS = (
     "CheckResult", "Cycle", "Edge", "PLOperator", "Quotient", "ProjRow", "ReferenceGroup",
-    "TranslationReport", "Conjugacy", "MaximalRootReport", "CaseReport", "DilationReport",
+    "TranslationReport", "Conjugacy", "MaximalRootReport", "CaseReport", "DilationReport", "MaximalRoot",
 )
 
 
@@ -528,7 +546,7 @@ def real_records():
     case = seen["CaseReport"]
     d = diagram(case.diagram)
     ref = crystmono.reference_group(case.group)
-    keep(*case.checks, case.conjugacy, *d.cycles, *d.edges, ref, *ref.generators, dilation_check(d))
+    keep(*case.checks, case.conjugacy, *d.cycles, *d.edges, d.maximal_root, ref, *ref.generators, dilation_check(d))
     keep(*crystmono.proj_rows())
     return seen
 
@@ -640,18 +658,6 @@ def test_show_then_verify_round_trips(capsys):
     assert diagram_report(rebuilt, args) == diagram_report(diagram("P8divZ4"), args)
 
 
-@pytest.mark.parametrize(
-    "source, name, missing, cycles", [("P8Z6_prime", "C3_33", 2, 2), ("P8Z6_prime", "D4_3", 3, 2), ("C3_24", "D4_3", 3, 3)]
-)
-def test_payload_under_a_shipped_name_with_fewer_cycles_is_an_affine_error(source, name, missing, cycles):
-    """The maximal-root words are declared by diagram name and index cycles
-    by position, so a payload that keeps a shipped name with fewer cycles
-    is refused by name and missing cycle, not by an IndexError."""
-    rebuilt = diagram_from_payload(dict(show_diagram_payload(diagram(source)), name=name))
-    with pytest.raises(AffineError, match=f"^{name}: the maximal-root word names cycle {missing} of {cycles} cycles$"):
-        verify_crystallographic(rebuilt)
-
-
 @pytest.mark.parametrize("source, group", [("D4_3", "K5"), ("C3_33", "K25")])
 @pytest.mark.parametrize("chi", ["primary", "conj"])
 def test_payload_naming_a_model_of_another_rank_fails_its_group_claims(source, group, chi):
@@ -670,26 +676,29 @@ def test_payload_naming_a_model_of_another_rank_fails_its_group_claims(source, g
     }
 
 
+def _outcome(d):
+    """The claims of a diagram, as _claims lists them, or its AffineError
+    with the diagram's name replaced by a placeholder."""
+    try:
+        return _claims(d)
+    except AffineError as e:
+        return str(e).replace(d.name, "<name>")
+
+
 @pytest.mark.parametrize("chi", ["primary", "conj"])
-def test_every_renamed_payload_verifies_or_is_an_affine_error(chi):
-    """All 64 renamings of the 8 diagrams: a run gives verdicts or raises
-    AffineError, and a maximal-root unit outside the payload's ring is
-    refused by both rings, not by a ValueError from the parser."""
-    names = diagram_names()
-    cross = {("C3_24", "Z[w]", "i", "Z[i]"), ("P8_Z3", "Z[i]", "conj(w)", "Z[w]")}
-    refused = []
-    for source in names:
+def test_a_payload_keeps_its_claims_under_any_name(chi):
+    """All 64 renamings of the 8 payloads: the relation words and the
+    maximal-root identity travel with the payload, so each renamed payload
+    gives the claim ids, verdicts and witnesses of its source, or the same
+    AffineError with the new name in it.  No claim is picked by name."""
+    changed = []
+    for source in diagram_names():
         payload = show_diagram_payload(diagram(source, chi))
-        for name in names:
-            try:
-                verify_crystallographic(diagram_from_payload(dict(payload, name=name)))
-            except AffineError as e:
-                refused.append((name, payload["ring"], str(e)))
-    unit_errors = {(name, ring, msg) for name, ring, msg in refused if "maximal-root unit" in msg}
-    assert unit_errors == {
-        (name, ring, f"{name}: the maximal-root unit {unit} lies in {home}, not in the diagram's ring {ring}")
-        for name, ring, unit, home in cross
-    }
+        expected = _outcome(diagram(source, chi))
+        for name in diagram_names():
+            if _outcome(diagram_from_payload(dict(payload, name=name))) != expected:
+                changed.append((source, name))
+    assert changed == []
 
 
 @pytest.mark.parametrize("source, group", [("C3_24", "K25"), ("D4_3", "K8")])
@@ -781,6 +790,13 @@ PAYLOAD_FAULTS = {
         _set("omitted_root", value="nowhere"),
         "omitted root must be one of the first tau cycles",
     ),
+    "relation_pair": ("P8_Z3", lambda p: p["relations"][0].pop(), "each relation must be a pair of words"),
+    "relation_letter": (
+        "P8_Z3", _set("relations", 0, 0, 1, value="nowhere"), "relations[0][0] must name cycles of the diagram",
+    ),
+    "maximal_root_empty_word": ("C3_24", _set("maximal_root", "word", value=[]), "maximal_root.word must name cycles"),
+    "maximal_root_leaf": ("D4_3", _set("maximal_root", "leaf", value="e4"), "maximal_root.leaf must name cycles"),
+    "maximal_root_unit_grammar": ("D4_3", _set("maximal_root", "unit", value="x"), "maximal_root.unit must be a value"),
 }
 
 
@@ -839,7 +855,40 @@ PAYLOAD_TYPE_FAULTS = {
     "expected_group_list": ("C3_33", ("expected_group",), [], "expected_group must be a string or null"),
     "resolved_choice_int": ("C3_33", ("resolved_choices", "x"), 5, "resolved_choices['x'] must be a string"),
     "rejected_violates": ("P8_Z3", ("rejected_choices", 0, "violates"), 5, "rejected_choices[0].violates must be a string"),
+    "relations_scalar": ("P8_Z3", ("relations",), 5, "relations must be a list"),
+    "relation_scalar": ("P8_Z3", ("relations", 0), "A2", "relations[0] must be a list"),
+    "relation_word_scalar": ("P8_Z3", ("relations", 0, 1), "A2", "relations[0][1] must be a list"),
+    "relation_letter": ("P8_Z3", ("relations", 0, 1, 2), 0, "relations[0][1][2] must be a cycle id"),
+    "maximal_root_list": ("C3_33", ("maximal_root",), ["e1"], "maximal_root must be an object"),
+    "maximal_root_word": ("C3_33", ("maximal_root", "word"), "e1", "maximal_root.word must be a list"),
+    "maximal_root_letter": ("C3_33", ("maximal_root", "word", 0), 1, "maximal_root.word[0] must be a cycle id"),
+    "maximal_root_leaf": ("C3_33", ("maximal_root", "leaf"), ["e1"], "maximal_root.leaf must be a cycle id"),
+    "maximal_root_unit": ("C3_33", ("maximal_root", "unit"), 1, "maximal_root.unit must be a string"),
 }
+
+
+@pytest.mark.parametrize(
+    "name, path, value, field",
+    [
+        ("C3_33", ("gram", 0, 1), "i", 3),
+        ("C3_24", ("cycles", 1, "eigenvalue"), "w", 4),
+        ("P8divZ6", ("kernel_vector", 1), "e8", 3),
+        ("P8divZ4", ("relation", 0), "e9", 4),
+        ("C3_24", ("maximal_root", "unit"), "-w", 4),
+        ("P8_Z3", ("maximal_root", "unit"), "i", 3),
+    ],
+    ids=["gram", "eigenvalue", "kernel_vector", "relation", "unit_in_Z[i]", "unit_in_Z[w]"],
+)
+def test_payload_root_of_unity_outside_its_field_is_rejected(name, path, value, field):
+    """A value in the grammar that names a root of unity the payload's
+    field does not hold is a DiagramError naming the key and the value, as
+    one outside the grammar is, not the parser's bare ValueError."""
+    payload = show_diagram_payload(diagram(name))
+    _set(*path, value=value)(payload)
+    key = path[0] + "".join(f".{k}" if isinstance(k, str) else f"[{k}]" for k in path[1:])
+    message = f"{name}: {key} must be a value of Q(zeta_{field}), not {value!r}"
+    with pytest.raises(DiagramError, match="^" + re.escape(message) + "$"):
+        diagram_from_payload(payload)
 
 
 @pytest.mark.parametrize("fault", PAYLOAD_TYPE_FAULTS, ids=str)
@@ -1029,9 +1078,10 @@ def test_verdicts_do_not_depend_on_cache_state():
 READ_KEYS = [
     ("name",), ("ring",), ("chi",), ("kernel_characters",), ("tau",), ("classical_order",),
     ("expected_group",), ("omitted_root",), ("cycles",), ("edges",), ("gram",), ("kernel_vector",),
-    ("relation",), ("resolved_choices",), ("rejected_choices",),
+    ("relation",), ("relations",), ("maximal_root",), ("resolved_choices",), ("rejected_choices",),
     ("cycles", 0, "id"), ("cycles", 0, "order"), ("cycles", 0, "eigenvalue"),
     ("edges", 0, "src"), ("edges", 0, "dst"), ("edges", 0, "braid"),
+    ("maximal_root", "word"), ("maximal_root", "leaf"), ("maximal_root", "unit"),
     ("rejected_choices", 0, "assignment"), ("rejected_choices", 0, "violates"),
 ]
 # the keys it does not read: labels, and the sections derived from the rest
@@ -1056,6 +1106,7 @@ def test_every_payload_key_is_read_or_unread():
     paths = {(k,) for k in payload}
     for section in ("cycles", "edges", "rejected_choices"):
         paths |= {(section, 0, k) for k in payload[section][0]}
+    paths |= {("maximal_root", k) for k in payload["maximal_root"]}
     assert paths == set(READ_KEYS) | set(UNREAD_KEYS)
     assert not set(READ_KEYS) & set(UNREAD_KEYS)
 

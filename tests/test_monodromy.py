@@ -15,6 +15,7 @@ from crystmono.linalg import (
     det,
     identity,
     is_zero_vector,
+    mat_prod,
     mat_rank,
     mat_vec,
     vec_add,
@@ -32,13 +33,13 @@ from crystmono.monodromy import (
     diagram,
     diagram_names,
     diagram_operators,
-    extra_relation_P8Z3,
     finite_order_bound,
     operator_order,
     order_failure,
     pl_operator,
     quotient_basis,
     verify_diagram,
+    word_matrix,
 )
 
 ALL_NAMES = list(diagram_names())
@@ -391,13 +392,28 @@ def test_classical_monodromy_P8divZ4_determinant_blocks_order_three():
     assert det(m).multiplicative_order() == 4
 
 
-def test_extra_relation_P8_Z3():
-    assert extra_relation_P8Z3(diagram("P8_Z3"))
-    assert extra_relation_P8Z3(diagram("P8_Z3", "conj"))
-    with pytest.raises(DiagramError):
-        extra_relation_P8Z3(diagram("D4_3"))
-    with pytest.raises(DiagramError):
-        extra_relation_P8Z3(diagram("P8divZ6"))
+@pytest.mark.parametrize("chi", CHARACTERS)
+def test_relation_words_are_the_length_eight_relation_of_P8_Z3(chi):
+    """P8_Z3 carries one relation, a pair of words over cycle ids, whose
+    products are the squared four-letter words of its reflections h0, h1,
+    h2 (the cycles 3A1_low, A2, 3A1_up), a word's last letter acting first:
+    (h1 h0 h2 h0)^2 = (h0 h2 h0 h1)^2.  The extra_relation claim holds for
+    it; no other diagram carries a relation, so none gets the claim."""
+    d = diagram("P8_Z3", chi)
+    h0, h1, h2 = (op.matrix for op in diagram_operators(d))
+    letters = {"3A1_low": h0, "A2": h1, "3A1_up": h2}
+    ((left, right),) = d.relations
+    assert word_matrix(left, letters) == mat_prod([h1, h0, h2, h0] * 2)
+    assert word_matrix(right, letters) == mat_prod([h0, h2, h0, h1] * 2)
+    assert word_matrix(left[:1], letters) == h1
+    claims = {c.claim_id: c for c in verify_diagram(d)}
+    assert (claims["extra_relation"].verdict, claims["extra_relation"].witness) == (
+        "pass", "squared four-letter words compared",
+    )
+    for name in ALL_NAMES:
+        if name != "P8_Z3":
+            assert diagram(name, chi).relations == ()
+            assert "extra_relation" not in {c.claim_id for c in verify_diagram(diagram(name, chi))}
 
 
 @pytest.mark.parametrize("chi, kernel_entry", [("primary", "2+w"), ("conj", "1-w")])
@@ -524,6 +540,23 @@ DATASET_FAULTS = {
         "conflicting edge e0->e1",
     ),
     "omitted_root": ("D4_3", _set("omitted_root", value="e9"), "omitted root must be one of the first tau"),
+    "relation_pair": (
+        "P8_Z3", lambda raw: raw["relations"][0].append(["A2"]), "each relation must be a pair of words",
+    ),
+    "relation_letter": (
+        "P8_Z3", _set("relations", 0, 1, 3, value="e9"), "relations[0][1] must name cycles of the diagram",
+    ),
+    "relation_empty_word": ("P8_Z3", _set("relations", 0, 0, value=[]), "relations[0][0] must name cycles"),
+    "maximal_root_letter": (
+        "D4_3", _set("maximal_root", "word", 0, value="e9"), "maximal_root.word must name cycles of the diagram",
+    ),
+    "maximal_root_leaf": ("D4_3", _set("maximal_root", "leaf", value="e9"), "maximal_root.leaf must name cycles"),
+    "maximal_root_unit": (
+        "C3_24", _set("maximal_root", "unit", value="w"), "maximal_root.unit must be a value of Q(zeta_4), not 'w'",
+    ),
+    "maximal_root_unit_grammar": (
+        "P8_Z3", _set("maximal_root", "unit", value="conj(w"), "maximal_root.unit must be a value of Q(zeta_3)",
+    ),
     # an inadmissible form as well: the structure is checked before any form is judged
     "duplicate_id_and_positive_form": (
         "D4_3",

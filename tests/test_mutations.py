@@ -12,7 +12,13 @@ The mutation kinds are fixed in advance and never chosen to hide a gap:
 - ``kernel``: a nonzero kernel-vector entry times each unit other than 1;
 - ``braid``: an edge label set to each other value of null, 2, 3, 4, 6;
 - ``omitted_root``: the omitted root moved to each other of the first tau
-  cycles.
+  cycles;
+- ``relation_word``: a letter of a relation word dropped, or changed to
+  each other cycle;
+- ``root_word``: the same for the letters of the maximal-root word;
+- ``root_leaf``: the maximal-root leaf moved to each other cycle;
+- ``root_unit``: the maximal-root unit changed to each other root of unity
+  of the field.
 
 Each mutant goes through diagram_from_payload, verify_diagram and
 verify_crystallographic.  A claim that does not pass catches it, and a
@@ -37,7 +43,10 @@ GAPS = {
     "primary": Path(__file__).parent / "data" / "mutation_gaps.txt",
     "conj": Path(__file__).parent / "data" / "mutation_gaps_conj.txt",
 }
-KINDS = ("gram", "eigenvalue", "self_pairing", "kernel", "braid", "omitted_root")
+KINDS = (
+    "gram", "eigenvalue", "self_pairing", "kernel", "braid", "omitted_root",
+    "relation_word", "root_word", "root_leaf", "root_unit",
+)
 BRAIDS = (None, 2, 3, 4, 6)
 
 
@@ -95,6 +104,31 @@ def mutants(payload):
     for c in payload["cycles"][: payload["tau"]]:
         if c["id"] != payload["omitted_root"]:
             yield "omitted_root", f"= {c['id']}", changed(("omitted_root", c["id"]))
+
+    ids = [c["id"] for c in payload["cycles"]]
+
+    def letters_changed(word):
+        """(change, word) for each letter dropped, or changed to each other cycle."""
+        for k, letter in enumerate(word):
+            yield f"letter {k} dropped", word[:k] + word[k + 1 :]
+            for other in ids:
+                if other != letter:
+                    yield f"letter {k} = {other}", [*word[:k], other, *word[k + 1 :]]
+
+    for r, pair in enumerate(payload["relations"]):
+        for s, word in enumerate(pair):
+            for text, new in letters_changed(word):
+                yield "relation_word", f"[{r}][{s}] {text}", changed(("relations", r, s, new))
+    root = payload["maximal_root"]
+    if root is not None:
+        for text, new in letters_changed(root["word"]):
+            yield "root_word", text, changed(("maximal_root", "word", new))
+        for c in ids:
+            if c != root["leaf"]:
+                yield "root_leaf", f"= {c}", changed(("maximal_root", "leaf", c))
+        for u in units:
+            if u != parse_value(root["unit"], field):
+                yield "root_unit", f"= {render_value(u)}", changed(("maximal_root", "unit", render_value(u)))
 
 
 def caught_by(payload) -> set[str]:
