@@ -44,15 +44,13 @@ from .linalg import (
     flat_action,
     flatten,
     identity,
-    identity_minus_outer,
-    is_reflection,
     is_zero_vector,
     mat_inverse,
     mat_mul,
     mat_prod,
+    mat_rank,
     mat_vec,
     matrix,
-    reflection_order,
     transpose,
     unflatten,
     vec_add,
@@ -94,6 +92,14 @@ class AffineIsometry:
         return AffineIsometry(lin, tr)
 
 
+class DualReflection(NamedTuple):
+    """A reflection's action v -> linear v + translation on the dual hyperplane."""
+
+    reflection: PLOperator  # the linear part, with its root and coroot
+    translation: Vector
+    linear = property(lambda self: self.reflection.matrix)
+
+
 class DualFrame:
     """Coordinates on the dual hyperplane cut out by value alpha0 on the kernel.
 
@@ -116,11 +122,8 @@ class DualFrame:
         if self.n < 1:
             raise AffineError("dual frame needs at least one non-kernel direction")
         self.a = tuple(kern[1:])
-        # restriction of the quotient form to the span of e_1..e_n
-        sub = [row[1:] for row in quotient.gram.gram[1:]]
-        self.Q = matrix(field, sub)
-        self.Qt = transpose(self.Q)
-        self.dual_gram = HermitianGram(self.Qt)
+        # Q^T, for Q the quotient form restricted to the span of e_1..e_n
+        self.dual_gram = HermitianGram(transpose([row[1:] for row in quotient.gram.gram[1:]]))
 
     def decompose(self, root: Vector) -> tuple[CycloNum, Vector]:
         """Split a quotient vector as u0 * kernel + (0, u)."""
@@ -128,24 +131,27 @@ class DualFrame:
         u = tuple(root[j + 1] - u0 * self.a[j] for j in range(self.n))
         return u0, u
 
-    def dual_reflection(self, root: Vector, eigenvalue: CycloNum) -> AffineIsometry:
+    def dual_reflection(self, root: Vector, eigenvalue: CycloNum) -> DualReflection:
         """Affine action of the reflection along `root` on the dual hyperplane.
 
-        The linear part has eigenvalue conj(lambda) on the conjugated
-        V-component of the root; roots proportional to the kernel vector
-        have no V-component and are rejected.
+        The linear part is the reflection with root ub = conj(u), for u the
+        V-component of the root, eigenvalue conj(lambda) and coroot
+        (1 - conj(lambda)) Q^T u / nu, nu = u^T Q conj(u); roots
+        proportional to the kernel vector have no V-component and are rejected.
         """
         u0, u = self.decompose(root)
         if is_zero_vector(u):
             raise AffineError("root lies in the kernel line")
         ub = conj_vector(u)
-        w = mat_vec(self.Qt, u)
-        nu = dot(u, mat_vec(self.Q, ub))
+        w = mat_vec(self.dual_gram.gram, u)
+        nu = dot(ub, w)
         if nu.is_zero():
             raise AffineError("root is isotropic on the hyperplane")
-        coef = (self.field.one - eigenvalue.conjugate()) * nu.inverse()
+        lam = eigenvalue.conjugate()
+        coef = (1 - lam) * nu.inverse()
+        coroot = vec_scale(coef, w)
         tr = vec_scale(-coef * self.alpha0 * u0, ub)
-        return AffineIsometry(identity_minus_outer(coef, ub, w), tr)
+        return DualReflection(PLOperator.from_factors(ub, coroot, lam), tr)
 
 
 class Closure:
@@ -309,7 +315,7 @@ def _reflection_orders(group: Closure) -> list[int]:
     characteristic polynomial (e_2 = e_3 conj(e_1) when n = 3), which is
     then that of diag(1, ..., 1, lambda): m is a reflection of order k.  For
     n >= 4 those two do not fix e_2, and the elements that pass are
-    confirmed with is_reflection on their matrix.
+    confirmed by the rank of m - I, one.
 
     So an element whose determinant exponent d is 0 is skipped, and any
     other is a candidate exactly when its trace is (n - 1) + zeta^d.  Each
@@ -343,8 +349,12 @@ def _reflection_orders(group: Closure) -> list[int]:
     cols = [[sum(map(mul, p[i * r : (i + 1) * r], powers)) * (den // p[-1]) for p in points] for i in range(n)]
     keys = [(sum(map(mul, z.num, powers)) + n - 1) * den for z, _ in roots]  # (n - 1) + zeta^d, by exponent d
     orders = [k for _, (_, k) in roots]
+
+    def confirmed(x) -> bool:
+        return n <= 3 or mat_rank(tuple(map(vec_sub, group.matrix(x), identity(group.field, n)))) == 1
+
     return [
-        orders[d] if d and sum(map(getitem, cols, x)) == keys[d] and (n <= 3 or is_reflection(group.matrix(x))) else 0
+        orders[d] if d and sum(map(getitem, cols, x)) == keys[d] and confirmed(x) else 0
         for x, d in zip(group.elements, group.dets)
     ]
 
@@ -405,7 +415,7 @@ def reference_group(name: str) -> ReferenceGroup:
         for g in raw["generators"]
     )
     for g in gens:
-        if not form.is_preserved_by(g.matrix):
+        if not form.is_preserved_by(g):
             raise AffineError(f"{name}: generator does not preserve the form")
     for a, b, length in raw["braids"]:
         if not check_braid(gens[a].matrix, gens[b].matrix, length):
@@ -484,13 +494,13 @@ class TranslationReport(NamedTuple):
     witness: str
 
 
-def translation_subgroup(gens, orbit: tuple[ZLattice, int], escaped: int) -> TranslationReport:
+def translation_subgroup(gens, kept, orbit: tuple[ZLattice, int], escaped: int) -> TranslationReport:
     """Decide whether the orbit lattice Lambda holds every translation of
     the affine group G = <gens>, and whether it is their group T.
 
     Precondition: `orbit` is Lambda with its rounds, as `saturate` built it
-    from one shift t0 of a generator under the linear parts of some
-    generators whose translation is zero.  Those generate a finite group L,
+    from one shift t0 of a generator under the linear parts of gens[k] for
+    k in `kept`, whose translation is zero.  Those generate a finite group L,
     so every (m, 0) with m in L lies in G, and `escaped` generators have a
     linear part outside L.  T is the kernel of the linear-part map of G, so
     the (m, 0) are a transversal of T exactly when nothing escaped.  Then
@@ -504,7 +514,8 @@ def translation_subgroup(gens, orbit: tuple[ZLattice, int], escaped: int) -> Tra
     translations lie in Lambda exactly when T = Lambda, exactly when every
     shift lies in Lambda: one membership test per shift decides both.
 
-    invariance: each generator's linear part maps Lambda onto itself.
+    invariance: each generator's linear part maps Lambda onto itself.  Only
+    the others are imaged: a kept m, of finite order k, has Lambda = m^k Lambda in m Lambda in Lambda.
     verdict: nothing escaped and every shift lies in Lambda.
     states: Lambda's saturation rounds.
     """
@@ -512,7 +523,7 @@ def translation_subgroup(gens, orbit: tuple[ZLattice, int], escaped: int) -> Tra
     if not gens:
         raise AffineError("no generators")
     lattice, rounds = orbit
-    invariance = all(lattice.transformed(g.linear) == lattice for g in gens)
+    invariance = all(lattice.transformed(g.linear) == lattice for k, g in enumerate(gens) if k not in kept)
     if escaped:
         witness = f"linear part outside the group for {escaped} of {len(gens)} generators"
         return TranslationReport(invariance, "fail", rounds, witness)
@@ -531,19 +542,18 @@ class Conjugacy(NamedTuple):
 
 
 @cached
-def _cartan(reflections: tuple[Matrix, ...]) -> tuple[Matrix, Matrix, Matrix, Matrix] | None:
-    """(U, U^-1, A, F) for reflections g_i = I - u_i w_i^T whose roots u_i, the
-    first nonzero columns of I - g_i, form a basis, else None: w_i^T is row i
-    of U^-1 (I - g_i), A_ij = w_i^T u_j, and F holds A_ii and A_ij A_ji."""
-    if len(reflections) != len(reflections[0]) or not all(map(is_reflection, reflections)):
+def _cartan(reflections: tuple[PLOperator, ...]) -> tuple[Matrix, Matrix, Matrix, Matrix] | None:
+    """(U, U^-1, A, F) for reflections g_i = I - u_i w_i^T, roots u_i and nonzero
+    coroots w_i (else I - g_i has no rank one), when the roots form a basis, else
+    None: U has columns u_i, A_ij = w_i^T u_j, and F holds A_ii and A_ij A_ji."""
+    if len(reflections) != len(reflections[0].root) or any(is_zero_vector(g.coroot) for g in reflections):
         return None
-    moved = [tuple(map(vec_sub, identity(g[0][0].field, len(g)), g)) for g in reflections]  # I - g_i
-    u = transpose([next(c for c in zip(*m) if not is_zero_vector(c)) for m in moved])
+    u = transpose([g.root for g in reflections])
     try:
         u_inv = mat_inverse(u)
     except ValueError:  # the roots are dependent
         return None
-    a = mat_mul([mat_vec(transpose(m), row) for m, row in zip(moved, u_inv)], u)  # the rows w_i^T times U
+    a = mat_mul([g.coroot for g in reflections], u)
     return u, u_inv, a, tuple(tuple(x * a[j][i] if i != j else x for j, x in enumerate(row)) for i, row in enumerate(a))
 
 
@@ -568,11 +578,12 @@ def _rescaling(a: Matrix, b: Matrix) -> list[CycloNum] | None:
 def find_conjugacy(gens, targets) -> Conjugacy:
     """X with X g_i X^-1 = targets[pi(i)] for all i, at the first bijection pi,
     in lexicographic order, matching A_ii and A_ij A_ji (the traces and pairwise
-    traces) that has one, if as many g_i as targets.  For g_i = I - u_i w_i^T and
+    traces) that has one, if as many g_i as targets, all PLOperator.  For g_i = I - u_i w_i^T and
     t_j = I - u'_j w'_j^T with the u'_j a basis (else AffineError), X u_i = mu_i u'_pi(i)
     and w'_pi(i)^T X = mu_i w_i^T, so X exists exactly when the u_i form a basis
     and A_ij = (mu_j / mu_i) A'_pi(i)pi(j) (Cohen, Ann. Sci. ENS 9, 1976):
-    X = U'_pi diag(mu) U^-1, scaled to a last nonzero entry 1, then by the lcm of its denominators."""
+    X = U'_pi diag(mu) U^-1, scaled to a last nonzero entry 1, then by the lcm of its denominators,
+    which removes the scalar that rescaled roots (and coroots inversely) give X where A's graph is connected."""
     model, frame = _cartan(tuple(targets)), _cartan(tuple(gens))
     if model is None:
         raise AffineError("the targets are not reflections whose roots form a basis")
@@ -631,13 +642,14 @@ class MaximalRootReport(NamedTuple):
     word: str
 
 
-def maximal_root_check(d: Diagram, frame: DualFrame | None = None) -> MaximalRootReport:
+def maximal_root_check(d: Diagram, frame: DualFrame | None = None, duals=None) -> MaximalRootReport:
     """Check the diagram's maximal-root identity, which writes a as a unit
     times a word applied to a basis root; the witness names cycles by position.
 
     The letters are reflections on the non-kernel directions with the
     restricted form, one per cycle, with that cycle's eigenvalue: the
-    entrywise conjugates of the dual reflections' linear parts.
+    entrywise conjugates of the linear parts of the frame's dual
+    reflections, `duals` when the caller has built them.
     Conjugating the whole dataset conjugates both sides, so the same word
     and the conjugated unit witness the identity for the other character.
     """
@@ -650,8 +662,8 @@ def maximal_root_check(d: Diagram, frame: DualFrame | None = None) -> MaximalRoo
         unit = unit.conjugate()
 
     q, pos = frame.quotient, d.cycle_index
-    cycles = zip(q.labels, q.roots, q.eigenvalues)
-    letters = {c: conj_matrix(frame.dual_reflection(r, lam).linear) for c, r, lam in cycles if c in word}
+    duals = duals or [frame.dual_reflection(r, lam) for r, lam in zip(q.roots, q.eigenvalues)]
+    letters = {c: conj_matrix(g.linear) for c, g in zip(q.labels, duals) if c in word}
     _, v = frame.decompose(q.roots[pos(leaf)])
     v = vec_scale(unit, mat_vec(word_matrix(word, letters), v))
     word_text = "".join(f"A{pos(c)}" for c in word) + f"*e{pos(leaf)}" + (f" times {unit_text}" if unit_text != "1" else "")
@@ -719,7 +731,7 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None) -> CaseR
     ref = reference_group(d.expected_group)
     checks: list[CheckResult] = []
 
-    bad = [q.labels[j] for j in range(len(duals)) if not frame.dual_gram.is_preserved_by(duals[j].linear)]
+    bad = [q.labels[j] for j, g in enumerate(duals) if not frame.dual_gram.is_preserved_by(g.reflection)]
     checks.append(
         CheckResult(
             "dual_form",
@@ -734,14 +746,15 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None) -> CaseR
     # the dual reflections carry conj(lambda), so for the primary character
     # the kept linear parts match the model's generators entrywise conjugated
     conj = d.chi_label == "primary"
-    kept_linear = [duals[j].linear for j in kept]
     model = f"{'the conjugates of ' if conj else ''}the stored generators of {d.expected_group}"
     if field.n % ref.field.n:  # the model's generators do not embed, so no X can exist
         cert = Conjugacy(None, None, 0)
         witness = f"the model's ring {ref.ring} does not embed in Q(zeta_{field.n}), where the diagram's ring {d.ring} is verified"
     else:
-        targets = [_in_field(conj_matrix(g) if conj else g, field) for g in _reference_generators(d.expected_group)]
-        cert = find_conjugacy(kept_linear, targets)
+        rows = [(*g.matrix, g.root, g.coroot, (g.eigenvalue,)) for g in ref.generators]
+        rows = [_in_field(conj_matrix(r) if conj else r, field) for r in rows]
+        targets = [PLOperator(tuple(m), lam, root, coroot) for *m, root, coroot, (lam,) in rows]
+        cert = find_conjugacy([duals[j].reflection for j in kept], targets)
         if cert.x is not None:
             pairs = ", ".join(f"{q.labels[j]}->{p}" for j, p in zip(kept, cert.pi))
             witness = f"pi: {pairs}; X = {_render_matrix(cert.x)}; bijections solved: {cert.tries}"
@@ -794,10 +807,10 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None) -> CaseR
             ("fail", f"outside: {', '.join(outside)}") if outside else ("pass", "all omitted linear parts found")
         )
         # <kept> = X^-1 R X has the model's order, so the saturation ends within it
-        lattice, rounds = saturate(ZLattice(field, frame.n, [t0]), kept_linear, ref.declared_order)
+        lattice, rounds = saturate(ZLattice(field, frame.n, [t0]), [duals[j].linear for j in kept], ref.declared_order)
         full = lattice.rank == 2 * frame.n
         results["lattice_rank"] = ("pass" if full else "fail", f"rank {lattice.rank}")
-        trep = translation_subgroup(duals, (lattice, rounds), len(outside))
+        trep = translation_subgroup(duals, kept, (lattice, rounds), len(outside))
         results["lattice_invariant"] = ("pass" if trep.invariance else "fail", "all generators checked")
         results["translations_contained"] = results["translations_generate"] = (trep.verdict, trep.witness)
         if rule["kind"] == "ring":
@@ -808,7 +821,7 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None) -> CaseR
     checks += [CheckResult(c, claim, *results[c]) for c, claim in claims.items()]
 
     if rule["kind"] == "order2_root_orbit":
-        omitted_order = reflection_order(duals[q.omitted_index].linear)
+        omitted_order = duals[q.omitted_index].reflection.order()
         ok = omitted_order == 2 and d.cycles[q.omitted_index].order == 2
         checks.append(
             CheckResult(
@@ -820,7 +833,7 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None) -> CaseR
         )
 
     if d.maximal_root is not None and not lifted:
-        mr = maximal_root_check(d, frame)
+        mr = maximal_root_check(d, frame, duals)
         checks.append(
             CheckResult(
                 "maximal_root",

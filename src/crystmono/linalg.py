@@ -49,6 +49,7 @@ def matrix(field: CycloField, rows: Iterable[Iterable]) -> Matrix:
     return tuple(vector(field, r) for r in rows)
 
 
+@cached
 def identity(field: CycloField, n: int) -> Matrix:
     return tuple(
         tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
@@ -126,40 +127,6 @@ def vec_scale(c, v: Vector) -> Vector:
 
 def is_zero_vector(v: Vector) -> bool:
     return all(x.is_zero() for x in v)
-
-
-def identity_minus_outer(c: CycloNum, u: Vector, w: Vector) -> Matrix:
-    """I - c u w^T, the shape of every complex reflection built here; row i
-    is e_i exactly where u_i = 0, and is kept so."""
-    ident = identity(c.field, len(u))
-    return tuple(vec_sub(e, vec_scale(c * x, w)) if x else e for e, x in zip(ident, u))
-
-
-def trace(m: Matrix) -> CycloNum:
-    """The diagonal sum, as one integer sum of the products 1 * m[k][k].
-
-    1 is the left factor, whose zero coefficients the product loop skips,
-    so each diagonal entry costs one pass over its coefficients.
-    """
-    one = m[0][0].field.one
-    return one.field._sum_of_products([(one, row[k]) for k, row in enumerate(m)])
-
-
-def is_reflection(m: Matrix) -> bool:
-    """True when m - I has rank one: a nonzero row r with r[c] != 0 and x[j]*r[c] = x[c]*r[j] for all rows x."""
-    one = m[0][0].field.one
-    a = [tuple(x - one if i == j else x for j, x in enumerate(row)) for i, row in enumerate(m)]
-    r = next((row for row in a if not is_zero_vector(row)), None)
-    if r is None:
-        return False
-    c = next(j for j, x in enumerate(r) if not x.is_zero())
-    return all(dot((x[j], -x[c]), (r[c], r[j])).is_zero() for x in a for j in range(len(r)))
-
-
-def reflection_order(m: Matrix) -> int:
-    """Order of a reflection of finite order: that of its eigenvalue other than 1,
-    tr m - (n - 1) (Lehrer-Taylor, Unitary Reflection Groups, 2009, ch. 1)."""
-    return (trace(m) - (len(m) - 1)).multiplicative_order()
 
 
 # -- elimination ----------------------------------------------------------
@@ -297,9 +264,20 @@ class HermitianGram:
     def corank(self) -> int:
         return self.n - self.rank
 
-    def is_preserved_by(self, m: Matrix) -> bool:
-        """Whether <m u, m v> = <u, v>: m^T G conj(m) = G."""
-        return mat_mul(transpose(m), mat_mul(self.gram, conj_matrix(m))) == self.gram
+    def is_preserved_by(self, reflection) -> bool:
+        """Whether m = I - a b^T, a reflection's root a and coroot b, keeps <m u, m v> = <u, v>.
+
+        With g = G conj(a) and q = a^T g, m^T G conj(m) = G - g conj(b)^T - b conj(g)^T + q b conj(b)^T.
+        That is G when g = 0, and otherwise exactly when b = c g (the rank-one terms are independent for
+        b and g independent) and c + conj(c) = q |c|^2, that is, for g_k != 0, x + conj(x) = q |b_k|^2
+        with x = b_k conj(g_k)."""
+        g = mat_vec(self.gram, conj_vector(reflection.root))
+        k = next((k for k, x in enumerate(g) if x), None)
+        if k is None:
+            return True
+        b, x = reflection.coroot, reflection.coroot[k] * g[k].conjugate()
+        along = all(dot((bj, -b[k]), (g[k], gj)).is_zero() for bj, gj in zip(b, g))  # b_j g_k = b_k g_j
+        return along and x + x.conjugate() == dot(reflection.root, g) * b[k] * b[k].conjugate()
 
     def is_negative_semidefinite(self) -> bool:
         """One symmetric elimination of G, without row swaps.

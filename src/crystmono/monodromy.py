@@ -32,16 +32,14 @@ from .linalg import (
     Matrix,
     Vector,
     conj_vector,
+    dot,
     identity,
-    identity_minus_outer,
-    is_reflection,
     is_zero_vector,
     mat_mul,
     mat_prod,
     mat_vec,
-    reflection_order,
     vec_scale,
-    vector,
+    vec_sub,
 )
 
 
@@ -86,10 +84,22 @@ class MaximalRoot(NamedTuple):
 
 
 class PLOperator(NamedTuple):
-    """A complex reflection together with the eigenvalue that built it."""
+    """The complex reflection matrix = I - root coroot^T, with the eigenvalue that built it."""
 
     matrix: Matrix
     eigenvalue: CycloNum
+    root: Vector
+    coroot: Vector
+
+    @classmethod
+    def from_factors(cls, root: Vector, coroot: Vector, eigenvalue: CycloNum) -> PLOperator:
+        """I - root coroot^T with its factors; row i is e_i exactly where root_i = 0, and is kept so."""
+        rows = (vec_sub(e, vec_scale(x, coroot)) if x else e for e, x in zip(identity(root[0].field, len(root)), root))
+        return cls(tuple(rows), eigenvalue, root, coroot)
+
+    def order(self) -> int | None:
+        """The order of 1 - coroot^T root, its eigenvalue other than 1 (Lehrer-Taylor 2009, ch. 1), or None."""
+        return (1 - dot(self.coroot, self.root)).multiplicative_order()
 
 
 class CheckResult(NamedTuple):
@@ -205,10 +215,11 @@ def _build(raw: dict, chi_label: str) -> Diagram:
     name, ring = raw["name"], raw["ring"]
     conj = character_index(chi_label)
     field = diagram_field(name, ring)
-    chi_pair = tuple(parse_value(s, field) for s in raw["kernel_chi"])
+    chi_pair = tuple(_field_value(s, field, f"{name}: kernel_chi[{k}]") for k, s in enumerate(raw["kernel_chi"]))
     chi = chi_pair[conj]
 
-    cycles = tuple(Cycle(c["id"], c["order"], parse_value(c["lambda"], field, chi=chi)) for c in raw["cycles"])
+    lams = [_field_value(c["lambda"], field, f"{name}: cycles[{k}].lambda", chi) for k, c in enumerate(raw["cycles"])]
+    cycles = tuple(Cycle(c["id"], c["order"], lam) for c, lam in zip(raw["cycles"], lams))
     for c in cycles:
         if c.eigenvalue.multiplicative_order() != c.order:
             raise ReconcileError(f"{name}: eigenvalue_order violated for cycle {c.id}")
@@ -217,30 +228,30 @@ def _build(raw: dict, chi_label: str) -> Diagram:
     diagonal = [field.from_rational(c["self"]) for c in raw["cycles"]]
 
     # conjugate dataset: conjugate every stated value, keep the structure
-    def val(text: str) -> CycloNum:
-        v = parse_value(text, field, chi=chi)
+    def val(text: str, key: str) -> CycloNum:
+        v = _field_value(text, field, f"{name}: {key}", chi)
         return v.conjugate() if conj else v
 
     edges, candidates = [], []
-    for e in raw["edges"]:
+    for j, e in enumerate(raw["edges"]):
         texts = (e["value"],) if isinstance(e["value"], str) else tuple(e["value"])
-        vals = tuple(val(s) for s in texts)
-        if not vals:
+        values = tuple(val(s, f"edges[{j}].value") for s in texts)
+        if not values:
             raise DiagramError(f"{name}: edge {e['from']}->{e['to']} states no value")
-        if len({v * v.conjugate() for v in vals}) != 1:
+        if len({v * v.conjugate() for v in values}) != 1:
             raise ReconcileError(f"{name}: magnitude violated on edge {e['from']}->{e['to']}")
-        if not all(in_subring(v, ring) for v in vals):
+        if not all(in_subring(v, ring) for v in values):
             raise ReconcileError(f"{name}: ring violated on edge {e['from']}->{e['to']}")
         edges.append(Edge(e["from"], e["to"], e["braid"]))
-        candidates.append(tuple(zip(texts, vals)))
+        candidates.append(tuple(zip(texts, values)))
 
     fields = dict(
         name=name, ring=ring, chi_label=chi_label, kernel_chi_pair=chi_pair, cycles=cycles, edges=tuple(edges),
-        relation=vector(field, [val(s) for s in r]) if (r := raw.get("relation")) else None,
+        relation=tuple(val(s, f"relation[{k}]") for k, s in enumerate(r)) if (r := raw.get("relation")) else None,
         relations=tuple(tuple(map(tuple, pair)) for pair in raw.get("relations", ())),
         maximal_root=MaximalRoot(tuple(m["word"]), m["leaf"], m["unit"]) if (m := raw.get("maximal_root")) else None,
-        kernel_vector=vector(field, [val(s) for s in raw["kernel_vector"]]), omitted_root=raw["omitted_root"],
-        tau=raw["tau"], classical_order=raw["classical_order"],
+        kernel_vector=tuple(val(s, f"kernel_vector[{k}]") for k, s in enumerate(raw["kernel_vector"])),
+        omitted_root=raw["omitted_root"], tau=raw["tau"], classical_order=raw["classical_order"],
     )
     index = {c.id: k for k, c in enumerate(cycles)}
 
@@ -276,6 +287,14 @@ def _build(raw: dict, chi_label: str) -> Diagram:
         **fields, gram=winner.gram, expected_group=raw.get("expected_group"),
         resolved_choices=choices, rejected_choices=tuple(rejected),
     )
+
+
+def _field_value(text: str, field: CycloField, where: str, chi: CycloNum | None = None) -> CycloNum:
+    """parse_value, a text outside the grammar or the field raised as a DiagramError naming `where`."""
+    try:
+        return parse_value(text, field, chi=chi)
+    except ValueError:
+        raise DiagramError(f"{where} must be a value of Q(zeta_{field.n}), not {text!r}") from None
 
 
 def _checked_form(
@@ -329,11 +348,7 @@ def _checked_form(
     words = {f"relations[{k}][{s}]": w for k, pair in enumerate(relations) for s, w in enumerate(pair)}
     if maximal_root is not None:
         words.update({"maximal_root.word": maximal_root.word, "maximal_root.leaf": (maximal_root.leaf,)})
-        try:
-            parse_value(maximal_root.unit, field)
-        except ValueError:
-            what = f"a value of Q(zeta_{field.n})"
-            raise DiagramError(f"{name}: maximal_root.unit must be {what}, not {maximal_root.unit!r}") from None
+        _field_value(maximal_root.unit, field, f"{name}: maximal_root.unit")
     for key, word in words.items():
         if not word or not index.keys() >= set(word):
             raise DiagramError(f"{name}: {key} must name cycles of the diagram, not {list(word)!r}")
@@ -440,16 +455,15 @@ def _check_gram(form: HermitianGram, tau: int, kernel: Vector, relation: Vector 
 
 
 def pl_operator(gram: HermitianGram, root: Vector, eigenvalue: CycloNum) -> PLOperator:
-    """The complex reflection c -> c - (1-lambda) <c,e> e / <e,e>."""
-    field = gram.field
+    """The complex reflection c -> c - (1-lambda) <c,e> e / <e,e>: root e, coroot (1-lambda) G conj(e) / <e,e>,
+    both nonzero, so that matrix - I = -root coroot^T has rank one."""
     q = gram.eval(root, root)
     if q.is_zero():
         raise DiagramError("isotropic root has no reflection")
-    if eigenvalue == field.one:
+    if eigenvalue == gram.field.one:
         raise DiagramError("eigenvalue 1 does not define a reflection")
-    gbar = mat_vec(gram.gram, conj_vector(root))
-    coef = (field.one - eigenvalue) * q.inverse()
-    return PLOperator(identity_minus_outer(coef, root, gbar), eigenvalue)
+    coroot = vec_scale((1 - eigenvalue) * q.inverse(), mat_vec(gram.gram, conj_vector(root)))  # <c, e> = c^T G conj(e)
+    return PLOperator.from_factors(root, coroot, eigenvalue)
 
 
 @cached
@@ -598,11 +612,11 @@ def verify_diagram(d: Diagram) -> tuple[CheckResult, ...]:
     letters = {c.id: op.matrix for c, op in zip(d.cycles, ops)}
     bad = []
     for op, cyc in zip(ops, d.cycles):
-        if not q.gram.is_preserved_by(op.matrix):
+        if not q.gram.is_preserved_by(op):
             bad.append(f"{cyc.id}: form")
-        elif not (is_reflection(op.matrix) and reflection_order(op.matrix) == cyc.order):
+        elif op.order() != cyc.order:
             bad.append(f"{cyc.id}: order")
-        elif mat_vec(op.matrix, q.kernel) != q.kernel:
+        elif dot(op.coroot, q.kernel):  # m k = k - root (coroot^T k), with root != 0
             bad.append(f"{cyc.id}: kernel moved")
     checks.append(
         CheckResult(

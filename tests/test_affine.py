@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracle_reflection import is_preserved_by
 from crystmono import clear_caches
 from crystmono.cli import diagram_from_payload, show_diagram_payload
 from crystmono.cyclo import CycloField
@@ -110,7 +111,8 @@ def test_dual_reflection_eigenvector_and_form():
                 _, u = fr.decompose(root)
                 ub = conj_vector(u)
                 assert mat_vec(g.linear, ub) == vec_scale(lam.conjugate(), ub)
-                assert fr.dual_gram.is_preserved_by(g.linear)
+                assert is_preserved_by(fr.dual_gram, g.linear)
+                assert fr.dual_gram.is_preserved_by(g.reflection)
 
 
 def test_kept_reflections_are_linear_omitted_is_not():
@@ -127,8 +129,9 @@ def _pullback(fr, h_frame):
     tau = fr.n + 1
     h0 = tuple(h_frame[0][j] for j in range(1, tau))
     hv = tuple(tuple(h_frame[i][j] for j in range(1, tau)) for i in range(1, tau))
-    qi = mat_inverse(fr.Q)
-    lin = mat_mul(qi, mat_mul(transpose(hv), fr.Q))
+    q_restricted = transpose(fr.dual_gram.gram)
+    qi = mat_inverse(q_restricted)
+    lin = mat_mul(qi, mat_mul(transpose(hv), q_restricted))
     tr = vec_scale(fr.alpha0, mat_vec(qi, h0))
     return AffineIsometry(lin, tr)
 
@@ -148,6 +151,7 @@ def test_duality_is_covariant():
         for root, lam, g in zip(q.roots, q.eigenvalues, duals):
             h = pl_operator(q.gram, root, lam).matrix
             h_frame = mat_mul(mat_inverse(p), mat_mul(h, p))
+            g = AffineIsometry(g.linear, g.translation)
             assert g == _pullback(fr, mat_inverse(h_frame))
             if g.linear != mat_inverse(g.linear):
                 assert g != _pullback(fr, h_frame)
@@ -239,12 +243,16 @@ def _escaped(gens, group):
     return sum(g.linear not in members for g in gens)
 
 
+def _linear(gens):
+    """The indices of the generators whose translation is zero."""
+    return [k for k, g in enumerate(gens) if all(x.is_zero() for x in g.translation)]
+
+
 def _orbit(duals, q, group):
     """The orbit lattice of the omitted translation, saturated under the
     linear parts of the duals whose translation is zero, and its rounds."""
-    kept = [g.linear for g in duals if all(x.is_zero() for x in g.translation)]
     t0 = duals[q.omitted_index].translation
-    return saturate(ZLattice(t0[0].field, len(t0), [t0]), kept, len(group))
+    return saturate(ZLattice(t0[0].field, len(t0), [t0]), [duals[k].linear for k in _linear(duals)], len(group))
 
 
 def _shifted(g, c):
@@ -259,11 +267,11 @@ def test_translation_subgroup_rejects_wrong_lattice():
     orbit = _orbit(duals, q, group)
     assert orbit[0] == ZLattice(fr.field, fr.n, [mat_vec(m, t0) for m in group])
     assert _escaped(duals, group) == 0
-    good = translation_subgroup(duals, orbit, 0)
+    good = translation_subgroup(duals, _linear(duals), orbit, 0)
     assert good.invariance and good.verdict == "pass"
     # the relation cycle's shift halved lies outside the orbit lattice
     halved = _shifted(duals[-1], fr.field.from_rational(Fraction(1, 2)))
-    bad = translation_subgroup(duals[:-1] + [halved], orbit, 0)
+    bad = translation_subgroup(duals[:-1] + [halved], _linear(duals), orbit, 0)
     assert bad.verdict == "fail" and bad.witness.startswith("1 of 2 shifts")
 
 
@@ -272,16 +280,17 @@ def test_translation_subgroup_exact_controls():
     group = linear_part_closure(duals)
     orbit = _orbit(duals, q, group)
     assert _escaped(duals, group) == 0
-    good = translation_subgroup(duals, orbit, 0)
+    good = translation_subgroup(duals, _linear(duals), orbit, 0)
     # states counts saturation rounds: 3 for C3_33, against the 72 linear parts a transversal lists
     assert (good.verdict, good.states) == ("pass", 3)
     assert good.witness == "1 of 1 shifts in the orbit lattice, saturated in 3 rounds"
     # a second copy of the omitted reflection, its shift halved or doubled:
     # t0 / 2 lies outside the orbit lattice of t0, and 2 t0 inside
     omitted = duals[q.omitted_index]
-    half = translation_subgroup(duals + [_shifted(omitted, fr.field.from_rational(Fraction(1, 2)))], orbit, 0)
+    halved = duals + [_shifted(omitted, fr.field.from_rational(Fraction(1, 2)))]
+    half = translation_subgroup(halved, _linear(duals), orbit, 0)
     assert (half.verdict, half.witness) == ("fail", "1 of 2 shifts in the orbit lattice, saturated in 3 rounds")
-    doubled = translation_subgroup(duals + [_shifted(omitted, fr.field.from_rational(2))], orbit, 0)
+    doubled = translation_subgroup(duals + [_shifted(omitted, fr.field.from_rational(2))], _linear(duals), orbit, 0)
     assert doubled.verdict == "pass"
 
     # v -> -w v with the translations by 2 and 2w: the orbit lattice of 2 under
@@ -294,10 +303,10 @@ def test_translation_subgroup_exact_controls():
 
     orbit = saturate(ZLattice(F3, 1, [vector(F3, [2])]), [turn.linear], len(sixths))
     assert orbit == (ZLattice(F3, 1, [vector(F3, [2]), vector(F3, ["2*w"])]), 2)
-    rep = translation_subgroup([turn, shift(2), shift("2*w")], orbit, 0)
+    rep = translation_subgroup([turn, shift(2), shift("2*w")], [0], orbit, 0)
     assert (rep.verdict, rep.states) == ("pass", 2)
-    assert translation_subgroup([turn, shift(2), shift("4*w")], orbit, 0).verdict == "pass"
-    odd = translation_subgroup([turn, shift(2), shift("w")], orbit, 0)
+    assert translation_subgroup([turn, shift(2), shift("4*w")], [0], orbit, 0).verdict == "pass"
+    odd = translation_subgroup([turn, shift(2), shift("w")], [0], orbit, 0)
     assert (odd.verdict, odd.witness) == ("fail", "1 of 2 shifts in the orbit lattice, saturated in 2 rounds")
 
     # saturated under v -> -v alone, the orbit lattice is 2Z; the linear part
@@ -309,7 +318,7 @@ def test_translation_subgroup_exact_controls():
     orbit = saturate(ZLattice(F3, 1, [vector(F3, [2])]), [flip.linear], len(signs))
     gens = [flip, rotate, shift(2), shift("2*w")]
     assert _escaped(gens, signs) == 1
-    escaped = translation_subgroup(gens, orbit, 1)
+    escaped = translation_subgroup(gens, [0], orbit, 1)
     assert (escaped.verdict, escaped.states) == ("fail", 1)
     assert escaped.witness == "linear part outside the group for 1 of 4 generators"
 
@@ -321,7 +330,8 @@ def _word_translation_span(duals, depth):
     Schreier transversal.
     """
     field, n = duals[0].linear[0][0].field, len(duals[0].linear)
-    letters = duals + [_inverse(g) for g in duals]
+    letters = [AffineIsometry(g.linear, g.translation) for g in duals]
+    letters += [_inverse(g) for g in letters]
     start = AffineIsometry(identity(field, n), vector(field, [0] * n))
     seen, frontier, found = {start}, [start], []
     for _ in range(depth):
@@ -338,6 +348,30 @@ def _word_translation_span(duals, depth):
     return ZLattice(field, n, found)
 
 
+def test_lattice_invariant_images_only_the_generators_outside_the_saturation(monkeypatch):
+    """A kept generator maps the orbit lattice onto itself by saturation
+    and finite order, so lattice_invariant builds the image of each other
+    generator alone, and one of those that moves the lattice, as twice the
+    omitted linear part does, still fails it; so does a hand-made rotation
+    v -> w v against the lattice 2Z of v -> -v."""
+    d, q, fr, duals = duals_for("D4_3")
+    kept = _linear(duals)
+    orbit = _orbit(duals, q, linear_part_closure(duals))
+    images, real = [], ZLattice.transformed
+    monkeypatch.setattr(ZLattice, "transformed", lambda lat, m: images.append(m) or real(lat, m))
+    assert translation_subgroup(duals, kept, orbit, 0).invariance
+    assert images == [g.linear for k, g in enumerate(duals) if k not in kept] != []
+    j = q.omitted_index
+    doubled = AffineIsometry(tuple(vec_scale(2, row) for row in duals[j].linear), duals[j].translation)
+    assert not translation_subgroup(duals[:j] + [doubled] + duals[j + 1 :], kept, orbit, 1).invariance
+    assert real(orbit[0], duals[j].linear) == orbit[0] != real(orbit[0], doubled.linear)
+
+    flip = AffineIsometry(matrix(F3, [[-1]]), vector(F3, [0]))
+    rotate = AffineIsometry(matrix(F3, [["w"]]), vector(F3, [0]))
+    orbit = saturate(ZLattice(F3, 1, [vector(F3, [2])]), [flip.linear], 2)
+    assert translation_subgroup([flip, rotate], [0], orbit, 1).invariance is False
+
+
 @pytest.mark.parametrize("name, depth", [("P8divZ6", 2), ("P8_Z3", 6)])
 def test_schreier_span_matches_word_oracle(name, depth):
     d, q, fr, duals = duals_for(name)
@@ -346,7 +380,7 @@ def test_schreier_span_matches_word_oracle(name, depth):
     assert _escaped(duals, group) == 0
     orbit = _orbit(duals, q, group)
     assert orbit[0] == lattice
-    assert translation_subgroup(duals, orbit, 0).verdict == "pass"  # translations == lattice
+    assert translation_subgroup(duals, _linear(duals), orbit, 0).verdict == "pass"  # translations == lattice
     assert _word_translation_span(duals, depth) == lattice
     assert _word_translation_span(duals, depth - 1) != lattice
 
@@ -368,7 +402,7 @@ def test_maximal_root_letters_are_the_conjugated_dual_reflections():
     for nm in ALL_NAMES:
         for chi in ("primary", "conj"):
             frame = frame_for(nm, chi)
-            restricted = HermitianGram(frame.Q)
+            restricted = HermitianGram(transpose(frame.dual_gram.gram))
             for root, lam in zip(frame.quotient.roots, frame.quotient.eigenvalues):
                 _, u = frame.decompose(root)
                 oracle = pl_operator(restricted, u, lam).matrix

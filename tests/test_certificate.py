@@ -21,13 +21,14 @@ from math import lcm
 import pytest
 
 import oracle_closure as O
+from oracle_reflection import as_reflection, factors
 from crystmono import affine, clear_caches, linalg
 from crystmono.affine import (
     AffineError,
-    AffineIsometry,
     ClosureBoundError,
     Conjugacy,
     DualFrame,
+    DualReflection,
     _kept_indices,
     _reference_generators,
     dilation_check,
@@ -55,7 +56,7 @@ from crystmono.linalg import (
     unflatten,
     vec_scale,
 )
-from crystmono.monodromy import diagram, diagram_names, quotient_basis
+from crystmono.monodromy import PLOperator, diagram, diagram_names, quotient_basis
 
 F3, F12 = CycloField(3), CycloField(12)
 
@@ -189,7 +190,7 @@ def test_certificate_and_saturated_lattices_match_the_closure_oracle(run, monkey
     members = set(group)
     assert all(duals[j].linear in members for j in range(len(duals)) if j not in kept)
     # states and the witness carry the rounds of the one saturation
-    trep = translation_subgroup(duals, saturate(ZLattice(field, frame.n, [t0]), kept_linear, len(group)), 0)
+    trep = translation_subgroup(duals, kept, saturate(ZLattice(field, frame.n, [t0]), kept_linear, len(group)), 0)
     assert (trep.verdict, trep.states) == ("pass", rounds)
     witness = f"{len(shifts)} of {len(shifts)} shifts in the orbit lattice, saturated in {rounds} rounds"
     checks = {c.claim_id: c for c in rep.checks}
@@ -215,50 +216,67 @@ def _conjugates(cert, gens, targets):
     return all(mat_prod([cert.x, g, x_inv]) == targets[p] for g, p in zip(gens, cert.pi))
 
 
+def _find_conjugacy(gens, targets):
+    """find_conjugacy on matrices, each factored by the matrix oracle."""
+    return find_conjugacy([as_reflection(m) for m in gens], [as_reflection(m) for m in targets])
+
+
 def test_find_conjugacy_on_hand_made_generators():
     a, b = _reference_generators("K5")
     y = matrix(F3, [[1, "w"], [0, 2]])
     y_inv = mat_inverse(y)
     gens = [mat_prod([y_inv, b, y]), mat_prod([y_inv, a, y])]
-    cert = find_conjugacy(gens, [a, b])
+    cert = _find_conjugacy(gens, [a, b])
     # a and b are swapped by a conjugation as well, so the first bijection serves
     assert (cert.pi, cert.tries) == ((0, 1), 1)
     assert [mat_prod([cert.x, g, mat_inverse(cert.x)]) for g in gens] == [a, b]
     # one generator short: no X and no try; one target short: no basis
-    assert find_conjugacy(gens[:1], [a, b]) == Conjugacy(None, None, 0)
+    assert _find_conjugacy(gens[:1], [a, b]) == Conjugacy(None, None, 0)
     with pytest.raises(AffineError, match="roots form a basis"):
-        find_conjugacy(gens, [a])
+        _find_conjugacy(gens, [a])
     # diagonal targets: a Cartan graph with no edge, each part rescaled from
     # 1, so the X found is diagonal
     d1, d2 = matrix(F3, [["w", 0], [0, 1]]), matrix(F3, [[1, 0], [0, "w"]])
-    assert find_conjugacy([d1, d2], [d1, d2]) == Conjugacy((0, 1), identity(F3, 2), 1)
+    assert _find_conjugacy([d1, d2], [d1, d2]) == Conjugacy((0, 1), identity(F3, 2), 1)
     # conjugated and swapped, with eigenvalues w and -1: (0, 1) fails the
     # diagonal, A_00 = 2 against 1 - w, and is not tried
     d3 = matrix(F3, [[1, 0], [0, -1]])
     gens = [mat_prod([y_inv, t, y]) for t in (d3, d1)]
-    cert = find_conjugacy(gens, [d1, d3])
+    cert = _find_conjugacy(gens, [d1, d3])
     assert (cert.pi, cert.tries) == ((1, 0), 1) and _conjugates(cert, gens, [d1, d3])
     # targets along one root line: no basis, so no verdict
     with pytest.raises(AffineError, match="roots form a basis"):
-        find_conjugacy([d1, d2], [d1, matrix(F3, [["w^2", 0], [0, 1]])])
+        _find_conjugacy([d1, d2], [d1, matrix(F3, [["w^2", 0], [0, 1]])])
 
 
 def test_find_conjugacy_refuses_a_generator_that_is_no_reflection():
-    # g has the trace 1 + w of each of K5's generators, but I - g has rank 2
-    a, b = _reference_generators("K5")
-    g = matrix(F3, [["1 + w", 1], [-1, 0]])
-    for gens in ([a, g], [g, b], [a, mat_mul(a, b)], [a, identity(F3, 2)]):
-        assert find_conjugacy(gens, [a, b]) == Conjugacy(None, None, 0)
+    """A record is a reflection when its root and coroot are both nonzero;
+    the identity, with either factor zero, is none, and matches no target,
+    nor serves as one.  A matrix with I - m of rank two, such as g, which
+    has the trace 1 + w of each of K5's generators, or a product of two
+    reflections, has no factors to make a record of."""
+    a, b = reference_group("K5").generators
+    ident, zero = identity(F3, 2), (F3.zero, F3.zero)
+    for g in (PLOperator(ident, F3.one, a.root, zero), PLOperator(ident, F3.one, zero, a.coroot)):
+        for gens in ([a, g], [g, b]):
+            assert find_conjugacy(gens, [a, b]) == Conjugacy(None, None, 0)
+        with pytest.raises(AffineError, match="not reflections"):
+            find_conjugacy([a, b], [a, g])
+    for m in (matrix(F3, [["1 + w", 1], [-1, 0]]), mat_mul(a.matrix, b.matrix), ident):
+        assert factors(m) is None
 
 
 def _from_cartan(rows):
     """The reflections r_i = I - e_i a_i^T, with roots e_i and coroots a_i:
-    their Cartan matrix is `rows`, up to rescaling."""
+    their Cartan matrix is `rows`."""
     ident = identity(F3, len(rows))
     return [
-        tuple(tuple(x - y for x, y in zip(e, row)) if i == k else e for k, e in enumerate(ident))
-        for i, row in enumerate(matrix(F3, rows))
+        PLOperator.from_factors(e, a, 1 - a[i]) for i, (e, a) in enumerate(zip(ident, matrix(F3, rows)))
     ]
+
+
+def _matrices(reflections):
+    return [g.matrix for g in reflections]
 
 
 def test_find_conjugacy_tries_cartan_matched_reflections_without_an_invertible_x():
@@ -269,19 +287,19 @@ def test_find_conjugacy_tries_cartan_matched_reflections_without_an_invertible_x
     targets = _from_cartan([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
     gens = _from_cartan([[2, 1, 1], [1, 2, -1], [1, -1, 2]])
     assert find_conjugacy(gens, targets) == Conjugacy(None, None, 6)
-    assert _unfiltered_conjugacy(gens, targets) == (None, None)
+    assert _unfiltered_conjugacy(_matrices(gens), _matrices(targets)) == (None, None)
     # a rescaling of the targets' Cartan matrix by mu = (1, 2, -1) is found
     rescaled = _from_cartan([[2, 2, -1], [Fraction(1, 2), 2, Fraction(-1, 2)], [-1, -2, 2]])
     cert = find_conjugacy(rescaled, targets)
-    assert (cert.pi, cert.tries) == ((0, 1, 2), 1) and _conjugates(cert, rescaled, targets)
-    assert _unfiltered_conjugacy(rescaled, targets) == (cert.pi, cert.x)
+    assert (cert.pi, cert.tries) == ((0, 1, 2), 1) and _conjugates(cert, _matrices(rescaled), _matrices(targets))
+    assert _unfiltered_conjugacy(_matrices(rescaled), _matrices(targets)) == (cert.pi, cert.x)
 
 
 def test_find_conjugacy_needs_as_many_generators_as_targets():
     # three reflections against K5's two, and two against three targets
     # whose first two share their Cartan matrix: no bijection, no try
     three = _from_cartan([[2, 1, 0], [1, 2, 0], [0, 0, 2]])
-    assert find_conjugacy(three, list(_reference_generators("K5"))) == Conjugacy(None, None, 0)
+    assert find_conjugacy(three, list(reference_group("K5").generators)) == Conjugacy(None, None, 0)
     assert find_conjugacy(_from_cartan([[2, 1], [1, 2]]), three) == Conjugacy(None, None, 0)
 
 
@@ -295,8 +313,8 @@ def test_find_conjugacy_runs_one_elimination_per_call(monkeypatch):
     cases = [(_from_cartan([[2, 1, 1], [1, 2, -1], [1, -1, 2]]), _from_cartan([[2, 1, 1], [1, 2, 1], [1, 1, 2]]))]
     for name in diagram_names():
         _, _, _, _, duals, kept = _setting(name, "primary", None)
-        targets = [conj_matrix(g) for g in _reference_generators(diagram(name).expected_group)]
-        cases.append(([duals[j].linear for j in kept], targets))
+        targets = [as_reflection(conj_matrix(g)) for g in _reference_generators(diagram(name).expected_group)]
+        cases.append(([duals[j].reflection for j in kept], targets))
     tries, counts = [], []
     for gens, targets in cases:
         clear_caches()
@@ -352,8 +370,9 @@ def _model_call(name):
 
 
 def _squared(frame, root, eigenvalue, _other):
+    # (I - a b^T)^2 = I - a ((2 - b^T a) b)^T, a reflection again, factored by the oracle
     g = _dual_reflection(frame, root, eigenvalue)
-    return AffineIsometry(mat_mul(g.linear, g.linear), g.translation)
+    return DualReflection(as_reflection(mat_mul(g.linear, g.linear)), g.translation)
 
 
 def _wrong_eigenvalue(frame, root, eigenvalue, _other):
@@ -452,7 +471,7 @@ def _scale_relation_shift(monkeypatch, d, c):
 
     def patched(self, root, eigenvalue):
         g = _dual_reflection(self, root, eigenvalue)
-        return AffineIsometry(g.linear, vec_scale(c, g.translation)) if root == relation else g
+        return DualReflection(g.reflection, vec_scale(c, g.translation)) if root == relation else g
 
     monkeypatch.setattr(DualFrame, "dual_reflection", patched)
 

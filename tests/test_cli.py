@@ -286,6 +286,23 @@ def test_verify_all_sends_no_quadratic_product_through_the_general_loop(chi, mon
     crystmono.clear_caches()
 
 
+def test_cold_d4_3_report_takes_a_pinned_number_of_product_sums(monkeypatch):
+    """D4_3 is the slowest case of `verify all`.  From empty caches, with the
+    diagram loaded, its report runs _sum_of_products, the one loop behind
+    every dot product and matrix entry, 366 times: the model K25 built and
+    closed, the intrinsic and crystallographic checks, each reflection
+    checked by its root and coroot (by n x n products they took 667); a
+    change in the work done shows here as a count."""
+    products, calls = CycloField._sum_of_products, []
+    args = build_parser().parse_args(["verify", "diagram", "D4_3"])
+    crystmono.clear_caches()
+    d = diagram("D4_3")
+    monkeypatch.setattr(CycloField, "_sum_of_products", lambda self, pairs: calls.append(None) or products(self, pairs))
+    assert diagram_report(d, args)["verdict"] == "pass"
+    assert len(calls) == 366
+    crystmono.clear_caches()
+
+
 def test_benchmark_tracer_finds_every_traced_name():
     """perfbench/tracing.py patches crystmono functions and methods by name;
     a deleted or renamed one makes install raise, which only a traced
@@ -330,6 +347,7 @@ UNCALLED = {
 
 # defs that no src statement reaches and perfbench/*.py names
 BENCH_ONLY = {
+    "affine.AffineIsometry": "composition of affine maps, for the affine-group oracle tests; the tracer counts its * by name",
     "affine.dilation_check": "acceptance criterion 9; the dilation workload runs it, and no CLI target does yet",
     "affine.reference_closure": "the model's elements as matrices, for the closure tests; the tracer patches it by name",
     "affine.reference_names": "the public list of models, which the intrinsic workload walks",
@@ -515,6 +533,7 @@ def test_only_replaced_records_are_dataclasses():
 RECORDS = (
     "CheckResult", "Cycle", "Edge", "PLOperator", "Quotient", "ProjRow", "ReferenceGroup",
     "TranslationReport", "Conjugacy", "MaximalRootReport", "CaseReport", "DilationReport", "MaximalRoot",
+    "DualReflection",
 )
 
 
@@ -547,6 +566,8 @@ def real_records():
     d = diagram(case.diagram)
     ref = crystmono.reference_group(case.group)
     keep(*case.checks, case.conjugacy, *d.cycles, *d.edges, d.maximal_root, ref, *ref.generators, dilation_check(d))
+    q = affine.quotient_basis(d)
+    keep(affine.DualFrame(q).dual_reflection(q.roots[0], q.eigenvalues[0]))
     keep(*crystmono.proj_rows())
     return seen
 

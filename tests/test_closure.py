@@ -2,8 +2,8 @@
 
 `linear_closure` is compared with the breadth-first closure kept in
 oracle_closure.py, and its list, order included, with the same search run
-on the matrices themselves; `is_reflection` and the trace-and-determinant
-reflection test with a full elimination rank of m - I, element by element,
+on the matrices themselves; the trace-and-determinant reflection test
+with a full elimination rank of m - I, element by element,
 and the reflection multiset with an unfiltered count, on the seven
 reference models, which are all the verifier closes, and on the groups of
 the kept dual linear parts of every diagram in both characters and of the
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracle_closure as O
+from oracle_reflection import reflection_order, trace
 from crystmono import affine, clear_caches, linalg
 from crystmono.affine import (
     AffineError,
@@ -43,13 +44,10 @@ from crystmono.linalg import (
     flat_action,
     flatten,
     identity,
-    is_reflection,
     mat_mul,
     mat_prod,
     mat_rank,
     matrix,
-    reflection_order,
-    trace,
     vec_sub,
 )
 from crystmono.monodromy import diagram, diagram_names, operator_order, quotient_basis
@@ -138,10 +136,9 @@ def test_bound_is_exact(case):
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_is_reflection_is_the_rank_one_test(case):
+def test_rank_one_elements_have_their_trace_order(case):
     _, _, group, _ = _closures(case)
-    flags = [is_reflection(m) for m in group]
-    assert flags == [_rank_one(m) for m in group]
+    flags = [_rank_one(m) for m in group]
     assert any(flags)
     # an element's order divides the group's
     assert all(operator_order(m, bound=len(group)) == reflection_order(m) for m, flag in zip(group, flags) if flag)
@@ -184,7 +181,7 @@ def test_trace_prefilter_keeps_every_reflection(case, monkeypatch):
     every element."""
     _, closure, group, _ = _closures(case)
     assert len(group[0]) <= 3
-    reflections = [m for m in group if is_reflection(m)]
+    reflections = [m for m in group if _rank_one(m)]
     assert reflections and all(map(_passes, reflections))
     powered = []
     real_pow = CycloNum.__pow__
@@ -222,11 +219,11 @@ def test_trace_candidate_that_is_no_reflection():
     assert reflection_order_multiset(closure) == {}
 
 
-def test_rank_four_candidates_are_confirmed_by_is_reflection(monkeypatch):
+def test_rank_four_candidates_are_confirmed_by_their_rank(monkeypatch):
     """S5 in its reflection representation on the root lattice of A4, over
     Q(w): for n >= 4 the trace and determinant do not fix the eigenvalues,
-    so each element that passes them is confirmed with is_reflection on its
-    matrix.  The group has order 120 and its 10 transpositions are the
+    so each element that passes them is confirmed by the rank of m - I on
+    its matrix.  The group has order 120 and its 10 transpositions are the
     reflections, each of order 2."""
     cartan = [[2 if r == c else -1 if abs(r - c) == 1 else 0 for c in range(4)] for r in range(4)]
     gens = [matrix(F3, [[(r == c) - (cartan[i][c] if r == i else 0) for c in range(4)] for r in range(4)]) for i in range(4)]
@@ -235,8 +232,8 @@ def test_rank_four_candidates_are_confirmed_by_is_reflection(monkeypatch):
     assert len(group) == 120 and set(group) == set(O.linear_closure(gens))
     assert group == O.left_bfs_closure(gens)
     confirmed = []
-    real = affine.is_reflection
-    monkeypatch.setattr(affine, "is_reflection", lambda m: confirmed.append(m) or real(m))
+    real = affine.mat_rank
+    monkeypatch.setattr(affine, "mat_rank", lambda m: confirmed.append(m) or real(m))
     orders = _reflection_orders(closure)
     assert orders == [2 if _rank_one(m) else 0 for m in group]
     assert orders.count(2) == 10 and len(confirmed) == 10
@@ -280,7 +277,7 @@ def _subgroup_generators(draw):
     letter = st.integers(0, len(model) - 1)
     words = draw(st.lists(st.lists(letter, min_size=1, max_size=5), min_size=1, max_size=3))
     gens = [linalg.mat_prod([model[k] for k in w]) for w in words]
-    assume(not all(map(is_reflection, gens)))
+    assume(not all(map(_rank_one, gens)))
     return name, gens
 
 
@@ -344,63 +341,6 @@ def test_singular_generator_is_rejected():
     ends, but it generates no group."""
     with pytest.raises(AffineError, match="^a generator is singular$"):
         linear_closure([matrix(F3, [[0, 0], [0, 1]])], 10)
-
-
-def test_is_reflection_hand_made_branches():
-    w, i = F3.omega, F4.root_of_unity(4)
-    # m - I is zero: no nonzero row
-    assert not is_reflection(identity(F3, 3))
-    # 1x1
-    assert is_reflection(matrix(F3, [[w]]))
-    assert not is_reflection(matrix(F3, [[1]]))
-    # m - I has a zero first row
-    assert is_reflection(matrix(F3, [[1, 0, 0], [0, 1, 1], [0, 0, 1]]))
-    assert not is_reflection(matrix(F3, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]))
-    # m - I = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]: first two rows proportional, the third not
-    assert not is_reflection(matrix(F3, [[2, 2, 0], [2, 5, 0], [0, 0, 2]]))
-    # a pivot column other than the first: the rows of m - I are (0, i, 2), i * (0, i, 2) and 0
-    assert is_reflection(matrix(F4, [[1, i, 2], [0, 0, 2 * i], [0, 0, 1]]))
-    assert not is_reflection(matrix(F4, [[1, i, 2], [0, 1 + i, 2 * i], [0, 0, 1]]))
-    # Q(zeta72): I + u v^T is a reflection, diag(z, z, 1) is not
-    z = F72.zeta()
-    u, v = (z, 1 + z * z, 0), (z ** 5, 2, -z)
-    m = tuple(tuple((F72.one if r == c else F72.zero) + u[r] * v[c] for c in range(3)) for r in range(3))
-    assert is_reflection(m) and _rank_one(m)
-    d = matrix(F72, [[z, 0, 0], [0, z, 0], [0, 0, 1]])
-    assert not is_reflection(d) and not _rank_one(d)
-
-
-def _entries(field):
-    if field is F3:  # rational integers
-        return st.integers(-2, 2).map(field.from_rational)
-    coeff = st.sampled_from([0, 0, 0, 1, -1, 2])
-    return st.lists(coeff, min_size=field.degree, max_size=field.degree).map(field.element)
-
-
-def _matrices(field):
-    def build(n):
-        entry = _entries(field)
-        square = st.lists(st.lists(entry, min_size=n, max_size=n).map(tuple), min_size=n, max_size=n).map(tuple)
-        vec = st.lists(entry, min_size=n, max_size=n)
-
-        def near_reflection(args):
-            u, v, extra, k = args
-            ident = identity(field, n)
-            rows = [tuple(ident[r][c] + u[r] * v[c] for c in range(n)) for r in range(n)]
-            rows[k % n] = tuple(x + y for x, y in zip(rows[k % n], extra))  # sometimes raises the rank
-            return tuple(rows)
-
-        zero = st.just(tuple(field.zero for _ in range(n)))
-        outer = st.tuples(vec, vec, st.one_of(zero, zero, vec.map(tuple)), st.integers(0, 2)).map(near_reflection)
-        return st.one_of(square, outer)
-
-    return st.integers(1, 3).flatmap(build)
-
-
-@given(st.sampled_from([F3, F4, F12]).flatmap(_matrices))
-@settings(max_examples=150, deadline=None)
-def test_is_reflection_matches_rank_on_random_matrices(m):
-    assert is_reflection(m) == _rank_one(m)
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
 import re
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crystmono.cyclo import CycloField, parse_value
 from crystmono.linalg import (
@@ -19,7 +20,6 @@ from crystmono.linalg import (
     matrix,
     nullspace,
     solve,
-    trace,
     transpose,
     vec_add,
     vec_scale,
@@ -136,11 +136,25 @@ def test_negative_semidefinite():
         HermitianGram(((-(z + z.conjugate()),),)).is_negative_semidefinite()
 
 
+def _factors(root, coroot):
+    """A reflection I - root coroot^T as is_preserved_by reads it: its two factors."""
+    return SimpleNamespace(root=root, coroot=coroot)
+
+
 def test_form_preservation_check():
+    """I - c a (G conj(a))^T preserves the form exactly when c + conj(c) = q |c|^2,
+    q = <a, a>; a coroot off the line of G conj(a) never does, unless G conj(a) = 0."""
     g = HermitianGram(g3([[-3, "1-w"], ["1-conj(w)", -3]]))
-    assert g.is_preserved_by(identity(F3, 2))
-    swap = g3([[0, 1], [1, 0]])
-    assert not g.is_preserved_by(swap)  # off-diagonal is not real
+    root = vector(F3, [1, 0])
+    along = mat_vec(g.gram, conj_vector(root))
+    q = g.eval(root, root)
+    for c in (2 / q, (1 - W) / q, (1 - W * W) / q, 0):  # eigenvalues -1, w, w^2, and the identity
+        assert g.is_preserved_by(_factors(root, vec_scale(c, along)))
+    for c in (1 / q, 3 / q, (1 - 2 * W) / q):  # eigenvalues 0, -2 and 2w, of modulus other than 1
+        assert not g.is_preserved_by(_factors(root, vec_scale(c, along)))
+    assert not g.is_preserved_by(_factors(root, vector(F3, [2 / q, 0])))  # off the line of G conj(a)
+    radical = HermitianGram(g3([[-1, 1], [1, -1]]))
+    assert radical.is_preserved_by(_factors(vector(F3, [1, 1]), vector(F3, [5, "w"])))  # G conj(a) = 0
 
 
 # -- lattices ---------------------------------------------------------------
@@ -327,27 +341,6 @@ def test_hnf_is_reduced(gens):
         assert row[c] > 0
         assert all(0 <= above[c] < row[c] for above in lat.rows[:k])
     assert all(lat.member(g) for g in gens)
-
-
-F72 = CycloField(72)
-
-
-@st.composite
-def _fractional_squares(draw):
-    """Square matrices over Q(w), Q(i), Q(zeta12) or Q(zeta72), sparse
-    coefficients over mixed denominators."""
-    field = draw(st.sampled_from([F3, F4, F12, F72]))
-    n = draw(st.integers(1, 4))
-    coeff = st.one_of(st.just(0), st.builds(Fraction, _small, st.sampled_from([1, 2, 3, 5, 7])))
-    entry = st.lists(coeff, min_size=field.degree, max_size=field.degree).map(field.element)
-    return tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
-
-
-@given(_fractional_squares())
-@example(((F72.element([Fraction(2, 7)] + [0] * 22 + [Fraction(-1, 3)]),),))
-@settings(max_examples=80, deadline=None)
-def test_trace_is_the_diagonal_sum(m):
-    assert trace(m) == sum((row[k] for k, row in enumerate(m)), m[0][0].field.zero)
 
 
 def _all_minors_nsd(g):

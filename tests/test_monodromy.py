@@ -6,6 +6,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_reflection import is_preserved_by
 from crystmono import clear_caches, linalg, monodromy
 from crystmono.cli import diagram_from_payload, main, show_diagram_payload
 from crystmono.cyclo import CycloField, parse_value
@@ -148,7 +149,8 @@ def test_operators_preserve_form_fix_kernel_and_have_declared_order():
             d = diagram(nm, chi)
             q = quotient_basis(d)
             for op, cyc in zip(diagram_operators(d), d.cycles):
-                assert q.gram.is_preserved_by(op.matrix)
+                assert is_preserved_by(q.gram, op.matrix)
+                assert q.gram.is_preserved_by(op)
                 assert operator_order(op.matrix, bound=cyc.order) == cyc.order
                 assert mat_vec(op.matrix, q.kernel) == q.kernel
 
@@ -470,7 +472,7 @@ def test_property_every_reflection_is_unitary_rank_one(case, data):
     q = quotient_basis(d)
     m = ops[k].matrix
     ident = identity(d.field, d.tau)
-    assert q.gram.is_preserved_by(m)
+    assert is_preserved_by(q.gram, m)
     assert mat_rank(mat_sub(m, ident)) == 1
     assert det(m) == q.eigenvalues[k]
 
@@ -556,6 +558,26 @@ DATASET_FAULTS = {
     ),
     "maximal_root_unit_grammar": (
         "P8_Z3", _set("maximal_root", "unit", value="conj(w"), "maximal_root.unit must be a value of Q(zeta_3)",
+    ),
+    # a dataset value outside its field, or outside the grammar, named by its key
+    "kernel_vector_field": (
+        "C3_33", _set("kernel_vector", 1, value="i"), "kernel_vector[1] must be a value of Q(zeta_3), not 'i'",
+    ),
+    "kernel_vector_grammar": (
+        "C3_33", _set("kernel_vector", 0, value="1 +"), "kernel_vector[0] must be a value of Q(zeta_3)",
+    ),
+    "lambda_field": (
+        "D4_3", _set("cycles", 2, "lambda", value="i"), "cycles[2].lambda must be a value of Q(zeta_3), not 'i'",
+    ),
+    "edge_value_field": (
+        "C3_24", _set("edges", 0, "value", value="w"), "edges[0].value must be a value of Q(zeta_4), not 'w'",
+    ),
+    "edge_candidate_field": (
+        "P8_Z3", _set("edges", 0, "value", 1, value="i"), "edges[0].value must be a value of Q(zeta_3), not 'i'",
+    ),
+    "relation_field": ("P8divZ4", _set("relation", 2, value="w"), "relation[2] must be a value of Q(zeta_4), not 'w'"),
+    "kernel_chi_field": (
+        "P8divZ6", _set("kernel_chi", 1, value="i"), "kernel_chi[1] must be a value of Q(zeta_3), not 'i'",
     ),
     # an inadmissible form as well: the structure is checked before any form is judged
     "duplicate_id_and_positive_form": (
