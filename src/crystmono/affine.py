@@ -14,10 +14,11 @@ the kept linear parts and certified by exact integer lattice arithmetic.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from itertools import permutations
+from itertools import chain, permutations
 from math import gcd, lcm
 from operator import getitem, itemgetter, mul
 from typing import NamedTuple
@@ -39,7 +40,6 @@ from .linalg import (
     ZLattice,
     conj_matrix,
     conj_vector,
-    det,
     dot,
     flat_action,
     flatten,
@@ -163,16 +163,18 @@ class Closure:
     An element m is the tuple x with m e_i = O[x[i]], its images of the
     basis, so m is the matrix with columns O[x[0]], ..., O[x[n-1]], and
     the elements correspond one to one with those tuples.  dets holds each
-    element's determinant as its exponent j in roots_of_unity.
+    element's determinant as its exponent j in roots_of_unity, and orders
+    its order as a reflection, or 0 if it is none.
     """
 
-    __slots__ = ("field", "points", "elements", "dets")
+    __slots__ = ("field", "points", "elements", "dets", "orders")
 
-    def __init__(self, field: CycloField, points: list[tuple[int, ...]], elements: list[tuple[int, ...]], dets: list[int]):
+    def __init__(self, field: CycloField, points: list, elements: list[tuple[int, ...]], dets: list[int], orders: list[int]):
         self.field = field
         self.points = points
         self.elements = elements
         self.dets = dets
+        self.orders = orders
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -236,7 +238,8 @@ def _orbit_move(g: Matrix):
 
 def linear_closure(generators, max_size: int) -> Closure:
     """The finite matrix group the generators generate, identity first, by
-    two breadth-first searches that build no matrix.
+    two breadth-first searches that build no matrix, from records with a
+    matrix and a det(), as PLOperator reads it off its root and coroot.
 
     The first lists O, the orbit of the standard basis e_1..e_n, and each
     generator g as the permutation p of O with g O[i] = O[p[i]].  It runs
@@ -245,10 +248,8 @@ def linear_closure(generators, max_size: int) -> Closure:
     dot products and one gcd, no field product.  That is exact:
     flat_action(g) is the same Q-linear map as g, and a vector has one
     flattened form in lowest terms, so two points are equal exactly when
-    their vectors are.  A row of M equal to D e_i scales coordinate i by D
-    with no dot product, and a reflection's M differs from D I in the rows
-    of its one moved field row alone; the gcd is skipped when D and the
-    point's denominator are both 1 (see _flat_move).
+    their vectors are; rows of M equal to D e_i, all but a reflection's
+    moved field row, take no dot product (see _flat_move).
     The closure keeps the points in that form, as its O.  The second lists
     the group from the identity, each element m as its images of the
     basis x, with m e_i = O[x[i]]: g m has the images p[x[i]], read
@@ -265,27 +266,31 @@ def linear_closure(generators, max_size: int) -> Closure:
     than `max_size` elements.
 
     Past the orbit the group is finite, so the determinant of an
-    invertible generator is a root of unity, read once with det; a singular
-    generator raises AffineError.  Each element's determinant, a character,
-    is recorded once, when the element is found, as its exponent in
-    roots_of_unity: its parent's plus the generator's, mod their number.
+    invertible generator is a root of unity, read once from its det(); a
+    singular generator raises AffineError.  When an element is found its
+    determinant, a character, is recorded as its exponent in
+    roots_of_unity, its parent's plus the generator's mod their number,
+    and its order as a reflection from that and its trace (_trace_keys).
     """
     gens = list(generators)
     if not gens:
         raise AffineError("no generators")
-    n = len(gens[0])
-    field = gens[0][0][0].field
+    n = len(gens[0].matrix)
+    field = gens[0].matrix[0][0].field
     start = [(*flat, den) for flat, den in map(flatten, identity(field, n))]
-    points, perms = _bfs(start, [_orbit_move(g) for g in gens], max_size)
+    points, perms = _bfs(start, [_orbit_move(g.matrix) for g in gens], max_size)
     roots = roots_of_unity(field)
-    dets = [roots.get(det(g)) for g in gens]  # (exponent, order) of each determinant
+    dets = [roots.get(g.det()) for g in gens]  # (exponent, order) of each determinant
     if None in dets:
         raise AffineError("a generator is singular")
     m = len(roots)
     if n == 1:  # itemgetter of one index returns the item, so make each item the 1-tuple of images
         perms = [[(j,) for j in p] for p in perms]
     moves = [(p, e) for p, (e, _) in zip(perms, dets)]
-    elements, exponents = [tuple(range(n))], [0]
+    cols, keys, orders_by_exponent = _trace_keys(field, points, n)
+    group = Closure(field, points, [tuple(range(n))], [0], [0])
+    elements, exponents, orders = group.elements, group.dets, group.orders
+
     seen = set(elements)
     for x, d in zip(elements, exponents):  # both grow as new elements are found
         images = itemgetter(*x)
@@ -296,77 +301,66 @@ def linear_closure(generators, max_size: int) -> Closure:
                     raise ClosureBoundError(f"closure exceeds {max_size} elements")
                 seen.add(y)
                 elements.append(y)
-                exponents.append((d + e) % m)
-    return Closure(field, points, elements, exponents)
+                c = (d + e) % m
+                exponents.append(c)
+                reflection = c and sum(map(getitem, cols, y)) == keys[c]
+                if reflection and n > 3:  # confirmed by the rank of m - I
+                    reflection = mat_rank(tuple(map(vec_sub, group.matrix(y), identity(field, n)))) == 1
+                orders.append(orders_by_exponent[c] if reflection else 0)
+    return group
 
 
-def _reflection_orders(group: Closure) -> list[int]:
-    """Each element's order as a reflection, or 0 if it is none, from its
-    trace and determinant.
+def _trace_keys(field: CycloField, points: list[tuple[int, ...]], n: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """linear_closure's test for an element's order as a reflection, or 0, by trace and determinant:
+    per coordinate i the points' packed entries i, and per exponent d the packed
+    (n - 1) + zeta^d and the order of zeta^d.
 
-    m has finite order, so it is diagonalisable with eigenvalues eps_1..
-    eps_n that are roots of unity, and m is a reflection of order k exactly
-    when those are n - 1 ones and one lambda of order k > 1.  Then lambda
-    is tr m - (n - 1) and det m.  Conversely, let det m = zeta^d with d != 0
-    and tr m - (n - 1) = zeta^d, so lambda = tr m - (n - 1) has order
-    k > 1 and det m = lambda.  Since 1/eps = conj(eps), the elementary
-    symmetric functions of the eigenvalues satisfy e_{n-j} = e_n conj(e_j),
-    so for n <= 3 the coefficients e_1 = tr m and e_n = det m fix the
-    characteristic polynomial (e_2 = e_3 conj(e_1) when n = 3), which is
-    then that of diag(1, ..., 1, lambda): m is a reflection of order k.  For
-    n >= 4 those two do not fix e_2, and the elements that pass are
-    confirmed by the rank of m - I, one.
+    m has finite order, so it is diagonalisable with eigenvalues eps_1..eps_n that are roots of
+    unity, and m is a reflection of order k exactly when those are n - 1 ones and one lambda of
+    order k > 1.  Then lambda is tr m - (n - 1) and det m.  Conversely, let det m = zeta^d with
+    d != 0 and tr m - (n - 1) = zeta^d, so lambda = tr m - (n - 1) has order k > 1 and
+    det m = lambda.  Since 1/eps = conj(eps), the elementary symmetric functions of the
+    eigenvalues satisfy e_{n-j} = e_n conj(e_j), so for n <= 3 the coefficients e_1 = tr m and
+    e_n = det m fix the characteristic polynomial (e_2 = e_3 conj(e_1) when n = 3), which is then
+    that of diag(1, ..., 1, lambda): m is a reflection of order k.  For n >= 4 those two do not
+    fix e_2, and the elements that pass are confirmed by the rank of m - I, one.
 
-    So an element whose determinant exponent d is 0 is skipped, and any
-    other is a candidate exactly when its trace is (n - 1) + zeta^d.  Each
-    point of O is read straight off its flattened form: coordinate i is the
-    block p[i r:(i + 1) r] of numerators c_0..c_{r-1} over p's denominator,
-    for the degree r.  Scaled to the common denominator den of O, it is
-    packed into the one integer sum c_k B^k, the numerator polynomial
-    evaluated at B (Kronecker substitution).  The trace of x is then
-    sum(map(getitem, cols, x)), the packed diagonal entries O[x[i]][i]
-    added, and is compared with (n - 1) + zeta^d scaled and packed the same
-    way.  No field element is built.
+    So an element whose determinant exponent d is 0 is skipped, and any other is a candidate exactly
+    when its trace is (n - 1) + zeta^d.  Each point of O is read straight off its flattened form:
+    coordinate i is the block p[i r:(i + 1) r] of numerators c_0..c_{r-1} over p's denominator, for
+    the degree r.  Scaled to the common denominator den of O, it is packed into the one integer sum
+    c_k B^k, the numerator polynomial evaluated at B (Kronecker substitution), by Horner's rule on
+    whole columns of points.  The trace of x is then sum(map(getitem, cols, x)), the packed
+    diagonal entries O[x[i]][i] added, and is compared with (n - 1) + zeta^d scaled and packed the
+    same way.  No field element is built.
 
-    The packing is exact.  Let A bound |c| over every numerator of O and
-    every numerator of a root of unity times den; the identity's points
-    give A >= den.  A trace numerator is a sum of n of them, so it is at
-    most n A in absolute value, and a target numerator is at most
-    A + (n - 1) den <= n A.  With B = 2 n A + 1 every packed digit lies
-    strictly between -B/2 and B/2, where the base-B expansion with such
-    digits is unique, so two packed integers are equal exactly when their
-    numerators are.
+    The packing is exact.  Let A bound |c| over every scaled numerator of O and every numerator of a
+    root of unity (each is integral) times den; the identity's points give A >= den.  A trace
+    numerator is a sum of n of them, so it is at most n A in absolute value, and a target numerator
+    is at most A + (n - 1) den <= n A.  With B = 2 n A + 1 every packed digit lies strictly between
+    -B/2 and B/2, where the base-B expansion with such digits is unique, so two packed integers are
+    equal exactly when their numerators are.
     """
-    points, r = group.points, group.field.degree
-    n = (len(points[0]) - 1) // r
-    roots = sorted(roots_of_unity(group.field).items(), key=lambda item: item[1])  # by exponent
+    r = field.degree
+    roots = sorted(roots_of_unity(field).items(), key=lambda item: item[1])  # by exponent
     den = lcm(*(p[-1] for p in points))
-    bound = max(
-        max(max(map(abs, p[:-1])) * (den // p[-1]) for p in points),
-        den * max(max(map(abs, z.num)) for z, _ in roots),  # each root of unity is integral: z.den = 1
-    )
+    coords = list(zip(*(p[:-1] if p[-1] == den else [c * (den // p[-1]) for c in p[:-1]] for p in points)))  # scaled
+    bound = max(max(map(abs, chain.from_iterable(coords))), den * max(max(map(abs, z.num)) for z, _ in roots))
     powers = [(2 * n * bound + 1) ** k for k in range(r)]
-    cols = [[sum(map(mul, p[i * r : (i + 1) * r], powers)) * (den // p[-1]) for p in points] for i in range(n)]
+    cols = []
+    for i in range(n):
+        packed = coords[(i + 1) * r - 1]
+        for c in reversed(coords[i * r : (i + 1) * r - 1]):  # Horner's rule for sum c_k B^k
+            packed = [a * powers[1] + b for a, b in zip(packed, c)]
+        cols.append(packed)
     keys = [(sum(map(mul, z.num, powers)) + n - 1) * den for z, _ in roots]  # (n - 1) + zeta^d, by exponent d
-    orders = [k for _, (_, k) in roots]
-
-    def confirmed(x) -> bool:
-        return n <= 3 or mat_rank(tuple(map(vec_sub, group.matrix(x), identity(group.field, n)))) == 1
-
-    return [
-        orders[d] if d and sum(map(getitem, cols, x)) == keys[d] and confirmed(x) else 0
-        for x, d in zip(group.elements, group.dets)
-    ]
+    return cols, keys, [k for _, (_, k) in roots]
 
 
 def reflection_order_multiset(group: Closure) -> dict[int, int]:
     """Orders of all reflections in the group, with multiplicities, in the
-    order the closure lists them; see _reflection_orders."""
-    out: dict[int, int] = {}
-    for k in _reflection_orders(group):
-        if k:
-            out[k] = out.get(k, 0) + 1
-    return out
+    order the closure lists them, as linear_closure found them."""
+    return dict(Counter(k for k in group.orders if k))
 
 
 class ReferenceGroup(NamedTuple):
@@ -446,7 +440,7 @@ def model_closure(name: str) -> tuple[Closure, dict[int, int]]:
     """
     ref = reference_group(name)
     try:
-        group = linear_closure(_reference_generators(name), ref.declared_order)
+        group = linear_closure(ref.generators, ref.declared_order)
     except ClosureBoundError:
         raise ClosureBoundError(f"{name}: closure exceeds declared order {ref.declared_order}") from None
     if len(group) != ref.declared_order:
@@ -460,10 +454,6 @@ def model_closure(name: str) -> tuple[Closure, dict[int, int]]:
 def reference_closure(name: str) -> list[Matrix]:
     """The model's elements as matrices, in the closure's order."""
     return model_closure(name)[0].matrices()
-
-
-def _reference_generators(name: str) -> tuple[Matrix, ...]:
-    return tuple(g.matrix for g in reference_group(name).generators)
 
 
 def saturate(lattice: ZLattice, mats, max_rounds: int) -> tuple[ZLattice, int]:
@@ -575,16 +565,17 @@ def _rescaling(a: Matrix, b: Matrix) -> list[CycloNum] | None:
     return mu if consistent else None
 
 
-def find_conjugacy(gens, targets) -> Conjugacy:
+@cached
+def find_conjugacy(gens: tuple[PLOperator, ...], targets: tuple[PLOperator, ...]) -> Conjugacy:
     """X with X g_i X^-1 = targets[pi(i)] for all i, at the first bijection pi,
     in lexicographic order, matching A_ii and A_ij A_ji (the traces and pairwise
-    traces) that has one, if as many g_i as targets, all PLOperator.  For g_i = I - u_i w_i^T and
+    traces) that has one, if as many g_i as targets; memoised on the records' values.  For g_i = I - u_i w_i^T and
     t_j = I - u'_j w'_j^T with the u'_j a basis (else AffineError), X u_i = mu_i u'_pi(i)
     and w'_pi(i)^T X = mu_i w_i^T, so X exists exactly when the u_i form a basis
     and A_ij = (mu_j / mu_i) A'_pi(i)pi(j) (Cohen, Ann. Sci. ENS 9, 1976):
     X = U'_pi diag(mu) U^-1, scaled to a last nonzero entry 1, then by the lcm of its denominators,
     which removes the scalar that rescaled roots (and coroots inversely) give X where A's graph is connected."""
-    model, frame = _cartan(tuple(targets)), _cartan(tuple(gens))
+    model, frame = _cartan(targets), _cartan(gens)
     if model is None:
         raise AffineError("the targets are not reflections whose roots form a basis")
     if frame is None or len(gens) != len(targets):  # _cartan ties each count to its dimension
@@ -609,6 +600,14 @@ def _in_field(m: Matrix, field: CycloField) -> Matrix:
     """m with its entries embedded into `field`."""
     src = m[0][0].field
     return m if src is field else tuple(tuple(src.embed(x, field) for x in row) for row in m)
+
+
+@cached
+def _model_targets(name: str, field: CycloField, conj: bool) -> tuple[PLOperator, ...]:
+    """The model's stored generators, entrywise conjugated when `conj`, embedded into `field`."""
+    rows = ((*g.matrix, g.root, g.coroot, (g.eigenvalue,)) for g in reference_group(name).generators)
+    rows = (_in_field(conj_matrix(r) if conj else r, field) for r in rows)
+    return tuple(PLOperator(tuple(m), lam, root, coroot) for *m, root, coroot, (lam,) in rows)
 
 
 @cached
@@ -751,10 +750,8 @@ def verify_crystallographic(d: Diagram, alpha0: CycloNum | None = None) -> CaseR
         cert = Conjugacy(None, None, 0)
         witness = f"the model's ring {ref.ring} does not embed in Q(zeta_{field.n}), where the diagram's ring {d.ring} is verified"
     else:
-        rows = [(*g.matrix, g.root, g.coroot, (g.eigenvalue,)) for g in ref.generators]
-        rows = [_in_field(conj_matrix(r) if conj else r, field) for r in rows]
-        targets = [PLOperator(tuple(m), lam, root, coroot) for *m, root, coroot, (lam,) in rows]
-        cert = find_conjugacy([duals[j].reflection for j in kept], targets)
+        targets = _model_targets(d.expected_group, field, conj)
+        cert = find_conjugacy(tuple(duals[j].reflection for j in kept), targets)
         if cert.x is not None:
             pairs = ", ".join(f"{q.labels[j]}->{p}" for j, p in zip(kept, cert.pi))
             witness = f"pi: {pairs}; X = {_render_matrix(cert.x)}; bijections solved: {cert.tries}"

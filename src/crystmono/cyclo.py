@@ -638,8 +638,9 @@ def _render_basis(field: CycloField):
     return words, tuple(tuple(row[d:]) for row in rows)
 
 
+@cached
 def render_value(x: CycloNum) -> str:
-    """Express x in the value grammar.
+    """Express x in the value grammar, once per value.
 
     Takes rational coordinates in a fixed symbol-product basis of the
     field, so parse_value(render_value(x)) == x exactly. Falls back to the

@@ -249,9 +249,6 @@ class HermitianGram:
     def __hash__(self):
         return hash(self.gram)
 
-    def eval(self, u: Vector, v: Vector) -> CycloNum:
-        return dot(u, mat_vec(self.gram, conj_vector(v)))
-
     def in_radical(self, v: Vector) -> bool:
         """Whether v pairs to zero with everything: G conj(v) = 0."""
         return is_zero_vector(mat_vec(self.gram, conj_vector(v)))

@@ -97,9 +97,13 @@ class PLOperator(NamedTuple):
         rows = (vec_sub(e, vec_scale(x, coroot)) if x else e for e, x in zip(identity(root[0].field, len(root)), root))
         return cls(tuple(rows), eigenvalue, root, coroot)
 
+    def det(self) -> CycloNum:
+        """1 - coroot^T root, the determinant and the eigenvalue other than 1 (Lehrer-Taylor 2009, ch. 1)."""
+        return 1 - dot(self.coroot, self.root)
+
     def order(self) -> int | None:
-        """The order of 1 - coroot^T root, its eigenvalue other than 1 (Lehrer-Taylor 2009, ch. 1), or None."""
-        return (1 - dot(self.coroot, self.root)).multiplicative_order()
+        """The order of det(), or None."""
+        return self.det().multiplicative_order()
 
 
 class CheckResult(NamedTuple):
@@ -457,12 +461,13 @@ def _check_gram(form: HermitianGram, tau: int, kernel: Vector, relation: Vector 
 def pl_operator(gram: HermitianGram, root: Vector, eigenvalue: CycloNum) -> PLOperator:
     """The complex reflection c -> c - (1-lambda) <c,e> e / <e,e>: root e, coroot (1-lambda) G conj(e) / <e,e>,
     both nonzero, so that matrix - I = -root coroot^T has rank one."""
-    q = gram.eval(root, root)
+    w = mat_vec(gram.gram, conj_vector(root))  # <c, e> = c^T G conj(e) = c^T w
+    q = dot(root, w)
     if q.is_zero():
         raise DiagramError("isotropic root has no reflection")
     if eigenvalue == gram.field.one:
         raise DiagramError("eigenvalue 1 does not define a reflection")
-    coroot = vec_scale((1 - eigenvalue) * q.inverse(), mat_vec(gram.gram, conj_vector(root)))  # <c, e> = c^T G conj(e)
+    coroot = vec_scale((1 - eigenvalue) * q.inverse(), w)
     return PLOperator.from_factors(root, coroot, eigenvalue)
 
 

@@ -5,11 +5,28 @@ level by level, and fixes the set the package must list.
 `left_bfs_closure` is the package's own search, left multiplication from
 the identity, run on the matrices themselves instead of on index tuples
 of the basis orbit; it fixes the order the package's list must keep.
-tests/test_closure.py checks the package against both.
+`reflection_orders` is the package's earlier reading of the reflection
+test, a second pass over a listed closure, and `Generator` hands the
+package's closure a bare matrix with its determinant by elimination.
+tests/test_closure.py checks the package against them.
 """
 
-from crystmono.affine import AffineError, ClosureBoundError
-from crystmono.linalg import Matrix, identity, mat_mul
+from math import lcm
+from operator import getitem, mul
+from typing import NamedTuple
+
+from crystmono.affine import AffineError, Closure, ClosureBoundError
+from crystmono.cyclo import CycloNum, roots_of_unity
+from crystmono.linalg import Matrix, det, identity, mat_mul, mat_rank, vec_sub
+
+
+class Generator(NamedTuple):
+    """A matrix that need not be a reflection, as a closure generator."""
+
+    matrix: Matrix
+
+    def det(self) -> CycloNum:
+        return det(self.matrix)
 
 
 def linear_closure(generators, max_size: int = 2000) -> list[Matrix]:
@@ -54,3 +71,30 @@ def left_bfs_closure(generators, max_size: int = 2000) -> list[Matrix]:
                 seen.add(p)
                 order.append(p)
     return order
+
+
+def reflection_orders(group: Closure) -> list[int]:
+    """Each element's order as a reflection, or 0, in a second pass over
+    the listed closure: an element of determinant exponent d != 0 whose
+    Kronecker-packed trace is (n - 1) + zeta^d, confirmed for n >= 4 by
+    the rank of m - I, has the order of zeta^d (affine._trace_keys)."""
+    points, r = group.points, group.field.degree
+    n = (len(points[0]) - 1) // r
+    roots = sorted(roots_of_unity(group.field).items(), key=lambda item: item[1])  # by exponent
+    den = lcm(*(p[-1] for p in points))
+    bound = max(
+        max(max(map(abs, p[:-1])) * (den // p[-1]) for p in points),
+        den * max(max(map(abs, z.num)) for z, _ in roots),
+    )
+    powers = [(2 * n * bound + 1) ** k for k in range(r)]
+    cols = [[sum(map(mul, p[i * r : (i + 1) * r], powers)) * (den // p[-1]) for p in points] for i in range(n)]
+    keys = [(sum(map(mul, z.num, powers)) + n - 1) * den for z, _ in roots]
+    orders = [k for _, (_, k) in roots]
+
+    def confirmed(x) -> bool:
+        return n <= 3 or mat_rank(tuple(map(vec_sub, group.matrix(x), identity(group.field, n)))) == 1
+
+    return [
+        orders[d] if d and sum(map(getitem, cols, x)) == keys[d] and confirmed(x) else 0
+        for x, d in zip(group.elements, group.dets)
+    ]

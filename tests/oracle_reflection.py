@@ -5,11 +5,14 @@ checks off the two factors: form preservation by a rank-one identity,
 "is a reflection" as two nonzero factors, the order from 1 - coroot^T
 root, and the Cartan matrix A_ij = coroot_i^T root_j.  These read the same
 facts off the matrix alone, by n x n products, a rank, a trace and a
-column search, with no factor given.
+column search, with no factor given.  `pair` is the form's value
+<u, v> = u^T G conj(v), by dot and mat_vec.
 """
 
 from crystmono.linalg import (
     conj_matrix,
+    conj_vector,
+    dot,
     identity,
     is_zero_vector,
     mat_inverse,
@@ -21,6 +24,11 @@ from crystmono.linalg import (
     vec_sub,
 )
 from crystmono.monodromy import PLOperator
+
+
+def pair(form, u, v):
+    """<u, v> = u^T G conj(v)."""
+    return dot(u, mat_vec(form.gram, conj_vector(v)))
 
 
 def minus_outer(root, coroot):

@@ -23,6 +23,7 @@ from crystmono.linalg import (
     vector,
 )
 from crystmono.monodromy import (
+    PLOperator,
     diagram,
     diagram_names,
     pl_operator,
@@ -34,7 +35,6 @@ from crystmono.affine import (
     CaseReport,
     ClosureBoundError,
     DualFrame,
-    _reference_generators,
     dilation_check,
     linear_closure,
     maximal_root_check,
@@ -159,7 +159,7 @@ def test_duality_is_covariant():
 
 def test_linear_closure_sizes_and_bound():
     _, _, _, duals = duals_for("P8_Z3")
-    gens = [duals[1].linear, duals[2].linear]
+    gens = [duals[1].reflection, duals[2].reflection]
     group = linear_closure(gens, 18)
     assert len(group) == 18
     with pytest.raises(ClosureBoundError):
@@ -172,7 +172,7 @@ def test_reference_groups_rebuild_to_declared_order():
     for nm in reference_names():
         ref = reference_group(nm)
         assert len(reference_closure(nm)) == ref.declared_order
-        group = linear_closure(_reference_generators(nm), ref.declared_order)
+        group = linear_closure(ref.generators, ref.declared_order)
         assert len(group) == ref.declared_order
         got = reflection_order_multiset(group)
         assert got == ref.declared_reflections
@@ -234,7 +234,7 @@ def test_orbit_lattice_basis_is_canonical(chi):
 def linear_part_closure(duals):
     """Closure of the linear parts of the duals whose translation is zero,
     bounded by 648, the order of K25, the largest model, as matrices."""
-    return linear_closure([g.linear for g in duals if all(x.is_zero() for x in g.translation)], 648).matrices()
+    return linear_closure([g.reflection for g in duals if all(x.is_zero() for x in g.translation)], 648).matrices()
 
 
 def _escaped(gens, group):
@@ -293,10 +293,12 @@ def test_translation_subgroup_exact_controls():
     doubled = translation_subgroup(duals + [_shifted(omitted, fr.field.from_rational(2))], _linear(duals), orbit, 0)
     assert doubled.verdict == "pass"
 
-    # v -> -w v with the translations by 2 and 2w: the orbit lattice of 2 under
-    # the sixth roots of unity is 2Z[w], which holds 2w and 4w but not w
-    turn = AffineIsometry(matrix(F3, [["-w"]]), vector(F3, [0]))
-    sixths = linear_closure([turn.linear], 6).matrices()
+    # v -> -w v = v - (1 + w) v with the translations by 2 and 2w: the orbit lattice
+    # of 2 under the sixth roots of unity is 2Z[w], which holds 2w and 4w but not w
+    sixth = PLOperator.from_factors(vector(F3, [1]), vector(F3, ["1 + w"]), -F3.omega)
+    turn = AffineIsometry(sixth.matrix, vector(F3, [0]))
+    assert turn.linear == matrix(F3, [["-w"]])
+    sixths = linear_closure([sixth], 6).matrices()
 
     def shift(c):
         return AffineIsometry(matrix(F3, [[1]]), vector(F3, [c]))
@@ -312,9 +314,11 @@ def test_translation_subgroup_exact_controls():
     # saturated under v -> -v alone, the orbit lattice is 2Z; the linear part
     # of v -> w v lies outside {1, -1}, so (1, 0), (-1, 0) are no transversal
     # and the claims fail with no shift tested
-    flip = AffineIsometry(matrix(F3, [[-1]]), vector(F3, [0]))
+    sign = PLOperator.from_factors(vector(F3, [1]), vector(F3, [2]), -F3.one)  # v -> v - 2 v
+    flip = AffineIsometry(sign.matrix, vector(F3, [0]))
+    assert flip.linear == matrix(F3, [[-1]])
     rotate = AffineIsometry(matrix(F3, [["w"]]), vector(F3, [0]))
-    signs = linear_closure([flip.linear], 2).matrices()
+    signs = linear_closure([sign], 2).matrices()
     orbit = saturate(ZLattice(F3, 1, [vector(F3, [2])]), [flip.linear], len(signs))
     gens = [flip, rotate, shift(2), shift("2*w")]
     assert _escaped(gens, signs) == 1

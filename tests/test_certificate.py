@@ -30,7 +30,6 @@ from crystmono.affine import (
     DualFrame,
     DualReflection,
     _kept_indices,
-    _reference_generators,
     dilation_check,
     find_conjugacy,
     lifted_quotient,
@@ -59,6 +58,10 @@ from crystmono.linalg import (
 from crystmono.monodromy import PLOperator, diagram, diagram_names, quotient_basis
 
 F3, F12 = CycloField(3), CycloField(12)
+
+
+def _model_matrices(name):
+    return [g.matrix for g in reference_group(name).generators]
 
 
 def _runs():
@@ -218,11 +221,11 @@ def _conjugates(cert, gens, targets):
 
 def _find_conjugacy(gens, targets):
     """find_conjugacy on matrices, each factored by the matrix oracle."""
-    return find_conjugacy([as_reflection(m) for m in gens], [as_reflection(m) for m in targets])
+    return find_conjugacy(tuple(map(as_reflection, gens)), tuple(map(as_reflection, targets)))
 
 
 def test_find_conjugacy_on_hand_made_generators():
-    a, b = _reference_generators("K5")
+    a, b = _model_matrices("K5")
     y = matrix(F3, [[1, "w"], [0, 2]])
     y_inv = mat_inverse(y)
     gens = [mat_prod([y_inv, b, y]), mat_prod([y_inv, a, y])]
@@ -258,10 +261,10 @@ def test_find_conjugacy_refuses_a_generator_that_is_no_reflection():
     a, b = reference_group("K5").generators
     ident, zero = identity(F3, 2), (F3.zero, F3.zero)
     for g in (PLOperator(ident, F3.one, a.root, zero), PLOperator(ident, F3.one, zero, a.coroot)):
-        for gens in ([a, g], [g, b]):
-            assert find_conjugacy(gens, [a, b]) == Conjugacy(None, None, 0)
+        for gens in ((a, g), (g, b)):
+            assert find_conjugacy(gens, (a, b)) == Conjugacy(None, None, 0)
         with pytest.raises(AffineError, match="not reflections"):
-            find_conjugacy([a, b], [a, g])
+            find_conjugacy((a, b), (a, g))
     for m in (matrix(F3, [["1 + w", 1], [-1, 0]]), mat_mul(a.matrix, b.matrix), ident):
         assert factors(m) is None
 
@@ -270,9 +273,7 @@ def _from_cartan(rows):
     """The reflections r_i = I - e_i a_i^T, with roots e_i and coroots a_i:
     their Cartan matrix is `rows`."""
     ident = identity(F3, len(rows))
-    return [
-        PLOperator.from_factors(e, a, 1 - a[i]) for i, (e, a) in enumerate(zip(ident, matrix(F3, rows)))
-    ]
+    return tuple(PLOperator.from_factors(e, a, 1 - a[i]) for i, (e, a) in enumerate(zip(ident, matrix(F3, rows))))
 
 
 def _matrices(reflections):
@@ -299,34 +300,57 @@ def test_find_conjugacy_needs_as_many_generators_as_targets():
     # three reflections against K5's two, and two against three targets
     # whose first two share their Cartan matrix: no bijection, no try
     three = _from_cartan([[2, 1, 0], [1, 2, 0], [0, 0, 2]])
-    assert find_conjugacy(three, list(reference_group("K5").generators)) == Conjugacy(None, None, 0)
+    assert find_conjugacy(three, reference_group("K5").generators) == Conjugacy(None, None, 0)
     assert find_conjugacy(_from_cartan([[2, 1], [1, 2]]), three) == Conjugacy(None, None, 0)
 
 
 def test_find_conjugacy_runs_one_elimination_per_call(monkeypatch):
     """Once the targets' factors are built, a call eliminates once, to
     invert the generators' roots, however many bijections it tries; a
-    repeated call reads the generators' factors from the cache too."""
+    repeated call on equal records is answered from the memo."""
     echelons = []
     real = linalg._echelon
     monkeypatch.setattr(linalg, "_echelon", lambda rows: echelons.append(None) or real(rows))
     cases = [(_from_cartan([[2, 1, 1], [1, 2, -1], [1, -1, 2]]), _from_cartan([[2, 1, 1], [1, 2, 1], [1, 1, 2]]))]
     for name in diagram_names():
         _, _, _, _, duals, kept = _setting(name, "primary", None)
-        targets = [as_reflection(conj_matrix(g)) for g in _reference_generators(diagram(name).expected_group)]
-        cases.append(([duals[j].reflection for j in kept], targets))
+        targets = tuple(as_reflection(conj_matrix(g)) for g in _model_matrices(diagram(name).expected_group))
+        cases.append((tuple(duals[j].reflection for j in kept), targets))
     tries, counts = [], []
     for gens, targets in cases:
         clear_caches()
-        affine._cartan(tuple(targets))
+        affine._cartan(targets)
         echelons.clear()
-        tries.append(find_conjugacy(gens, targets).tries)
-        find_conjugacy(gens, targets)
+        cert = find_conjugacy(gens, targets)
+        tries.append(cert.tries)
+        assert find_conjugacy(tuple(PLOperator(*g) for g in gens), tuple(PLOperator(*t) for t in targets)) is cert
         counts.append(len(echelons))
     # none where the kept linear parts are the targets themselves, cached
     # with them; one for the hand-made case, which tries six bijections
     assert tries == [6] + [1] * len(diagram_names())
     assert counts[0] == 1 and set(counts) <= {0, 1}
+    clear_caches()
+
+
+def test_dilation_checks_search_each_conjugacy_once():
+    """The kept linear parts do not depend on alpha0, so over the 16
+    dilation checks, 32 runs, find_conjugacy searches once per diagram,
+    character and field, and P8Z6_dblprime's kept linear parts are
+    P8Z6_prime's: 14 searches.  The targets are built once per model,
+    field and character, 14 times as well.  A memoised answer is the one a
+    fresh search gives."""
+    clear_caches()
+    for name in diagram_names():
+        for chi in ("primary", "conj"):
+            dilation_check(diagram(name, chi))
+    searches, targets = affine.find_conjugacy.cache_info(), affine._model_targets.cache_info()
+    assert (searches.misses, searches.hits) == (targets.misses, targets.hits) == (14, 18)
+    for chi in ("primary", "conj"):
+        d = diagram("P8Z6_dblprime", chi)
+        _, _, _, _, duals, kept = _setting(d.name, chi, None)
+        gens = tuple(duals[j].reflection for j in kept)
+        targets = affine._model_targets(d.expected_group, d.field, chi == "primary")
+        assert affine.find_conjugacy(gens, targets) == affine.find_conjugacy.__wrapped__(gens, targets)
     clear_caches()
 
 
@@ -366,7 +390,7 @@ def _spy_closures(monkeypatch):
 
 def _model_call(name):
     """The one closure a model gets: its stored generators, bounded by its declared order."""
-    return _reference_generators(name), reference_group(name).declared_order
+    return reference_group(name).generators, reference_group(name).declared_order
 
 
 def _squared(frame, root, eigenvalue, _other):
@@ -567,7 +591,7 @@ def _oracle_model(name, field):
     ref = reference_group(name)
     return frozenset(
         tuple(tuple(ref.field.embed(c, field) for c in row) for row in m)
-        for m in O.linear_closure(_reference_generators(name))
+        for m in O.linear_closure(_model_matrices(name))
     )
 
 

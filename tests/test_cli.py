@@ -22,6 +22,7 @@ from crystmono.cli import (
     build_parser,
     main,
     show_diagram_payload,
+    table_report,
 )
 from crystmono.classify import table_rows, verify_table_row
 from crystmono.cyclo import CycloField, CycloNum
@@ -289,9 +290,10 @@ def test_verify_all_sends_no_quadratic_product_through_the_general_loop(chi, mon
 def test_cold_d4_3_report_takes_a_pinned_number_of_product_sums(monkeypatch):
     """D4_3 is the slowest case of `verify all`.  From empty caches, with the
     diagram loaded, its report runs _sum_of_products, the one loop behind
-    every dot product and matrix entry, 366 times: the model K25 built and
-    closed, the intrinsic and crystallographic checks, each reflection
-    checked by its root and coroot (by n x n products they took 667); a
+    every dot product and matrix entry, 344 times: the model K25 built and
+    closed, its three determinants read as 1 - coroot^T root, the intrinsic
+    and crystallographic checks, each reflection built with one G conj(root)
+    and checked by its root and coroot (by n x n products they took 667); a
     change in the work done shows here as a count."""
     products, calls = CycloField._sum_of_products, []
     args = build_parser().parse_args(["verify", "diagram", "D4_3"])
@@ -299,8 +301,27 @@ def test_cold_d4_3_report_takes_a_pinned_number_of_product_sums(monkeypatch):
     d = diagram("D4_3")
     monkeypatch.setattr(CycloField, "_sum_of_products", lambda self, pairs: calls.append(None) or products(self, pairs))
     assert diagram_report(d, args)["verdict"] == "pass"
-    assert len(calls) == 366
+    assert len(calls) == 344
     crystmono.clear_caches()
+
+
+@pytest.mark.parametrize("chi", ["primary", "conj"])
+def test_table_reports_render_each_character_once(chi, monkeypatch):
+    """The 15 symmetry-table rows of `verify all` carry 4 distinct kernel
+    characters of Q(zeta72) per character choice; from cold caches
+    render_value renders each once and serves the repeats from its memo,
+    with the same text as a fresh render."""
+    args = build_parser().parse_args(["verify", "all", "--chi", chi])
+    rows = table_rows()
+    crystmono.clear_caches()
+    rendered = []
+    join = crystmono.cyclo._join_terms
+    monkeypatch.setattr(crystmono.cyclo, "_join_terms", lambda terms: rendered.append(None) or join(terms))
+    texts = [table_report(r, args)["character"] for r in rows]
+    monkeypatch.undo()
+    crystmono.clear_caches()
+    assert len(texts) == 15 and len(set(texts)) == len(rendered) == 4
+    assert texts == [table_report(r, args)["character"] for r in rows]
 
 
 def test_benchmark_tracer_finds_every_traced_name():
@@ -352,6 +373,7 @@ BENCH_ONLY = {
     "affine.reference_closure": "the model's elements as matrices, for the closure tests; the tracer patches it by name",
     "affine.reference_names": "the public list of models, which the intrinsic workload walks",
     "cli.diagram_from_payload": "README documents it as the way back from a `show` payload; the intrinsic workload's controls use it",
+    "linalg.det": "a determinant by elimination, for the closure and elimination tests; the tracer patches it by name",
     "linalg.ZLattice.reduce": "canonical reduction modulo a lattice, for the lattice oracle tests; the tracer patches it by name",
     "linalg.solve": "one solution of a linear system, for the elimination tests; the tracer patches it by name",
     "monodromy.operator_order": "the power walk kept as order_failure's oracle; the tracer patches it by name",
@@ -359,9 +381,10 @@ BENCH_ONLY = {
 
 
 def _names_used(tree) -> set[str]:
-    """The names `tree` reads, imports or reads as attributes. A Name that
-    a function `tree` binds as one of its own parameters is that
-    parameter, not a use of a homonymous def."""
+    """The names `tree` reads, imports or reads as attributes: a name read
+    or imported as itself, an attribute as ".attr" and, read off a plain
+    name, as "base.attr" too. A Name that a function `tree` binds as one of
+    its own parameters is that parameter, not a use of a homonymous def."""
     params = set()
     if isinstance(tree, ast.FunctionDef):
         a = tree.args
@@ -372,7 +395,9 @@ def _names_used(tree) -> set[str]:
             if node.id not in params:
                 names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names.add(f".{node.attr}")
+            if isinstance(node.value, ast.Name):
+                names.add(f"{node.value.id}.{node.attr}")
         elif isinstance(node, ast.alias):
             names |= {node.name, node.asname}
     return names
@@ -383,8 +408,11 @@ def _unreached(src: dict[str, str], bench: list[str]) -> set[str]:
     "module.Class.name" of each method other than a dunder, in the ``src``
     sources (module stem -> text) that no other statement of ``src`` names
     and no ``bench`` source names, dotted string constants included. A
-    class's own name and a method's own name inside its body do not count.
-    "__init__" in ``src`` is skipped, so re-exports do not count."""
+    module-level def is named by its own name or read off its module, so a
+    homonymous method's ``x.name`` does not reach it; a method is named as
+    any attribute. A class's own name and a method's own name inside its
+    body do not count. "__init__" in ``src`` is skipped, so re-exports do
+    not count."""
     defined, reached = [], set()
     for stem, text in src.items():
         if stem == "__init__":
@@ -392,7 +420,7 @@ def _unreached(src: dict[str, str], bench: list[str]) -> set[str]:
         for top in ast.parse(text).body:
             own = getattr(top, "name", None)
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((f"{stem}.{own}", own))
+                defined.append((f"{stem}.{own}", {own, f"{stem}.{own}"}))
             if not isinstance(top, ast.ClassDef):
                 reached |= _names_used(top) - {own}
                 continue
@@ -401,15 +429,16 @@ def _unreached(src: dict[str, str], bench: list[str]) -> set[str]:
             for member in top.body:
                 name = getattr(member, "name", None)
                 if isinstance(member, ast.FunctionDef) and not re.fullmatch(r"__\w+__", name):
-                    defined.append((f"{stem}.{own}.{name}", name))
-                reached |= _names_used(member) - {own, name}
+                    defined.append((f"{stem}.{own}.{name}", {f".{name}"}))
+                reached |= _names_used(member) - {own, f".{name}"}
     for text in bench:
         tree = ast.parse(text)
         reached |= _names_used(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"[\w.]+", node.value):
-                reached |= set(node.value.split("."))
-    return {dotted for dotted, name in defined if name not in reached}
+                parts = node.value.split(".")
+                reached |= {f".{part}" for part in parts} | {f"{a}.{b}" for a, b in zip(parts, parts[1:])}
+    return {dotted for dotted, names in defined if not names & reached}
 
 
 def test_every_src_function_has_a_caller():
@@ -433,7 +462,8 @@ def test_caller_scan_flags_only_the_uncalled():
     that only its own body and an __init__ re-export name, and counts as
     reached a def called from another module, a class used as an attribute
     and a function that a benchmark names only by a dotted string. A def
-    whose name is only another def's parameter stays unreached. Methods
+    whose name is only another def's parameter, or only a homonymous
+    method read off an instance, stays unreached. Methods
     are scanned too, dunders aside: one called through an instance is
     reached, one that only calls itself is not."""
     src = {
@@ -441,22 +471,25 @@ def test_caller_scan_flags_only_the_uncalled():
         "a": "class Used:\n    def __repr__(self):\n        return ''\n\n    def spin(self):\n        return self.spin()\n\n"
         "    def turn(self):\n        return Used()\n\n"
         "def lonely():\n    return lonely()\n\ndef called():\n    pass\n\n"
-        "def traced():\n    pass\n\ndef homonym():\n    pass\n",
+        "def traced():\n    pass\n\ndef homonym():\n    pass\n\ndef turn():\n    pass\n",
         "b": "from . import a\nfrom .a import called\n\ndef user(homonym=None):\n    return a.Used().turn(), called(), homonym\n",
     }
     bench = ["import b\nb.user()\nPATCH = 'a.traced'\n"]
-    assert _unreached(src, bench) == {"a.lonely", "a.homonym", "a.Used.spin"}
-    assert _unreached(src, []) == {"a.lonely", "a.traced", "b.user", "a.homonym", "a.Used.spin"}
+    assert _unreached(src, bench) == {"a.lonely", "a.homonym", "a.Used.spin", "a.turn"}
+    assert _unreached(src, []) == {"a.lonely", "a.traced", "b.user", "a.homonym", "a.Used.spin", "a.turn"}
 
 
 def test_fold_and_its_helpers_are_gone():
-    """monodromy.fold, HermitianGram.kernel and root_of_unity's power
-    parameter were deleted with no replacement."""
+    """monodromy.fold, HermitianGram.kernel and .eval, affine's bare-matrix
+    model generators and root_of_unity's power parameter were deleted with
+    no replacement."""
     with pytest.raises(AttributeError):
         crystmono.fold
     assert "fold" not in crystmono.__all__
     assert not hasattr(crystmono.monodromy, "fold")
     assert not hasattr(crystmono.linalg.HermitianGram, "kernel")
+    assert not hasattr(crystmono.linalg.HermitianGram, "eval")
+    assert not hasattr(crystmono.affine, "_reference_generators")
     with pytest.raises(TypeError):
         CycloField(3).root_of_unity(3, 2)
 

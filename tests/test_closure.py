@@ -2,12 +2,15 @@
 
 `linear_closure` is compared with the breadth-first closure kept in
 oracle_closure.py, and its list, order included, with the same search run
-on the matrices themselves; the trace-and-determinant reflection test
-with a full elimination rank of m - I, element by element,
-and the reflection multiset with an unfiltered count, on the seven
-reference models, which are all the verifier closes, and on the groups of
-the kept dual linear parts of every diagram in both characters and of the
-Q(zeta12) lifts that the dilation check builds.
+on the matrices themselves; the determinants it reads off the generators'
+factors with elimination; the reflection orders it finds while it lists
+the group with the second pass of oracle_closure.py and with a full
+elimination rank of m - I, element by element; and the reflection multiset
+with an unfiltered count, on the seven reference models, which are all the
+verifier closes, and on the groups of the kept dual linear parts of every
+diagram in both characters and of the Q(zeta12) lifts that the dilation
+check builds.  Generators that are no reflection are closed as
+oracle_closure.Generator records.
 """
 
 from collections import Counter
@@ -21,6 +24,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracle_closure as O
 from oracle_reflection import reflection_order, trace
+import crystmono
 from crystmono import affine, clear_caches, linalg
 from crystmono.affine import (
     AffineError,
@@ -28,8 +32,6 @@ from crystmono.affine import (
     ClosureBoundError,
     DualFrame,
     _kept_indices,
-    _reference_generators,
-    _reflection_orders,
     lifted_quotient,
     linear_closure,
     reference_group,
@@ -47,10 +49,12 @@ from crystmono.linalg import (
     mat_mul,
     mat_prod,
     mat_rank,
+    mat_vec,
     matrix,
+    transpose,
     vec_sub,
 )
-from crystmono.monodromy import diagram, diagram_names, operator_order, quotient_basis
+from crystmono.monodromy import PLOperator, diagram, diagram_names, operator_order, quotient_basis
 
 F3, F4, F12, F72 = (CycloField(n) for n in (3, 4, 12, 72))
 BOUND = 648  # the order of K25, the largest group closed here
@@ -70,10 +74,15 @@ def _dual_cases():
     return out
 
 
+def _model_matrices(name):
+    return [g.matrix for g in reference_group(name).generators]
+
+
 def _generators(case):
+    """The case's generators, as the reflection records the package builds."""
     kind, name, *rest = case
     if kind == "model":
-        return _reference_generators(name)
+        return reference_group(name).generators
     chi, lift = rest
     d = diagram(name, chi)
     q = quotient_basis(d)
@@ -81,15 +90,16 @@ def _generators(case):
         q = lifted_quotient(q, CycloField(lift))
     frame = DualFrame(q)
     duals = [frame.dual_reflection(r, lam) for r, lam in zip(q.roots, q.eigenvalues)]
-    return tuple(duals[j].linear for j in _kept_indices(d, q))
+    return tuple(duals[j].reflection for j in _kept_indices(d, q))
 
 
 @cache
 def _closures(case):
-    """The generators, their closure, its matrices in order, and the BFS oracle's list."""
+    """The generators' matrices, their closure, its matrices in order, and the BFS oracle's list."""
     gens = _generators(case)
     closure = linear_closure(gens, BOUND)
-    return gens, closure, closure.matrices(), O.linear_closure(gens)
+    mats = [g.matrix for g in gens]
+    return mats, closure, closure.matrices(), O.linear_closure(mats)
 
 
 def _ids(case):
@@ -118,7 +128,7 @@ def test_closure_matches_the_bfs_oracle(case):
     assert group[0] == identity(gens[0][0][0].field, len(gens[0]))
     assert len(set(group)) == len(group) == len(closure)
     assert set(group) == set(oracle)
-    assert linear_closure(gens, BOUND).matrices() == group  # deterministic order
+    assert linear_closure(_generators(case), BOUND).matrices() == group  # deterministic order
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
@@ -129,7 +139,8 @@ def test_closure_keeps_the_order_of_left_bfs_on_matrices(case):
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_bound_is_exact(case):
-    gens, _, group, _ = _closures(case)
+    _, _, group, _ = _closures(case)
+    gens = _generators(case)
     assert linear_closure(gens, max_size=len(group)).matrices() == group
     with pytest.raises(ClosureBoundError, match=f"closure exceeds {len(group) - 1} elements"):
         linear_closure(gens, max_size=len(group) - 1)
@@ -150,13 +161,22 @@ def test_reflection_orders_are_the_rank_one_test(case):
     determinant give a rank-one element its reflection order and any other
     element 0."""
     _, closure, group, oracle = _closures(case)
-    orders = dict(zip(group, _reflection_orders(closure)))
+    orders = dict(zip(group, closure.orders))
     assert [orders[m] for m in oracle] == [reflection_order(m) if _rank_one(m) else 0 for m in oracle]
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_one_pass_orders_match_the_two_pass_oracle(case):
+    """The orders linear_closure finds while it lists the group are those
+    a second pass over the listed closure reads, element by element."""
+    _, closure, _, _ = _closures(case)
+    assert len(closure.orders) == len(closure) and closure.orders[0] == 0
+    assert closure.orders == O.reflection_orders(closure)
 
 
 def _passes(m, det_m=None):
     """Whether lambda = tr m - (n - 1) has order k > 1 and, unless det_m is
-    None, det m = lambda: the test _reflection_orders makes, on a matrix."""
+    None, det m = lambda: the test linear_closure makes, on a matrix."""
     lam = trace(m) - (len(m) - 1)
     return lam.multiplicative_order() not in (None, 1) and (det_m is None or det_m == lam)
 
@@ -164,9 +184,10 @@ def _passes(m, det_m=None):
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_trace_and_determinant_are_the_rank_one_test(case):
     """Element by element, the determinant the closure records when it
-    finds the element, its parent's plus its generator's, is det m of its
-    own matrix, and the trace and determinant pass exactly on the rank-one
-    elements."""
+    finds the element, its parent's plus its generator's, each generator's
+    read off its root and coroot, is det m of its own matrix by
+    elimination, and the trace and determinant pass exactly on the
+    rank-one elements."""
     _, closure, group, _ = _closures(case)
     exponents = {x: j for x, (j, _) in roots_of_unity(group[0][0][0].field).items()}
     dets = [det(m) for m in group]
@@ -177,16 +198,18 @@ def test_trace_and_determinant_are_the_rank_one_test(case):
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_trace_prefilter_keeps_every_reflection(case, monkeypatch):
     """Every reflection passes the trace test, no power of a field element
-    is taken for n <= 3, and the multiset is the unfiltered count over
-    every element."""
-    _, closure, group, _ = _closures(case)
+    is taken for n <= 3 while the closure lists the group and finds its
+    reflections, and the multiset is the unfiltered count over every
+    element."""
+    _, _, group, _ = _closures(case)
     assert len(group[0]) <= 3
     reflections = [m for m in group if _rank_one(m)]
     assert reflections and all(map(_passes, reflections))
+    gens = _generators(case)
     powered = []
     real_pow = CycloNum.__pow__
     monkeypatch.setattr(CycloNum, "__pow__", lambda x, k: powered.append(x) or real_pow(x, k))
-    multiset = reflection_order_multiset(closure)
+    multiset = reflection_order_multiset(linear_closure(gens, BOUND))
     monkeypatch.undo()
     assert multiset == dict(Counter(reflection_order(m) for m in reflections))
     assert powered == []
@@ -212,10 +235,10 @@ def test_trace_candidate_that_is_no_reflection():
     so has its inverse, and m^2 = diag(1, -1, -1) fails the trace test."""
     i = F4.root_of_unity(4)
     m = matrix(F4, [[1, 0, 0], [0, i, 0], [0, 0, -i]])
-    closure = linear_closure([m], 4)
+    closure = linear_closure([O.Generator(m)], 4)
     assert len(closure) == 4 and not _rank_one(m)
     assert _passes(m) and det(m) == 1 and not _passes(mat_mul(m, m))
-    assert _reflection_orders(closure) == [0, 0, 0, 0]
+    assert closure.orders == O.reflection_orders(closure) == [0, 0, 0, 0]
     assert reflection_order_multiset(closure) == {}
 
 
@@ -223,20 +246,24 @@ def test_rank_four_candidates_are_confirmed_by_their_rank(monkeypatch):
     """S5 in its reflection representation on the root lattice of A4, over
     Q(w): for n >= 4 the trace and determinant do not fix the eigenvalues,
     so each element that passes them is confirmed by the rank of m - I on
-    its matrix.  The group has order 120 and its 10 transpositions are the
-    reflections, each of order 2."""
+    its matrix, while the closure lists the group.  The group has order 120
+    and its 10 transpositions are the reflections, each of order 2.  The
+    generators are I - e_i c_i^T for the rows c_i of the Cartan matrix."""
     cartan = [[2 if r == c else -1 if abs(r - c) == 1 else 0 for c in range(4)] for r in range(4)]
-    gens = [matrix(F3, [[(r == c) - (cartan[i][c] if r == i else 0) for c in range(4)] for r in range(4)]) for i in range(4)]
-    closure = linear_closure(gens, 120)
-    group = closure.matrices()
-    assert len(group) == 120 and set(group) == set(O.linear_closure(gens))
-    assert group == O.left_bfs_closure(gens)
+    units = identity(F3, 4)
+    gens = [PLOperator.from_factors(units[i], matrix(F3, [cartan[i]])[0], -F3.one) for i in range(4)]
+    mats = [g.matrix for g in gens]
+    assert mats == [matrix(F3, [[(r == c) - (cartan[i][c] if r == i else 0) for c in range(4)] for r in range(4)]) for i in range(4)]
     confirmed = []
     real = affine.mat_rank
     monkeypatch.setattr(affine, "mat_rank", lambda m: confirmed.append(m) or real(m))
-    orders = _reflection_orders(closure)
-    assert orders == [2 if _rank_one(m) else 0 for m in group]
-    assert orders.count(2) == 10 and len(confirmed) == 10
+    closure = linear_closure(gens, 120)
+    monkeypatch.undo()
+    group = closure.matrices()
+    assert len(group) == 120 and set(group) == set(O.linear_closure(mats))
+    assert group == O.left_bfs_closure(mats)
+    assert closure.orders == O.reflection_orders(closure) == [2 if _rank_one(m) else 0 for m in group]
+    assert closure.orders.count(2) == 10 and len(confirmed) == 10
     assert reflection_order_multiset(closure) == {2: 10}
 
 
@@ -254,17 +281,20 @@ def test_packed_traces_are_exact_on_large_coordinates(name):
     """Conjugated by a matrix with entries near 10^6 and denominators, the
     basis orbit has numerators near 10^12 over a common denominator, and
     the packed trace test still gives each element its order as a
-    rank-one reflection, and 0 otherwise."""
+    rank-one reflection, and 0 otherwise.  p (I - a b^T) p^-1 is the
+    reflection with root p a and coroot p^-T b."""
     field = reference_group(name).field
     p = matrix(field, [[field.element([1000003, 999991]), Fraction(999999, 7)], [999983, 1000033]])
     inv = linalg.mat_inverse(p)
-    gens = [mat_mul(mat_mul(p, g), inv) for g in _reference_generators(name)]
+    model = reference_group(name).generators
+    gens = [PLOperator.from_factors(mat_vec(p, g.root), mat_vec(transpose(inv), g.coroot), g.eigenvalue) for g in model]
+    assert [g.matrix for g in gens] == [mat_mul(mat_mul(p, g.matrix), inv) for g in model]
     closure = linear_closure(gens, reference_group(name).declared_order)
     group = closure.matrices()
     assert len(group) == reference_group(name).declared_order
     assert max(abs(c) for p in closure.points for c in p[:-1]) > 10**11
-    orders = _reflection_orders(closure)
-    assert orders == [reflection_order(m) if _rank_one(m) else 0 for m in group]
+    assert closure.orders == O.reflection_orders(closure)
+    assert closure.orders == [reflection_order(m) if _rank_one(m) else 0 for m in group]
     assert reflection_order_multiset(closure) == reference_group(name).declared_reflections
 
 
@@ -273,7 +303,7 @@ def _subgroup_generators(draw):
     """A model and 1 to 3 random positive words in its generators, at least
     one of them no reflection."""
     name = draw(st.sampled_from(reference_names()))
-    model = _reference_generators(name)
+    model = _model_matrices(name)
     letter = st.integers(0, len(model) - 1)
     words = draw(st.lists(st.lists(letter, min_size=1, max_size=5), min_size=1, max_size=3))
     gens = [linalg.mat_prod([model[k] for k in w]) for w in words]
@@ -284,17 +314,20 @@ def _subgroup_generators(draw):
 @given(_subgroup_generators())
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 def test_subgroup_closures_match_the_oracles(case):
-    """Groups generated by products of a model's generators: the element
-    set and order of the BFS oracle, the dets of det, and the reflection
-    orders of the rank-one test."""
+    """Groups generated by products of a model's generators, closed as
+    bare matrices: the element set and order of the BFS oracle, the dets of
+    det, and the reflection orders of the two-pass oracle and of the
+    rank-one test."""
     name, gens = case
-    closure = linear_closure(gens, reference_group(name).declared_order)  # a subgroup's order divides the model's
+    # a subgroup's order divides the model's
+    closure = linear_closure(map(O.Generator, gens), reference_group(name).declared_order)
     group = closure.matrices()
     assert len(set(group)) == len(group) == len(closure)
     assert set(group) == set(O.linear_closure(gens))
     exponents = {x: j for x, (j, _) in roots_of_unity(group[0][0][0].field).items()}
     assert closure.dets == [exponents[det(m)] for m in group]
-    assert _reflection_orders(closure) == [reflection_order(m) if _rank_one(m) else 0 for m in group]
+    assert closure.orders == O.reflection_orders(closure)
+    assert closure.orders == [reflection_order(m) if _rank_one(m) else 0 for m in group]
 
 
 @pytest.mark.parametrize(
@@ -309,7 +342,7 @@ def test_subgroup_closures_match_the_oracles(case):
 def test_infinite_order_generator_hits_the_bound(gens):
     mats = [matrix(F3, g) for g in gens]
     with pytest.raises(ClosureBoundError, match="closure exceeds 40 elements"):
-        linear_closure(mats, max_size=40)
+        linear_closure(map(O.Generator, mats), max_size=40)
     with pytest.raises(ClosureBoundError, match="closure exceeds 40 elements"):
         O.linear_closure(mats, max_size=40)
 
@@ -317,30 +350,37 @@ def test_infinite_order_generator_hits_the_bound(gens):
 def test_orbit_bound_is_tight():
     """<w I_2> over Q(w) has 3 elements and a basis orbit of 6 = n * 3 points."""
     g = matrix(F3, [[F3.omega, 0], [0, F3.omega]])
-    group = linear_closure([g], max_size=3)
+    group = linear_closure([O.Generator(g)], max_size=3)
     assert len(group) == 3 and group.matrices() == O.left_bfs_closure([g])
     with pytest.raises(ClosureBoundError, match="closure exceeds 2 elements"):
-        linear_closure([g], max_size=2)
+        linear_closure([O.Generator(g)], max_size=2)
 
 
 def test_redundant_generators_are_skipped():
+    """The model's reflections repeated, and with their product and the
+    identity as bare matrices among them."""
     a, b = _generators(("model", "K5"))[:2]
-    ident = identity(F3, len(a))
+    ident = identity(F3, len(a.matrix))
+    ab, one = O.Generator(mat_mul(a.matrix, b.matrix)), O.Generator(ident)
     base = set(linear_closure([a, b], BOUND).matrices())
-    for redundant in ([a, a, b], [a, b, a], [a, b, mat_mul(a, b)], [ident, a, b], [a, ident, b, b]):
+    for redundant in ([a, a, b], [a, b, a], [a, b, ab], [one, a, b], [a, one, b, b]):
         got = linear_closure(redundant, BOUND).matrices()
         assert got[0] == ident and len(set(got)) == len(got)
-        assert set(got) == base == set(O.linear_closure(redundant))
-    assert linear_closure([ident], 1).matrices() == [ident]
+        assert set(got) == base == set(O.linear_closure([g.matrix for g in redundant]))
+    assert linear_closure([one], 1).matrices() == [ident]
     with pytest.raises(AffineError):
         linear_closure([], 1)
 
 
 def test_singular_generator_is_rejected():
-    """diag(0, 1) maps the basis into the finite set {0, e_2}, so the orbit
-    ends, but it generates no group."""
+    """I - e_1 e_1^T = diag(0, 1), whose det() 1 - e_1^T e_1 is 0, maps the
+    basis into the finite set {0, e_2}, so the orbit ends, but it generates
+    no group."""
+    e1 = identity(F3, 2)[0]
+    g = PLOperator.from_factors(e1, e1, F3.zero)
+    assert g.matrix == matrix(F3, [[0, 0], [0, 1]]) and g.det() == 0
     with pytest.raises(AffineError, match="^a generator is singular$"):
-        linear_closure([matrix(F3, [[0, 0], [0, 1]])], 10)
+        linear_closure([g], 10)
 
 
 @pytest.fixture
@@ -357,7 +397,7 @@ def test_verdicts_do_not_depend_on_closure_order(monkeypatch, fresh_caches):
 
     def reversed_closure(gens, max_size):
         group = real(gens, max_size)
-        return Closure(group.field, group.points, group.elements[::-1], group.dets[::-1])
+        return Closure(group.field, group.points, group.elements[::-1], group.dets[::-1], group.orders[::-1])
 
     monkeypatch.setattr(affine, "linear_closure", reversed_closure)
     clear_caches()
@@ -409,7 +449,7 @@ def test_catalogue_closures_multiply_no_matrices(monkeypatch, capsys, fresh_cach
         assert main(["verify", "group", name]) == 0
     capsys.readouterr()
     models = {name: reference_group(name).declared_order for name in reference_names()}
-    assert Counter(c[:2] for c in closures) == Counter((_reference_generators(nm), k) for nm, k in models.items())
+    assert Counter(c[:2] for c in closures) == Counter((reference_group(nm).generators, k) for nm, k in models.items())
     assert all(size == bound for _, bound, size in closures)
     assert products == []
     assert "matrices" not in per_element and "reference_closure" not in per_element
@@ -419,15 +459,15 @@ def test_catalogue_closures_multiply_no_matrices(monkeypatch, capsys, fresh_cach
 @pytest.mark.parametrize("name", reference_names())
 def test_model_closure_does_no_field_arithmetic_per_element(name, monkeypatch, fresh_caches):
     """The model's closure and its reflection orders run the field's
-    product and sum loops, and build field elements, only inside det of
-    the generators: the basis orbit moves flattened integer points by each
-    generator's flat_action and the closure keeps them so, the group
-    search moves index tuples, and the traces are packed straight off the
-    points.  The orbit is the one search left to _bfs, so the spy on it
-    marks where the orbit ends."""
-    gens = _reference_generators(name)  # the model is built before the count
+    product and sum loops, and build field elements, only in det() of the
+    generators, one sum of products 1 - coroot^T root each: the basis orbit
+    moves flattened integer points by each generator's flat_action and the
+    closure keeps them so, the group search moves index tuples, and the
+    traces are packed straight off the points.  The orbit is the one search
+    left to _bfs, so the spy on it marks where the orbit ends."""
+    gens = reference_group(name).generators  # the model is built before the count
     calls, where, searches = Counter(), ["orbit"], []
-    real_bfs, real_det = affine._bfs, affine.det
+    real_bfs, real_det = affine._bfs, PLOperator.det
 
     def bfs(*args):
         searches.append((len(args[0]), args[2]))
@@ -435,34 +475,52 @@ def test_model_closure_does_no_field_arithmetic_per_element(name, monkeypatch, f
         where[0] = "after the orbit"
         return out
 
-    def spy_det(m):
+    def spy_det(g):
         outer, where[0] = where[0], "det"
         try:
-            return real_det(m)
+            return real_det(g)
         finally:
             where[0] = outer
 
     def spy(owner, attr):
         real = getattr(owner, attr)
-        monkeypatch.setattr(owner, attr, lambda *args: calls.update([where[0]]) or real(*args))
+        monkeypatch.setattr(owner, attr, lambda *args: calls.update([(where[0], attr)]) or real(*args))
 
     spy(CycloField, "_sum_of_products")
     spy(CycloNum, "_combine")
     spy(CycloField, "_make")
     where[0] = "det"
-    for g in gens:  # what det of the generators costs on its own
+    for g in gens:  # what det() of the generators costs on its own
         real_det(g)
-    per_det = calls.pop("det")
+    per_det = {attr: k for (_, attr), k in calls.items()}
+    calls.clear()
     where[0] = "orbit"
     monkeypatch.setattr(affine, "_bfs", bfs)
-    monkeypatch.setattr(affine, "det", spy_det)
+    monkeypatch.setattr(PLOperator, "det", spy_det)
     group, multiset = affine.model_closure(name)
     monkeypatch.undo()
     assert len(group) == reference_group(name).declared_order and multiset
-    assert searches == [(len(gens[0]), len(group))]  # the orbit of the n basis vectors, bounded by n |G|
+    assert searches == [(len(gens[0].matrix), len(group))]  # the orbit of the n basis vectors, bounded by n |G|
     assert all(type(c) is int for p in group.points for c in p)
-    assert calls["det"] == per_det > 0
-    assert calls["orbit"] == calls["after the orbit"] == 0
+    assert per_det["_sum_of_products"] == len(gens)
+    assert all(w == "det" for w, _ in calls)  # none in the orbit or after it
+    assert {attr: k for (_, attr), k in calls.items()} == per_det
+
+
+def test_verify_group_takes_no_determinant_by_elimination(monkeypatch, capsys, fresh_caches):
+    """Over the seven cold `verify group` runs every determinant is read
+    off a generator's root and coroot: linalg.det, which no other src
+    module binds, is never called."""
+    modules = [getattr(crystmono, m) for m in ("cyclo", "linalg", "monodromy", "affine", "classify", "cli")]
+    assert [m.__name__ for m in modules if hasattr(m, "det")] == ["crystmono.linalg"]
+    eliminated = []
+    real = linalg.det
+    monkeypatch.setattr(linalg, "det", lambda m: eliminated.append(m) or real(m))
+    for name in reference_names():
+        clear_caches()
+        assert main(["verify", "group", name]) == 0
+    capsys.readouterr()
+    assert eliminated == []
 
 
 def _dense_move(action, den, p):
@@ -491,7 +549,7 @@ def test_orbit_moves_skip_unit_rows_exactly():
     of both must agree with the dense move too."""
     dens = set()
     for name in reference_names():
-        gens = _reference_generators(name)
+        gens = _model_matrices(name)
         field, n = gens[0][0][0].field, len(gens[0])
         start = [(*flat, den) for flat, den in map(flatten, identity(field, n))]
         bound = reference_group(name).declared_order
@@ -515,10 +573,26 @@ def test_orbit_moves_compute_only_the_moved_rows(monkeypatch, fresh_caches):
     """K25's generators are reflections over Q(w), each the identity
     outside one row, so each orbit move takes the 2 dot products of that
     row's flattened rows, where a dense move over its 3 x 2 flattened
-    coordinates takes 6."""
-    gens = _reference_generators("K25")
-    products = []
-    monkeypatch.setattr(affine, "mul", lambda x, y: products.append(None) or x * y)
+    coordinates takes 6.  Only the products inside the orbit search count:
+    the closure packs the traces with the same mul after it."""
+    products, orbit = [], []
+    real_bfs = affine._bfs
+
+    def bfs(*args):
+        orbit.append(None)
+        try:
+            return real_bfs(*args)
+        finally:
+            orbit.pop()
+
+    def product(x, y):
+        if orbit:
+            products.append(None)
+        return x * y
+
+    monkeypatch.setattr(affine, "_bfs", bfs)
+    monkeypatch.setattr(affine, "mul", product)
+    gens = reference_group("K25").generators
     group = linear_closure(gens, 648)
     monkeypatch.undo()
     assert len(group) == 648

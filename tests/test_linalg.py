@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_reflection import pair
 from crystmono.cyclo import CycloField, parse_value
 from crystmono.linalg import (
     HermitianGram,
@@ -90,14 +91,14 @@ def test_hermitian_validation():
     assert g.rank == 2
 
 
-def test_hermitian_eval_sesquilinearity():
+def test_hermitian_pairing_sesquilinearity():
     g = HermitianGram(g3([[-3, "1-w"], ["1-conj(w)", -3]]))
     u = vector(F3, [1, "w"])
     v = vector(F3, [2, "1-w"])
-    assert g.eval(vec_scale(W, u), v) == W * g.eval(u, v)
-    assert g.eval(u, vec_scale(W, v)) == W.conjugate() * g.eval(u, v)
+    assert pair(g, vec_scale(W, u), v) == W * pair(g, u, v)
+    assert pair(g, u, vec_scale(W, v)) == W.conjugate() * pair(g, u, v)
     # Hermitian symmetry of values
-    assert g.eval(u, v) == g.eval(v, u).conjugate()
+    assert pair(g, u, v) == pair(g, v, u).conjugate()
 
 
 def test_kernel_is_the_radical():
@@ -108,8 +109,8 @@ def test_kernel_is_the_radical():
     assert g.in_radical(k) and g.in_radical(vec_scale(F3.omega, k))
     assert not any(g.in_radical(probe) for probe in probes)
     for probe in probes:
-        assert g.eval(probe, k).is_zero()
-        assert g.eval(k, probe).is_zero()
+        assert pair(g, probe, k).is_zero()
+        assert pair(g, k, probe).is_zero()
 
 
 def test_negative_semidefinite():
@@ -147,7 +148,7 @@ def test_form_preservation_check():
     g = HermitianGram(g3([[-3, "1-w"], ["1-conj(w)", -3]]))
     root = vector(F3, [1, 0])
     along = mat_vec(g.gram, conj_vector(root))
-    q = g.eval(root, root)
+    q = pair(g, root, root)
     for c in (2 / q, (1 - W) / q, (1 - W * W) / q, 0):  # eigenvalues -1, w, w^2, and the identity
         assert g.is_preserved_by(_factors(root, vec_scale(c, along)))
     for c in (1 / q, 3 / q, (1 - 2 * W) / q):  # eigenvalues 0, -2 and 2w, of modulus other than 1
@@ -229,14 +230,14 @@ def test_lattice_reduce_mod_property(coeffs):
     st.lists(st.integers(-4, 4), min_size=2, max_size=2),
 )
 @settings(max_examples=30, deadline=None)
-def test_hermitian_eval_matches_matrix_form(uc, vc):
+def test_hermitian_pairing_matches_matrix_form(uc, vc):
     g = HermitianGram(g3([[-3, "1-w"], ["1-conj(w)", -3]]))
     u = vector(F3, uc)
     v = vector(F3, vc)
     # u^T G conj(v), computed by hand
     gv = mat_vec(g.gram, conj_vector(v))
     manual = u[0] * gv[0] + u[1] * gv[1]
-    assert g.eval(u, v) == manual
+    assert pair(g, u, v) == manual
 
 
 # -- oracles for the elimination routine and the canonical HNF ---------------

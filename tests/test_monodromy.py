@@ -6,7 +6,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_reflection import is_preserved_by
+from oracle_reflection import is_preserved_by, pair
 from crystmono import clear_caches, linalg, monodromy
 from crystmono.cli import diagram_from_payload, main, show_diagram_payload
 from crystmono.cyclo import CycloField, parse_value
@@ -138,7 +138,7 @@ def test_relation_diagrams_rewrite_the_last_cycle():
         extra = q.roots[-1]
         # the rewritten root must reproduce the appended Gram row
         for j in range(d.tau):
-            assert q.gram.eval(extra, q.roots[j]) == d.gram.gram[len(d.cycles) - 1][j]
+            assert pair(q.gram, extra, q.roots[j]) == d.gram.gram[len(d.cycles) - 1][j]
     d = diagram("P8divZ4")
     assert quotient_basis(d).roots[-1] == (d.field.root_of_unity(4), d.field.root_of_unity(4))
 
@@ -427,7 +427,7 @@ def test_c3_33_is_d4_3_with_e2_and_e3_merged(chi, kernel_entry):
     d4, c3 = diagram("D4_3", chi), diagram("C3_33", chi)
     e = {c.id: u for c, u in zip(d4.cycles, identity(d4.field, len(d4.cycles)))}
     merge = [e["e0"], e["e1"], vec_add(e["e2"], e["e3"])]
-    assert tuple(tuple(d4.gram.eval(u, v) for v in merge) for u in merge) == c3.gram.gram
+    assert tuple(tuple(pair(d4.gram, u, v) for v in merge) for u in merge) == c3.gram.gram
     mapped = functools.reduce(vec_add, map(vec_scale, c3.kernel_vector, merge))
     one = d4.field.one
     assert mapped == d4.kernel_vector == (one, parse_value(kernel_entry, d4.field), one, one)
@@ -445,9 +445,9 @@ def test_merging_along_e2_minus_e3_is_not_c3_33(chi):
     d4, c3 = diagram("D4_3", chi), diagram("C3_33", chi)
     e = {c.id: u for c, u in zip(d4.cycles, identity(d4.field, len(d4.cycles)))}
     merge = [e["e0"], e["e1"], vec_sub(e["e2"], e["e3"])]
-    assert d4.gram.eval(e["e1"], merge[2]).is_zero()
+    assert pair(d4.gram, e["e1"], merge[2]).is_zero()
     assert not c3.gram.gram[1][2].is_zero()
-    assert tuple(tuple(d4.gram.eval(u, v) for v in merge) for u in merge) != c3.gram.gram
+    assert tuple(tuple(pair(d4.gram, u, v) for v in merge) for u in merge) != c3.gram.gram
 
 
 @pytest.mark.parametrize("name", ["P8divZ6", "P8divZ4"])

@@ -3,9 +3,10 @@
 Every reflection is built as I - root coroot^T and kept with its factors:
 form preservation is the rank-one identity of
 HermitianGram.is_preserved_by, "is a reflection" is two nonzero
-factors, the order is that of 1 - coroot^T root, and the Cartan matrix
-behind find_conjugacy is coroot_i^T root_j.  Here each is held to the
-matrix-only reading of oracle_reflection.py, on random rank-one data over
+factors, the determinant is 1 - coroot^T root and the order is its
+order, and the Cartan matrix behind find_conjugacy is coroot_i^T root_j.
+Here each is held to the matrix-only reading of oracle_reflection.py, the
+determinant to det's elimination, on random rank-one data over
 Q(w) and Q(i), eigenvalues of modulus other than 1 and coroots off the
 line of G conj(root) included, and on every reflection the package
 builds: cycle operators, dual linear parts and model generators, in both
@@ -18,7 +19,7 @@ import oracle_reflection as R
 from crystmono import affine
 from crystmono.affine import DualFrame, _kept_indices, _rescaling, lifted_quotient, reference_group, reference_names
 from crystmono.cyclo import CycloField, roots_of_unity
-from crystmono.linalg import HermitianGram, conj_vector, is_zero_vector, mat_vec, matrix, vec_scale
+from crystmono.linalg import HermitianGram, conj_vector, det, is_zero_vector, mat_vec, matrix, vec_scale
 from crystmono.monodromy import CHARACTERS, PLOperator, diagram, diagram_names, diagram_operators, quotient_basis
 
 F3, F4, F12 = CycloField(3), CycloField(4), CycloField(12)
@@ -47,7 +48,7 @@ def _rank_one(draw, form):
     field, n = form.field, form.n
     root = tuple(draw(_element(field)) for _ in range(n))
     along = mat_vec(form.gram, conj_vector(root))
-    q = form.eval(root, root)
+    q = R.pair(form, root, root)
     kind = draw(st.sampled_from(["unitary", "along", "free"]))
     if kind == "unitary" and q:
         lam = draw(st.sampled_from(sorted(roots_of_unity(field), key=lambda z: z.num)))
@@ -67,6 +68,7 @@ def _agrees(op, form):
     assert m == R.minus_outer(op.root, op.coroot)
     assert form.is_preserved_by(op) == R.is_preserved_by(form, m)
     assert (not is_zero_vector(op.root) and not is_zero_vector(op.coroot)) == R.is_reflection(m)
+    assert op.det() == det(m)
     assert op.order() == R.reflection_order(m)
     return R.is_preserved_by(form, m)
 
@@ -120,7 +122,7 @@ def test_hand_picked_rank_one_cases_cover_every_branch():
     form = HermitianGram(((-2 * F3.one, 1 - w), (1 - w.conjugate(), -2 * F3.one)))
     root = (F3.one, F3.zero)
     along = mat_vec(form.gram, conj_vector(root))
-    q = form.eval(root, root)
+    q = R.pair(form, root, root)
     outcomes = [
         _agrees(_record(root, vec_scale(c, along)), form) for c in ((1 - w) / q, 2 / q, 1 / q, 3 / q, F3.zero)
     ]
